@@ -6,18 +6,16 @@ Subcommands: ``dispersion`` (mode energies and gap), ``phase-diagram``
 ``validate`` (the built-in dense-reference test battery).
 
 Output is a flat table, CSV or JSON, written deterministically: the same
-config and package version produce byte-identical files at any thread
-count.  Wall-clock time and progress go to stderr only.
+config and package version produce byte-identical files.  Wall-clock time
+and progress go to stderr only.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +93,10 @@ class SweepConfig:
     obs: tuple[str, ...] = OBSERVABLES
     format: str = "csv"
     out: str = "-"
-    threads: int = 1
     resume: bool = False
 
     def echo(self) -> dict:
-        # the config block embedded in JSON output; excludes anything that
-        # must not affect bytes (threads, output routing)
+        # the config block embedded in JSON output; excludes output routing
         return {
             "gamma": list(self.gamma),
             "field": list(self.field),
@@ -113,13 +109,19 @@ class SweepConfig:
         }
 
 
+def _config_axis(value) -> tuple[float, ...]:
+    """An axis from a config file: an axis string, a number or a list of numbers."""
+    if isinstance(value, str):
+        return parse_axis(value)
+    if isinstance(value, (int, float)):
+        return (float(value),)
+    return tuple(float(x) for x in value)
+
+
 _CONFIG_KEYS = {
-    "gamma": lambda v: parse_axis(v) if isinstance(v, str) else
-    ((float(v),) if isinstance(v, (int, float)) else tuple(float(x) for x in v)),
-    "field": lambda v: parse_axis(v) if isinstance(v, str) else
-    ((float(v),) if isinstance(v, (int, float)) else tuple(float(x) for x in v)),
-    "temp": lambda v: parse_axis(v) if isinstance(v, str) else
-    ((float(v),) if isinstance(v, (int, float)) else tuple(float(x) for x in v)),
+    "gamma": _config_axis,
+    "field": _config_axis,
+    "temp": _config_axis,
     "sites": int,
     "kappa": float,
     "modulation": str,
@@ -127,7 +129,6 @@ _CONFIG_KEYS = {
     "obs": lambda v: _obs_type(v) if isinstance(v, str) else tuple(v),
     "format": str,
     "out": str,
-    "threads": int,
 }
 
 
@@ -162,36 +163,22 @@ def _resolve(args: argparse.Namespace) -> SweepConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if getattr(args, "threads", None) is None and "threads" not in file_cfg:
-        env = os.environ.get("THREADS")
-        if env:
-            try:
-                cfg.threads = int(env)
-            except ValueError:
-                raise ConfigError(f"THREADS must be an integer, got {env!r}") from None
-    if cfg.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
     cfg.resume = bool(getattr(args, "resume", False))
     if cfg.resume and (cfg.out == "-" or cfg.format != "csv"):
         raise ConfigError("--resume needs --format csv and --out pointing at a file")
-    # fail fast on invalid physics parameters, before any file is opened
-    try:
-        for g in cfg.gamma:
-            ChainSpec(gamma=g, field_ratio=0.0, sites=cfg.sites)
-        for f in cfg.field:
-            ChainSpec(gamma=0.0, field_ratio=f, sites=cfg.sites)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    # fail fast on invalid physics parameters, before any file is opened;
+    # main reports the ValueError of a bad spec or setup as a config error
+    for g in cfg.gamma:
+        ChainSpec(gamma=g, field_ratio=0.0, sites=cfg.sites)
+    for f in cfg.field:
+        ChainSpec(gamma=0.0, field_ratio=f, sites=cfg.sites)
     if any(not t > 0 for t in cfg.temp):
         raise ConfigError("temperatures must be > 0")
     if cfg.command in ("phase-diagram", "tscan"):
-        try:
-            faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
-                                 include_shot_noise=cfg.shot_noise)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
+                             include_shot_noise=cfg.shot_noise)
     return cfg
 
 
@@ -240,50 +227,32 @@ class _Emitter:
             self.fh.flush()
 
 
-def _parallel_rows(points, worker, threads):
-    if threads <= 1:
-        for p in points:
-            yield worker(p)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(worker, points)  # map preserves submission order
-
-
 def cmd_dispersion(cfg: SweepConfig) -> int:
     columns = ["gamma", "field_ratio", "momentum", "energy", "gap"]
-    points = [(g, f) for g in cfg.gamma for f in cfg.field]
-
-    def worker(point):
-        g, f = point
-        spec = ChainSpec(gamma=g, field_ratio=f, sites=cfg.sites)
-        mt = mode_table(spec)
-        gap = energy_gap(spec)
-        return [[g, f, float(k), float(e), gap]
-                for k, e in zip(mt.momenta, mt.energies)]
-
     emitter = _Emitter(cfg, columns)
     try:
-        for block in _parallel_rows(points, worker, cfg.threads):
-            for row in block:
-                emitter.row(row)
+        for g in cfg.gamma:
+            for f in cfg.field:
+                spec = ChainSpec(gamma=g, field_ratio=f, sites=cfg.sites)
+                mt = mode_table(spec)
+                gap = energy_gap(spec)
+                for k, e in zip(mt.momenta, mt.energies):
+                    emitter.row([g, f, float(k), float(e), gap])
     finally:
         emitter.close()
     return EXIT_OK
 
 
-def _snr_values(cfg: SweepConfig, spec: ChainSpec, temperature: float) -> list[float]:
-    ens = thermometry.ensemble(spec, temperature)
+def _point(cfg: SweepConfig, g: float, f: float, t: float) -> faraday.ReadoutPoint:
+    spec = ChainSpec(gamma=g, field_ratio=f, sites=cfg.sites)
     setup = faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
                                  include_shot_noise=cfg.shot_noise)
-    values = []
-    for obs in cfg.obs:
-        if obs == "crb":
-            values.append(thermometry.snr_crb(ens))
-        elif obs == "varjx":
-            values.append(faraday.temperature_snr(ens, setup, faraday.ReadoutObservable.VAR_JX))
-        else:
-            values.append(faraday.temperature_snr(ens, setup, faraday.ReadoutObservable.MEAN_JZ))
-    return values
+    return faraday.ReadoutPoint(thermometry.ensemble(spec, t), setup)
+
+
+def _snr_values(cfg: SweepConfig, point: faraday.ReadoutPoint) -> list[float]:
+    # the --obs names crb, varjx, meanjz map onto the point's snr_* members
+    return [getattr(point, f"snr_{obs}") for obs in cfg.obs]
 
 
 def _read_partial_csv(path: str, columns: list[str]) -> dict[tuple, list[float]]:
@@ -313,19 +282,13 @@ def cmd_phase_diagram(cfg: SweepConfig) -> int:
     points = [(g, f, t) for g in cfg.gamma for f in cfg.field for t in cfg.temp]
     total = len(points)
     cached = _read_partial_csv(cfg.out, columns) if cfg.resume else {}
-
-    def worker(point):
-        hit = cached.get(point)
-        if hit is not None:
-            return hit
-        g, f, t = point
-        spec = ChainSpec(gamma=g, field_ratio=f, sites=cfg.sites)
-        snrs = _snr_values(cfg, spec, t)
-        return [g, f, t] + [s / cfg.sites for s in snrs]
-
     emitter = _Emitter(cfg, columns)
     try:
-        for done, row in enumerate(_parallel_rows(points, worker, cfg.threads), start=1):
+        for done, (g, f, t) in enumerate(points, start=1):
+            row = cached.get((g, f, t))
+            if row is None:
+                snrs = _snr_values(cfg, _point(cfg, g, f, t))
+                row = [g, f, t] + [s / cfg.sites for s in snrs]
             emitter.row(row)
             print(f"phase-diagram: {done}/{total}", file=sys.stderr, flush=True)
     finally:
@@ -338,20 +301,13 @@ def cmd_tscan(cfg: SweepConfig) -> int:
                 "var_jx_shot_ratio", "mean_jz_per_sqrt_sites"]
                + [f"snr_{o}" for o in cfg.obs])
     points = [(g, f, t) for g in cfg.gamma for f in cfg.field for t in cfg.temp]
-
-    def worker(point):
-        g, f, t = point
-        spec = ChainSpec(gamma=g, field_ratio=f, sites=cfg.sites)
-        ens = thermometry.ensemble(spec, t)
-        kern = correlations.kernel(ens)
-        shot = correlations.var_jx(kern) / cfg.sites / 0.5
-        mz = correlations.mean_jz(ens, cfg.modulation) / math.sqrt(cfg.sites)
-        return [g, f, t, shot, mz] + _snr_values(cfg, spec, t)
-
     emitter = _Emitter(cfg, columns)
     try:
-        for row in _parallel_rows(points, worker, cfg.threads):
-            emitter.row(row)
+        for g, f, t in points:
+            point = _point(cfg, g, f, t)
+            shot = point.var_jx / cfg.sites / 0.5
+            mz = point.mean_jz / math.sqrt(cfg.sites)
+            emitter.row([g, f, t, shot, mz] + _snr_values(cfg, point))
     finally:
         emitter.close()
     return EXIT_OK
@@ -396,10 +352,8 @@ def _validation_checks():
     setup = faraday.FaradaySetup()
     worst = 0.0
     for t in (0.2, 0.5, 1.0):
-        e = thermometry.ensemble(spec, t)
-        ceiling = thermometry.snr_crb(e)
-        for obs in faraday.ReadoutObservable:
-            worst = max(worst, faraday.temperature_snr(e, setup, obs) / ceiling - 1.0)
+        p = faraday.ReadoutPoint(thermometry.ensemble(spec, t), setup)
+        worst = max(worst, max(p.snr_varjx, p.snr_meanjz) / p.snr_crb - 1.0)
     yield ("readout SNR below Cramer-Rao ceiling", worst, 1e-3)
 
 
@@ -428,8 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sites", type=int, help="ring length N (even, >= 4; default 50)")
         p.add_argument("--out", help="output path, '-' for stdout (default)")
         p.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
-        p.add_argument("--threads", type=int,
-                       help="worker threads (default 1; THREADS env overrides)")
         if temp_default is not None:
             p.add_argument("--temp", type=_axis_type, metavar="START:STOP:STEPS[:log]",
                            help=f"temperature axis T/J (default {temp_default})")

@@ -42,8 +42,10 @@ __all__ = [
     "xx_correlation",
     "yy_correlation",
     "var_jx",
+    "var_jx_slope",
     "var_jy",
     "mean_jz",
+    "mean_jz_slope",
     "var_jz",
     "fourth_moment_jx",
     "moments",
@@ -57,14 +59,9 @@ _DET_BATCH_ELEMENTS = 20_000_000
 
 
 class CorrelationKernel:
-    """The g_j vector for one ensemble, plus determinant memo tables.
+    """The g_j vector for one ensemble, plus pair-determinant memo tables."""
 
-    The memo tables are idempotent caches (same key always maps to the same
-    value), so concurrent insert-or-read from sweep workers is benign:
-    last write wins with an identical value.
-    """
-
-    __slots__ = ("ensemble", "_g", "_off", "_xx", "_yy", "_quad")
+    __slots__ = ("ensemble", "_g", "_off", "_xx", "_yy")
 
     def __init__(self, ensemble: ThermalEnsemble, values: np.ndarray):
         n = ensemble.spec.sites
@@ -75,7 +72,6 @@ class CorrelationKernel:
         self._off = n - 1  # position of j = 0
         self._xx: dict[int, float] = {}
         self._yy: dict[int, float] = {}
-        self._quad: dict[tuple[int, int, int], float] = {}
 
     def coefficient(self, j: int) -> float:
         n = self.ensemble.spec.sites
@@ -83,11 +79,23 @@ class CorrelationKernel:
             raise ValueError(f"j must lie in [-(N-1), N-1], got {j}")
         return float(self._g[self._off + j])
 
-    @property
-    def coefficients(self) -> dict[int, float]:
-        """Map j -> g_j over the full range j = -(N-1) ... N-1."""
-        off = self._off
-        return {j - off: float(v) for j, v in enumerate(self._g)}
+
+def _contractions(ens: ThermalEnsemble, t: np.ndarray) -> np.ndarray:
+    # g_j = (1/N) sum_k cos(k j + 2 theta_k) t_k for j = -(N-1) ... N-1; the
+    # kernel has t = 1 - 2 n_k, its slope t = T d(1 - 2 n_k)/dT
+    n = ens.spec.sites
+    k = ens.modes.momenta
+    a = np.cos(2.0 * ens.modes.angles) * t
+    b = np.sin(2.0 * ens.modes.angles) * t
+    j = np.arange(-(n - 1), n)
+    kj = np.outer(j, k)
+    return (np.cos(kj) @ a - np.sin(kj) @ b) / n
+
+
+def _occupation_slope(ens: ThermalEnsemble) -> np.ndarray:
+    # T d(1 - 2 n_k)/dT = -2 n_k (1 - n_k) eps_k/T: exactly 0 at T = inf,
+    # and 0 (not inf * 0) once n_k(1 - n_k) underflows at low T
+    return -2.0 * ens.fluctuation_weights() * ens.reduced_energies()
 
 
 def kernel(ens: ThermalEnsemble) -> CorrelationKernel:
@@ -96,15 +104,7 @@ def kernel(ens: ThermalEnsemble) -> CorrelationKernel:
     At infinite temperature 1 - 2 n_k = 0 for every mode, so g vanishes
     identically and all Wick structure collapses to on-site values.
     """
-    n = ens.spec.sites
-    k = ens.modes.momenta
-    t = 1.0 - 2.0 * ens.occupations
-    a = np.cos(2.0 * ens.modes.angles) * t
-    b = np.sin(2.0 * ens.modes.angles) * t
-    j = np.arange(-(n - 1), n)
-    kj = np.outer(j, k)
-    g = (np.cos(kj) @ a - np.sin(kj) @ b) / n
-    return CorrelationKernel(ens, g)
+    return CorrelationKernel(ens, _contractions(ens, 1.0 - 2.0 * ens.occupations))
 
 
 def xx_correlation(kern: CorrelationKernel, r: int) -> float:
@@ -137,7 +137,7 @@ def _pair_correlation(kern, r, shift, memo):
         steps = np.arange(r)
         col = g[off + shift + steps]  # g_{shift} ... g_{shift+r-1}
         row = g[off + shift - steps]  # g_{shift} ... g_{shift-r+1}
-        hit = float(np.linalg.det(toeplitz(col, row)))
+        hit = np.linalg.det(toeplitz(col, row)).item()  # complex for var_jx_slope
         memo[r] = hit
     return hit
 
@@ -152,6 +152,20 @@ def _pair_sum(kern, correlation) -> float:
 def var_jx(kern: CorrelationKernel) -> float:
     """Variance of J_x = sum_l sx_l; equals <J_x^2> since <J_x> = 0."""
     return kern.ensemble.spec.sites + _pair_sum(kern, xx_correlation)
+
+
+def var_jx_slope(kern: CorrelationKernel) -> float:
+    """T * dVar(J_x)/dT, exact to roundoff (complex-step derivative).
+
+    The pair determinants are polynomials in the g_j, so the pair sums of
+    the complex kernel g + i s T dg/dT are Var(J_x) + i s T dVar(J_x)/dT +
+    O(s^2), with no subtraction.  Unlike det * tr(M^-1 dM) this stays finite
+    where pair matrices are singular (gamma = -1, h/J = 0).
+    """
+    ens = kern.ensemble
+    step = 2.0**-64  # a power of two, so scaling by it is exact
+    slope = _contractions(ens, _occupation_slope(ens))
+    return var_jx(CorrelationKernel(ens, kern._g + 1j * step * slope)).imag / step
 
 
 def var_jy(kern: CorrelationKernel) -> float:
@@ -174,12 +188,11 @@ def modulation_weights(modulation: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown modulation {modulation!r}; expected one of {MODULATIONS}")
 
 
-def _sz_site_mean(ens: ThermalEnsemble) -> float:
-    # <sz_l> = -g_0, an O(N) mode sum; used standalone so derivative loops
-    # don't pay for a full kernel
-    t = 1.0 - 2.0 * ens.occupations
+def _jz_mode_sum(ens: ThermalEnsemble, modulation: str, t: np.ndarray) -> float:
+    # sum_l w_l <sz_l> with <sz_l> = -g_0, an O(N) mode sum without a kernel
+    w = modulation_weights(modulation, ens.spec.sites)
     g0 = float(np.sum(np.cos(2.0 * ens.modes.angles) * t)) / ens.spec.sites
-    return -g0
+    return float(np.sum(w)) * -g0
 
 
 def mean_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
@@ -188,8 +201,12 @@ def mean_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     With h > 0 the chain polarizes toward +z (Hamiltonian -h sum sz), so the
     uniform value approaches +N in a saturating field.
     """
-    w = modulation_weights(modulation, ens.spec.sites)
-    return float(np.sum(w)) * _sz_site_mean(ens)
+    return _jz_mode_sum(ens, modulation, 1.0 - 2.0 * ens.occupations)
+
+
+def mean_jz_slope(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
+    """T * d<J_z>/dT, exact: the mean's mode sum with T d(1 - 2 n_k)/dT."""
+    return _jz_mode_sum(ens, modulation, _occupation_slope(ens))
 
 
 def var_jz_from_kernel(kern: CorrelationKernel, modulation: str = "uniform") -> float:
@@ -204,7 +221,8 @@ def var_jz_from_kernel(kern: CorrelationKernel, modulation: str = "uniform") -> 
     conn[0] = 1.0 - g[off] ** 2
     r = np.arange(1, n)
     conn[1:] = -g[off + r] * g[off - r]
-    autocorr = np.array([np.dot(w, np.roll(w, -r)) for r in range(n)])
+    i = np.arange(n)
+    autocorr = w[(i[:, None] + i) % n] @ w  # sum_l w_l w_{l+r}; exact integers
     return float(np.dot(autocorr, conn))
 
 
@@ -246,16 +264,11 @@ def _quad_correlations(kern: CorrelationKernel) -> float:
     n = kern.ensemble.spec.sites
     g, off = kern._g, kern._off
     classes = _gap_classes(n)
-    memo = kern._quad
     total = 0.0
-    pending: dict[int, list[tuple[int, int, int]]] = {}
-    for key, mult in classes.items():
-        val = memo.get(key)
-        if val is not None:
-            total += mult * val
-        else:
-            pending.setdefault(key[0] + key[2], []).append(key)
-    for m, keys in pending.items():
+    by_size: dict[int, list[tuple[int, int, int]]] = {}
+    for key in classes:
+        by_size.setdefault(key[0] + key[2], []).append(key)
+    for m, keys in by_size.items():
         chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
         for lo in range(0, len(keys), chunk):
             batch = keys[lo: lo + chunk]
@@ -265,9 +278,7 @@ def _quad_correlations(kern: CorrelationKernel) -> float:
                 mats[i] = g[off + (b_sites[:, None] - (b_sites + 1)[None, :])]
             dets = np.linalg.det(mats)
             for key, val in zip(batch, dets):
-                v = float(val)
-                memo[key] = v
-                total += classes[key] * v
+                total += classes[key] * float(val)
     return total
 
 

@@ -10,23 +10,26 @@ rotation) estimates temperature with error propagation
     (T/dT)^2 = (d<A>/dT)^2 T^2 / Var(A),
 
 which is capped by the Cramer-Rao value of the thermometry module.  The
-derivative is a central finite difference with one Richardson step; the
-noise Var(A) is the atomic variance, plus the light shot-noise floor
-N/(2 kappa^2) for the J_z readout when requested.
+slope T d<A>/dT is exact, from T dn_k/dT = n_k (1 - n_k) eps_k/T, and
+exactly 0 at T = inf.  The noise Var(A) is the atomic variance, plus the
+light shot-noise floor N/(2 kappa^2) for the J_z readout when requested.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
 
 from .correlations import (
     MODULATIONS,
+    CorrelationKernel,
     fourth_moment_from_kernel,
     kernel,
     mean_jz,
+    mean_jz_slope,
     var_jx,
+    var_jx_slope,
     var_jz_from_kernel,
 )
 from .spectrum import ChainSpec
@@ -35,6 +38,7 @@ from .thermometry import ThermalEnsemble, ensemble, snr_crb
 __all__ = [
     "FaradaySetup",
     "ReadoutObservable",
+    "ReadoutPoint",
     "SensitivityReport",
     "NoiseUnderflowError",
     "output_mean",
@@ -118,57 +122,86 @@ def output_variance(ens: ThermalEnsemble, setup: FaradaySetup) -> float:
                            setup, ens.spec.sites)
 
 
-def _ddt(f: Callable[[float], float], t: float, step: float) -> tuple[float, float]:
-    # central difference at two scales + one Richardson level; the returned
-    # error estimate is the difference of the two stencils (dominates the
-    # true error of the extrapolated value)
-    coarse = (f(t + step) - f(t - step)) / (2.0 * step)
-    half = 0.5 * step
-    fine = (f(t + half) - f(t - half)) / (2.0 * half)
-    return fine + (fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+@dataclass(eq=False)
+class ReadoutPoint:
+    """Moments, slopes (T d/dT) and SNRs of one (ensemble, setup) point.
+
+    Each member is computed at most once, on first read, and all of them
+    share one kernel.  Reading an SNR raises NoiseUnderflowError when its
+    noise variance is not positive or the SNR is not finite.
+    """
+
+    ensemble: ThermalEnsemble
+    setup: FaradaySetup
+
+    @cached_property
+    def kernel(self) -> CorrelationKernel:
+        return kernel(self.ensemble)
+
+    @cached_property
+    def var_jx(self) -> float:
+        return var_jx(self.kernel)
+
+    @cached_property
+    def fourth_jx(self) -> float:
+        return fourth_moment_from_kernel(self.kernel)
+
+    @cached_property
+    def mean_jz(self) -> float:
+        return mean_jz(self.ensemble, self.setup.modulation)
+
+    @cached_property
+    def var_jz(self) -> float:
+        return var_jz_from_kernel(self.kernel, self.setup.modulation)
+
+    @cached_property
+    def var_jx_slope(self) -> float:
+        return var_jx_slope(self.kernel)
+
+    @cached_property
+    def mean_jz_slope(self) -> float:
+        return mean_jz_slope(self.ensemble, self.setup.modulation)
+
+    @cached_property
+    def snr_crb(self) -> float:
+        return snr_crb(self.ensemble)
+
+    @cached_property
+    def snr_varjx(self) -> float:
+        noise = self.fourth_jx - self.var_jx * self.var_jx
+        return self._snr(ReadoutObservable.VAR_JX, self.var_jx_slope, noise)
+
+    @cached_property
+    def snr_meanjz(self) -> float:
+        noise = self.var_jz
+        if self.setup.include_shot_noise:
+            # invert the quadrature map: measured X_out variance 1/2 + (k^2/N)V
+            # corresponds to inferring J_z with extra variance N/(2 kappa^2)
+            noise += self.ensemble.spec.sites / (2.0 * self.setup.kappa**2)
+        return self._snr(ReadoutObservable.MEAN_JZ, self.mean_jz_slope, noise)
+
+    def _snr(self, observable: ReadoutObservable, slope: float, noise: float) -> float:
+        spec, t = self.ensemble.spec, self.ensemble.temperature
+        if not (noise > 0.0 and math.isfinite(noise)):
+            raise NoiseUnderflowError(
+                f"{observable.value} noise variance {noise} at T={t} "
+                f"(gamma={spec.gamma}, h/J={spec.field_ratio})")
+        snr = slope * slope / noise
+        if not math.isfinite(snr):
+            raise NoiseUnderflowError(f"non-finite {observable.value} SNR at T={t}")
+        return snr
 
 
 def temperature_snr(ens: ThermalEnsemble, setup: FaradaySetup,
                     observable: ReadoutObservable) -> float:
     """Error-propagated (T/dT)^2 of one readout at the ensemble's temperature.
 
-    Raises NoiseUnderflowError when the readout noise is not positive or the
-    resulting SNR is non-finite, and ValueError when T is too close to 0 for
-    the finite-difference stencil (needs T > 2*step).
+    Exactly 0 at T = inf.  Raises NoiseUnderflowError when the readout noise
+    is not positive or the resulting SNR is non-finite.
     """
-    spec, t = ens.spec, ens.temperature
-    step = max(1e-4, 1e-3 * t)
-    if not t > 2.0 * step:
-        raise ValueError(f"temperature {t} too small for derivative step {step}")
-
-    if observable is ReadoutObservable.MEAN_JZ:
-        def signal(tau: float) -> float:
-            return mean_jz(ensemble(spec, tau), setup.modulation)
-
-        noise = var_jz_from_kernel(kernel(ens), setup.modulation)
-        if setup.include_shot_noise:
-            # invert the quadrature map: measured X_out variance 1/2 + (k^2/N)V
-            # corresponds to inferring J_z with extra variance N/(2 kappa^2)
-            noise += spec.sites / (2.0 * setup.kappa**2)
-    elif observable is ReadoutObservable.VAR_JX:
-        def signal(tau: float) -> float:
-            return var_jx(kernel(ensemble(spec, tau)))
-
-        kern = kernel(ens)
-        vx = var_jx(kern)
-        noise = fourth_moment_from_kernel(kern) - vx * vx
-    else:
+    if not isinstance(observable, ReadoutObservable):
         raise TypeError(f"unknown readout observable {observable!r}")
-
-    slope, _ = _ddt(signal, t, step)
-    if not (noise > 0.0 and math.isfinite(noise)):
-        raise NoiseUnderflowError(
-            f"{observable.value} noise variance {noise} at T={t} "
-            f"(gamma={spec.gamma}, h/J={spec.field_ratio})")
-    snr = slope * slope * t * t / noise
-    if not math.isfinite(snr):
-        raise NoiseUnderflowError(f"non-finite {observable.value} SNR at T={t}")
-    return snr
+    return getattr(ReadoutPoint(ens, setup), f"snr_{observable.value}")
 
 
 def sensitivity_report(spec: ChainSpec, temperature: float, setup: FaradaySetup,
@@ -178,14 +211,14 @@ def sensitivity_report(spec: ChainSpec, temperature: float, setup: FaradaySetup,
     With per_site=True every SNR is divided by N, the natural normalization
     for comparing chains of different length.
     """
-    ens = ensemble(spec, temperature)
+    point = ReadoutPoint(ensemble(spec, temperature), setup)
     scale = 1.0 / spec.sites if per_site else 1.0
     return SensitivityReport(
         gamma=spec.gamma,
         field_ratio=spec.field_ratio,
         temperature=temperature,
-        snr_crb=scale * snr_crb(ens),
-        snr_varjx=scale * temperature_snr(ens, setup, ReadoutObservable.VAR_JX),
-        snr_meanjz=scale * temperature_snr(ens, setup, ReadoutObservable.MEAN_JZ),
+        snr_crb=scale * point.snr_crb,
+        snr_varjx=scale * point.snr_varjx,
+        snr_meanjz=scale * point.snr_meanjz,
         per_site=per_site,
     )

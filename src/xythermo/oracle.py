@@ -24,7 +24,6 @@ from functools import reduce
 
 import numpy as np
 
-from .correlations import modulation_weights
 from .spectrum import ChainSpec, mode_table
 
 __all__ = [
@@ -173,7 +172,9 @@ def _z_diagonal(l, n):
 
 
 def _modulated_z_diagonal(n, modulation):
-    w = modulation_weights(modulation, n)
+    # site l is weighted cos^2(k_p l d), with k_p d = pi (uniform) or pi/2 (half)
+    kp = {"uniform": np.pi, "half": np.pi / 2}[modulation]
+    w = np.cos(kp * np.arange(n)) ** 2
     return sum(w[l] * _z_diagonal(l, n) for l in range(n))
 
 

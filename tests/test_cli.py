@@ -1,21 +1,19 @@
 """End-to-end checks of the command-line interface via subprocesses."""
+import collections
 import json
 import math
-import os
 import subprocess
 import sys
 
 import pytest
 
+from xythermo import cli, correlations, thermometry
+
 CMD = [sys.executable, "-m", "xythermo.cli"]
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    env.pop("THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(CMD + list(args), capture_output=True, text=True, env=env, cwd=cwd)
+def run_cli(*args, cwd=None):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, cwd=cwd)
 
 
 def parse_csv(text):
@@ -45,28 +43,35 @@ def test_dispersion_gap_constant_within_block():
     assert gaps.pop() == pytest.approx(2 * 0.7, abs=1e-12)
 
 
-def test_byte_identical_across_runs_and_threads(tmp_path):
+def test_byte_identical_across_runs(tmp_path):
     args = ("phase-diagram", "--gamma", "-1:1:3", "--field", "0:2:3",
             "--temp", "0.2:0.8:2", "--sites", "8")
     outs = []
-    for threads in ("1", "4"):
-        path = tmp_path / f"t{threads}.csv"
-        proc = run_cli(*args, "--threads", threads, "--out", str(path))
-        assert proc.returncode == 0
+    for run in ("first", "again"):
+        path = tmp_path / f"{run}.csv"
+        assert run_cli(*args, "--out", str(path)).returncode == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
-    again = tmp_path / "again.csv"
-    assert run_cli(*args, "--threads", "1", "--out", str(again)).returncode == 0
-    assert again.read_bytes() == outs[0]
 
 
-def test_threads_env_override_matches_flag(tmp_path):
-    args = ("tscan", "--gamma", "1", "--field", "0", "--temp", "0.2:0.6:3",
-            "--sites", "6")
-    a = run_cli(*args, env_extra={"THREADS": "3"})
-    b = run_cli(*args)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
+def test_tscan_point_builds_one_ensemble_and_one_kernel(monkeypatch, capsys):
+    """Every column of a point reads one shared ensemble and kernel."""
+    calls = collections.Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("xythermo")]
+    for name, fn in (("ensemble", thermometry.ensemble), ("kernel", correlations.kernel)):
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    code = cli.main(["tscan", "--gamma", "0.5", "--field", "0.8", "--temp", "0.4",
+                     "--sites", "8", "--obs", "crb,varjx,meanjz"])
+    assert code == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 1 and header[-3:] == ["snr_crb", "snr_varjx", "snr_meanjz"]
+    assert calls == {"ensemble": 1, "kernel": 1}
 
 
 def test_progress_and_wall_time_on_stderr_only(tmp_path):
@@ -95,8 +100,10 @@ def test_json_document_structure():
 
 def test_config_file_with_flag_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma": "0.5", "sites": 10, "obs": ["crb"], "temp": 0.4}))
-    proc = run_cli("phase-diagram", "--config", str(cfg), "--field", "1", "--sites", "6")
+    # the three axis forms: an axis string, a bare number and a JSON list
+    cfg.write_text(json.dumps({"gamma": "0.5", "field": [1.0], "sites": 10, "obs": ["crb"],
+                               "temp": 0.4}))
+    proc = run_cli("phase-diagram", "--config", str(cfg), "--sites", "6")
     assert proc.returncode == 0
     header, rows = parse_csv(proc.stdout)
     assert header == ["gamma", "field_ratio", "temperature", "snr_crb_per_site"]

@@ -71,9 +71,23 @@ def test_quadrature_maps_are_affine():
         assert vz == pytest.approx((v - 0.5) * n / kappa**2, rel=1e-12, abs=1e-12)
 
 
-def test_snr_rejects_temperature_below_stencil():
-    with pytest.raises(ValueError):
-        temperature_snr(_ens(T=1e-4), FaradaySetup(), ReadoutObservable.MEAN_JZ)
+def test_snr_exact_at_temperature_extremes():
+    setup = FaradaySetup()
+    cold = _ens(T=1e-4)
+    for obs in ReadoutObservable:
+        assert 0.0 <= temperature_snr(cold, setup, obs) <= thermometry.snr_crb(cold)
+        assert temperature_snr(_ens(T=math.inf), setup, obs) == 0.0
+
+
+def test_varjx_snr_where_every_pair_matrix_is_singular():
+    # gamma = -1, h/J = 0: all pair determinants vanish at every T
+    setup = FaradaySetup()
+    for sites in (10, 50):
+        for T in (0.05, 0.3, 5.0):
+            ens = _ens(gamma=-1.0, field_ratio=0.0, sites=sites, T=T)
+            snr = temperature_snr(ens, setup, ReadoutObservable.VAR_JX)
+            assert math.isfinite(snr)
+            assert 0.0 <= snr <= thermometry.snr_crb(ens)
 
 
 def test_snr_noise_underflow_on_saturated_state():
@@ -125,23 +139,34 @@ def test_regime_preference_matches_phases():
 
 
 def test_snr_against_independent_derivative_of_dense_moments():
-    """Slope from the dense reference, noise from the dense reference."""
+    """Slope and noise from the dense reference, the slope differentiated exactly.
+
+    With Boltzmann weights p_i, dp_i/dT = p_i (E_i - <E>)/T^2, so
+    d<A>/dT = sum_i dp_i A_ii with A_ii the eigenbasis diagonal of A.
+    """
     spec = ChainSpec(gamma=0.5, field_ratio=0.8, sites=8)
-    T, dt = 0.4, 1e-5
+    T = 0.4
     sys = oracle.build(spec, oracle.MATCHED)
     setup = FaradaySetup()
     ens = thermometry.ensemble(spec, T)
 
-    slope = (oracle.oracle_mean_jz(sys, T + dt) - oracle.oracle_mean_jz(sys, T - dt)) / (2 * dt)
+    e, vecs = sys.eigenvalues, sys.eigenvectors
+    p = np.exp(-(e - e[0]) / T)
+    p /= p.sum()
+    dp = p * (e - p @ e) / T**2
+    # J_z of basis state b: +1 per up spin (bit 0), -1 per down spin (bit 1)
+    jz = np.array([8.0 - 2.0 * bin(b).count("1") for b in range(2**8)])
+
+    slope = dp @ ((vecs**2).T @ jz)
     want = slope**2 * T**2 / oracle.oracle_var_jz(sys, T)
     got = temperature_snr(ens, setup, ReadoutObservable.MEAN_JZ)
-    assert got == pytest.approx(want, rel=1e-5)
+    assert got == pytest.approx(want, rel=1e-9)
 
-    vx = lambda tau: oracle.oracle_var_jx(sys, tau)
-    slope = (vx(T + dt) - vx(T - dt)) / (2 * dt)
-    noise = oracle.oracle_fourth_jx(sys, T) - vx(T) ** 2
+    jx = vecs.T @ oracle.collective_x(8) @ vecs
+    slope = dp @ np.diag(jx @ jx)
+    noise = oracle.oracle_fourth_jx(sys, T) - oracle.oracle_var_jx(sys, T) ** 2
     got = temperature_snr(ens, setup, ReadoutObservable.VAR_JX)
-    assert got == pytest.approx(slope**2 * T**2 / noise, rel=1e-5)
+    assert got == pytest.approx(slope**2 * T**2 / noise, rel=1e-9)
 
 
 def test_sensitivity_report_bundles_and_normalizes():

@@ -4,6 +4,8 @@ Everything else in the test suite leans on this module, so it is validated
 against first principles only: operator algebra, closed-form spectra, and
 limits that need no numerics.
 """
+import ast
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,18 @@ def test_single_particle_energies_match_dispersion():
     mt = mode_table(spec)
     got = oracle.single_particle_energies(spec)
     assert np.max(np.abs(np.sort(mt.energies) - got)) < 1e-12
+
+
+def test_oracle_imports_nothing_from_correlations():
+    # a weight or formula shared with the Wick route would cancel out of
+    # every comparison against this reference
+    with open(oracle.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert not [name for name in imported if "correlations" in name.split(".")]
