@@ -11,8 +11,17 @@ B_l^2 = -1, all pairs anticommute), the thermal contractions are
 with g antiperiodic, g_{j+N} = -g_j.  Pair correlators become Toeplitz
 determinants; quadruple correlators become Pfaffians whose interleaved
 skew-symmetric matrices reduce exactly (block structure, sign +1) to plain
-determinants of contraction submatrices, which is what the hot path
-evaluates.
+determinants of contraction submatrices.
+
+The <J_x^4> sum needs one such determinant per gap class (t1, t2, t3) of
+the four sites, about N^3/12 of them.  For fixed (t1, t2) the matrices of
+successive t3 are nested: each is the leading principal submatrix of the
+next.  So one Gaussian elimination without row exchanges gives all of them
+as products of its pivots, and the sum costs O(N^5) flops instead of the
+O(N^6) of one det per class.  Where that elimination breaks down on a
+pivot that is zero to working precision (see fourth_moment_from_kernel),
+the kernel falls back to the one-det-per-class path, which also serves
+the tests as reference.
 
 A subtlety worth stating once: these formulas describe the Hamiltonian
 variant whose fermions are exactly antiperiodic (the boundary bond carries
@@ -54,14 +63,24 @@ __all__ = [
 
 MODULATIONS = ("uniform", "half")
 
-# cap on elements per batched-determinant call (~160 MB of float64 scratch)
+# cap on matrix entries per batched det or elimination stack (~160 MB of
+# float64 scratch)
 _DET_BATCH_ELEMENTS = 20_000_000
+# width of the diagonal panels inside which _leading_minors takes scalar steps
+_PANEL = 8
+# a multiplier above 1/eps means its pivot is below roundoff of the entries
+# it eliminates, i.e. zero to working precision
+_MULTIPLIER_LIMIT = 1.0 / np.finfo(float).eps
 
 
 class CorrelationKernel:
-    """The g_j vector for one ensemble, plus pair-determinant memo tables."""
+    """The g_j vector for one ensemble, plus the <sx sx> pair memo table.
 
-    __slots__ = ("ensemble", "_g", "_off", "_xx", "_yy")
+    The memo pays because var_jx and fourth_moment_from_kernel both read the
+    same pair sum.
+    """
+
+    __slots__ = ("ensemble", "_g", "_off", "_xx")
 
     def __init__(self, ensemble: ThermalEnsemble, values: np.ndarray):
         n = ensemble.spec.sites
@@ -71,7 +90,6 @@ class CorrelationKernel:
         self._g = values
         self._off = n - 1  # position of j = 0
         self._xx: dict[int, float] = {}
-        self._yy: dict[int, float] = {}
 
     def coefficient(self, j: int) -> float:
         n = self.ensemble.spec.sites
@@ -112,7 +130,11 @@ def xx_correlation(kern: CorrelationKernel, r: int) -> float:
 
     r = 0 returns 1 (same site); valid for 0 <= r <= N-1.
     """
-    return _pair_correlation(kern, int(r), shift=-1, memo=kern._xx)
+    r = int(r)
+    hit = kern._xx.get(r)
+    if hit is None:
+        hit = kern._xx[r] = _pair_correlation(kern, r, shift=-1)
+    return hit
 
 
 def yy_correlation(kern: CorrelationKernel, r: int) -> float:
@@ -122,24 +144,20 @@ def yy_correlation(kern: CorrelationKernel, r: int) -> float:
     variance at anisotropy gamma must equal the x-axis variance at -gamma,
     which makes a sharp cross-check of the whole kernel machinery.
     """
-    return _pair_correlation(kern, int(r), shift=+1, memo=kern._yy)
+    return _pair_correlation(kern, int(r), shift=+1)
 
 
-def _pair_correlation(kern, r, shift, memo):
+def _pair_correlation(kern, r, shift):
     n = kern.ensemble.spec.sites
     if not 0 <= r <= n - 1:
         raise ValueError(f"separation must lie in [0, N-1], got {r}")
     if r == 0:
         return 1.0
-    hit = memo.get(r)
-    if hit is None:
-        g, off = kern._g, kern._off
-        steps = np.arange(r)
-        col = g[off + shift + steps]  # g_{shift} ... g_{shift+r-1}
-        row = g[off + shift - steps]  # g_{shift} ... g_{shift-r+1}
-        hit = np.linalg.det(toeplitz(col, row)).item()  # complex for var_jx_slope
-        memo[r] = hit
-    return hit
+    g, off = kern._g, kern._off
+    steps = np.arange(r)
+    col = g[off + shift + steps]  # g_{shift} ... g_{shift+r-1}
+    row = g[off + shift - steps]  # g_{shift} ... g_{shift-r+1}
+    return np.linalg.det(toeplitz(col, row)).item()  # complex for var_jx_slope
 
 
 def _pair_sum(kern, correlation) -> float:
@@ -239,7 +257,9 @@ def _gap_classes(n: int) -> dict[tuple[int, int, int], int]:
     l1, so the signature (t1, t2, t3) occurs N - (t1+t2+t3) times.  The
     correlator value only depends on the signature, and is invariant under
     reversal (t1,t2,t3) -> (t3,t2,t1) -- a transpose identity of the
-    contraction determinant -- so reversed pairs are merged.
+    contraction determinant -- so reversed pairs are merged.  Only the
+    by-class reference path enumerates classes; the nested-minor path uses
+    the same reversal symmetry by summing t1 <= t3 alone.
     """
     classes: dict[tuple[int, int, int], int] = {}
     for t1 in range(1, n - 2):
@@ -259,8 +279,11 @@ def _quad_sites(t1: int, t2: int, t3: int) -> np.ndarray:
     return np.concatenate([np.arange(t1), np.arange(t1 + t2, t1 + t2 + t3)])
 
 
-def _quad_correlations(kern: CorrelationKernel) -> float:
-    """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, via batched dets."""
+def _quad_correlations_by_class(kern: CorrelationKernel) -> float:
+    """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, one det per gap class.
+
+    The reference for the nested-minor path, and its fallback on breakdown.
+    """
     n = kern.ensemble.spec.sites
     g, off = kern._g, kern._off
     classes = _gap_classes(n)
@@ -282,10 +305,82 @@ def _quad_correlations(kern: CorrelationKernel) -> float:
     return total
 
 
+def _leading_minors(mats: np.ndarray) -> np.ndarray | None:
+    """Every leading principal minor of each matrix in a (B, m, m) stack.
+
+    Gaussian elimination without row exchanges, in place: the minor of
+    order k is the product of the first k pivots (Golub & Van Loan, Matrix
+    Computations, sec. 3.2).  Scalar steps run only inside _PANEL-wide
+    diagonal panels, where they also forward-substitute the panel rows of
+    the upper factor; the trailing Schur complement then takes one batched
+    matmul per panel.  Returns None on breakdown: a pivot that is zero to
+    working precision (some multiplier above _MULTIPLIER_LIMIT), or any
+    value that is not finite.
+    """
+    m = mats.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k0 in range(0, m, _PANEL):
+            k1 = min(k0 + _PANEL, m)
+            for k in range(k0, k1):
+                col = mats[:, k + 1:, k]
+                col /= mats[:, k, k, None]
+                mats[:, k + 1:, k + 1:k1] -= col[:, :, None] * mats[:, k, None, k + 1:k1]
+                mats[:, k + 1:k1, k1:] -= col[:, :k1 - k - 1, None] * mats[:, k, None, k1:]
+            multipliers = np.tril(mats[:, k0:, k0:k1], -1)
+            if not np.max(np.abs(multipliers), initial=0.0) <= _MULTIPLIER_LIMIT:
+                return None
+            mats[:, k1:, k1:] -= mats[:, k1:, k0:k1] @ mats[:, k0:k1, k1:]
+        minors = np.cumprod(np.diagonal(mats, axis1=1, axis2=2), axis=1)
+    return minors if np.isfinite(minors).all() else None
+
+
+def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
+    """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, by nested minors.
+
+    For fixed (t1, t2) the contraction matrix of gap t3 is the leading
+    principal submatrix of order t1+t3 of one m x m matrix, m = N-1-t2,
+    whose B sites are [0, t1) u [t1+t2, N-1); one elimination therefore
+    gives every t3.  All t1 of one t2 share m and go through
+    _leading_minors as one stack, split so that no stack holds more than
+    _DET_BATCH_ELEMENTS entries.  By the reversal symmetry only t1 <= t3 is
+    summed, t1 < t3 with twice the weight N - t1 - t2 - t3.  Returns None
+    where _leading_minors breaks down.
+    """
+    n = kern.ensemble.spec.sites
+    g, off = kern._g, kern._off
+    total = 0.0
+    for t2 in range(1, n - 2):
+        m = n - 1 - t2
+        order = np.arange(1, m + 1)
+        chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
+        for lo in range(1, m // 2 + 1, chunk):
+            t1 = np.arange(lo, min(lo + chunk, m // 2 + 1))[:, None]
+            b_sites = order - 1 + np.where(order > t1, t2, 0)
+            minors = _leading_minors(g[off + b_sites[:, :, None] - b_sites[:, None, :] - 1])
+            if minors is None:
+                return None
+            t3 = order - t1  # the minor of order t1 + t3
+            copies = np.where(t3 > t1, 2, t3 == t1)
+            total += float(np.sum(copies * (n - t1 - t2 - t3) * minors))
+    return total
+
+
 def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
-    """<J_x^4> given an existing kernel (shared with var_jx computations)."""
+    """<J_x^4> given an existing kernel (shared with var_jx computations).
+
+    The all-distinct quadruple sum comes from nested leading minors, one
+    blocked elimination per stack of equal-order matrices, in O(N^5) flops.
+    Where that elimination breaks down, the whole kernel goes to the
+    by-class path instead: one LAPACK det per gap class, O(N^6) flops.  A
+    breakdown is a pivot that is zero to working precision, as at T = inf
+    (g = 0), on the gamma = -1, h/J = 0 line (every pair matrix singular)
+    and in the cold XX chain polarized by h/J > 1.
+    """
     n = kern.ensemble.spec.sites
     pair_sum = _pair_sum(kern, xx_correlation)
+    quad = _nested_quad_sum(kern)
+    if quad is None:
+        quad = _quad_correlations_by_class(kern)
     # quadruple sum split by coincidence pattern of the four site indices:
     #   all equal            -> N
     #   two distinct pairs   -> 3 N (N-1)
@@ -296,7 +391,7 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
         n
         + 3.0 * n * (n - 1)
         + (6.0 * n - 8.0) * pair_sum
-        + 24.0 * _quad_correlations(kern)
+        + 24.0 * quad
     )
 
 

@@ -192,11 +192,69 @@ def test_fourth_dominates_squared_variance():
 
 
 def test_large_ring_frozen_values():
-    """Regression guard for the batched-determinant path at N = 50."""
+    """Regression guard for the nested-minor path of <J_x^4> at N = 50.
+
+    The frozen value came from the one-det-per-class path; the nested-minor
+    path reproduces it within the tolerance.
+    """
     ens = _ens(sites=50)
     kern = correlations.kernel(ens)
     assert correlations.var_jx(kern) == pytest.approx(1911.0116605307207, rel=1e-11)
     assert correlations.fourth_moment_jx(ens) == pytest.approx(4286944.630758701, rel=1e-10)
+
+
+# ordered, critical, cold paramagnetic, XX and gamma < 0 points
+NESTED_GRID = ((1.0, 0.5, 0.3), (1.0, 1.0, 0.3), (1.0, 2.0, 0.05), (0.0, 0.5, 0.3),
+               (-0.5, 0.5, 0.3), (-0.7, 0.3, 0.05))
+
+
+@pytest.mark.parametrize("sites", (4, 6, 14, 30, 60))
+def test_nested_minors_match_by_class_reference(sites):
+    for gamma, field, T in NESTED_GRID:
+        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=sites, T=T))
+        nested = correlations._nested_quad_sum(kern)
+        assert nested is not None, (gamma, field, T)
+        want = correlations._quad_correlations_by_class(kern)
+        fourth = correlations.fourth_moment_from_kernel(kern)
+        assert 24.0 * abs(nested - want) <= 1e-10 * fourth, (gamma, field, T)
+
+
+def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
+    kern = correlations.kernel(_ens(sites=14))
+    whole = correlations._nested_quad_sum(kern)
+    monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 200)  # 1-2 matrices a stack
+    assert correlations._nested_quad_sum(kern) == pytest.approx(whole, rel=1e-13)
+
+
+@pytest.mark.parametrize("gamma, field, T",
+                         ((-1.0, 0.0, 0.3), (1.0, 0.5, math.inf), (0.0, 2.0, 0.05)))
+def test_breakdown_falls_back_to_by_class_path(gamma, field, T, monkeypatch):
+    # every pair matrix is singular on the gamma = -1, h/J = 0 line, g = 0 at
+    # T = inf, and the cold XX chain at h/J > 1 is fully polarized; in each
+    # case the x spins are uncorrelated
+    n = 30
+    kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
+    assert correlations._nested_quad_sum(kern) is None
+    by_class = correlations._quad_correlations_by_class
+    calls = []
+    monkeypatch.setattr(correlations, "_quad_correlations_by_class",
+                        lambda k: calls.append(k) or by_class(k))
+    fourth = correlations.fourth_moment_from_kernel(kern)
+    assert calls == [kern]
+    assert fourth == pytest.approx(3 * n * n - 2 * n, rel=1e-12)
+    if T == math.inf:
+        assert fourth == 3 * n * n - 2 * n
+
+
+def test_fourth_moment_makes_no_det_calls(monkeypatch):
+    kern = correlations.kernel(_ens(sites=50))
+    correlations.var_jx(kern)  # fills the pair memo, as a ReadoutPoint does
+    det = np.linalg.det
+    calls = []
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(np.shape(a)) or det(a))
+    assert correlations.fourth_moment_from_kernel(kern) == pytest.approx(
+        4286944.630758701, rel=1e-10)
+    assert calls == []
 
 
 # ---- bundles and limits -----------------------------------------------------------
