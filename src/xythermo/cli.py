@@ -301,13 +301,15 @@ def cmd_tscan(cfg: SweepConfig) -> int:
                 "var_jx_shot_ratio", "mean_jz_per_sqrt_sites"]
                + [f"snr_{o}" for o in cfg.obs])
     points = [(g, f, t) for g in cfg.gamma for f in cfg.field for t in cfg.temp]
+    total = len(points)
     emitter = _Emitter(cfg, columns)
     try:
-        for g, f, t in points:
+        for done, (g, f, t) in enumerate(points, start=1):
             point = _point(cfg, g, f, t)
             shot = point.var_jx / cfg.sites / 0.5
             mz = point.mean_jz / math.sqrt(cfg.sites)
             emitter.row([g, f, t, shot, mz] + _snr_values(cfg, point))
+            print(f"tscan: {done}/{total}", file=sys.stderr, flush=True)
     finally:
         emitter.close()
     return EXIT_OK

@@ -2,18 +2,24 @@
 import collections
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import xythermo
 from xythermo import cli, correlations, thermometry
 
 CMD = [sys.executable, "-m", "xythermo.cli"]
+# the subprocess imports the same package the tests do, installed or not
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(xythermo.__file__)))
 
 
 def run_cli(*args, cwd=None):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True, cwd=cwd)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def parse_csv(text):
@@ -82,6 +88,19 @@ def test_progress_and_wall_time_on_stderr_only(tmp_path):
     assert "wall time" in proc.stderr
     assert proc.stderr.count("phase-diagram: ") == 2
     assert "wall time" not in path.read_text()
+
+
+def test_tscan_progress_on_stderr_only(tmp_path):
+    args = ("tscan", "--gamma", "0.5", "--field", "0:1:2", "--temp", "0.2:0.8:3", "--sites", "6")
+    proc = run_cli(*args)
+    assert proc.returncode == 0
+    assert [line for line in proc.stderr.splitlines() if line.startswith("tscan: ")] == [
+        f"tscan: {i}/6" for i in range(1, 7)]
+    # stdout carries the table alone, byte for byte what --out writes
+    path = tmp_path / "scan.csv"
+    assert run_cli(*args, "--out", str(path)).returncode == 0
+    assert proc.stdout == path.read_text()
+    assert len(parse_csv(proc.stdout)[1]) == 6
 
 
 def test_json_document_structure():

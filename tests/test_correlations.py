@@ -152,11 +152,11 @@ def test_var_jy_matches_dense_reference():
 
 
 def test_var_jy_equals_var_jx_at_flipped_anisotropy():
-    for n in (8, 50):
+    for n in (8, 50, 300):
         kern = correlations.kernel(_ens(gamma=0.35, field_ratio=0.7, sites=n, T=0.25))
         flipped = correlations.kernel(_ens(gamma=-0.35, field_ratio=0.7, sites=n, T=0.25))
         assert correlations.var_jy(kern) == pytest.approx(
-            correlations.var_jx(flipped), rel=1e-10)
+            correlations.var_jx(flipped), rel=1e-12)
 
 
 # ---- fourth moment ---------------------------------------------------------------
@@ -255,6 +255,68 @@ def test_fourth_moment_makes_no_det_calls(monkeypatch):
     assert correlations.fourth_moment_from_kernel(kern) == pytest.approx(
         4286944.630758701, rel=1e-10)
     assert calls == []
+
+
+# ---- pair correlators from one row-updating QR sweep -------------------------------
+
+# NESTED_GRID plus a singular line point, a cold polarized XX point and T = inf
+PAIR_GRID = NESTED_GRID + ((-1.0, 0.0, 0.3), (0.0, 2.0, 0.05), (1.0, 0.5, math.inf))
+
+
+def _per_separation_pair_sum(kern, shift):
+    n = kern.ensemble.spec.sites
+    corr = np.array([correlations._pair_correlation(kern, r, shift) for r in range(n)])
+    return n + correlations._pair_sum(corr)
+
+
+@pytest.mark.parametrize("sites, grid", [(4, PAIR_GRID), (6, PAIR_GRID), (14, PAIR_GRID),
+                                         (60, PAIR_GRID), (300, PAIR_GRID[1:3])])
+def test_qr_pair_sums_match_per_separation_dets(sites, grid):
+    for gamma, field, T in grid:
+        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=sites, T=T))
+        assert correlations.var_jx(kern) == pytest.approx(
+            _per_separation_pair_sum(kern, -1), rel=1e-13), (gamma, field, T)
+        assert correlations.var_jy(kern) == pytest.approx(
+            _per_separation_pair_sum(kern, +1), rel=1e-13), (gamma, field, T)
+
+
+def test_qr_correlators_keep_the_sign_of_negative_minors():
+    # in the paramagnetic phase y pairs at gamma > 0 and x pairs at
+    # gamma < 0 alternate in sign with the separation
+    for gamma, shift in ((0.8, +1), (-0.6, -1)):
+        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=1.2, sites=60, T=0.5))
+        got = correlations._pair_correlations(kern, shift)
+        want = np.array([correlations._pair_correlation(kern, r, shift) for r in range(60)])
+        assert np.count_nonzero(want < -1e-8) >= 5
+        large = np.abs(want) > 1e-8
+        assert np.array_equal(np.sign(got[large]), np.sign(want[large]))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_qr_pair_sums_exact_at_infinite_temperature():
+    for n in (4, 60, 300):
+        kern = correlations.kernel(_ens(sites=n, T=math.inf))
+        assert correlations.var_jx(kern) == n
+        assert correlations.var_jy(kern) == n
+
+
+def test_var_jx_makes_no_det_calls_on_a_real_kernel(monkeypatch):
+    kern = correlations.kernel(_ens(sites=300))
+    det = np.linalg.det
+    calls = []
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(np.shape(a)) or det(a))
+    assert correlations.var_jx(kern) == pytest.approx(32907.35782295236, rel=1e-13)
+    assert correlations.xx_correlation(kern, 299) == kern._xx[299]
+    assert calls == []
+
+
+def test_var_jx_slope_keeps_the_per_separation_path():
+    # the complex-step kernel is not rotated: the slope is the same number,
+    # to the last bit, as when every pair took one LAPACK det
+    kern = correlations.kernel(_ens(sites=50))
+    assert correlations.var_jx_slope(kern) == -1427.6011376405074
+    kern = correlations.kernel(_ens(gamma=-0.5, field_ratio=1.0, sites=50, T=0.126))
+    assert correlations.var_jx_slope(kern) == 7.9362301658129955
 
 
 # ---- bundles and limits -----------------------------------------------------------
