@@ -340,6 +340,11 @@ def _validation_checks():
     ]
     for name, got, want in pairs:
         yield (f"{name} matches dense reference", abs(got / want - 1.0), 1e-8)
+    # a polarized XX chain, where Var(J_z) ~ 5e-18 sits far below roundoff of <J_z>^2
+    cold = ChainSpec(gamma=0.0, field_ratio=2.0, sites=10)
+    got = correlations.var_jz(thermometry.ensemble(cold, 0.05))
+    want = oracle.oracle_var_jz(oracle.build(cold, oracle.MATCHED), 0.05)
+    yield ("cold XX var_jz matches dense reference", abs(got / want - 1.0), 1e-8)
     dev = max(abs(kern.coefficient(b - a) - oracle.string_contraction(sys_m, temp, a, b))
               for a in range(6) for b in range(6))
     yield ("kernel equals dense string contractions", dev, 1e-10)

@@ -1,5 +1,8 @@
 """Collective-spin moments of the thermal chain via Wick's theorem.
 
+The J_z statistics need no kernel: <J_z>, its slope and Var(J_z) are O(N)
+mode sums over the ensemble (Var(J_z) is a density structure factor).
+
 All x-basis statistics reduce to determinants built from a single vector of
 fermionic contractions g_j (the correlation kernel).  Writing A_l and B_l
 for the two Majorana-like string operators at site l (A_l^2 = 1,
@@ -48,7 +51,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import qr_insert, toeplitz
 
 from .thermometry import ThermalEnsemble
 
@@ -159,18 +161,15 @@ def yy_correlation(kern: CorrelationKernel, r: int) -> float:
 
 
 def _pair_correlation(kern, r, shift):
-    # one LAPACK det for one separation: yy_correlation, the pairs of a
-    # complex kernel, and the test reference for the QR sweep
+    # one LAPACK det for one separation: yy_correlation, the pairs of
+    # var_jx_slope's complex kernel, and the test reference for the QR sweep
     n = kern.ensemble.spec.sites
     if not 0 <= r <= n - 1:
         raise ValueError(f"separation must lie in [0, N-1], got {r}")
     if r == 0:
         return 1.0
-    g, off = kern._g, kern._off
-    steps = np.arange(r)
-    col = g[off + shift + steps]  # g_{shift} ... g_{shift+r-1}
-    row = g[off + shift - steps]  # g_{shift} ... g_{shift-r+1}
-    return np.linalg.det(toeplitz(col, row)).item()  # complex for var_jx_slope
+    a = np.arange(r)
+    return np.linalg.det(kern._g[kern._off + shift + a[:, None] - a[None, :]]).item()
 
 
 def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
@@ -185,13 +184,12 @@ def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     entries of R, because the orthogonal factor is a product of rotations
     with determinant +1.  That is O(N^3) flops with no pivot to break down,
     so singular matrices and g = 0 (T = inf, exact zeros) need no fallback.
-    Rotations take |.| and conjugates, so they are not complex-analytic;
-    a complex kernel (var_jx_slope's complex step) takes one LAPACK det
-    per separation instead, O(N^4) flops.
+    Rotations take |.| and conjugates, so they are not complex-analytic:
+    the kernel must be real (var_jx_slope does not come here).
     """
+    from scipy.linalg import qr_insert  # the only user of scipy.linalg
+
     n = kern.ensemble.spec.sites
-    if np.iscomplexobj(kern._g):
-        return np.array([_pair_correlation(kern, r, shift) for r in range(n)])
     a = np.arange(n - 1)
     mat = np.asarray_chkfinite(kern._g[kern._off + shift + a[:, None] - a[None, :]])
     minors = np.empty(n)
@@ -228,12 +226,16 @@ def var_jx_slope(kern: CorrelationKernel) -> float:
     The pair determinants are polynomials in the g_j, so the pair sums of
     the complex kernel g + i s T dg/dT are Var(J_x) + i s T dVar(J_x)/dT +
     O(s^2), with no subtraction.  Unlike det * tr(M^-1 dM) this stays finite
-    where pair matrices are singular (gamma = -1, h/J = 0).
+    where pair matrices are singular (gamma = -1, h/J = 0).  Rotations are
+    not complex-analytic, so each pair takes one LAPACK det: O(N^4) flops.
     """
     ens = kern.ensemble
+    n = ens.spec.sites
     step = 2.0**-64  # a power of two, so scaling by it is exact
     slope = _contractions(ens, _occupation_slope(ens))
-    return var_jx(CorrelationKernel(ens, kern._g + 1j * step * slope)).imag / step
+    stepped = CorrelationKernel(ens, kern._g + 1j * step * slope)
+    corr = np.array([_pair_correlation(stepped, r, -1) for r in range(n)])
+    return (n + _pair_sum(corr)).imag / step
 
 
 def var_jy(kern: CorrelationKernel) -> float:
@@ -277,26 +279,53 @@ def mean_jz_slope(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     return _jz_mode_sum(ens, modulation, _occupation_slope(ens))
 
 
-def var_jz_from_kernel(kern: CorrelationKernel, modulation: str = "uniform") -> float:
-    """Variance of the modulated J_z given an existing kernel."""
-    n = kern.ensemble.spec.sites
-    g, off = kern._g, kern._off
-    w = modulation_weights(modulation, n)
-    # connected <sz_l sz_{l+r}>: on-site 1 - g_0^2, else -g_r g_{-r}; the
-    # product g_r g_{-r} is invariant under r -> r - N (antiperiodicity), so
-    # indexing by r mod N is exact
-    conn = np.empty(n)
-    conn[0] = 1.0 - g[off] ** 2
-    r = np.arange(1, n)
-    conn[1:] = -g[off + r] * g[off - r]
-    i = np.arange(n)
-    autocorr = w[(i[:, None] + i) % n] @ w  # sum_l w_l w_{l+r}; exact integers
-    return float(np.dot(autocorr, conn))
+def _rotation(ens: ThermalEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    # (cos theta_k, sin theta_k) by the half-angle formula from a = cos k - h/J
+    # and b = gamma sin k, 2 theta_k = atan2(b, a): nothing cancels, and where
+    # b = 0 they are exactly 0 and +-1, which cos and sin of the stored angles
+    # are not (sin(2 * pi/2) = 1.2e-16); a zero mode (a = b = 0) has theta = 0
+    k = ens.modes.momenta
+    a = np.cos(k) - ens.spec.field_ratio
+    b = ens.spec.gamma * np.sin(k)
+    r = np.hypot(a, b)
+    large = np.sqrt(0.5 + 0.5 * np.divide(np.abs(a), r, out=np.ones_like(r), where=r > 0))
+    small = 0.5 * np.divide(np.abs(b), r, out=np.zeros_like(r), where=r > 0) / large
+    return np.where(a >= 0, large, small), np.copysign(np.where(a >= 0, small, large), b)
+
+
+def _structure_factor(ens: ThermalEnsemble, shift: int) -> float:
+    """S(q) = sum_{l, m} e^{iq(l - m)} <sz_l sz_m>_c for q = 0 or pi.
+
+    The free-fermion density structure factor (Barouch & McCoy, Phys. Rev.
+    A 3, 786, 1971), with k + q the index shift by `shift` (N/2 for q = pi)
+    on the antiperiodic grid and t_k = 1 - 2 n_k >= 0:
+
+        S(q) = 2 sum_k [n_k (1 - n_{k+q}) + n_{k+q} (1 - n_k)
+                        + sin^2(theta_k + theta_{k+q}) t_k t_{k+q}],
+
+    their cos^2/sin^2 form regrouped so that every term is non-negative.
+    """
+    cos_t, sin_t = _rotation(ens)
+    n = ens.occupations
+    t = 1.0 - 2.0 * n
+    cos_q, sin_q, n_q, t_q = (np.roll(x, -shift) for x in (cos_t, sin_t, n, t))
+    pairing = (sin_t * cos_q + cos_t * sin_q) ** 2  # sin^2(theta_k + theta_{k+q})
+    return 2.0 * float(np.sum(n * (1.0 - n_q) + n_q * (1.0 - n) + pairing * t * t_q))
 
 
 def var_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
-    """Variance of the modulated J_z = sum_l w_l sz_l (density-density Wick)."""
-    return var_jz_from_kernel(kernel(ens), modulation)
+    """Variance of the modulated J_z = sum_l w_l sz_l, an O(N) mode sum.
+
+    The uniform probe reads S(0).  The half probe weights w_l = (1 + (-1)^l)/2,
+    so it reads (S(0) + S(pi))/4: N is even, and momentum conservation
+    removes the cross term.  Exactly 0 in a frozen chain.
+    """
+    s0 = _structure_factor(ens, 0)
+    if modulation == "uniform":
+        return s0
+    if modulation == "half":
+        return 0.25 * (s0 + _structure_factor(ens, ens.spec.sites // 2))
+    raise ValueError(f"unknown modulation {modulation!r}; expected one of {MODULATIONS}")
 
 
 @lru_cache(maxsize=None)
@@ -484,7 +513,7 @@ class MomentSet:
 
 
 def moments(ens: ThermalEnsemble, modulation: str = "uniform") -> MomentSet:
-    """All collective moments of one ensemble with a single shared kernel."""
+    """All collective moments of one ensemble; the x moments share one kernel."""
     kern = kernel(ens)
     vx = var_jx(kern)
     fourth = fourth_moment_from_kernel(kern)
@@ -492,7 +521,7 @@ def moments(ens: ThermalEnsemble, modulation: str = "uniform") -> MomentSet:
         mean_jx=0.0,
         var_jx=vx,
         mean_jz=mean_jz(ens, modulation),
-        var_jz=var_jz_from_kernel(kern, modulation),
+        var_jz=var_jz(ens, modulation),
         fourth_jx=fourth,
         var_jx_squared=fourth - vx * vx,
     )

@@ -3,9 +3,10 @@
 An off-resonant probe pulse crossing the chain picks up a Faraday rotation
 proportional to the (possibly spatially modulated) collective spin J_z:
 the output quadrature is X_out = X_in - (kappa/sqrt(N)) J_z with coherent
-input of mean zero and variance 1/2.  Reading out a thermal observable A
-(either J_z through the quadrature directly, or J_x^2 after an ideal spin
-rotation) estimates temperature with error propagation
+input of mean zero and variance INPUT_QUADRATURE_VARIANCE = 1/2.  Reading
+out a thermal observable A (either J_z through the quadrature directly, or
+J_x^2 after an ideal spin rotation) estimates temperature with error
+propagation
 
     (T/dT)^2 = (d<A>/dT)^2 T^2 / Var(A),
 
@@ -13,6 +14,8 @@ which is capped by the Cramer-Rao value of the thermometry module.  The
 slope T d<A>/dT is exact, from T dn_k/dT = n_k (1 - n_k) eps_k/T, and
 exactly 0 at T = inf.  The noise Var(A) is the atomic variance, plus the
 light shot-noise floor N/(2 kappa^2) for the J_z readout when requested.
+Every J_z statistic is a mode sum over the ensemble; only the J_x readout
+builds a correlation kernel.
 """
 from __future__ import annotations
 
@@ -30,12 +33,13 @@ from .correlations import (
     mean_jz_slope,
     var_jx,
     var_jx_slope,
-    var_jz_from_kernel,
+    var_jz,
 )
 from .spectrum import ChainSpec
 from .thermometry import ThermalEnsemble, ensemble, snr_crb
 
 __all__ = [
+    "INPUT_QUADRATURE_VARIANCE",
     "FaradaySetup",
     "ReadoutObservable",
     "ReadoutPoint",
@@ -46,6 +50,10 @@ __all__ = [
     "temperature_snr",
     "sensitivity_report",
 ]
+
+
+# shot noise of the coherent probe input, in vacuum units
+INPUT_QUADRATURE_VARIANCE = 0.5
 
 
 class NoiseUnderflowError(ArithmeticError):
@@ -69,8 +77,7 @@ class FaradaySetup:
     """Probe configuration.
 
     kappa is the dimensionless light-matter coupling (sane experimental
-    range is roughly 1-10, but any positive value is accepted);
-    input_quadrature_variance is the coherent-state shot noise, fixed 1/2.
+    range is roughly 1-10, but any positive value is accepted).
     include_shot_noise adds the light-noise floor to the MeanJz readout;
     the default models the strong-coupling optimum where atomic noise
     dominates.
@@ -79,15 +86,12 @@ class FaradaySetup:
     kappa: float = 2.0
     modulation: str = "uniform"
     include_shot_noise: bool = False
-    input_quadrature_variance: float = 0.5
 
     def __post_init__(self) -> None:
         if not (self.kappa > 0 and math.isfinite(self.kappa)):
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         if self.modulation not in MODULATIONS:
             raise ValueError(f"unknown modulation {self.modulation!r}")
-        if self.input_quadrature_variance != 0.5:
-            raise ValueError("input quadrature variance is fixed at 1/2")
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ def _mean_shift(mean_jz_value: float, setup: FaradaySetup, n: int) -> float:
 
 
 def _variance_shift(var_jz_value: float, setup: FaradaySetup, n: int) -> float:
-    return setup.input_quadrature_variance + (setup.kappa**2 / n) * var_jz_value
+    return INPUT_QUADRATURE_VARIANCE + (setup.kappa**2 / n) * var_jz_value
 
 
 def output_mean(ens: ThermalEnsemble, setup: FaradaySetup) -> float:
@@ -118,17 +122,18 @@ def output_mean(ens: ThermalEnsemble, setup: FaradaySetup) -> float:
 
 def output_variance(ens: ThermalEnsemble, setup: FaradaySetup) -> float:
     """Output quadrature variance, 1/2 + (kappa^2/N) Var(J_z)."""
-    return _variance_shift(var_jz_from_kernel(kernel(ens), setup.modulation),
-                           setup, ens.spec.sites)
+    return _variance_shift(var_jz(ens, setup.modulation), setup, ens.spec.sites)
 
 
 @dataclass(eq=False)
 class ReadoutPoint:
     """Moments, slopes (T d/dT) and SNRs of one (ensemble, setup) point.
 
-    Each member is computed at most once, on first read, and all of them
-    share one kernel.  Reading an SNR raises NoiseUnderflowError when its
-    noise variance is not positive or the SNR is not finite.
+    Each member is computed at most once, on first read.  The J_x members
+    share one kernel; the J_z members read the ensemble alone, so a point
+    that reads only snr_crb and snr_meanjz builds no kernel.  Reading an
+    SNR raises NoiseUnderflowError when its noise variance is not positive
+    or the SNR is not finite.
     """
 
     ensemble: ThermalEnsemble
@@ -152,7 +157,7 @@ class ReadoutPoint:
 
     @cached_property
     def var_jz(self) -> float:
-        return var_jz_from_kernel(self.kernel, self.setup.modulation)
+        return var_jz(self.ensemble, self.setup.modulation)
 
     @cached_property
     def var_jx_slope(self) -> float:

@@ -16,10 +16,14 @@ CMD = [sys.executable, "-m", "xythermo.cli"]
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(xythermo.__file__)))
 
 
-def run_cli(*args, cwd=None):
+def subprocess_env():
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
-    return subprocess.run(CMD + list(args), capture_output=True, text=True, cwd=cwd, env=env)
+    return dict(os.environ, PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
+
+
+def run_cli(*args, cwd=None):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, cwd=cwd,
+                          env=subprocess_env())
 
 
 def parse_csv(text):
@@ -78,6 +82,44 @@ def test_tscan_point_builds_one_ensemble_and_one_kernel(monkeypatch, capsys):
     header, rows = parse_csv(capsys.readouterr().out)
     assert len(rows) == 1 and header[-3:] == ["snr_crb", "snr_varjx", "snr_meanjz"]
     assert calls == {"ensemble": 1, "kernel": 1}
+
+
+def test_meanjz_phase_diagram_builds_no_kernel(monkeypatch, capsys):
+    """The J_z readout and the ceiling are mode sums: no kernel, at any point."""
+    built = []
+    init = correlations.CorrelationKernel.__init__
+    monkeypatch.setattr(correlations.CorrelationKernel, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    for modulation in correlations.MODULATIONS:
+        code = cli.main(["phase-diagram", "--gamma", "-1:1:3", "--field", "0:2:3",
+                         "--temp", "0.05:1:2", "--sites", "10", "--obs", "crb,meanjz",
+                         "--modulation", modulation])
+        assert code == 0
+        assert len(parse_csv(capsys.readouterr().out)[1]) == 18
+    assert built == []
+
+
+def test_meanjz_phase_diagram_leaves_scipy_linalg_unimported():
+    script = ("import sys\n"
+              "from xythermo import cli\n"
+              "code = cli.main(['phase-diagram', '--gamma', '0:1:2', '--field', '0:2:2',"
+              " '--sites', '8', '--obs', 'crb,meanjz', '--out', sys.argv[1]])\n"
+              "print(code, 'scipy.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, os.devnull],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+def test_cold_xx_line_is_delivered_below_the_ceiling():
+    # in the polarized XX chain at T = 0.05, Var(J_z) ~ 1e-15 is far below
+    # roundoff of <J_z>^2 ~ N^2, yet every point must be delivered
+    proc = run_cli("phase-diagram", "--gamma", "0", "--field", "1.8:2:5", "--temp", "0.05",
+                   "--sites", "50", "--obs", "crb,meanjz", "--modulation", "half")
+    assert proc.returncode == 0, proc.stderr
+    header, rows = parse_csv(proc.stdout)
+    assert header[3:] == ["snr_crb_per_site", "snr_meanjz_per_site"] and len(rows) == 5
+    for _, _, _, crb, meanjz in rows:
+        assert 0.0 < meanjz <= crb * (1 + 1e-3)
 
 
 def test_progress_and_wall_time_on_stderr_only(tmp_path):
@@ -202,3 +244,4 @@ def test_validate_passes():
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout
     assert "FAIL" not in proc.stdout
+    assert "ok   cold XX var_jz matches dense reference" in proc.stdout

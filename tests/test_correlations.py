@@ -319,6 +319,58 @@ def test_var_jx_slope_keeps_the_per_separation_path():
     assert correlations.var_jx_slope(kern) == 7.9362301658129955
 
 
+# ---- Var(J_z) as a structure-factor mode sum ----------------------------------------
+
+def _site_space_var_jz(kern, modulation):
+    # the former kernel route: sum_r (sum_l w_l w_{l+r}) <sz_0 sz_r>_c, with the
+    # connected correlator 1 - g_0^2 on site and -g_r g_{-r} off site
+    n = kern.ensemble.spec.sites
+    w = correlations.modulation_weights(modulation, n)
+    conn = np.array([1.0 - kern.coefficient(0) ** 2]
+                    + [-kern.coefficient(r) * kern.coefficient(-r) for r in range(1, n)])
+    autocorr = np.array([w @ np.roll(w, -r) for r in range(n)])
+    return float(autocorr @ conn)
+
+
+@pytest.mark.parametrize("modulation", correlations.MODULATIONS)
+def test_var_jz_matches_site_space_kernel_formula(modulation):
+    for gamma, field, T in NESTED_GRID:
+        ens = _ens(gamma=gamma, field_ratio=field, sites=50, T=T)
+        want = _site_space_var_jz(correlations.kernel(ens), modulation)
+        assert correlations.var_jz(ens, modulation) == pytest.approx(want, rel=1e-12), (
+            gamma, field, T)
+
+
+@pytest.mark.parametrize("field", (2.0, 1.9))
+@pytest.mark.parametrize("modulation", correlations.MODULATIONS)
+def test_var_jz_of_cold_polarized_xx_chain_matches_dense_reference(field, modulation):
+    # Var(J_z) ~ 1e-16 .. 1e-18 here; the kernel route returned roundoff of either sign
+    ens = _ens(gamma=0.0, field_ratio=field, sites=10, T=0.05)
+    want = oracle.oracle_var_jz(oracle.build(ens.spec, oracle.MATCHED), 0.05, modulation)
+    assert 0.0 < want < 1e-15
+    assert correlations.var_jz(ens, modulation) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("sites", (50, 300))
+def test_uniform_var_jz_of_xx_chain_is_four_fluctuation_weights(sites):
+    # at gamma = 0 particle number is conserved: Var(J_z) = 4 sum_k n_k (1 - n_k)
+    for field, T in ((0.5, 0.3), (1.0, 0.05), (1.9, 0.05), (2.0, 0.05), (3.0, 1.0)):
+        ens = _ens(gamma=0.0, field_ratio=field, sites=sites, T=T)
+        want = 4.0 * float(np.sum(ens.fluctuation_weights()))
+        assert correlations.var_jz(ens) == pytest.approx(want, rel=1e-12), (field, T)
+
+
+def test_var_jz_is_exactly_zero_in_a_frozen_chain():
+    ens = _ens(gamma=0.0, field_ratio=1e3, T=0.01)
+    assert correlations.var_jz(ens) == 0.0
+    assert correlations.var_jz(ens, "half") == 0.0
+
+
+def test_var_jz_rejects_unknown_modulation():
+    with pytest.raises(ValueError):
+        correlations.var_jz(_ens(), "quarter")
+
+
 # ---- bundles and limits -----------------------------------------------------------
 
 def test_moments_bundle_consistent_with_parts():

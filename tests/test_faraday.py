@@ -29,8 +29,10 @@ def test_setup_validation():
         FaradaySetup(kappa=math.inf)
     with pytest.raises(ValueError):
         FaradaySetup(modulation="quarter")
-    with pytest.raises(ValueError):
+    # the coherent input's shot noise is a constant, not a setting
+    with pytest.raises(TypeError):
         FaradaySetup(input_quadrature_variance=1.0)
+    assert faraday.INPUT_QUADRATURE_VARIANCE == 0.5
 
 
 def test_output_statistics_at_infinite_temperature():

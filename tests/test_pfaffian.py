@@ -1,9 +1,59 @@
+"""A Pfaffian with exact sign, and the Wick cross-check that needs it.
+
+The package evaluates every string correlator as a plain determinant; the
+Pfaffian lives here, on the test side, as an independent second route to
+the pair correlators (test_wick_pfaffian_matches_toeplitz_route).  It is
+Parlett-Reid tridiagonalization with partial pivoting: O(m^3), numerically
+on par with an LU factorization, with the sign tracked through the
+row/column swaps, since sqrt(det) would lose the physical sign.
+"""
 import numpy as np
 import pytest
 
 from xythermo import correlations, thermometry
-from xythermo.pfaffian import pfaffian
 from xythermo.spectrum import ChainSpec
+
+
+def pfaffian(mat: np.ndarray) -> float:
+    """Pfaffian of a real skew-symmetric matrix of even dimension.
+
+    Raises ValueError for non-square or odd-dimensional input (the Pfaffian
+    of an odd-dimensional skew matrix is identically zero only as a
+    convention; callers here always mean even dimension) and for input that
+    is not skew-symmetric to ~1e-12.
+    """
+    a = np.array(mat, dtype=float, copy=True)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    m = a.shape[0]
+    if m % 2 != 0:
+        raise ValueError(f"Pfaffian requires even dimension, got {m}")
+    if m == 0:
+        return 1.0
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if np.max(np.abs(a + a.T)) > 1e-12 * scale:
+        raise ValueError("matrix is not skew-symmetric")
+
+    pf = 1.0
+    for j in range(0, m - 1, 2):
+        # pivot: largest |a[i, j]| for i > j
+        col = np.abs(a[j + 1:, j])
+        p = j + 1 + int(np.argmax(col))
+        if col[p - j - 1] == 0.0:
+            return 0.0  # column of zeros -> singular skew matrix
+        if p != j + 1:
+            a[[j + 1, p], :] = a[[p, j + 1], :]
+            a[:, [j + 1, p]] = a[:, [p, j + 1]]
+            pf = -pf  # simultaneous row+column swap flips the sign once
+        pivot = a[j + 1, j]
+        pf *= -pivot  # Pf of the 2x2 block [[0, a_{j,j+1}], [., 0]]
+        if j + 2 < m:
+            # eliminate the rest of column/row j and j+1 with a congruence,
+            # which leaves the Pfaffian of the trailing block unchanged
+            tau = a[j + 2:, j] / pivot
+            a[j + 2:, j + 2:] += np.outer(tau, a[j + 2:, j + 1])
+            a[j + 2:, j + 2:] -= np.outer(a[j + 2:, j + 1], tau)
+    return float(pf)
 
 
 def random_skew(m, rng):
