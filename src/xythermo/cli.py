@@ -109,24 +109,49 @@ class SweepConfig:
         }
 
 
+def _config_float(value) -> float:
+    # the flags parse text with float(), which refuses "true"; JSON true would pass
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _config_axis(value) -> tuple[float, ...]:
     """An axis from a config file: an axis string, a number or a list of numbers."""
     if isinstance(value, str):
         return parse_axis(value)
     if isinstance(value, (int, float)):
-        return (float(value),)
-    return tuple(float(x) for x in value)
+        return (_config_float(value),)
+    return tuple(_config_float(x) for x in value)
+
+
+def _config_int(value) -> int:
+    # the flag parses text with int(), so "6" passes and 6.9 or true does not
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _config_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _config_obs(value) -> tuple[str, ...]:
+    """--obs from a config file: the flag's comma string, or a list of names."""
+    return _obs_type(value if isinstance(value, str) else ",".join(value))
 
 
 _CONFIG_KEYS = {
     "gamma": _config_axis,
     "field": _config_axis,
     "temp": _config_axis,
-    "sites": int,
-    "kappa": float,
+    "sites": _config_int,
+    "kappa": _config_float,
     "modulation": str,
-    "shot_noise": bool,
-    "obs": lambda v: _obs_type(v) if isinstance(v, str) else tuple(v),
+    "shot_noise": _config_bool,
+    "obs": _config_obs,
     "format": str,
     "out": str,
 }
@@ -147,7 +172,7 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(f"config file {path}: unknown key {key!r}")
         try:
             out[norm] = _CONFIG_KEYS[norm](value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"config file {path}: bad value for {key!r}: {exc}") from None
     return out
 
@@ -306,7 +331,7 @@ def cmd_tscan(cfg: SweepConfig) -> int:
     try:
         for done, (g, f, t) in enumerate(points, start=1):
             point = _point(cfg, g, f, t)
-            shot = point.var_jx / cfg.sites / 0.5
+            shot = point.var_jx / cfg.sites / faraday.INPUT_QUADRATURE_VARIANCE
             mz = point.mean_jz / math.sqrt(cfg.sites)
             emitter.row([g, f, t, shot, mz] + _snr_values(cfg, point))
             print(f"tscan: {done}/{total}", file=sys.stderr, flush=True)

@@ -31,8 +31,9 @@ next.  So one Gaussian elimination without row exchanges gives all of them
 as products of its pivots, and the sum costs O(N^5) flops instead of the
 O(N^6) of one det per class.  Where that elimination breaks down on a
 pivot that is zero to working precision (see fourth_moment_from_kernel),
-the kernel falls back to the one-det-per-class path, which also serves
-the tests as reference.
+only the stack of matrices that broke down takes pivoted dets, one per
+matrix and order; the one-det-per-class sum lives in the tests, as the
+reference.
 
 A subtlety worth stating once: these formulas describe the Hamiltonian
 variant whose fermions are exactly antiperiodic (the boundary bond carries
@@ -48,7 +49,6 @@ boundary term both descriptions shed in the large-N limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,8 +73,9 @@ __all__ = [
 
 MODULATIONS = ("uniform", "half")
 
-# cap on matrix entries per batched det or elimination stack (~160 MB of
-# float64 scratch)
+# cap on matrix entries in one stack of _nested_quad_sum, a chunk of the t1
+# of one t2 (~160 MB of float64 scratch); a stack that breaks down takes its
+# pivoted dets from that same chunk, so the cap covers them too
 _DET_BATCH_ELEMENTS = 20_000_000
 # width of the diagonal panels inside which _leading_minors takes scalar steps
 _PANEL = 8
@@ -328,62 +329,6 @@ def var_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     raise ValueError(f"unknown modulation {modulation!r}; expected one of {MODULATIONS}")
 
 
-@lru_cache(maxsize=None)
-def _gap_classes(n: int) -> dict[tuple[int, int, int], int]:
-    """Gap signatures (t1, t2, t3) of site quadruples l1<l2<l3<l4, with counts.
-
-    A quadruple is determined by its gaps t_i = l_{i+1} - l_i and the origin
-    l1, so the signature (t1, t2, t3) occurs N - (t1+t2+t3) times.  The
-    correlator value only depends on the signature, and is invariant under
-    reversal (t1,t2,t3) -> (t3,t2,t1) -- a transpose identity of the
-    contraction determinant -- so reversed pairs are merged.  Only the
-    by-class reference path enumerates classes; the nested-minor path uses
-    the same reversal symmetry by summing t1 <= t3 alone.
-    """
-    classes: dict[tuple[int, int, int], int] = {}
-    for t1 in range(1, n - 2):
-        for t2 in range(1, n - 1 - t1):
-            for t3 in range(1, n - t1 - t2):
-                key = (t1, t2, t3)
-                rev = (t3, t2, t1)
-                if rev < key:
-                    key = rev
-                classes[key] = classes.get(key, 0) + (n - t1 - t2 - t3)
-    return classes
-
-
-def _quad_sites(t1: int, t2: int, t3: int) -> np.ndarray:
-    # B-operator sites of the four-string product starting at the origin;
-    # the A-operator sites are these + 1
-    return np.concatenate([np.arange(t1), np.arange(t1 + t2, t1 + t2 + t3)])
-
-
-def _quad_correlations_by_class(kern: CorrelationKernel) -> float:
-    """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, one det per gap class.
-
-    The reference for the nested-minor path, and its fallback on breakdown.
-    """
-    n = kern.ensemble.spec.sites
-    g, off = kern._g, kern._off
-    classes = _gap_classes(n)
-    total = 0.0
-    by_size: dict[int, list[tuple[int, int, int]]] = {}
-    for key in classes:
-        by_size.setdefault(key[0] + key[2], []).append(key)
-    for m, keys in by_size.items():
-        chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
-        for lo in range(0, len(keys), chunk):
-            batch = keys[lo: lo + chunk]
-            mats = np.empty((len(batch), m, m))
-            for i, (t1, t2, t3) in enumerate(batch):
-                b_sites = _quad_sites(t1, t2, t3)
-                mats[i] = g[off + (b_sites[:, None] - (b_sites + 1)[None, :])]
-            dets = np.linalg.det(mats)
-            for key, val in zip(batch, dets):
-                total += classes[key] * float(val)
-    return total
-
-
 def _leading_minors(mats: np.ndarray) -> np.ndarray | None:
     """Every leading principal minor of each matrix in a (B, m, m) stack.
 
@@ -413,7 +358,31 @@ def _leading_minors(mats: np.ndarray) -> np.ndarray | None:
     return minors if np.isfinite(minors).all() else None
 
 
-def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
+def _pivoted_minors(mats: np.ndarray, lo: int) -> np.ndarray:
+    """The leading minors of a (B, m, m) stack that _nested_quad_sum reads.
+
+    The fallback for a stack on which _leading_minors breaks down: one
+    LAPACK det (partial pivoting) per matrix and order.  Row i of the stack
+    is t1 = lo + i, and its minor of order k is read only for t3 = k - t1 >=
+    t1, so order k takes the first k // 2 - lo + 1 rows; every other entry
+    stays 0.
+    """
+    minors = np.zeros(mats.shape[:2])
+    for k in range(2 * lo, mats.shape[-1] + 1):
+        rows = k // 2 - lo + 1
+        minors[:rows, k - 1] = np.linalg.det(mats[:rows, :k, :k])
+    return minors
+
+
+def _quad_stack(kern: CorrelationKernel, t1: np.ndarray, t2: int,
+                order: np.ndarray) -> np.ndarray:
+    # the m x m contraction matrix of each t1 in the column t1, with B sites
+    # [0, t1) u [t1+t2, N-1); its leading minor of order t1 + t3 is gap t3
+    b_sites = order - 1 + np.where(order > t1, t2, 0)
+    return kern._g[kern._off + b_sites[:, :, None] - b_sites[:, None, :] - 1]
+
+
+def _nested_quad_sum(kern: CorrelationKernel) -> float:
     """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, by nested minors.
 
     For fixed (t1, t2) the contraction matrix of gap t3 is the leading
@@ -421,12 +390,12 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     whose B sites are [0, t1) u [t1+t2, N-1); one elimination therefore
     gives every t3.  All t1 of one t2 share m and go through
     _leading_minors as one stack, split so that no stack holds more than
-    _DET_BATCH_ELEMENTS entries.  By the reversal symmetry only t1 <= t3 is
-    summed, t1 < t3 with twice the weight N - t1 - t2 - t3.  Returns None
-    where _leading_minors breaks down.
+    _DET_BATCH_ELEMENTS entries.  A stack on which that elimination breaks
+    down is gathered again and takes pivoted dets (_pivoted_minors); the
+    other stacks keep their elimination.  By the reversal symmetry only
+    t1 <= t3 is summed, t1 < t3 with twice the weight N - t1 - t2 - t3.
     """
     n = kern.ensemble.spec.sites
-    g, off = kern._g, kern._off
     total = 0.0
     for t2 in range(1, n - 2):
         m = n - 1 - t2
@@ -434,10 +403,9 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
         chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
         for lo in range(1, m // 2 + 1, chunk):
             t1 = np.arange(lo, min(lo + chunk, m // 2 + 1))[:, None]
-            b_sites = order - 1 + np.where(order > t1, t2, 0)
-            minors = _leading_minors(g[off + b_sites[:, :, None] - b_sites[:, None, :] - 1])
-            if minors is None:
-                return None
+            minors = _leading_minors(_quad_stack(kern, t1, t2, order))
+            if minors is None:  # the elimination overwrote the stack
+                minors = _pivoted_minors(_quad_stack(kern, t1, t2, order), lo)
             t3 = order - t1  # the minor of order t1 + t3
             copies = np.where(t3 > t1, 2, t3 == t1)
             total += float(np.sum(copies * (n - t1 - t2 - t3) * minors))
@@ -449,27 +417,25 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
 
     The all-distinct quadruple sum comes from nested leading minors, one
     blocked elimination per stack of equal-order matrices, in O(N^5) flops.
-    Where that elimination breaks down, the whole kernel goes to the
-    by-class path instead: one LAPACK det per gap class, O(N^6) flops.  A
+    A stack on which that elimination breaks down takes one pivoted LAPACK
+    det per matrix and order instead, O(m^5) flops for that stack alone.  A
     breakdown is a pivot that is zero to working precision, as at T = inf
     (g = 0), on the gamma = -1, h/J = 0 line (every pair matrix singular)
     and in the cold XX chain polarized by h/J > 1.
 
-    Accuracy, measured against the pivoted by-class path at N = 50: over
-    two seeded rounds of tscan-quartic points (113 nested points each) the
-    quadruple sums differ by up to 2.4e-10 of <J_x^4>, and 9.3e-11 on the
-    gamma = -1, h/J = 1 line, both at T = 0.792; at (-0.892, 0.767, 0.792)
-    the difference is 1.6e-9.  The other points of those rounds stay within
-    1.7e-12.  The large differences sit at gamma < 0 near the critical line,
-    where the elimination without row exchanges grows the entries of its
-    upper factor by up to 1e17 (about 1 at gamma > 0), yet no multiplier
-    crosses the breakdown limit.
+    Accuracy, measured against the pivoted one-det-per-gap-class sum at
+    N = 50: over two seeded rounds of tscan-quartic points (113 points
+    without a breakdown each) the quadruple sums differ by up to 2.4e-10 of
+    <J_x^4>, and 9.3e-11 on the gamma = -1, h/J = 1 line, both at T =
+    0.792; at (-0.892, 0.767, 0.792) the difference is 1.6e-9.  The other
+    points of those rounds stay within 1.7e-12.  The large differences sit
+    at gamma < 0 near the critical line, where the elimination without row
+    exchanges grows the entries of its upper factor by up to 1e17 (about 1
+    at gamma > 0), yet no multiplier crosses the breakdown limit.
     """
     n = kern.ensemble.spec.sites
     pair_sum = _pair_sum(_xx_correlations(kern))
     quad = _nested_quad_sum(kern)
-    if quad is None:
-        quad = _quad_correlations_by_class(kern)
     # quadruple sum split by coincidence pattern of the four site indices:
     #   all equal            -> N
     #   two distinct pairs   -> 3 N (N-1)

@@ -198,6 +198,26 @@ def test_unreadable_config_exits_two(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"sitez": 8}))
     assert run_cli("tscan", "--config", str(unknown)).returncode == 2
+    # values the matching flag would refuse: an unknown observable, a
+    # non-bool shot_noise, a non-integer site count and bools for numbers
+    for value in ({"obs": ["foo"]}, {"obs": "foo"}, {"shot_noise": "false"}, {"sites": 6.9},
+                  {"kappa": True}, {"gamma": [True]}):
+        cfg = tmp_path / "value.json"
+        cfg.write_text(json.dumps(value))
+        proc = run_cli("tscan", "--config", str(cfg), "--temp", "0.3", "--sites", "6")
+        assert proc.returncode == 2, value
+        assert proc.stderr.startswith("error: config file"), value
+
+
+def test_config_obs_list_matches_the_flag(tmp_path):
+    cfg = tmp_path / "obs.json"
+    cfg.write_text(json.dumps({"obs": ["meanjz", "crb"]}))
+    args = ("tscan", "--temp", "0.3", "--sites", "6")
+    from_file = run_cli(*args, "--config", str(cfg))
+    from_flag = run_cli(*args, "--obs", "meanjz,crb")
+    assert from_file.returncode == from_flag.returncode == 0
+    assert from_file.stdout == from_flag.stdout
+    assert from_file.stdout.splitlines()[0].endswith("snr_crb,snr_meanjz")
 
 
 def test_numerical_failure_exits_three():

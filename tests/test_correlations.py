@@ -4,6 +4,7 @@ The frozen literals below were produced by the dense reference implementation
 (oracle module) and pin the numerical path down to double-precision noise;
 live cross-checks against the same reference run next to them at small N.
 """
+import collections
 import math
 
 import numpy as np
@@ -203,47 +204,125 @@ def test_large_ring_frozen_values():
     assert correlations.fourth_moment_jx(ens) == pytest.approx(4286944.630758701, rel=1e-10)
 
 
+def _gap_classes(n):
+    """Gap signatures (t1, t2, t3) of site quadruples l1<l2<l3<l4, with counts.
+
+    A quadruple is determined by its gaps t_i = l_{i+1} - l_i and the origin
+    l1, so the signature (t1, t2, t3) occurs N - (t1+t2+t3) times.  The
+    correlator value only depends on the signature, and is invariant under
+    reversal (t1,t2,t3) -> (t3,t2,t1) -- a transpose identity of the
+    contraction determinant -- so reversed pairs are merged.
+    """
+    classes = {}
+    for t1 in range(1, n - 2):
+        for t2 in range(1, n - 1 - t1):
+            for t3 in range(1, n - t1 - t2):
+                key = min((t1, t2, t3), (t3, t2, t1))
+                classes[key] = classes.get(key, 0) + (n - t1 - t2 - t3)
+    return classes
+
+
+def quad_sum_by_class(kern):
+    """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, one LAPACK det per gap class.
+
+    The reference for correlations._nested_quad_sum.  The B-operator sites of
+    class (t1, t2, t3) are [0, t1) u [t1+t2, t1+t2+t3), the A-operator sites
+    those + 1; the matrices of one size share a batched det.
+    """
+    g, off = kern._g, kern._off
+    classes = _gap_classes(kern.ensemble.spec.sites)
+    by_size = collections.defaultdict(list)
+    for key in classes:
+        by_size[key[0] + key[2]].append(key)
+    total = 0.0
+    for keys in by_size.values():
+        b_sites = np.array([np.r_[0:t1, t1 + t2:t1 + t2 + t3] for t1, t2, t3 in keys])
+        dets = np.linalg.det(g[off + b_sites[:, :, None] - b_sites[:, None, :] - 1])
+        total += sum(classes[key] * float(d) for key, d in zip(keys, dets))
+    return total
+
+
+def _count_dets(monkeypatch):
+    det = np.linalg.det
+    calls = []
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(np.shape(a)) or det(a))
+    return calls
+
+
 # ordered, critical, cold paramagnetic, XX and gamma < 0 points
 NESTED_GRID = ((1.0, 0.5, 0.3), (1.0, 1.0, 0.3), (1.0, 2.0, 0.05), (0.0, 0.5, 0.3),
                (-0.5, 0.5, 0.3), (-0.7, 0.3, 0.05))
+# every pair matrix is singular on the gamma = -1, h/J = 0 line, the cold XX
+# chain at h/J > 1 is fully polarized, and g = 0 at T = inf; in each case the
+# x spins are uncorrelated and some elimination stacks break down
+BREAKDOWN_GRID = ((-1.0, 0.0, 0.3), (0.0, 2.0, 0.05), (1.0, 0.5, math.inf))
 
 
 @pytest.mark.parametrize("sites", (4, 6, 14, 30, 60))
-def test_nested_minors_match_by_class_reference(sites):
+def test_nested_minors_match_by_class_reference(sites, monkeypatch):
     for gamma, field, T in NESTED_GRID:
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=sites, T=T))
+        want = quad_sum_by_class(kern)
+        calls = _count_dets(monkeypatch)
         nested = correlations._nested_quad_sum(kern)
-        assert nested is not None, (gamma, field, T)
-        want = correlations._quad_correlations_by_class(kern)
+        assert calls == [], (gamma, field, T)
+        monkeypatch.undo()
         fourth = correlations.fourth_moment_from_kernel(kern)
         assert 24.0 * abs(nested - want) <= 1e-10 * fourth, (gamma, field, T)
 
 
 def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
-    kern = correlations.kernel(_ens(sites=14))
-    whole = correlations._nested_quad_sum(kern)
-    monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 200)  # 1-2 matrices a stack
-    assert correlations._nested_quad_sum(kern) == pytest.approx(whole, rel=1e-13)
+    # a cap of 200 entries leaves 1-3 matrices a stack, so at the breakdown
+    # point stacks whose first row has t1 > 1 take dets as well; each det'd
+    # matrix must be a minor the sum reads, one with t3 >= t1
+    for (gamma, field, T), breaks in ((NESTED_GRID[0], False), (BREAKDOWN_GRID[0], True)):
+        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=14, T=T))
+        whole = correlations._nested_quad_sum(kern)
+        monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 200)
+        pivoted = correlations._pivoted_minors
+        stacks = []
+        monkeypatch.setattr(correlations, "_pivoted_minors",
+                            lambda mats, lo: stacks.append((mats.shape, lo)) or pivoted(mats, lo))
+        calls = _count_dets(monkeypatch)
+        split = correlations._nested_quad_sum(kern)
+        monkeypatch.undo()
+        read = sum(m - 2 * t1 + 1 for (rows, m, _), lo in stacks for t1 in range(lo, lo + rows))
+        assert sum(shape[0] for shape in calls) == read, (gamma, field, T)
+        assert any(lo > 1 for _, lo in stacks) == breaks, (gamma, field, T)
+        fourth = correlations.fourth_moment_from_kernel(kern)
+        assert split == pytest.approx(whole, rel=1e-13), (gamma, field, T)
+        assert 24.0 * abs(split - quad_sum_by_class(kern)) <= 1e-12 * fourth, (gamma, field, T)
 
 
-@pytest.mark.parametrize("gamma, field, T",
-                         ((-1.0, 0.0, 0.3), (1.0, 0.5, math.inf), (0.0, 2.0, 0.05)))
-def test_breakdown_falls_back_to_by_class_path(gamma, field, T, monkeypatch):
-    # every pair matrix is singular on the gamma = -1, h/J = 0 line, g = 0 at
-    # T = inf, and the cold XX chain at h/J > 1 is fully polarized; in each
-    # case the x spins are uncorrelated
-    n = 30
-    kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
-    assert correlations._nested_quad_sum(kern) is None
-    by_class = correlations._quad_correlations_by_class
-    calls = []
-    monkeypatch.setattr(correlations, "_quad_correlations_by_class",
-                        lambda k: calls.append(k) or by_class(k))
+@pytest.mark.parametrize("gamma, field, T", BREAKDOWN_GRID)
+def test_breakdown_stacks_take_pivoted_dets(gamma, field, T, monkeypatch):
+    for n in (14, 30, 50):
+        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
+        want = quad_sum_by_class(kern)
+        calls = _count_dets(monkeypatch)
+        fourth = correlations.fourth_moment_from_kernel(kern)
+        monkeypatch.undo()
+        assert calls, f"no stack broke down at N={n}"
+        assert 24.0 * abs(correlations._nested_quad_sum(kern) - want) <= 1e-12 * fourth, n
+        assert fourth == pytest.approx(3 * n * n - 2 * n, rel=1e-12), n
+        if T == math.inf:
+            assert fourth == 3 * n * n - 2 * n
+
+
+def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):
+    # a breakdown forced on the stack of t2 = 9 (m = 20) at a point where no
+    # stack breaks down: the other 26 stacks keep their elimination
+    n, m = 30, 20
+    kern = correlations.kernel(_ens(sites=n))
+    leading = correlations._leading_minors
+    monkeypatch.setattr(correlations, "_leading_minors",
+                        lambda mats: None if mats.shape[-1] == m else leading(mats))
+    calls = _count_dets(monkeypatch)
+    quad = correlations._nested_quad_sum(kern)
+    assert calls == [(k // 2, k, k) for k in range(2, m + 1)]
+    monkeypatch.undo()
     fourth = correlations.fourth_moment_from_kernel(kern)
-    assert calls == [kern]
-    assert fourth == pytest.approx(3 * n * n - 2 * n, rel=1e-12)
-    if T == math.inf:
-        assert fourth == 3 * n * n - 2 * n
+    assert 24.0 * abs(quad - quad_sum_by_class(kern)) <= 1e-12 * fourth
 
 
 def test_fourth_moment_makes_no_det_calls(monkeypatch):
