@@ -25,15 +25,18 @@ unstable here: the pair correlator falls to ~1e-19 halfway round the ring
 and grows again toward r = N - 1, and the pivot ratios blow up with it.
 
 The <J_x^4> sum needs one such determinant per gap class (t1, t2, t3) of
-the four sites, about N^3/12 of them.  For fixed (t1, t2) the matrices of
-successive t3 are nested: each is the leading principal submatrix of the
-next.  So one Gaussian elimination without row exchanges gives all of them
-as products of its pivots, and the sum costs O(N^5) flops instead of the
-O(N^6) of one det per class.  Where that elimination breaks down on a
-pivot that is zero to working precision (see fourth_moment_from_kernel),
-only the stack of matrices that broke down takes pivoted dets, one per
-matrix and order; the one-det-per-class sum lives in the tests, as the
-reference.
+the four sites, about N^3/12 of them.  Each is a principal minor of the
+same pair matrix T, on the sites [0, t1) u [t1+t2, t1+t2+t3), so by
+Schur's determinant formula it is the pair correlator c(t1) times a minor
+of the Schur complement Sigma_t1 that t1 steps of elimination of T leave
+behind.  One O(N^3) elimination of T therefore serves every class, and
+for fixed (t1, t2) every t3 is a leading minor of the window
+Sigma_t1[t2:, t2:], which one elimination without row exchanges gives as
+products of its pivots: O(N^5) flops for the sum instead of the O(N^6) of
+one det per class.  Where an elimination breaks down on a pivot that is
+zero to working precision (see fourth_moment_from_kernel), only what it
+could not reach takes pivoted dets, one per matrix and order; the
+one-det-per-class sum lives in the tests, as the reference.
 
 A subtlety worth stating once: these formulas describe the Hamiltonian
 variant whose fermions are exactly antiperiodic (the boundary bond carries
@@ -73,10 +76,11 @@ __all__ = [
 
 MODULATIONS = ("uniform", "half")
 
-# cap on matrix entries in one stack of _nested_quad_sum, a chunk of the t1
-# of one t2 (~160 MB of float64 scratch); a stack that breaks down takes its
-# pivoted dets from that same chunk, so the cap covers them too
-_DET_BATCH_ELEMENTS = 20_000_000
+# cap on matrix entries in one elimination stack of _nested_quad_sum (1 MB of
+# float64), whether it holds Schur windows or, past a breakdown of the pair
+# matrix, the contraction matrices of one t2; chosen by timing: 75k-150k
+# entries time alike at N = 50, 125k-150k are fastest at N = 100
+_DET_BATCH_ELEMENTS = 125_000
 # width of the diagonal panels inside which _leading_minors takes scalar steps
 _PANEL = 8
 # a multiplier above 1/eps means its pivot is below roundoff of the entries
@@ -358,20 +362,70 @@ def _leading_minors(mats: np.ndarray) -> np.ndarray | None:
     return minors if np.isfinite(minors).all() else None
 
 
-def _pivoted_minors(mats: np.ndarray, lo: int) -> np.ndarray:
-    """The leading minors of a (B, m, m) stack that _nested_quad_sum reads.
+def _pivoted_minors(mats: np.ndarray, read: np.ndarray) -> np.ndarray:
+    """The leading minors of a (B, m, m) stack that the quadruple sum reads.
 
-    The fallback for a stack on which _leading_minors breaks down: one
-    LAPACK det (partial pivoting) per matrix and order.  Row i of the stack
-    is t1 = lo + i, and its minor of order k is read only for t3 = k - t1 >=
-    t1, so order k takes the first k // 2 - lo + 1 rows; every other entry
-    stays 0.
+    The fallback for matrices on which elimination without row exchanges
+    breaks down: one LAPACK det (partial pivoting) per matrix and order.
+    read[i, k - 1] says whether minor k of matrix i is read; for each order
+    k only those matrices take a det, and every other entry stays 0.
     """
     minors = np.zeros(mats.shape[:2])
-    for k in range(2 * lo, mats.shape[-1] + 1):
-        rows = k // 2 - lo + 1
-        minors[:rows, k - 1] = np.linalg.det(mats[:rows, :k, :k])
+    for k in np.flatnonzero(read.any(axis=0)) + 1:
+        rows = np.flatnonzero(read[:, k - 1])
+        if rows[-1] + 1 - rows[0] == len(rows):  # a run of rows: a view, not a copy
+            rows = slice(rows[0], rows[-1] + 1)
+        minors[rows, k - 1] = np.linalg.det(mats[rows, :k, :k])
     return minors
+
+
+def _class_weights(n: int, t1, t2, t3) -> np.ndarray:
+    # how often the gap class (t1, t2, t3) enters the ordered-quadruple sum:
+    # N - t1 - t2 - t3 origins, twice for t1 < t3 by the reversal symmetry,
+    # and 0 for t1 > t3 (counted as its reverse) or past the end of the ring
+    copies = np.where(t3 > t1, 2, t3 == t1)
+    return copies * np.maximum(n - t1 - t2 - t3, 0)
+
+
+def _schur_snapshots(kern: CorrelationKernel, steps: int) -> list[np.ndarray]:
+    """Trailing blocks of the pair matrix after t = 1 ... steps elimination steps.
+
+    T[a, b] = g_{a-b-1} on bond sites 0 ... N-2 is the matrix whose leading
+    minors are the pair correlators.  After t steps of Gaussian elimination
+    without row exchanges its trailing block is the Schur complement
+
+        Sigma_t = T[G, G] - T[G, F] T[F, F]^-1 T[F, G],   F = [0, t), G = [t, N-1),
+
+    returned as entry t - 1 (local index 0 is site t).  The list stops
+    early at a breakdown: a pivot that is zero to working precision or a
+    value that is not finite.
+    """
+    n = kern.ensemble.spec.sites
+    a = np.arange(n - 1)
+    block = kern._g[kern._off - 1 + a[:, None] - a[None, :]]
+    snapshots = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(steps):
+            col = block[1:, 0] / block[0, 0]
+            if not np.max(np.abs(col), initial=0.0) <= _MULTIPLIER_LIMIT:
+                break
+            block = block[1:, 1:] - col[:, None] * block[0, None, 1:]
+            if not np.isfinite(block).all():
+                break
+            snapshots.append(block)
+    return snapshots
+
+
+def _window_stack(snapshots: list[np.ndarray], t1: np.ndarray, t2: np.ndarray,
+                  m: int) -> np.ndarray:
+    # window Sigma_t1[t2:, t2:] of each (t1, t2), padded with the identity to
+    # m x m: the padding leaves every leading minor up to the window's order
+    stack = np.zeros((len(t1), m, m))
+    stack[:, np.arange(m), np.arange(m)] = 1.0
+    for mat, a, b in zip(stack, t1.tolist(), t2.tolist()):
+        window = snapshots[a - 1][b:, b:]
+        mat[:len(window), :len(window)] = window
+    return stack
 
 
 def _quad_stack(kern: CorrelationKernel, t1: np.ndarray, t2: int,
@@ -383,55 +437,79 @@ def _quad_stack(kern: CorrelationKernel, t1: np.ndarray, t2: int,
 
 
 def _nested_quad_sum(kern: CorrelationKernel) -> float:
-    """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, by nested minors.
+    """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, by Schur windows.
 
-    For fixed (t1, t2) the contraction matrix of gap t3 is the leading
-    principal submatrix of order t1+t3 of one m x m matrix, m = N-1-t2,
-    whose B sites are [0, t1) u [t1+t2, N-1); one elimination therefore
-    gives every t3.  All t1 of one t2 share m and go through
-    _leading_minors as one stack, split so that no stack holds more than
-    _DET_BATCH_ELEMENTS entries.  A stack on which that elimination breaks
-    down is gathered again and takes pivoted dets (_pivoted_minors); the
-    other stacks keep their elimination.  By the reversal symmetry only
-    t1 <= t3 is summed, t1 < t3 with twice the weight N - t1 - t2 - t3.
+    The contraction matrix of gap class (t1, t2, t3) is T[S, S] for the
+    pair matrix T of _schur_snapshots and S = F u W, F = [0, t1), W =
+    [t1+t2, t1+t2+t3).  By Schur's determinant formula its det is c(t1) *
+    det Sigma_t1[W, W], with c(t1) = det T[F, F] the pair correlator of the
+    kernel's memo, and W is the leading t3 x t3 block of the window
+    Sigma_t1[t2:, t2:].  So one elimination of T gives every Sigma_t1, and
+    one elimination of each window, of order N-1-t1-t2, gives every t3 of
+    its (t1, t2): the quotient property of Schur complements (Crabtree &
+    Haynsworth, 1969) makes the window's own elimination continue that of
+    T.  The windows of every t1 go through _leading_minors largest first,
+    padded to the largest of their stack, in stacks of at most
+    _DET_BATCH_ELEMENTS entries; a stack on which that elimination breaks
+    down is gathered again and takes pivoted dets (_pivoted_minors) of the
+    orders t3 >= t1 it reads.  If the elimination of T breaks down after p
+    steps, the classes with t1 > p have no snapshot: they take pivoted dets
+    of their own contraction matrices (_quad_stack), in stacks of one t2
+    under the same cap.  By the reversal symmetry only t1 <= t3 is summed.
     """
     n = kern.ensemble.spec.sites
+    pairs = _xx_correlations(kern)
+    snapshots = _schur_snapshots(kern, (n - 2) // 2)
+    # the windows (t1, t2) of order N-1-t1-t2 >= t1, largest first
+    windows = sorted(((a, b) for a in range(1, len(snapshots) + 1) for b in range(1, n - 2 * a)),
+                     key=sum)
+    t1, t2 = np.array(windows, dtype=int).reshape(-1, 2).T
     total = 0.0
-    for t2 in range(1, n - 2):
+    start = 0
+    while start < len(t1):
+        m = n - 1 - t1[start] - t2[start]
+        stop = start + max(1, _DET_BATCH_ELEMENTS // (m * m))
+        a, b = t1[start:stop], t2[start:stop]
+        weights = _class_weights(n, a[:, None], b[:, None], np.arange(1, m + 1))
+        minors = _leading_minors(_window_stack(snapshots, a, b, m))
+        if minors is None:  # the elimination overwrote the stack
+            minors = _pivoted_minors(_window_stack(snapshots, a, b, m), weights != 0)
+        total += float(np.sum(pairs[a, None] * weights * minors))
+        start = stop
+    for t2 in range(1, n - 2):  # the classes past a breakdown of T, if any
         m = n - 1 - t2
         order = np.arange(1, m + 1)
         chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
-        for lo in range(1, m // 2 + 1, chunk):
+        for lo in range(len(snapshots) + 1, m // 2 + 1, chunk):
             t1 = np.arange(lo, min(lo + chunk, m // 2 + 1))[:, None]
-            minors = _leading_minors(_quad_stack(kern, t1, t2, order))
-            if minors is None:  # the elimination overwrote the stack
-                minors = _pivoted_minors(_quad_stack(kern, t1, t2, order), lo)
-            t3 = order - t1  # the minor of order t1 + t3
-            copies = np.where(t3 > t1, 2, t3 == t1)
-            total += float(np.sum(copies * (n - t1 - t2 - t3) * minors))
+            weights = _class_weights(n, t1, t2, order - t1)
+            minors = _pivoted_minors(_quad_stack(kern, t1, t2, order), weights != 0)
+            total += float(np.sum(weights * minors))
     return total
 
 
 def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     """<J_x^4> given an existing kernel (shared with var_jx computations).
 
-    The all-distinct quadruple sum comes from nested leading minors, one
-    blocked elimination per stack of equal-order matrices, in O(N^5) flops.
-    A stack on which that elimination breaks down takes one pivoted LAPACK
-    det per matrix and order instead, O(m^5) flops for that stack alone.  A
-    breakdown is a pivot that is zero to working precision, as at T = inf
-    (g = 0), on the gamma = -1, h/J = 0 line (every pair matrix singular)
-    and in the cold XX chain polarized by h/J > 1.
+    The all-distinct quadruple sum comes from one elimination of the pair
+    matrix, whose Schur-complement snapshots times the pair correlators
+    give every gap class, and one blocked elimination per stack of Schur
+    windows (see _nested_quad_sum): O(N^5) flops.  A breakdown is a pivot
+    that is zero to working precision, as at T = inf (g = 0), on the
+    gamma = -1, h/J = 0 line (every pair matrix singular) and in the cold
+    XX chain polarized by h/J > 1.  Where the pair matrix breaks down after
+    p steps, the classes with t1 > p take one pivoted LAPACK det per matrix
+    and order; a window stack that breaks down takes them for its own
+    windows.
 
     Accuracy, measured against the pivoted one-det-per-gap-class sum at
-    N = 50: over two seeded rounds of tscan-quartic points (113 points
-    without a breakdown each) the quadruple sums differ by up to 2.4e-10 of
-    <J_x^4>, and 9.3e-11 on the gamma = -1, h/J = 1 line, both at T =
-    0.792; at (-0.892, 0.767, 0.792) the difference is 1.6e-9.  The other
-    points of those rounds stay within 1.7e-12.  The large differences sit
-    at gamma < 0 near the critical line, where the elimination without row
-    exchanges grows the entries of its upper factor by up to 1e17 (about 1
-    at gamma > 0), yet no multiplier crosses the breakdown limit.
+    N = 50: over round 0 of tscan-quartic at seeds 4 and 11 (113 points
+    without a breakdown each) the quadruple sums differ by up to 1.15e-10
+    and 1.69e-10 of <J_x^4>, and by 1.5e-10 at (-0.892, 0.767, 0.792) and
+    1.2e-10 at (-1, 1, 0.792).  The large differences sit at gamma < 0 near
+    the critical line, where elimination without row exchanges grows the
+    entries of its upper factor by up to 1e17 (about 1 at gamma > 0), yet
+    no multiplier crosses the breakdown limit.
     """
     n = kern.ensemble.spec.sites
     pair_sum = _pair_sum(_xx_correlations(kern))

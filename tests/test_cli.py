@@ -265,3 +265,5 @@ def test_validate_passes():
     assert "all checks passed" in proc.stdout
     assert "FAIL" not in proc.stdout
     assert "ok   cold XX var_jz matches dense reference" in proc.stdout
+    assert "ok   fourth_moment_jx at gamma<0 matches dense reference" in proc.stdout
+    assert "ok   fourth_moment_jx on the gamma=-1, h/J=0 line matches dense reference" in proc.stdout

@@ -5,6 +5,7 @@ The frozen literals below were produced by the dense reference implementation
 live cross-checks against the same reference run next to them at small N.
 """
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -271,24 +272,73 @@ def test_nested_minors_match_by_class_reference(sites, monkeypatch):
         assert 24.0 * abs(nested - want) <= 1e-10 * fourth, (gamma, field, T)
 
 
+@pytest.mark.parametrize("gamma, field, T", ((-0.892, 0.767, 0.792), (-1.0, 1.0, 0.792)))
+def test_nested_minors_near_the_negative_gamma_critical_line(gamma, field, T):
+    # elimination without row exchanges grows its upper factor by up to 1e17
+    # here; the Schur windows measure 1.5e-10 and 1.2e-10 of <J_x^4> against
+    # the by-class reference at these points (1.6e-9 at the first when each
+    # class's matrix was eliminated from its first row)
+    kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=50, T=T))
+    nested = correlations._nested_quad_sum(kern)
+    fourth = correlations.fourth_moment_from_kernel(kern)
+    assert 24.0 * abs(nested - quad_sum_by_class(kern)) <= 2.5e-10 * fourth
+
+
+def _windows(n, t1s):
+    # the (t1, t2) Schur windows of the quadruple sum for the given t1
+    return sorted((a, b) for a in t1s for b in range(1, n - 2 * a))
+
+
+def _classes(n, t1_from):
+    # the (t1, t2) of every summed class with t1 >= t1_from
+    return sorted((a, b) for b in range(1, n - 2) for a in range(t1_from, (n - 1 - b) // 2 + 1))
+
+
+def _record_stacks(monkeypatch):
+    # the (t1, t2) of every window gathered and of every contraction matrix built
+    windows, classes = [], []
+    window_stack, quad_stack = correlations._window_stack, correlations._quad_stack
+
+    def gather(snapshots, t1, t2, m):
+        windows.append(list(zip(t1.tolist(), t2.tolist())))
+        return window_stack(snapshots, t1, t2, m)
+
+    def build(kern, t1, t2, order):
+        classes.append([(a, t2) for a in t1.ravel().tolist()])
+        return quad_stack(kern, t1, t2, order)
+
+    monkeypatch.setattr(correlations, "_window_stack", gather)
+    monkeypatch.setattr(correlations, "_quad_stack", build)
+    return windows, classes
+
+
 def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
-    # a cap of 200 entries leaves 1-3 matrices a stack, so at the breakdown
-    # point stacks whose first row has t1 > 1 take dets as well; each det'd
-    # matrix must be a minor the sum reads, one with t3 >= t1
+    # a cap of 200 entries leaves a few matrices a stack.  At the regular
+    # point each of the 36 Schur windows of N = 14 is eliminated in exactly
+    # one stack and no det is taken; at the breakdown point the pair matrix
+    # breaks down at its first pivot, so every class takes dets of its own
+    # contraction matrix, in chunks of one t2, and each det'd matrix must be
+    # a minor the sum reads, one with t3 >= t1
+    n, cap = 14, 200
     for (gamma, field, T), breaks in ((NESTED_GRID[0], False), (BREAKDOWN_GRID[0], True)):
-        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=14, T=T))
+        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
         whole = correlations._nested_quad_sum(kern)
-        monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 200)
-        pivoted = correlations._pivoted_minors
-        stacks = []
-        monkeypatch.setattr(correlations, "_pivoted_minors",
-                            lambda mats, lo: stacks.append((mats.shape, lo)) or pivoted(mats, lo))
+        monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", cap)
+        leading = correlations._leading_minors
+        shapes = []
+        monkeypatch.setattr(correlations, "_leading_minors",
+                            lambda mats: shapes.append(mats.shape) or leading(mats))
+        windows, classes = _record_stacks(monkeypatch)
         calls = _count_dets(monkeypatch)
         split = correlations._nested_quad_sum(kern)
         monkeypatch.undo()
-        read = sum(m - 2 * t1 + 1 for (rows, m, _), lo in stacks for t1 in range(lo, lo + rows))
+        assert all(b == 1 or b * m * m <= cap for b, m, _ in shapes), (gamma, field, T)
+        assert all(len(c) == 1 or len(c) * (n - 1 - c[0][1]) ** 2 <= cap for c in classes)
+        assert sorted(sum(windows, [])) == _windows(n, () if breaks else range(1, n // 2))
+        assert len(shapes) == len(windows)
+        assert sorted(sum(classes, [])) == (_classes(n, 1) if breaks else [])
+        read = sum(n - t2 - 2 * t1 for c in classes for t1, t2 in c)  # t3 = t1 ... m - t1
         assert sum(shape[0] for shape in calls) == read, (gamma, field, T)
-        assert any(lo > 1 for _, lo in stacks) == breaks, (gamma, field, T)
         fourth = correlations.fourth_moment_from_kernel(kern)
         assert split == pytest.approx(whole, rel=1e-13), (gamma, field, T)
         assert 24.0 * abs(split - quad_sum_by_class(kern)) <= 1e-12 * fourth, (gamma, field, T)
@@ -310,17 +360,45 @@ def test_breakdown_stacks_take_pivoted_dets(gamma, field, T, monkeypatch):
 
 
 def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):
-    # a breakdown forced on the stack of t2 = 9 (m = 20) at a point where no
-    # stack breaks down: the other 26 stacks keep their elimination
-    n, m = 30, 20
+    # a breakdown forced on the fourth window stack at a point where none
+    # breaks down: only its windows take dets, of the orders t3 >= t1 the
+    # sum reads, and the other stacks keep their elimination
+    n = 30
     kern = correlations.kernel(_ens(sites=n))
-    leading = correlations._leading_minors
+    monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 5000)
+    leading, count = correlations._leading_minors, itertools.count()
     monkeypatch.setattr(correlations, "_leading_minors",
-                        lambda mats: None if mats.shape[-1] == m else leading(mats))
+                        lambda mats: None if next(count) == 3 else leading(mats))
+    windows, classes = _record_stacks(monkeypatch)
     calls = _count_dets(monkeypatch)
     quad = correlations._nested_quad_sum(kern)
-    assert calls == [(k // 2, k, k) for k in range(2, m + 1)]
     monkeypatch.undo()
+    assert windows[4] == windows[3] and classes == []  # gathered again for its dets
+    assert sorted(sum(windows[:4] + windows[5:], [])) == _windows(n, range(1, n // 2))
+    orders = [(t1, n - 1 - t1 - t2) for t1, t2 in windows[3]]  # t3 from t1 to the window's order
+    assert calls == [(sum(lo <= k <= hi for lo, hi in orders), k, k)
+                     for k in range(1, n) if any(lo <= k <= hi for lo, hi in orders)]
+    fourth = correlations.fourth_moment_from_kernel(kern)
+    assert 24.0 * abs(quad - quad_sum_by_class(kern)) <= 1e-12 * fourth
+
+
+def test_pair_matrix_breakdown_sends_later_t1_to_dets(monkeypatch):
+    # a breakdown of the pair matrix forced after p = 5 steps: the classes
+    # with t1 <= 5 keep their Schur windows, those with t1 >= 6 alone take
+    # dets of their own contraction matrices
+    n = 30
+    kern = correlations.kernel(_ens(sites=n))
+    snapshots = correlations._schur_snapshots
+    monkeypatch.setattr(correlations, "_schur_snapshots",
+                        lambda kern, steps: snapshots(kern, steps)[:5])
+    windows, classes = _record_stacks(monkeypatch)
+    calls = _count_dets(monkeypatch)
+    quad = correlations._nested_quad_sum(kern)
+    monkeypatch.undo()
+    assert sorted(sum(windows, [])) == _windows(n, range(1, 6))
+    assert sorted(sum(classes, [])) == _classes(n, 6)
+    assert sum(shape[0] for shape in calls) == sum(n - t2 - 2 * t1 for c in classes
+                                                    for t1, t2 in c)
     fourth = correlations.fourth_moment_from_kernel(kern)
     assert 24.0 * abs(quad - quad_sum_by_class(kern)) <= 1e-12 * fourth
 

@@ -1,0 +1,127 @@
+"""Per-call timings of the slow layers of one point, on a fixed grid.
+
+Times ``correlations.fourth_moment_from_kernel`` (regular and breakdown
+points at N = 50 and 100, one regular point at N = 200), ``var_jx`` and
+``var_jx_slope`` for one or more source trees, and writes the medians to a
+JSON file together with the core count and the BLAS in use.  To compare a
+change with its parent commit, export the parent next to the checkout and
+pass both trees; the trees run alternately, each repetition in a fresh
+process with BLAS pinned to one thread:
+
+    git archive --prefix=parent/ HEAD~1 | tar x -C /tmp
+    python tools/bench_layers.py --tree parent=/tmp/parent/src --tree change=src \\
+        --reps 5 --out BENCH.json
+
+A kernel is built outside the timed region.  Before ``fourth_moment_from_kernel``
+its pair correlators are filled by ``var_jx``, as a readout point does;
+``var_jx`` itself is timed on a fresh kernel.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+from time import perf_counter
+
+# (layer, N, gamma, h/J, T); "breakdown" points are where elimination without
+# row exchanges meets a zero pivot and pivoted determinants take over
+GRID = (
+    ("fourth_moment_from_kernel", 50, 1.0, 0.5, 0.3, "regular"),
+    ("fourth_moment_from_kernel", 50, -0.892, 0.767, 0.792, "regular"),
+    ("fourth_moment_from_kernel", 50, -1.0, 0.0, 0.3, "breakdown"),
+    ("fourth_moment_from_kernel", 50, -1.0, 0.0, 5.0, "breakdown"),
+    ("fourth_moment_from_kernel", 50, 0.0, 2.0, 0.05, "breakdown"),
+    ("fourth_moment_from_kernel", 50, 1.0, 0.5, math.inf, "breakdown"),
+    ("fourth_moment_from_kernel", 100, 1.0, 0.5, 0.3, "regular"),
+    ("fourth_moment_from_kernel", 100, -1.0, 0.0, 0.3, "breakdown"),
+    ("fourth_moment_from_kernel", 200, 1.0, 0.5, 0.3, "regular"),
+    ("var_jx", 100, 1.0, 0.5, 0.3, "regular"),
+    ("var_jx", 300, 1.0, 0.5, 0.3, "regular"),
+    ("var_jx_slope", 50, 1.0, 0.5, 0.3, "regular"),
+    ("var_jx_slope", 100, 1.0, 0.5, 0.3, "regular"),
+    ("var_jx_slope", 300, 1.0, 0.5, 0.3, "regular"),
+)
+
+
+def _key(layer, n, gamma, field, temp, kind):
+    return f"{layer} N={n} ({gamma:g}, {field:g}, {temp:g}) {kind}"
+
+
+def _time_grid() -> dict[str, float]:
+    # one timing per grid entry, in seconds, with the tree on sys.path
+    from xythermo import correlations, thermometry
+    from xythermo.spectrum import ChainSpec
+
+    times = {}
+    for layer, n, gamma, field, temp, kind in GRID:
+        ens = thermometry.ensemble(ChainSpec(gamma=gamma, field_ratio=field, sites=n), temp)
+        kern = correlations.kernel(ens)
+        if layer == "fourth_moment_from_kernel":
+            correlations.var_jx(kern)
+        call = getattr(correlations, layer)
+        start = perf_counter()
+        call(kern)
+        times[_key(layer, n, gamma, field, temp, kind)] = perf_counter() - start
+    return times
+
+
+def _blas() -> dict:
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
+                        help="a label and the src directory of one source tree (repeatable)")
+    parser.add_argument("--reps", type=int, default=5, help="repetitions per tree (default 5)")
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:  # one repetition of one tree, in a fresh process
+        sys.path.insert(0, args.worker)
+        print(json.dumps({"times": _time_grid(), "env": _blas()}))
+        return 0
+    if not args.tree or not args.out or args.reps < 1:
+        parser.error("need at least one --tree, an --out file and --reps >= 1")
+
+    trees = dict(t.split("=", 1) for t in args.tree)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    runs = {label: [] for label in trees}
+    for rep in range(args.reps):
+        for label in list(trees) if rep % 2 == 0 else list(trees)[::-1]:
+            proc = subprocess.run(
+                [sys.executable, __file__, "--worker", os.path.abspath(trees[label])],
+                env=env, capture_output=True, text=True, check=True)
+            runs[label].append(json.loads(proc.stdout))
+            print(f"rep {rep + 1}/{args.reps} {label} done", file=sys.stderr, flush=True)
+    times = {label: [r["times"] for r in reps] for label, reps in runs.items()}
+    result = {
+        "what": "per-call seconds over repetitions that alternate the trees",
+        "nproc": os.cpu_count(),
+        "machine": os.uname().machine,
+        "python": sys.version.split()[0],
+        **next(iter(runs.values()))[0]["env"],
+        "reps": args.reps,
+        **{stat: {label: {k: fn([r[k] for r in reps]) for k in reps[0]}
+                  for label, reps in times.items()}
+           for stat, fn in (("median_s", statistics.median), ("min_s", min), ("max_s", max))},
+    }
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    for label, medians in result["median_s"].items():
+        for k, v in medians.items():
+            print(f"{label:>8}  {v:9.4f} s  {k}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
