@@ -366,13 +366,21 @@ def _validation_checks():
     for name, got, want in pairs:
         yield (f"{name} matches dense reference", abs(got / want - 1.0), 1e-8)
     # <J_x^4> where its elimination runs at gamma < 0, and on the gamma = -1,
-    # h/J = 0 line, where the pair matrix breaks down and pivoted dets take over
+    # h/J = 0 line, where the pair matrix breaks down at its first pivot and,
+    # at 8 sites, Hadamard's bound does not certify the quadruple sum
+    # negligible, so every gap class takes a pivoted det
     for where, line in (("at gamma<0", ChainSpec(gamma=-0.7, field_ratio=0.3, sites=8)),
                         ("on the gamma=-1, h/J=0 line", ChainSpec(gamma=-1.0, field_ratio=0.0,
                                                                   sites=8))):
         got = correlations.fourth_moment_jx(thermometry.ensemble(line, temp))
         want = oracle.oracle_fourth_jx(oracle.build(line, oracle.MATCHED), temp)
         yield (f"fourth_moment_jx {where} matches dense reference", abs(got / want - 1.0), 1e-8)
+    # the same line at 50 sites, where the bound certifies it and no det runs:
+    # the x spins are uncorrelated, so <J_x^4> is that of N independent spins
+    line = ChainSpec(gamma=-1.0, field_ratio=0.0, sites=50)
+    got = correlations.fourth_moment_jx(thermometry.ensemble(line, temp))
+    yield ("fourth_moment_jx on the gamma=-1, h/J=0 line at N=50 equals 3N^2-2N",
+           abs(got / (3 * 50 * 50 - 2 * 50) - 1.0), 1e-12)
     # a polarized XX chain, where Var(J_z) ~ 5e-18 sits far below roundoff of <J_z>^2
     cold = ChainSpec(gamma=0.0, field_ratio=2.0, sites=10)
     got = correlations.var_jz(thermometry.ensemble(cold, 0.05))

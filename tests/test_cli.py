@@ -267,3 +267,4 @@ def test_validate_passes():
     assert "ok   cold XX var_jz matches dense reference" in proc.stdout
     assert "ok   fourth_moment_jx at gamma<0 matches dense reference" in proc.stdout
     assert "ok   fourth_moment_jx on the gamma=-1, h/J=0 line matches dense reference" in proc.stdout
+    assert "ok   fourth_moment_jx on the gamma=-1, h/J=0 line at N=50 equals 3N^2-2N" in proc.stdout

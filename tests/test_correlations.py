@@ -315,13 +315,18 @@ def _record_stacks(monkeypatch):
 def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
     # a cap of 200 entries leaves a few matrices a stack.  At the regular
     # point each of the 36 Schur windows of N = 14 is eliminated in exactly
-    # one stack and no det is taken; at the breakdown point the pair matrix
-    # breaks down at its first pivot, so every class takes dets of its own
-    # contraction matrix, in chunks of one t2, and each det'd matrix must be
-    # a minor the sum reads, one with t3 >= t1
+    # one stack and no det is taken.  With a breakdown of the pair matrix
+    # forced at its first pivot, at the same point, Hadamard's bound is O(1)
+    # and certifies nothing, so every class takes dets of its own contraction
+    # matrix, in chunks of one t2, and each det'd matrix must be a minor the
+    # sum reads, one with t3 >= t1
     n, cap = 14, 200
-    for (gamma, field, T), breaks in ((NESTED_GRID[0], False), (BREAKDOWN_GRID[0], True)):
-        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
+    gamma, field, T = NESTED_GRID[0]
+    kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
+    fourth = correlations.fourth_moment_from_kernel(kern)
+    for breaks in (False, True):
+        if breaks:
+            monkeypatch.setattr(correlations, "_schur_snapshots", lambda kern, steps: [])
         whole = correlations._nested_quad_sum(kern)
         monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", cap)
         leading = correlations._leading_minors
@@ -332,31 +337,57 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
         calls = _count_dets(monkeypatch)
         split = correlations._nested_quad_sum(kern)
         monkeypatch.undo()
-        assert all(b == 1 or b * m * m <= cap for b, m, _ in shapes), (gamma, field, T)
+        assert all(b == 1 or b * m * m <= cap for b, m, _ in shapes), breaks
         assert all(len(c) == 1 or len(c) * (n - 1 - c[0][1]) ** 2 <= cap for c in classes)
         assert sorted(sum(windows, [])) == _windows(n, () if breaks else range(1, n // 2))
         assert len(shapes) == len(windows)
         assert sorted(sum(classes, [])) == (_classes(n, 1) if breaks else [])
         read = sum(n - t2 - 2 * t1 for c in classes for t1, t2 in c)  # t3 = t1 ... m - t1
-        assert sum(shape[0] for shape in calls) == read, (gamma, field, T)
-        fourth = correlations.fourth_moment_from_kernel(kern)
-        assert split == pytest.approx(whole, rel=1e-13), (gamma, field, T)
-        assert 24.0 * abs(split - quad_sum_by_class(kern)) <= 1e-12 * fourth, (gamma, field, T)
+        assert sum(shape[0] for shape in calls) == read, breaks
+        assert split == pytest.approx(whole, rel=1e-13), breaks
+        assert 24.0 * abs(split - quad_sum_by_class(kern)) <= 1e-12 * fourth, breaks
 
 
 @pytest.mark.parametrize("gamma, field, T", BREAKDOWN_GRID)
-def test_breakdown_stacks_take_pivoted_dets(gamma, field, T, monkeypatch):
+def test_breakdown_points_skip_dets_once_certified(gamma, field, T, monkeypatch):
+    # the pair matrix breaks down at its first pivot, and Hadamard's bound
+    # certifies every class at N = 30 and 50; at N = 14 the gamma = -1, h/J
+    # = 0 point sits at the certificate's edge and may keep its dets
     for n in (14, 30, 50):
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
         want = quad_sum_by_class(kern)
         calls = _count_dets(monkeypatch)
         fourth = correlations.fourth_moment_from_kernel(kern)
         monkeypatch.undo()
-        assert calls, f"no stack broke down at N={n}"
+        assert n == 14 or calls == [], f"dets taken at N={n}"
         assert 24.0 * abs(correlations._nested_quad_sum(kern) - want) <= 1e-12 * fourth, n
         assert fourth == pytest.approx(3 * n * n - 2 * n, rel=1e-12), n
         if T == math.inf:
             assert fourth == 3 * n * n - 2 * n
+
+
+@pytest.mark.parametrize("gamma, field, T", NESTED_GRID + BREAKDOWN_GRID)
+def test_hadamard_products_bound_every_class_det(gamma, field, T):
+    # each summed class (t1 <= t3, weight > 0) at N = 14, against the det of
+    # its contraction matrix built here from the class's own sites: a site
+    # off by one or a dropped wrap column would put the product below |det|
+    n = 14
+    kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
+    g, off = kern._g, kern._off
+    checked = 0
+    for t2 in range(1, n - 2):
+        m = n - 1 - t2
+        order = np.arange(1, m + 1)
+        t1 = np.arange(1, m // 2 + 1)[:, None]
+        products = correlations._hadamard_products(kern, t1, t2, order)
+        weights = correlations._class_weights(n, t1, t2, order - t1)
+        for b, k in zip(*np.nonzero(weights)):
+            a = b + 1
+            sites = np.r_[0:a, a + t2:t2 + k + 1]
+            det = np.linalg.det(g[off + sites[:, None] - sites[None, :] - 1])
+            assert abs(det) <= products[b, k] * (1.0 + 1e-13), (a, t2, k + 1 - a)
+            checked += 1
+    assert checked == len(_gap_classes(n))
 
 
 def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):

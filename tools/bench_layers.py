@@ -14,7 +14,9 @@ process with BLAS pinned to one thread:
 
 A kernel is built outside the timed region.  Before ``fourth_moment_from_kernel``
 its pair correlators are filled by ``var_jx``, as a readout point does;
-``var_jx`` itself is timed on a fresh kernel.
+``var_jx`` itself is timed on a fresh kernel.  Next to each time the file
+records how many ``numpy.linalg.det`` calls the timed call made, which
+shows the branch a breakdown point took (0 where no pivoted det ran).
 """
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ import sys
 from time import perf_counter
 
 # (layer, N, gamma, h/J, T); "breakdown" points are where elimination without
-# row exchanges meets a zero pivot and pivoted determinants take over
+# row exchanges meets a zero pivot, so that the gap classes past it take
+# pivoted determinants unless a bound certifies them negligible
 GRID = (
     ("fourth_moment_from_kernel", 50, 1.0, 0.5, 0.3, "regular"),
     ("fourth_moment_from_kernel", 50, -0.892, 0.767, 0.792, "regular"),
@@ -51,22 +54,37 @@ def _key(layer, n, gamma, field, temp, kind):
     return f"{layer} N={n} ({gamma:g}, {field:g}, {temp:g}) {kind}"
 
 
-def _time_grid() -> dict[str, float]:
-    # one timing per grid entry, in seconds, with the tree on sys.path
+def _time_grid() -> tuple[dict[str, float], dict[str, int]]:
+    # one timing per grid entry, in seconds, and the numpy.linalg.det calls
+    # it made, with the tree on sys.path
+    import numpy as np
     from xythermo import correlations, thermometry
     from xythermo.spectrum import ChainSpec
 
-    times = {}
-    for layer, n, gamma, field, temp, kind in GRID:
-        ens = thermometry.ensemble(ChainSpec(gamma=gamma, field_ratio=field, sites=n), temp)
-        kern = correlations.kernel(ens)
-        if layer == "fourth_moment_from_kernel":
-            correlations.var_jx(kern)
-        call = getattr(correlations, layer)
-        start = perf_counter()
-        call(kern)
-        times[_key(layer, n, gamma, field, temp, kind)] = perf_counter() - start
-    return times
+    det, calls = np.linalg.det, [0]
+
+    def counting_det(a):
+        calls[0] += 1
+        return det(a)
+
+    times, dets = {}, {}
+    np.linalg.det = counting_det
+    try:
+        for layer, n, gamma, field, temp, kind in GRID:
+            ens = thermometry.ensemble(ChainSpec(gamma=gamma, field_ratio=field, sites=n), temp)
+            kern = correlations.kernel(ens)
+            if layer == "fourth_moment_from_kernel":
+                correlations.var_jx(kern)
+            call = getattr(correlations, layer)
+            calls[0] = 0
+            start = perf_counter()
+            call(kern)
+            key = _key(layer, n, gamma, field, temp, kind)
+            times[key] = perf_counter() - start
+            dets[key] = calls[0]
+    finally:
+        np.linalg.det = det
+    return times, dets
 
 
 def _blas() -> dict:
@@ -87,7 +105,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.worker:  # one repetition of one tree, in a fresh process
         sys.path.insert(0, args.worker)
-        print(json.dumps({"times": _time_grid(), "env": _blas()}))
+        times, dets = _time_grid()
+        print(json.dumps({"times": times, "dets": dets, "env": _blas()}))
         return 0
     if not args.tree or not args.out or args.reps < 1:
         parser.error("need at least one --tree, an --out file and --reps >= 1")
@@ -103,6 +122,10 @@ def main(argv=None) -> int:
             runs[label].append(json.loads(proc.stdout))
             print(f"rep {rep + 1}/{args.reps} {label} done", file=sys.stderr, flush=True)
     times = {label: [r["times"] for r in reps] for label, reps in runs.items()}
+    dets = {label: reps[0]["dets"] for label, reps in runs.items()}
+    for label, reps in runs.items():  # deterministic: every repetition agrees
+        if any(r["dets"] != dets[label] for r in reps):
+            raise SystemExit(f"det counts of tree {label} differ between repetitions")
     result = {
         "what": "per-call seconds over repetitions that alternate the trees",
         "nproc": os.cpu_count(),
@@ -113,13 +136,14 @@ def main(argv=None) -> int:
         **{stat: {label: {k: fn([r[k] for r in reps]) for k in reps[0]}
                   for label, reps in times.items()}
            for stat, fn in (("median_s", statistics.median), ("min_s", min), ("max_s", max))},
+        "det_calls": dets,
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     for label, medians in result["median_s"].items():
         for k, v in medians.items():
-            print(f"{label:>8}  {v:9.4f} s  {k}")
+            print(f"{label:>8}  {v:9.4f} s  {dets[label][k]:6d} dets  {k}")
     return 0
 
 
