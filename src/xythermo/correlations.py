@@ -33,12 +33,15 @@ behind.  One O(N^3) elimination of T therefore serves every class, and
 for fixed (t1, t2) every t3 is a leading minor of the window
 Sigma_t1[t2:, t2:], which one elimination without row exchanges gives as
 products of its pivots: O(N^5) flops for the sum instead of the O(N^6) of
-one det per class.  Where an elimination breaks down on a pivot that is
-zero to working precision (see fourth_moment_from_kernel), only what it
-could not reach takes pivoted dets, one per matrix and order, and past a
-breakdown of T not even that when Hadamard's inequality certifies those
-classes below one ulp of <J_x^4>.  The one-det-per-class sum lives in the
-tests, as the reference.
+one det per class.  The windows are eliminated in stacks, each at a
+panel-aligned offset in an identity matrix, so that no flop goes to the
+identity before a window and a window's pivots do not depend on its
+stack.  Where an elimination breaks down on a pivot that is zero to
+working precision (see fourth_moment_from_kernel), only what it could not
+reach takes pivoted dets, one per matrix and order, and past a breakdown
+of T not even that when Hadamard's inequality certifies those classes
+below one ulp of <J_x^4>.  The one-det-per-class sum lives in the tests,
+as the reference.
 
 A subtlety worth stating once: these formulas describe the Hamiltonian
 variant whose fermions are exactly antiperiodic (the boundary bond carries
@@ -78,13 +81,16 @@ __all__ = [
 
 MODULATIONS = ("uniform", "half")
 
-# cap on matrix entries in one elimination stack of _nested_quad_sum (1 MB of
-# float64), whether it holds Schur windows or, past a breakdown of the pair
-# matrix, the contraction matrices of one t2; chosen by timing: 75k-150k
-# entries time alike at N = 50, 125k-150k are fastest at N = 100
-_DET_BATCH_ELEMENTS = 125_000
+# cap on matrix entries in one elimination stack of _nested_quad_sum (2.4 MB
+# of float64), whether it holds Schur windows or, past a breakdown of the
+# pair matrix, the contraction matrices of one t2; chosen by timing: the
+# windows spend no flop on the identity before their offsets, so 200k-400k
+# entries time alike at N = 50, 200k-300k are fastest at N = 100 (400k is
+# 15-20 % slower, at regular and breakdown points alike), and 300k at N = 200
+_DET_BATCH_ELEMENTS = 300_000
 # width of the diagonal panels inside which _leading_minors takes scalar steps,
-# and where a panel's multipliers sit in its diagonal block
+# and where a panel's multipliers sit in its diagonal block; every window of
+# a stack starts at a multiple of it
 _PANEL = 8
 _STRICTLY_LOWER = np.tri(_PANEL, k=-1, dtype=bool)
 _EPS = np.finfo(float).eps
@@ -343,34 +349,45 @@ def var_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     raise ValueError(f"unknown modulation {modulation!r}; expected one of {MODULATIONS}")
 
 
-def _leading_minors(mats: np.ndarray) -> np.ndarray | None:
+def _leading_minors(mats: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
     """Every leading principal minor of each matrix in a (B, m, m) stack.
 
     Gaussian elimination without row exchanges, in place: the minor of
     order k is the product of the first k pivots (Golub & Van Loan, Matrix
-    Computations, sec. 3.2).  Scalar steps run only inside _PANEL-wide
-    diagonal panels, where they also forward-substitute the panel rows of
-    the upper factor; the trailing Schur complement then takes one batched
-    matmul per panel.  Returns None on breakdown: a pivot that is zero to
-    working precision (some multiplier above _MULTIPLIER_LIMIT), or any
-    value that is not finite.
+    Computations, sec. 3.2).  Matrix i is the identity on its first
+    offsets[i] rows and columns, a multiple of _PANEL that ascends down the
+    stack, so the diagonal panel [k0, k1) is factored only for the prefix
+    of matrices with an offset below k1; the others keep pivots of 1.
+    Scalar steps run only inside a panel, on contiguous copies of its
+    columns and of its rows of the upper factor with the batch axis
+    innermost, and keep nothing but its pivots; the trailing Schur
+    complement then takes one batched matmul of contiguous multipliers and
+    upper rows.  A matrix's pivots are thus the same floating-point
+    operations, whatever its offset and whatever else shares its stack.
+    Returns None on breakdown: a pivot that is zero to working precision
+    (some multiplier above _MULTIPLIER_LIMIT), or any value that is not
+    finite.
     """
     m = mats.shape[-1]
+    pivots = np.ones(mats.shape[:2])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k0 in range(0, m, _PANEL):
             k1 = min(k0 + _PANEL, m)
-            for k in range(k0, k1):
-                col = mats[:, k + 1:, k]
-                col /= mats[:, k, k, None]
-                mats[:, k + 1:, k + 1:k1] -= col[:, :, None] * mats[:, k, None, k + 1:k1]
-                mats[:, k + 1:k1, k1:] -= col[:, :k1 - k - 1, None] * mats[:, k, None, k1:]
-            below = np.max(np.abs(mats[:, k1:, k0:k1]), initial=0.0)
-            inside = np.max(np.abs(mats[:, k0:k1, k0:k1][:, _STRICTLY_LOWER[:k1 - k0, :k1 - k0]]),
-                            initial=0.0)
+            w, active = k1 - k0, np.searchsorted(offsets, k1)
+            cols = mats[:active, k0:, k0:k1].transpose(1, 2, 0).copy()  # (m - k0, w, B)
+            rows = mats[:active, k0:k1, k1:].transpose(1, 2, 0).copy()  # (w, m - k1, B)
+            for j in range(w):
+                cols[j + 1:, j] /= cols[j, j]
+                cols[j + 1:, j + 1:] -= cols[j + 1:, j, None] * cols[j, None, j + 1:]
+                rows[j + 1:] -= cols[j + 1:w, j, None] * rows[j, None]
+            below = np.max(np.abs(cols[w:]), initial=0.0)
+            inside = np.max(np.abs(cols[:w][_STRICTLY_LOWER[:w, :w]]), initial=0.0)
             if not max(below, inside) <= _MULTIPLIER_LIMIT:
                 return None
-            mats[:, k1:, k1:] -= mats[:, k1:, k0:k1] @ mats[:, k0:k1, k1:]
-        minors = np.cumprod(np.diagonal(mats, axis1=1, axis2=2), axis=1)
+            pivots[:active, k0:k1] = np.diagonal(cols[:w])
+            mats[:active, k1:, k1:] -= (np.ascontiguousarray(cols[w:].transpose(2, 0, 1))
+                                        @ np.ascontiguousarray(rows.transpose(2, 0, 1)))
+        minors = np.cumprod(pivots, axis=1)
     return minors if np.isfinite(minors).all() else None
 
 
@@ -429,14 +446,15 @@ def _schur_snapshots(kern: CorrelationKernel, steps: int) -> list[np.ndarray]:
 
 
 def _window_stack(snapshots: list[np.ndarray], t1: np.ndarray, t2: np.ndarray,
-                  m: int) -> np.ndarray:
-    # window Sigma_t1[t2:, t2:] of each (t1, t2), padded with the identity to
-    # m x m: the padding leaves every leading minor up to the window's order
+                  offsets: np.ndarray, m: int) -> np.ndarray:
+    # window Sigma_t1[t2:, t2:] of each (t1, t2) in an m x m identity, on
+    # rows and columns from its offset: the identity around it leaves its
+    # leading minor of order t3 as the stack's minor of order offset + t3
     stack = np.zeros((len(t1), m, m))
     stack[:, np.arange(m), np.arange(m)] = 1.0
-    for mat, a, b in zip(stack, t1.tolist(), t2.tolist()):
+    for mat, a, b, o in zip(stack, t1.tolist(), t2.tolist(), offsets.tolist()):
         window = snapshots[a - 1][b:, b:]
-        mat[:len(window), :len(window)] = window
+        mat[o:o + len(window), o:o + len(window)] = window
     return stack
 
 
@@ -497,11 +515,15 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
     its (t1, t2): the quotient property of Schur complements (Crabtree &
     Haynsworth, 1969) makes the window's own elimination continue that of
     T.  The windows of every t1 go through _leading_minors largest first,
-    padded to the largest of their stack, in stacks of at most
-    _DET_BATCH_ELEMENTS entries; a stack on which that elimination breaks
-    down is gathered again and takes pivoted dets (_pivoted_minors) of the
-    orders t3 >= t1 it reads.  By the reversal symmetry only t1 <= t3 is
-    summed.
+    in stacks of at most _DET_BATCH_ELEMENTS entries sized by the first,
+    largest window.  Each window sits in the identity at the largest
+    multiple of _PANEL that leaves it room, so it starts on a panel
+    boundary, as it would alone, and the panels before its offset skip it:
+    at most _PANEL - 1 rows of identity after it are eliminated with it,
+    and its minor of order t3 is the stack's of order offset + t3.  A stack
+    on which that elimination breaks down is gathered again at offset 0
+    and takes pivoted dets (_pivoted_minors) of the orders t3 >= t1 it
+    reads.  By the reversal symmetry only t1 <= t3 is summed.
 
     If the elimination of T breaks down after p steps, the classes with
     t1 > p have no snapshot.  First their weighted Hadamard bounds
@@ -531,10 +553,14 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
         m = n - 1 - t1[start] - t2[start]
         stop = start + max(1, _DET_BATCH_ELEMENTS // (m * m))
         a, b = t1[start:stop], t2[start:stop]
-        weights = _class_weights(n, a[:, None], b[:, None], np.arange(1, m + 1))
-        minors = _leading_minors(_window_stack(snapshots, a, b, m))
+        # each window starts on the last panel boundary that leaves it room
+        offsets = (a + b - a[0] - b[0]) // _PANEL * _PANEL
+        minors = _leading_minors(_window_stack(snapshots, a, b, offsets, m), offsets)
         if minors is None:  # the elimination overwrote the stack
-            minors = _pivoted_minors(_window_stack(snapshots, a, b, m), weights != 0)
+            offsets = np.zeros_like(offsets)
+            read = _class_weights(n, a[:, None], b[:, None], np.arange(1, m + 1)) != 0
+            minors = _pivoted_minors(_window_stack(snapshots, a, b, offsets, m), read)
+        weights = _class_weights(n, a[:, None], b[:, None], np.arange(1, m + 1) - offsets[:, None])
         total += float(np.sum(pairs[a, None] * weights * minors))
         start = stop
     late = len(snapshots) + 1  # the first t1 without a snapshot

@@ -277,7 +277,10 @@ def test_nested_minors_near_the_negative_gamma_critical_line(gamma, field, T):
     # elimination without row exchanges grows its upper factor by up to 1e17
     # here; the Schur windows measure 1.5e-10 and 1.2e-10 of <J_x^4> against
     # the by-class reference at these points (1.6e-9 at the first when each
-    # class's matrix was eliminated from its first row)
+    # class's matrix was eliminated from its first row).  The bound holds for
+    # today's rounding order, not for the algorithm: with _PANEL = 1, 2, 4, 8
+    # and 16 alone, the first point measures 3.3e-10, 6.6e-11, 9.9e-10,
+    # 1.5e-10 and 3.2e-10, and the second 1.0e-10 ... 2.6e-10
     kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=50, T=T))
     nested = correlations._nested_quad_sum(kern)
     fourth = correlations.fourth_moment_from_kernel(kern)
@@ -299,9 +302,9 @@ def _record_stacks(monkeypatch):
     windows, classes = [], []
     window_stack, quad_stack = correlations._window_stack, correlations._quad_stack
 
-    def gather(snapshots, t1, t2, m):
+    def gather(snapshots, t1, t2, offsets, m):
         windows.append(list(zip(t1.tolist(), t2.tolist())))
-        return window_stack(snapshots, t1, t2, m)
+        return window_stack(snapshots, t1, t2, offsets, m)
 
     def build(kern, t1, t2, order):
         classes.append([(a, t2) for a in t1.ravel().tolist()])
@@ -331,8 +334,8 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
         monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", cap)
         leading = correlations._leading_minors
         shapes = []
-        monkeypatch.setattr(correlations, "_leading_minors",
-                            lambda mats: shapes.append(mats.shape) or leading(mats))
+        monkeypatch.setattr(correlations, "_leading_minors", lambda mats, offsets:
+                            shapes.append(mats.shape) or leading(mats, offsets))
         windows, classes = _record_stacks(monkeypatch)
         calls = _count_dets(monkeypatch)
         split = correlations._nested_quad_sum(kern)
@@ -390,6 +393,35 @@ def test_hadamard_products_bound_every_class_det(gamma, field, T):
     assert checked == len(_gap_classes(n))
 
 
+def test_window_minors_do_not_depend_on_their_stack():
+    # windows of orders 47, 41, 33, 25 and 17 share one stack at the
+    # panel-aligned offsets 0, 0, 8, 16 and 24, so the first panels factor
+    # only a prefix of it.  Each window's minors must be bitwise those it
+    # gets alone, where orders 41, 33, 25 and 17 end on a 1 x 1 trailing
+    # update, and the identity around it must leave pivots of 1.  A first
+    # pivot of the last window, which the first three panels skip, that is
+    # zero or below roundoff of its column must still break the stack down
+    n = 50
+    t1, t2 = np.array([1, 2, 5, 3, 10]), np.array([1, 6, 11, 21, 22])
+    orders = n - 1 - t1 - t2
+    m = orders[0]
+    offsets = (m - orders) // correlations._PANEL * correlations._PANEL
+    origin = np.zeros(1, dtype=int)
+    for gamma, field, T in (NESTED_GRID[0], (-0.892, 0.767, 0.792)):
+        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
+        snapshots = correlations._schur_snapshots(kern, (n - 2) // 2)
+        stack = correlations._window_stack(snapshots, t1, t2, offsets, m)
+        minors = correlations._leading_minors(stack.copy(), offsets)
+        for i, (k, o) in enumerate(zip(orders.tolist(), offsets.tolist())):
+            alone = correlations._leading_minors(
+                correlations._window_stack(snapshots, t1[i:i + 1], t2[i:i + 1], origin, k), origin)
+            assert np.array_equal(minors[i, o:o + k], alone[0]), (gamma, k)
+            assert np.all(minors[i, :o] == 1.0) and np.all(minors[i, o + k:] == alone[0, -1])
+        for pivot in (0.0, 1e-18):
+            stack[-1, offsets[-1], offsets[-1]] = pivot
+            assert correlations._leading_minors(stack.copy(), offsets) is None, (gamma, pivot)
+
+
 def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):
     # a breakdown forced on the fourth window stack at a point where none
     # breaks down: only its windows take dets, of the orders t3 >= t1 the
@@ -399,7 +431,7 @@ def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):
     monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 5000)
     leading, count = correlations._leading_minors, itertools.count()
     monkeypatch.setattr(correlations, "_leading_minors",
-                        lambda mats: None if next(count) == 3 else leading(mats))
+                        lambda mats, offsets: None if next(count) == 3 else leading(mats, offsets))
     windows, classes = _record_stacks(monkeypatch)
     calls = _count_dets(monkeypatch)
     quad = correlations._nested_quad_sum(kern)

@@ -16,7 +16,11 @@ A kernel is built outside the timed region.  Before ``fourth_moment_from_kernel`
 its pair correlators are filled by ``var_jx``, as a readout point does;
 ``var_jx`` itself is timed on a fresh kernel.  Next to each time the file
 records how many ``numpy.linalg.det`` calls the timed call made, which
-shows the branch a breakdown point took (0 where no pivoted det ran).
+shows the branch a breakdown point took (0 where no pivoted det ran), and
+the value the call returned.  Each tree's values must repeat exactly over
+its repetitions; the file gives every value's relative difference from the
+first tree, and the run prints the largest, so a speed change that moves
+the numbers shows next to its timings.
 """
 from __future__ import annotations
 
@@ -54,9 +58,9 @@ def _key(layer, n, gamma, field, temp, kind):
     return f"{layer} N={n} ({gamma:g}, {field:g}, {temp:g}) {kind}"
 
 
-def _time_grid() -> tuple[dict[str, float], dict[str, int]]:
-    # one timing per grid entry, in seconds, and the numpy.linalg.det calls
-    # it made, with the tree on sys.path
+def _time_grid() -> tuple[dict[str, float], dict[str, int], dict[str, float]]:
+    # one timing per grid entry, in seconds, the numpy.linalg.det calls it
+    # made and the value it returned, with the tree on sys.path
     import numpy as np
     from xythermo import correlations, thermometry
     from xythermo.spectrum import ChainSpec
@@ -67,7 +71,7 @@ def _time_grid() -> tuple[dict[str, float], dict[str, int]]:
         calls[0] += 1
         return det(a)
 
-    times, dets = {}, {}
+    times, dets, values = {}, {}, {}
     np.linalg.det = counting_det
     try:
         for layer, n, gamma, field, temp, kind in GRID:
@@ -78,13 +82,27 @@ def _time_grid() -> tuple[dict[str, float], dict[str, int]]:
             call = getattr(correlations, layer)
             calls[0] = 0
             start = perf_counter()
-            call(kern)
+            value = call(kern)
             key = _key(layer, n, gamma, field, temp, kind)
             times[key] = perf_counter() - start
             dets[key] = calls[0]
+            values[key] = float(value)
     finally:
         np.linalg.det = det
-    return times, dets
+    return times, dets, values
+
+
+def _relative_difference(value: float, base: float) -> float:
+    if value == base:
+        return 0.0
+    return abs(value - base) / abs(base) if base else math.inf
+
+
+def _relative_differences(values: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
+    # |v - v0| / |v0| of each tree's value against the first tree's v0
+    base = next(iter(values.values()))
+    return {label: {k: _relative_difference(v, base[k]) for k, v in vals.items()}
+            for label, vals in values.items()}
 
 
 def _blas() -> dict:
@@ -105,8 +123,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.worker:  # one repetition of one tree, in a fresh process
         sys.path.insert(0, args.worker)
-        times, dets = _time_grid()
-        print(json.dumps({"times": times, "dets": dets, "env": _blas()}))
+        times, dets, values = _time_grid()
+        print(json.dumps({"times": times, "dets": dets, "values": values, "env": _blas()}))
         return 0
     if not args.tree or not args.out or args.reps < 1:
         parser.error("need at least one --tree, an --out file and --reps >= 1")
@@ -123,9 +141,12 @@ def main(argv=None) -> int:
             print(f"rep {rep + 1}/{args.reps} {label} done", file=sys.stderr, flush=True)
     times = {label: [r["times"] for r in reps] for label, reps in runs.items()}
     dets = {label: reps[0]["dets"] for label, reps in runs.items()}
+    values = {label: reps[0]["values"] for label, reps in runs.items()}
     for label, reps in runs.items():  # deterministic: every repetition agrees
-        if any(r["dets"] != dets[label] for r in reps):
-            raise SystemExit(f"det counts of tree {label} differ between repetitions")
+        for name, first in (("dets", dets), ("values", values)):
+            if any(r[name] != first[label] for r in reps):
+                raise SystemExit(f"{name} of tree {label} differ between repetitions")
+    differences = _relative_differences(values)
     result = {
         "what": "per-call seconds over repetitions that alternate the trees",
         "nproc": os.cpu_count(),
@@ -137,6 +158,8 @@ def main(argv=None) -> int:
                   for label, reps in times.items()}
            for stat, fn in (("median_s", statistics.median), ("min_s", min), ("max_s", max))},
         "det_calls": dets,
+        "values": values,
+        "relative_difference_from_first_tree": differences,
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
@@ -144,6 +167,10 @@ def main(argv=None) -> int:
     for label, medians in result["median_s"].items():
         for k, v in medians.items():
             print(f"{label:>8}  {v:9.4f} s  {dets[label][k]:6d} dets  {k}")
+    for label, diffs in list(differences.items())[1:]:
+        worst = max(diffs, key=diffs.get)
+        print(f"{label:>8}  largest relative difference of a value from tree "
+              f"{next(iter(trees))}: {diffs[worst]:.3g} ({worst})")
     return 0
 
 
