@@ -17,23 +17,28 @@ skew-symmetric matrices reduce exactly (block structure, sign +1) to plain
 determinants of contraction submatrices.
 
 The pair correlator at separation r is the leading r x r minor of one
-(N-1) x (N-1) Toeplitz matrix, so every separation comes from a single
-sweep that updates an orthogonal factorization one row at a time: O(N^3)
-flops for all N - 1 minors, instead of O(N^4) for one det per separation.
-Elimination without row exchanges would be cheaper still, but it is
-unstable here: the pair correlator falls to ~1e-19 halfway round the ring
-and grows again toward r = N - 1, and the pivot ratios blow up with it.
+(N-1) x (N-1) Toeplitz matrix, so every separation comes from the
+leading minors of a single matrix.  They come from orthogonal factors
+alone, by recursive halving (see _halving_minors): O(N^3) flops for all
+N - 1 minors, instead of O(N^4) for one det per separation, in a few
+LAPACK QR factorizations per level.  Elimination without row exchanges
+would be cheaper still, but it is unstable here: the pair correlator
+falls to ~1e-19 halfway round the ring and grows again toward r = N - 1,
+and the pivot ratios blow up with it.  Orthogonal factors keep every
+correlator accurate to near roundoff of 1, in absolute terms; a
+correlator far below 1 has correspondingly fewer correct digits.
 
 The <J_x^4> sum needs one such determinant per gap class (t1, t2, t3) of
 the four sites, about N^3/12 of them.  Each is a principal minor of the
 same pair matrix T, on the sites [0, t1) u [t1+t2, t1+t2+t3), so by
 Schur's determinant formula it is the pair correlator c(t1) times a minor
 of the Schur complement Sigma_t1 that t1 steps of elimination of T leave
-behind.  One O(N^3) elimination of T therefore serves every class, and
-for fixed (t1, t2) every t3 is a leading minor of the window
-Sigma_t1[t2:, t2:], which one elimination without row exchanges gives as
-products of its pivots: O(N^5) flops for the sum instead of the O(N^6) of
-one det per class.  The windows are eliminated in stacks, each at a
+behind, and c(t1) is the product of those t1 pivots.  One O(N^3)
+elimination of T therefore serves every class, and for fixed (t1, t2)
+every t3 is a leading minor of the window Sigma_t1[t2:, t2:], which one
+elimination without row exchanges gives as products of its pivots:
+O(N^5) flops for the sum instead of the O(N^6) of one det per class.
+The windows are eliminated in stacks, each at a
 panel-aligned offset in an identity matrix, so that no flop goes to the
 identity before a window and a window's pivots do not depend on its
 stack.  Where an elimination breaks down on a pivot that is zero to
@@ -108,8 +113,9 @@ class CorrelationKernel:
     """The g_j vector for one ensemble, plus its <sx sx> correlators.
 
     The correlators of every separation are computed together, once, on
-    first use; xx_correlation, var_jx and fourth_moment_from_kernel all
-    read that one array.
+    first use, to an absolute accuracy near roundoff of 1 (see
+    _pair_correlations); xx_correlation, var_jx and the pair sum of
+    fourth_moment_from_kernel read that one array.
     """
 
     __slots__ = ("ensemble", "_g", "_off", "_xx")
@@ -161,8 +167,14 @@ def xx_correlation(kern: CorrelationKernel, r: int) -> float:
     """<sx_l sx_{l+r}> as the r x r Toeplitz determinant with entries g_{a-b-1}.
 
     r = 0 returns 1 (same site); valid for 0 <= r <= N-1.  Reads the
-    kernel's correlator array, which one row-updating QR sweep fills for
-    all r at once (see _pair_correlations).
+    kernel's correlator array, which one recursive QR halving fills for
+    all r at once (see _pair_correlations).  The error is absolute, near
+    roundoff of 1 whatever the size of the correlator, because the minors
+    come from orthogonal factors, whose minors are at most 1 in
+    magnitude: a correlator of 1e-10 keeps only about six correct digits.
+    Var(J_x) weights them by at most 2N, so its absolute error is at
+    most about N^2 times theirs (1.2e-15 relative against 60-digit
+    arithmetic at N = 60, gamma = 1, h/J = 2, T = 0.05).
     """
     r = int(r)
     n = kern.ensemble.spec.sites
@@ -183,7 +195,7 @@ def yy_correlation(kern: CorrelationKernel, r: int) -> float:
 
 def _pair_correlation(kern, r, shift):
     # one LAPACK det for one separation: yy_correlation, the pairs of
-    # var_jx_slope's complex kernel, and the test reference for the QR sweep
+    # var_jx_slope's complex kernel, and the test reference for the halving
     n = kern.ensemble.spec.sites
     if not 0 <= r <= n - 1:
         raise ValueError(f"separation must lie in [0, N-1], got {r}")
@@ -193,34 +205,66 @@ def _pair_correlation(kern, r, shift):
     return np.linalg.det(kern._g[kern._off + shift + a[:, None] - a[None, :]]).item()
 
 
+def _halving_minors(a: np.ndarray) -> np.ndarray:
+    """Leading principal minors det a[:r, :r], r = 1 ... n, of a real n x n matrix.
+
+    With a = QR (LAPACK geqrf/orgqr), minor r of a is minor r of Q times
+    the product of the first r diagonal entries of R, and det Q = -1 to
+    the number of Householder reflections that are not the identity.
+    Since Q is orthogonal, Jacobi's complementary-minor identity gives
+    det Q[:r, :r] = det Q * det Q[r:, r:].  So the minors of order up to
+    h = n // 2 are the leading minors of Q[:h, :h], those of higher order
+    the trailing minors of Q[h:, h:], i.e. the leading minors of that
+    block reversed in rows and columns, and both blocks recurse down to
+    n <= 2 in closed form: O(n^3) flops, with no division and no pivot.
+    Every block that recurses is part of an orthogonal matrix, so its
+    minors are at most 1 in magnitude and come out with an absolute error
+    of a few ulps of 1; minor r of a carries that error times prod |R_ii|.
+    """
+    from scipy.linalg import lapack  # the only user of scipy.linalg
+
+    n = len(a)
+    if n == 1:
+        return np.array([a[0, 0]])
+    if n == 2:
+        return np.array([a[0, 0], a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]])
+    # workspace for the blocked LAPACK code (the default of 3n is unblocked)
+    qr, tau, _, info = lapack.dgeqrf(a, lwork=32 * n)
+    products = np.cumprod(np.diagonal(qr))
+    q, _, orth_info = lapack.dorgqr(qr, tau, lwork=32 * n, overwrite_a=True)
+    if info or orth_info:
+        raise RuntimeError(f"LAPACK QR failed: geqrf info {info}, orgqr info {orth_info}")
+    h = n // 2
+    minors = np.empty(n)
+    minors[:h] = _halving_minors(q[:h, :h])
+    # det Q[r:, r:] for r = h+1 ... n-1 is minor n-r of the reversed
+    # block, and the empty det of r = n is 1
+    minors[h:-1] = _halving_minors(q[h:, h:][::-1, ::-1])[-2::-1]
+    minors[-1] = 1.0
+    if np.count_nonzero(tau) % 2:  # det Q = -1
+        minors[h:] *= -1.0
+    return minors * products
+
+
 def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     """Pair correlators of every separation r = 0 ... N-1 (x: shift -1, y: +1).
 
     Correlator r is the leading r x r minor of the (N-1) x (N-1) Toeplitz
-    matrix M[a, b] = g_{shift+a-b}.  For a real kernel one sweep gives them
-    all: starting from the first row, each step appends the next row of M
-    to a full-width QR factorization with Givens rotations (Golub & Van
-    Loan, Matrix Computations, "Updating matrix factorizations"), and after
-    k rows the minor of order k is the product of the first k diagonal
-    entries of R, because the orthogonal factor is a product of rotations
-    with determinant +1.  That is O(N^3) flops with no pivot to break down,
-    so singular matrices and g = 0 (T = inf, exact zeros) need no fallback.
-    Rotations take |.| and conjugates, so they are not complex-analytic:
+    matrix M[a, b] = g_{shift+a-b}, and _halving_minors gives them all
+    from orthogonal factors: O(N^3) flops with no pivot to break down, so
+    singular matrices and g = 0 (T = inf, exact zeros: every tau and every
+    R_ii is 0) need no fallback.  M is a block of the Majorana correlation
+    matrix, whose singular values tanh(eps_k / 2T) are at most 1, so every
+    prod |R_ii| is at most 1 too, and the error of every correlator is
+    absolute, near roundoff of 1 (at most 5.4e-15 at four N = 60 points
+    measured against 60-digit arithmetic), not relative to the correlator.
+    Householder reflections take norms, which are not complex-analytic:
     the kernel must be real (var_jx_slope does not come here).
     """
-    from scipy.linalg import qr_insert  # the only user of scipy.linalg
-
     n = kern.ensemble.spec.sites
     a = np.arange(n - 1)
     mat = np.asarray_chkfinite(kern._g[kern._off + shift + a[:, None] - a[None, :]])
-    minors = np.empty(n)
-    minors[0] = 1.0
-    q, r = np.ones((1, 1)), mat[:1].copy()
-    minors[1] = r[0, 0]
-    for k in range(1, n - 1):
-        q, r = qr_insert(q, r, mat[k], k, which="row", check_finite=False)
-        minors[k + 1] = np.prod(np.diagonal(r)[:k + 1])
-    return minors
+    return np.concatenate(([1.0], _halving_minors(mat)))
 
 
 def _xx_correlations(kern: CorrelationKernel) -> np.ndarray:
@@ -247,8 +291,9 @@ def var_jx_slope(kern: CorrelationKernel) -> float:
     The pair determinants are polynomials in the g_j, so the pair sums of
     the complex kernel g + i s T dg/dT are Var(J_x) + i s T dVar(J_x)/dT +
     O(s^2), with no subtraction.  Unlike det * tr(M^-1 dM) this stays finite
-    where pair matrices are singular (gamma = -1, h/J = 0).  Rotations are
-    not complex-analytic, so each pair takes one LAPACK det: O(N^4) flops.
+    where pair matrices are singular (gamma = -1, h/J = 0).  Householder
+    reflections are not complex-analytic, so each pair takes one LAPACK
+    det: O(N^4) flops.
     """
     ens = kern.ensemble
     n = ens.spec.sites
@@ -508,9 +553,9 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
     The contraction matrix of gap class (t1, t2, t3) is T[S, S] for the
     pair matrix T of _schur_snapshots and S = F u W, F = [0, t1), W =
     [t1+t2, t1+t2+t3).  By Schur's determinant formula its det is c(t1) *
-    det Sigma_t1[W, W], with c(t1) = det T[F, F] the pair correlator of the
-    kernel's memo, and W is the leading t3 x t3 block of the window
-    Sigma_t1[t2:, t2:].  So one elimination of T gives every Sigma_t1, and
+    det Sigma_t1[W, W], with c(t1) = det T[F, F] the pair correlator, and W
+    is the leading t3 x t3 block of the window Sigma_t1[t2:, t2:].  So one
+    elimination of T gives every Sigma_t1 (and c(t1), see below), and
     one elimination of each window, of order N-1-t1-t2, gives every t3 of
     its (t1, t2): the quotient property of Schur complements (Crabtree &
     Haynsworth, 1969) makes the window's own elimination continue that of
@@ -524,6 +569,13 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
     on which that elimination breaks down is gathered again at offset 0
     and takes pivoted dets (_pivoted_minors) of the orders t3 >= t1 it
     reads.  By the reversal symmetry only t1 <= t3 is summed.
+
+    c(t1) is the product of the first t1 pivots of that elimination of T:
+    Schur's formula in the elimination's own arithmetic.  The kernel's
+    memo of pair correlators is accurate in absolute terms only; at
+    (1, 2, 0.05), N = 60, its c(29) = 2.6e-10 is 5.5e-7 off in relative
+    terms, and the large window minors that c(29) multiplies would carry
+    that to 1.9e-10 of <J_x^4> (4.4e-9 at (-0.7, 0.3, 0.05), N = 60).
 
     If the elimination of T breaks down after p steps, the classes with
     t1 > p have no snapshot.  First their weighted Hadamard bounds
@@ -541,8 +593,11 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
     whose correlations are not negligible, where the bound is O(1).
     """
     n = kern.ensemble.spec.sites
-    pairs = _xx_correlations(kern)
     snapshots = _schur_snapshots(kern, (n - 2) // 2)
+    # c(t1) for t1 = 0 ... len(snapshots): products of the pivots T[0, 0] =
+    # g_{-1} and Sigma_t[0, 0], t = 1 ... len(snapshots) - 1
+    pivots = [snapshot[0, 0] for snapshot in snapshots[:-1]]
+    pairs = np.cumprod([1.0, kern._g[kern._off - 1], *pivots])
     # the windows (t1, t2) of order N-1-t1-t2 >= t1, largest first
     windows = sorted(((a, b) for a in range(1, len(snapshots) + 1) for b in range(1, n - 2 * a)),
                      key=sum)
@@ -599,14 +654,20 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     certified points give 3N^2 - 2N to roundoff in about 15 ms, against
     130-180 ms when every class past the breakdown took dets.
 
+    The pair sum reads the kernel's memo of pair correlators; the
+    quadruple sum does not (see _nested_quad_sum).
+
     Accuracy, measured against the pivoted one-det-per-gap-class sum at
-    N = 50: over round 0 of tscan-quartic at seeds 4 and 11 (113 points
-    without a breakdown each) the quadruple sums differ by up to 1.15e-10
-    and 1.69e-10 of <J_x^4>, and by 1.5e-10 at (-0.892, 0.767, 0.792) and
-    1.2e-10 at (-1, 1, 0.792).  The large differences sit at gamma < 0 near
-    the critical line, where elimination without row exchanges grows the
-    entries of its upper factor by up to 1e17 (about 1 at gamma > 0), yet
-    no multiplier crosses the breakdown limit.
+    N = 50: over the 186 points of round 0 of tscan-quartic at seeds 4 and
+    11 the quadruple sums differ by at most 1.9e-15 of <J_x^4> at gamma >=
+    0 (102 points) and by up to 1.69e-10 at gamma < 0 (84 points, worst at
+    (-0.697, 1.091, 0.792)).  That sample does not bound the gamma < 0
+    error: a 7 x 7 grid of gamma in [-0.979, -0.973], h/J in [0.382,
+    0.388] at T = 0.3155 has a median of 2.4e-11 and reaches 1.63e-9 at
+    (-0.977, 0.386, 0.3155).  The large differences sit at gamma < 0,
+    where elimination without row exchanges can grow the entries of its
+    upper factor by up to 1e17 (measured near the critical line; about 1
+    at gamma > 0), yet no multiplier crosses the breakdown limit.
     """
     n = kern.ensemble.spec.sites
     pair_sum = _pair_sum(_xx_correlations(kern))

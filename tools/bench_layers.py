@@ -1,8 +1,8 @@
 """Per-call timings of the slow layers of one point, on a fixed grid.
 
 Times ``correlations.fourth_moment_from_kernel`` (regular and breakdown
-points at N = 50 and 100, one regular point at N = 200), ``var_jx`` and
-``var_jx_slope`` for one or more source trees, and writes the medians to a
+points at N = 50 and 100, one regular point at N = 200), ``var_jx`` (N = 50
+to 1000) and ``var_jx_slope`` for one or more source trees, and writes the medians to a
 JSON file together with the core count and the BLAS in use.  To compare a
 change with its parent commit, export the parent next to the checkout and
 pass both trees; the trees run alternately, each repetition in a fresh
@@ -46,8 +46,10 @@ GRID = (
     ("fourth_moment_from_kernel", 100, 1.0, 0.5, 0.3, "regular"),
     ("fourth_moment_from_kernel", 100, -1.0, 0.0, 0.3, "breakdown"),
     ("fourth_moment_from_kernel", 200, 1.0, 0.5, 0.3, "regular"),
+    ("var_jx", 50, 1.0, 0.5, 0.3, "regular"),
     ("var_jx", 100, 1.0, 0.5, 0.3, "regular"),
     ("var_jx", 300, 1.0, 0.5, 0.3, "regular"),
+    ("var_jx", 1000, 1.0, 0.5, 0.3, "regular"),
     ("var_jx_slope", 50, 1.0, 0.5, 0.3, "regular"),
     ("var_jx_slope", 100, 1.0, 0.5, 0.3, "regular"),
     ("var_jx_slope", 300, 1.0, 0.5, 0.3, "regular"),
