@@ -368,14 +368,15 @@ def _validation_checks():
     # <J_x^4> where its elimination runs at gamma < 0, and on the gamma = -1,
     # h/J = 0 line, where the pair matrix breaks down at its first pivot and,
     # at 8 sites, Hadamard's bound does not certify the quadruple sum
-    # negligible, so every gap class takes a pivoted det
+    # negligible, so every gap class takes orthogonal minors of its own
+    # contraction matrix
     for where, line in (("at gamma<0", ChainSpec(gamma=-0.7, field_ratio=0.3, sites=8)),
                         ("on the gamma=-1, h/J=0 line", ChainSpec(gamma=-1.0, field_ratio=0.0,
                                                                   sites=8))):
         got = correlations.fourth_moment_jx(thermometry.ensemble(line, temp))
         want = oracle.oracle_fourth_jx(oracle.build(line, oracle.MATCHED), temp)
         yield (f"fourth_moment_jx {where} matches dense reference", abs(got / want - 1.0), 1e-8)
-    # the same line at 50 sites, where the bound certifies it and no det runs:
+    # the same line at 50 sites, where the bound certifies it and no minor is taken:
     # the x spins are uncorrelated, so <J_x^4> is that of N independent spins
     line = ChainSpec(gamma=-1.0, field_ratio=0.0, sites=50)
     got = correlations.fourth_moment_jx(thermometry.ensemble(line, temp))

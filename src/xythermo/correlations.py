@@ -42,11 +42,12 @@ The windows are eliminated in stacks, each at a
 panel-aligned offset in an identity matrix, so that no flop goes to the
 identity before a window and a window's pivots do not depend on its
 stack.  Where an elimination breaks down on a pivot that is zero to
-working precision (see fourth_moment_from_kernel), only what it could not
-reach takes pivoted dets, one per matrix and order, and past a breakdown
-of T not even that when Hadamard's inequality certifies those classes
-below one ulp of <J_x^4>.  The one-det-per-class sum lives in the tests,
-as the reference.
+working precision (see fourth_moment_from_kernel), what it could not
+reach is left out if Hadamard's inequality certifies it below one ulp of
+<J_x^4>, and otherwise takes the leading minors of its own contraction
+matrices from orthogonal factors, as the pair correlators do.  The
+quadruple sum takes no LAPACK det; the one-det-per-class sum lives in
+the tests, as the reference.
 
 A subtlety worth stating once: these formulas describe the Hamiltonian
 variant whose fermions are exactly antiperiodic (the boundary bond carries
@@ -86,9 +87,9 @@ __all__ = [
 
 MODULATIONS = ("uniform", "half")
 
-# cap on matrix entries in one elimination stack of _nested_quad_sum (2.4 MB
-# of float64), whether it holds Schur windows or, past a breakdown of the
-# pair matrix, the contraction matrices of one t2; chosen by timing: the
+# cap on matrix entries in one stack of the quadruple sum (2.4 MB of
+# float64), whether it holds Schur windows or the contraction matrices of one
+# t2 that _fallback_sum bounds and, failing that, minors; chosen by timing: the
 # windows spend no flop on the identity before their offsets, so 200k-400k
 # entries time alike at N = 50, 200k-300k are fastest at N = 100 (400k is
 # 15-20 % slower, at regular and breakdown points alike), and 300k at N = 200
@@ -102,7 +103,7 @@ _EPS = np.finfo(float).eps
 # a multiplier above 1/eps means its pivot is below roundoff of the entries
 # it eliminates, i.e. zero to working precision
 _MULTIPLIER_LIMIT = 1.0 / _EPS
-# factor on Hadamard's bound of the classes past a pair-matrix breakdown; it
+# factor on Hadamard's bound of the classes no elimination reached; it
 # covers the rounding of the computed bound, a sum of at most N^3/12
 # non-negative terms, each a product of at most N square roots of prefix sums
 # of squares, whose relative error is below (N^2 + N^3/12) eps, far below 1
@@ -131,9 +132,9 @@ class CorrelationKernel:
 
     def coefficient(self, j: int) -> float:
         n = self.ensemble.spec.sites
-        if not -(n - 1) <= j <= n - 1:
-            raise ValueError(f"j must lie in [-(N-1), N-1], got {j}")
-        return float(self._g[self._off + j])
+        if not (-(n - 1) <= j <= n - 1 and j == int(j)):
+            raise ValueError(f"j must be an integer in [-(N-1), N-1], got {j}")
+        return float(self._g[self._off + int(j)])
 
 
 def _contractions(ens: ThermalEnsemble, t: np.ndarray) -> np.ndarray:
@@ -176,11 +177,7 @@ def xx_correlation(kern: CorrelationKernel, r: int) -> float:
     most about N^2 times theirs (1.2e-15 relative against 60-digit
     arithmetic at N = 60, gamma = 1, h/J = 2, T = 0.05).
     """
-    r = int(r)
-    n = kern.ensemble.spec.sites
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"separation must lie in [0, N-1], got {r}")
-    return _xx_correlations(kern)[r].item()
+    return _xx_correlations(kern)[_separation(kern, r)].item()
 
 
 def yy_correlation(kern: CorrelationKernel, r: int) -> float:
@@ -190,15 +187,21 @@ def yy_correlation(kern: CorrelationKernel, r: int) -> float:
     variance at anisotropy gamma must equal the x-axis variance at -gamma,
     which makes a sharp cross-check of the whole kernel machinery.
     """
-    return _pair_correlation(kern, int(r), shift=+1)
+    return _pair_correlation(kern, _separation(kern, r), shift=+1)
+
+
+def _separation(kern: CorrelationKernel, r) -> int:
+    # r as an int; a separation outside [0, N-1] or not integral is refused
+    n = kern.ensemble.spec.sites
+    if not (0 <= r <= n - 1 and r == int(r)):
+        raise ValueError(f"separation must be an integer in [0, N-1], got {r}")
+    return int(r)
 
 
 def _pair_correlation(kern, r, shift):
-    # one LAPACK det for one separation: yy_correlation, the pairs of
-    # var_jx_slope's complex kernel, and the test reference for the halving
-    n = kern.ensemble.spec.sites
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"separation must lie in [0, N-1], got {r}")
+    # one LAPACK det for one separation 0 <= r <= N-1: yy_correlation, the
+    # pairs of var_jx_slope's complex kernel, and the test reference for the
+    # halving
     if r == 0:
         return 1.0
     a = np.arange(r)
@@ -436,23 +439,6 @@ def _leading_minors(mats: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
     return minors if np.isfinite(minors).all() else None
 
 
-def _pivoted_minors(mats: np.ndarray, read: np.ndarray) -> np.ndarray:
-    """The leading minors of a (B, m, m) stack that the quadruple sum reads.
-
-    The fallback for matrices on which elimination without row exchanges
-    breaks down: one LAPACK det (partial pivoting) per matrix and order.
-    read[i, k - 1] says whether minor k of matrix i is read; for each order
-    k only those matrices take a det, and every other entry stays 0.
-    """
-    minors = np.zeros(mats.shape[:2])
-    for k in np.flatnonzero(read.any(axis=0)) + 1:
-        rows = np.flatnonzero(read[:, k - 1])
-        if rows[-1] + 1 - rows[0] == len(rows):  # a run of rows: a view, not a copy
-            rows = slice(rows[0], rows[-1] + 1)
-        minors[rows, k - 1] = np.linalg.det(mats[rows, :k, :k])
-    return minors
-
-
 def _class_weights(n: int, t1, t2, t3) -> np.ndarray:
     # how often the gap class (t1, t2, t3) enters the ordered-quadruple sum:
     # N - t1 - t2 - t3 origins, twice for t1 < t3 by the reversal symmetry,
@@ -512,23 +498,6 @@ def _quad_index(kern: CorrelationKernel, t1: np.ndarray, t2: int,
     return kern._off - 1 + b_sites[:, :, None] - b_sites[:, None, :]
 
 
-def _quad_stack(kern: CorrelationKernel, t1: np.ndarray, t2: int,
-                order: np.ndarray) -> np.ndarray:
-    return kern._g[_quad_index(kern, t1, t2, order)]
-
-
-def _late_stacks(n: int, first: int):
-    # the summed classes with t1 >= first, in stacks of one t2 under the
-    # element cap: (column of t1, t2, orders 1 ... m, class weights)
-    for t2 in range(1, n - 2):
-        m = n - 1 - t2
-        order = np.arange(1, m + 1)
-        chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
-        for lo in range(first, m // 2 + 1, chunk):
-            t1 = np.arange(lo, min(lo + chunk, m // 2 + 1))[:, None]
-            yield t1, t2, order, _class_weights(n, t1, t2, order - t1)
-
-
 def _hadamard_products(kern: CorrelationKernel, t1: np.ndarray, t2: int,
                        order: np.ndarray) -> np.ndarray:
     """Hadamard's bound on every leading minor of a column of contraction matrices.
@@ -545,6 +514,45 @@ def _hadamard_products(kern: CorrelationKernel, t1: np.ndarray, t2: int,
     # the bound of order k is the product over its rows i < k
     norms[:, order[:, None] > order] = 1.0
     return np.prod(norms, axis=1)
+
+
+def _fallback_sum(kern: CorrelationKernel, pairs: list[tuple[int, int]]) -> float:
+    """The summed classes (t1, t2, t3 >= t1) of the (t1, t2) no elimination reached.
+
+    The pairs go in stacks of one t2, by ascending t1, under the cap of
+    _DET_BATCH_ELEMENTS entries of their contraction matrices (m x m, m =
+    N-1-t2, see _quad_index).  First the classes' weighted Hadamard bounds
+    (_hadamard_products) are summed: O(N^4) flops.  If 24 times that sum,
+    times _ROUNDING_MARGIN, is at most eps * (N + 3N(N-1)), they move
+    <J_x^4> by less than one ulp of its two leading terms and are left out
+    (a NaN bound certifies nothing).  Otherwise _halving_minors gives every
+    leading minor of each pair's contraction matrix from orthogonal factors,
+    with no pivot to break down, and the class weights sum them: O(m^3)
+    flops per pair.  Each matrix is a principal block of the pair matrix,
+    whose singular values are at most 1, so every minor is accurate to near
+    roundoff of 1 in absolute terms, as the pair correlators are.
+    """
+    n = kern.ensemble.spec.sites
+    t1s, t2s = np.array(pairs, dtype=int).reshape(-1, 2).T
+    stacks = []
+    for t2 in np.unique(t2s).tolist():
+        column = np.sort(t1s[t2s == t2])
+        m = n - 1 - t2
+        order = np.arange(1, m + 1)
+        chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
+        for lo in range(0, len(column), chunk):
+            t1 = column[lo:lo + chunk, None]
+            stacks.append((t1, t2, order, _class_weights(n, t1, t2, order - t1)))
+    bound = sum(float(np.sum(weights * _hadamard_products(kern, t1, t2, order),
+                             where=weights != 0))
+                for t1, t2, order, weights in stacks)
+    if 24.0 * _ROUNDING_MARGIN * bound <= _EPS * (n + 3.0 * n * (n - 1)):
+        return 0.0
+    total = 0.0
+    for t1, t2, order, weights in stacks:
+        mats = kern._g[_quad_index(kern, t1, t2, order)]
+        total += float(np.sum(weights * np.array([_halving_minors(mat) for mat in mats])))
+    return total
 
 
 def _nested_quad_sum(kern: CorrelationKernel) -> float:
@@ -565,10 +573,8 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
     multiple of _PANEL that leaves it room, so it starts on a panel
     boundary, as it would alone, and the panels before its offset skip it:
     at most _PANEL - 1 rows of identity after it are eliminated with it,
-    and its minor of order t3 is the stack's of order offset + t3.  A stack
-    on which that elimination breaks down is gathered again at offset 0
-    and takes pivoted dets (_pivoted_minors) of the orders t3 >= t1 it
-    reads.  By the reversal symmetry only t1 <= t3 is summed.
+    and its minor of order t3 is the stack's of order offset + t3.  By the
+    reversal symmetry only t1 <= t3 is summed.
 
     c(t1) is the product of the first t1 pivots of that elimination of T:
     Schur's formula in the elimination's own arithmetic.  The kernel's
@@ -577,20 +583,18 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
     terms, and the large window minors that c(29) multiplies would carry
     that to 1.9e-10 of <J_x^4> (4.4e-9 at (-0.7, 0.3, 0.05), N = 60).
 
-    If the elimination of T breaks down after p steps, the classes with
-    t1 > p have no snapshot.  First their weighted Hadamard bounds
-    (_hadamard_products) are summed, in stacks of one t2 under the same
-    cap: O(N^4) flops.  If 24 times that sum, times _ROUNDING_MARGIN, is at
-    most eps * (N + 3N(N-1)), those classes move <J_x^4> by less than one
-    ulp of its two leading terms and are left out.  Otherwise they take
-    pivoted dets of their own contraction matrices (_quad_stack), stack by
-    stack.  Measured at N = 30, 40, 50, 60, 80 and 100, the bound certifies
-    the zero-correlation lines: gamma = -1, h/J = 0 at T = 0.05, 0.3 and 5,
-    the cold XX chain at h/J = 2, T = 0.05, and T = inf, where it is
-    exactly 0.  At 10 to 28 sites the gamma = -1 line at T <= 0.3 sits at
-    the bound's edge (24 * margin * bound / (eps * lead) = 0.5 ... 2), so
-    some of those rings keep their dets; so does a breakdown at a point
-    whose correlations are not negligible, where the bound is O(1).
+    Every (t1, t2) that no elimination reaches goes to one route,
+    _fallback_sum: if the elimination of T breaks down after p steps, the
+    pairs with t1 > p, which have no snapshot, and the windows of every
+    stack on which _leading_minors breaks down.  Measured at N = 30, 40,
+    50, 60, 80 and 100, its Hadamard bound certifies the zero-correlation
+    lines: gamma = -1, h/J = 0 at T = 0.05, 0.3 and 5, the cold XX chain at
+    h/J = 2, T = 0.05, and T = inf, where it is exactly 0.  Below 30
+    sites the gamma = -1 line at T <= 0.3 sits at the bound's edge (24 *
+    margin * bound / (eps * lead) = 0.5 ... 2), and the rings of 6 to 16
+    sites, and of 24 at T = 0.3, take the orthogonal minors; so does a
+    breakdown at a point whose correlations are not negligible, where the
+    bound is O(1).
     """
     n = kern.ensemble.spec.sites
     snapshots = _schur_snapshots(kern, (n - 2) // 2)
@@ -601,6 +605,10 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
     # the windows (t1, t2) of order N-1-t1-t2 >= t1, largest first
     windows = sorted(((a, b) for a in range(1, len(snapshots) + 1) for b in range(1, n - 2 * a)),
                      key=sum)
+    # the (t1, t2) past a breakdown of T, which have no snapshot (none if T
+    # did not break down)
+    unreached = [(a, b) for a in range(len(snapshots) + 1, (n - 2) // 2 + 1)
+                 for b in range(1, n - 2 * a)]
     t1, t2 = np.array(windows, dtype=int).reshape(-1, 2).T
     total = 0.0
     start = 0
@@ -611,29 +619,14 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
         # each window starts on the last panel boundary that leaves it room
         offsets = (a + b - a[0] - b[0]) // _PANEL * _PANEL
         minors = _leading_minors(_window_stack(snapshots, a, b, offsets, m), offsets)
-        if minors is None:  # the elimination overwrote the stack
-            offsets = np.zeros_like(offsets)
-            read = _class_weights(n, a[:, None], b[:, None], np.arange(1, m + 1)) != 0
-            minors = _pivoted_minors(_window_stack(snapshots, a, b, offsets, m), read)
-        weights = _class_weights(n, a[:, None], b[:, None], np.arange(1, m + 1) - offsets[:, None])
-        total += float(np.sum(pairs[a, None] * weights * minors))
+        if minors is None:
+            unreached += zip(a.tolist(), b.tolist())
+        else:
+            t3 = np.arange(1, m + 1) - offsets[:, None]
+            weights = _class_weights(n, a[:, None], b[:, None], t3)
+            total += float(np.sum(pairs[a, None] * weights * minors))
         start = stop
-    late = len(snapshots) + 1  # the first t1 without a snapshot
-    if late > (n - 2) // 2:  # T did not break down: every class is summed
-        return total
-    # the classes past the breakdown take pivoted dets of their own
-    # contraction matrices, unless Hadamard's inequality certifies that they
-    # move <J_x^4> by less than one ulp of its leading terms N + 3N(N-1)
-    # (a NaN bound certifies nothing)
-    bound = sum(float(np.sum(weights * _hadamard_products(kern, t1, t2, order),
-                             where=weights != 0))
-                for t1, t2, order, weights in _late_stacks(n, late))
-    if 24.0 * _ROUNDING_MARGIN * bound <= _EPS * (n + 3.0 * n * (n - 1)):
-        return total
-    for t1, t2, order, weights in _late_stacks(n, late):
-        minors = _pivoted_minors(_quad_stack(kern, t1, t2, order), weights != 0)
-        total += float(np.sum(weights * minors))
-    return total
+    return total + _fallback_sum(kern, unreached)
 
 
 def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
@@ -645,14 +638,15 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     windows (see _nested_quad_sum): O(N^5) flops.  A breakdown is a pivot
     that is zero to working precision, as at T = inf (g = 0), on the
     gamma = -1, h/J = 0 line (every pair matrix singular) and in the cold
-    XX chain polarized by h/J > 1.  Where the pair matrix breaks down after
-    p steps, the classes with t1 > p are left out if Hadamard's inequality
-    certifies that they move the result by less than one ulp of N +
-    3N(N-1); otherwise they take one pivoted LAPACK det per matrix and
-    order.  A window stack that breaks down takes them for its own windows.
-    On those lines the x spins are uncorrelated, and at N = 50 the
-    certified points give 3N^2 - 2N to roundoff in about 15 ms, against
-    130-180 ms when every class past the breakdown took dets.
+    XX chain polarized by h/J > 1.  The classes no elimination reached,
+    those past a breakdown of the pair matrix and those of a window stack
+    that broke down, are left out if Hadamard's inequality certifies that
+    they move the result by less than one ulp of N + 3N(N-1); otherwise
+    the leading minors of their own contraction matrices come from
+    orthogonal factors (_halving_minors).  No LAPACK det runs.  On those
+    lines the x spins are uncorrelated, and at N = 50 the certified points
+    give 3N^2 - 2N to roundoff in about 15 ms, against 130-180 ms when
+    every class past the breakdown took dets.
 
     The pair sum reads the kernel's memo of pair correlators; the
     quadruple sum does not (see _nested_quad_sum).

@@ -57,6 +57,8 @@ def test_kernel_coefficient_range_checked():
         kern.coefficient(8)
     with pytest.raises(ValueError):
         kern.coefficient(-8)
+    with pytest.raises(ValueError):  # not truncated to j = 1
+        kern.coefficient(1.5)
 
 
 def test_kernel_frozen_values():
@@ -91,9 +93,11 @@ def test_xx_correlation_bounded():
 
 def test_xx_correlation_rejects_out_of_range():
     kern = correlations.kernel(_ens())
-    for r in (-1, 8):
+    for r in (-1, 8, 2.9):  # a fractional separation is not truncated
         with pytest.raises(ValueError):
             correlations.xx_correlation(kern, r)
+    with pytest.raises(ValueError):
+        correlations.yy_correlation(kern, 1.5)
 
 
 def test_yy_correlation_matches_axis_swap():
@@ -299,31 +303,32 @@ def _classes(n, t1_from):
 
 
 def _record_stacks(monkeypatch):
-    # the (t1, t2) of every window gathered and of every contraction matrix built
-    windows, classes = [], []
-    window_stack, quad_stack = correlations._window_stack, correlations._quad_stack
+    # the (t1, t2) of every window gathered, and those handed to the one
+    # route for what no elimination reached
+    windows, unreached = [], []
+    window_stack, fallback = correlations._window_stack, correlations._fallback_sum
 
     def gather(snapshots, t1, t2, offsets, m):
         windows.append(list(zip(t1.tolist(), t2.tolist())))
         return window_stack(snapshots, t1, t2, offsets, m)
 
-    def build(kern, t1, t2, order):
-        classes.append([(a, t2) for a in t1.ravel().tolist()])
-        return quad_stack(kern, t1, t2, order)
+    def route(kern, pairs):
+        unreached.extend(pairs)
+        return fallback(kern, pairs)
 
     monkeypatch.setattr(correlations, "_window_stack", gather)
-    monkeypatch.setattr(correlations, "_quad_stack", build)
-    return windows, classes
+    monkeypatch.setattr(correlations, "_fallback_sum", route)
+    return windows, unreached
 
 
 def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
     # a cap of 200 entries leaves a few matrices a stack.  At the regular
     # point each of the 36 Schur windows of N = 14 is eliminated in exactly
-    # one stack and no det is taken.  With a breakdown of the pair matrix
-    # forced at its first pivot, at the same point, Hadamard's bound is O(1)
-    # and certifies nothing, so every class takes dets of its own contraction
-    # matrix, in chunks of one t2, and each det'd matrix must be a minor the
-    # sum reads, one with t3 >= t1
+    # one stack and nothing goes to the fallback.  With a breakdown of the
+    # pair matrix forced at its first pivot, at the same point, every class
+    # goes to the fallback, whose Hadamard bounds run in chunks of one t2
+    # under the cap; the bound is O(1) and certifies nothing, so every
+    # class takes the orthogonal minors of its own contraction matrix
     n, cap = 14, 200
     gamma, field, T = NESTED_GRID[0]
     kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
@@ -333,21 +338,26 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
             monkeypatch.setattr(correlations, "_schur_snapshots", lambda kern, steps: [])
         whole = correlations._nested_quad_sum(kern)
         monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", cap)
-        leading = correlations._leading_minors
-        shapes = []
+        leading, hadamard, halving = (correlations._leading_minors,
+                                      correlations._hadamard_products, correlations._halving_minors)
+        shapes, bounded, halved = [], [], []
         monkeypatch.setattr(correlations, "_leading_minors", lambda mats, offsets:
                             shapes.append(mats.shape) or leading(mats, offsets))
-        windows, classes = _record_stacks(monkeypatch)
+        monkeypatch.setattr(correlations, "_hadamard_products", lambda kern, t1, t2, order:
+                            bounded.append((len(t1), t2)) or hadamard(kern, t1, t2, order))
+        monkeypatch.setattr(correlations, "_halving_minors", lambda a:
+                            halved.append(a.shape) or halving(a))
+        windows, unreached = _record_stacks(monkeypatch)
         calls = _count_dets(monkeypatch)
         split = correlations._nested_quad_sum(kern)
         monkeypatch.undo()
         assert all(b == 1 or b * m * m <= cap for b, m, _ in shapes), breaks
-        assert all(len(c) == 1 or len(c) * (n - 1 - c[0][1]) ** 2 <= cap for c in classes)
+        assert all(b == 1 or b * (n - 1 - t2) ** 2 <= cap for b, t2 in bounded), breaks
+        assert sum(b for b, _ in bounded) == len(unreached), breaks
         assert sorted(sum(windows, [])) == _windows(n, () if breaks else range(1, n // 2))
         assert len(shapes) == len(windows)
-        assert sorted(sum(classes, [])) == (_classes(n, 1) if breaks else [])
-        read = sum(n - t2 - 2 * t1 for c in classes for t1, t2 in c)  # t3 = t1 ... m - t1
-        assert sum(shape[0] for shape in calls) == read, breaks
+        assert sorted(unreached) == (_classes(n, 1) if breaks else [])
+        assert bool(halved) == breaks and calls == [], breaks
         assert split == pytest.approx(whole, rel=1e-13), breaks
         assert 24.0 * abs(split - quad_sum_by_class(kern)) <= 1e-12 * fourth, breaks
 
@@ -355,15 +365,17 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
 @pytest.mark.parametrize("gamma, field, T", BREAKDOWN_GRID)
 def test_breakdown_points_skip_dets_once_certified(gamma, field, T, monkeypatch):
     # the pair matrix breaks down at its first pivot, and Hadamard's bound
-    # certifies every class at N = 30 and 50; at N = 14 the gamma = -1, h/J
-    # = 0 point sits at the certificate's edge and may keep its dets
-    for n in (14, 30, 50):
+    # certifies every class at N = 30 and 50.  Below that the gamma = -1,
+    # h/J = 0 point sits at the certificate's edge, and the rings of 6 to 16
+    # and of 24 sites take orthogonal minors, so there the by-class dets
+    # check an independent algorithm.  No det runs at any N
+    for n in (6, 8, 14, 24, 30, 50):
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
         want = quad_sum_by_class(kern)
         calls = _count_dets(monkeypatch)
         fourth = correlations.fourth_moment_from_kernel(kern)
         monkeypatch.undo()
-        assert n == 14 or calls == [], f"dets taken at N={n}"
+        assert calls == [], f"dets taken at N={n}"
         assert 24.0 * abs(correlations._nested_quad_sum(kern) - want) <= 1e-12 * fourth, n
         assert fourth == pytest.approx(3 * n * n - 2 * n, rel=1e-12), n
         if T == math.inf:
@@ -425,44 +437,41 @@ def test_window_minors_do_not_depend_on_their_stack():
 
 def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):
     # a breakdown forced on the fourth window stack at a point where none
-    # breaks down: only its windows take dets, of the orders t3 >= t1 the
-    # sum reads, and the other stacks keep their elimination
+    # breaks down: only its windows go to the fallback, every window is
+    # gathered once, the other stacks keep their elimination, and no det runs
     n = 30
     kern = correlations.kernel(_ens(sites=n))
     monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 5000)
     leading, count = correlations._leading_minors, itertools.count()
     monkeypatch.setattr(correlations, "_leading_minors",
                         lambda mats, offsets: None if next(count) == 3 else leading(mats, offsets))
-    windows, classes = _record_stacks(monkeypatch)
+    windows, unreached = _record_stacks(monkeypatch)
     calls = _count_dets(monkeypatch)
     quad = correlations._nested_quad_sum(kern)
     monkeypatch.undo()
-    assert windows[4] == windows[3] and classes == []  # gathered again for its dets
-    assert sorted(sum(windows[:4] + windows[5:], [])) == _windows(n, range(1, n // 2))
-    orders = [(t1, n - 1 - t1 - t2) for t1, t2 in windows[3]]  # t3 from t1 to the window's order
-    assert calls == [(sum(lo <= k <= hi for lo, hi in orders), k, k)
-                     for k in range(1, n) if any(lo <= k <= hi for lo, hi in orders)]
+    assert sorted(unreached) == sorted(windows[3])
+    assert sorted(sum(windows, [])) == _windows(n, range(1, n // 2))
+    assert calls == []
     fourth = correlations.fourth_moment_from_kernel(kern)
     assert 24.0 * abs(quad - quad_sum_by_class(kern)) <= 1e-12 * fourth
 
 
 def test_pair_matrix_breakdown_sends_later_t1_to_dets(monkeypatch):
     # a breakdown of the pair matrix forced after p = 5 steps: the classes
-    # with t1 <= 5 keep their Schur windows, those with t1 >= 6 alone take
-    # dets of their own contraction matrices
+    # with t1 <= 5 keep their Schur windows, those with t1 >= 6 alone go to
+    # the fallback, and no det runs
     n = 30
     kern = correlations.kernel(_ens(sites=n))
     snapshots = correlations._schur_snapshots
     monkeypatch.setattr(correlations, "_schur_snapshots",
                         lambda kern, steps: snapshots(kern, steps)[:5])
-    windows, classes = _record_stacks(monkeypatch)
+    windows, unreached = _record_stacks(monkeypatch)
     calls = _count_dets(monkeypatch)
     quad = correlations._nested_quad_sum(kern)
     monkeypatch.undo()
     assert sorted(sum(windows, [])) == _windows(n, range(1, 6))
-    assert sorted(sum(classes, [])) == _classes(n, 6)
-    assert sum(shape[0] for shape in calls) == sum(n - t2 - 2 * t1 for c in classes
-                                                    for t1, t2 in c)
+    assert sorted(unreached) == _classes(n, 6)
+    assert calls == []
     fourth = correlations.fourth_moment_from_kernel(kern)
     assert 24.0 * abs(quad - quad_sum_by_class(kern)) <= 1e-12 * fourth
 

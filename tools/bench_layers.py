@@ -1,7 +1,7 @@
 """Per-call timings of the slow layers of one point, on a fixed grid.
 
 Times ``correlations.fourth_moment_from_kernel`` (regular and breakdown
-points at N = 50 and 100, one regular point at N = 200), ``var_jx`` (N = 50
+points at N = 14, 50 and 100, one regular point at N = 200), ``var_jx`` (N = 50
 to 1000) and ``var_jx_slope`` for one or more source trees, and writes the medians to a
 JSON file together with the core count and the BLAS in use.  To compare a
 change with its parent commit, export the parent next to the checkout and
@@ -15,9 +15,11 @@ process with BLAS pinned to one thread:
 A kernel is built outside the timed region.  Before ``fourth_moment_from_kernel``
 its pair correlators are filled by ``var_jx``, as a readout point does;
 ``var_jx`` itself is timed on a fresh kernel.  Next to each time the file
-records how many ``numpy.linalg.det`` calls the timed call made, which
-shows the branch a breakdown point took (0 where no pivoted det ran), and
-the value the call returned.  Each tree's values must repeat exactly over
+records how many ``correlations._halving_minors`` calls the timed call
+made, recursive ones included, and the value the call returned.  With
+the pair correlators filled, a fourth-moment call that makes any has
+taken orthogonal minors for the gap classes no elimination reached (0
+where there were none or Hadamard's bound left them out).  Each tree's values must repeat exactly over
 its repetitions; the file gives every value's relative difference from the
 first tree, and the run prints the largest, so a speed change that moves
 the numbers shows next to its timings.
@@ -35,8 +37,10 @@ from time import perf_counter
 
 # (layer, N, gamma, h/J, T); "breakdown" points are where elimination without
 # row exchanges meets a zero pivot, so that the gap classes past it take
-# pivoted determinants unless a bound certifies them negligible
+# orthogonal minors unless a bound certifies them negligible, as it does not
+# at N = 14 on the gamma = -1, h/J = 0 line
 GRID = (
+    ("fourth_moment_from_kernel", 14, -1.0, 0.0, 0.3, "breakdown"),
     ("fourth_moment_from_kernel", 50, 1.0, 0.5, 0.3, "regular"),
     ("fourth_moment_from_kernel", 50, -0.892, 0.767, 0.792, "regular"),
     ("fourth_moment_from_kernel", 50, -1.0, 0.0, 0.3, "breakdown"),
@@ -61,20 +65,19 @@ def _key(layer, n, gamma, field, temp, kind):
 
 
 def _time_grid() -> tuple[dict[str, float], dict[str, int], dict[str, float]]:
-    # one timing per grid entry, in seconds, the numpy.linalg.det calls it
+    # one timing per grid entry, in seconds, the _halving_minors calls it
     # made and the value it returned, with the tree on sys.path
-    import numpy as np
     from xythermo import correlations, thermometry
     from xythermo.spectrum import ChainSpec
 
-    det, calls = np.linalg.det, [0]
+    halving, calls = correlations._halving_minors, [0]
 
-    def counting_det(a):
+    def counting_halving(a):
         calls[0] += 1
-        return det(a)
+        return halving(a)
 
-    times, dets, values = {}, {}, {}
-    np.linalg.det = counting_det
+    times, halvings, values = {}, {}, {}
+    correlations._halving_minors = counting_halving
     try:
         for layer, n, gamma, field, temp, kind in GRID:
             ens = thermometry.ensemble(ChainSpec(gamma=gamma, field_ratio=field, sites=n), temp)
@@ -87,11 +90,11 @@ def _time_grid() -> tuple[dict[str, float], dict[str, int], dict[str, float]]:
             value = call(kern)
             key = _key(layer, n, gamma, field, temp, kind)
             times[key] = perf_counter() - start
-            dets[key] = calls[0]
+            halvings[key] = calls[0]
             values[key] = float(value)
     finally:
-        np.linalg.det = det
-    return times, dets, values
+        correlations._halving_minors = halving
+    return times, halvings, values
 
 
 def _relative_difference(value: float, base: float) -> float:
@@ -125,8 +128,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.worker:  # one repetition of one tree, in a fresh process
         sys.path.insert(0, args.worker)
-        times, dets, values = _time_grid()
-        print(json.dumps({"times": times, "dets": dets, "values": values, "env": _blas()}))
+        times, halvings, values = _time_grid()
+        print(json.dumps({"times": times, "halvings": halvings, "values": values,
+                          "env": _blas()}))
         return 0
     if not args.tree or not args.out or args.reps < 1:
         parser.error("need at least one --tree, an --out file and --reps >= 1")
@@ -142,10 +146,10 @@ def main(argv=None) -> int:
             runs[label].append(json.loads(proc.stdout))
             print(f"rep {rep + 1}/{args.reps} {label} done", file=sys.stderr, flush=True)
     times = {label: [r["times"] for r in reps] for label, reps in runs.items()}
-    dets = {label: reps[0]["dets"] for label, reps in runs.items()}
+    halvings = {label: reps[0]["halvings"] for label, reps in runs.items()}
     values = {label: reps[0]["values"] for label, reps in runs.items()}
     for label, reps in runs.items():  # deterministic: every repetition agrees
-        for name, first in (("dets", dets), ("values", values)):
+        for name, first in (("halvings", halvings), ("values", values)):
             if any(r[name] != first[label] for r in reps):
                 raise SystemExit(f"{name} of tree {label} differ between repetitions")
     differences = _relative_differences(values)
@@ -159,7 +163,7 @@ def main(argv=None) -> int:
         **{stat: {label: {k: fn([r[k] for r in reps]) for k in reps[0]}
                   for label, reps in times.items()}
            for stat, fn in (("median_s", statistics.median), ("min_s", min), ("max_s", max))},
-        "det_calls": dets,
+        "halving_calls": halvings,
         "values": values,
         "relative_difference_from_first_tree": differences,
     }
@@ -168,7 +172,7 @@ def main(argv=None) -> int:
         fh.write("\n")
     for label, medians in result["median_s"].items():
         for k, v in medians.items():
-            print(f"{label:>8}  {v:9.4f} s  {dets[label][k]:6d} dets  {k}")
+            print(f"{label:>8}  {v:9.4f} s  {halvings[label][k]:6d} halvings  {k}")
     for label, diffs in list(differences.items())[1:]:
         worst = max(diffs, key=diffs.get)
         print(f"{label:>8}  largest relative difference of a value from tree "
