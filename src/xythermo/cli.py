@@ -122,7 +122,10 @@ def _config_axis(value) -> tuple[float, ...]:
         return parse_axis(value)
     if isinstance(value, (int, float)):
         return (_config_float(value),)
-    return tuple(_config_float(x) for x in value)
+    axis = tuple(_config_float(x) for x in value)
+    if not axis:  # parse_axis never gives one: the sweep would have no points
+        raise ValueError("an axis needs at least one value")
+    return axis
 
 
 def _config_int(value) -> int:

@@ -8,10 +8,10 @@ The model is the spin-1/2 chain
 on a ring of N sites (site N+1 = site 1), with ferromagnetic J > 0 and
 transverse field h = field_ratio * J.  A Jordan-Wigner map followed by a
 Bogoliubov rotation diagonalizes it into free fermionic modes on the
-antiperiodic momentum grid k_j = pi*(2j+1)/N; this module provides the
-dispersion, the mode table (momenta, energies, rotation angles), the exact
-minimum gap over continuous k, and the field at which the ground state
-factorizes into a product state.
+antiperiodic momentum grid k_j = pi*(2j+1)/N; this module provides that
+grid, the dispersion, the mode table (momenta, energies, rotation
+angles), the exact minimum gap over continuous k, and the field at which
+the ground state factorizes into a product state.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ __all__ = [
     "ModeTable",
     "dispersion",
     "mode_table",
+    "momentum_grid",
     "energy_gap",
     "factorization_field",
 ]
@@ -107,11 +108,19 @@ def dispersion(spec: ChainSpec, k):
     return float(e) if e.ndim == 0 else e
 
 
+def momentum_grid(n: int) -> np.ndarray:
+    """The antiperiodic grid k_j = pi*(2j+1)/N, j = -N/2 ... N/2-1, of N modes.
+
+    The one definition of the grid: the mode table and the correlation
+    kernel's cos/sin tables both take their momenta from here.
+    """
+    j = np.arange(-(n // 2), n // 2)
+    return np.pi * (2 * j + 1) / n
+
+
 def mode_table(spec: ChainSpec) -> ModeTable:
     """Momenta, energies and Bogoliubov angles for all N modes of a chain."""
-    n = spec.sites
-    j = np.arange(-(n // 2), n // 2)
-    k = np.pi * (2 * j + 1) / n
+    k = momentum_grid(spec.sites)
     energies = dispersion(spec, k)
     # atan2 keeps the quadrant so that the rotated quadratic form has
     # energy +eps_k for every mode, including cos k < h/J where the naive

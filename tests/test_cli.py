@@ -209,6 +209,17 @@ def test_unreadable_config_exits_two(tmp_path):
         assert proc.stderr.startswith("error: config file"), value
 
 
+@pytest.mark.parametrize("command, key", [("tscan", "temp"), ("phase-diagram", "gamma")])
+def test_config_empty_axis_exits_two(tmp_path, command, key):
+    # the flags cannot give an empty axis; from a file it would sweep nothing
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({key: []}))
+    proc = run_cli(command, "--config", str(cfg), "--sites", "6", "--format", "json")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: config file") and repr(key) in proc.stderr
+
+
 def test_config_obs_list_matches_the_flag(tmp_path):
     cfg = tmp_path / "obs.json"
     cfg.write_text(json.dumps({"obs": ["meanjz", "crb"]}))

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from xythermo import correlations, oracle, thermometry
+from xythermo import cli, correlations, oracle, thermometry
 from xythermo.spectrum import ChainSpec
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -65,6 +65,67 @@ def test_kernel_frozen_values():
     kern = correlations.kernel(_ens())
     assert kern.coefficient(-1) == pytest.approx(0.9223761966732211, rel=1e-12)
     assert kern.coefficient(0) == pytest.approx(-0.26790476610639774, rel=1e-12)
+
+
+def _direct_contractions(ens, t):
+    # the kernel sum with its cos/sin tables built on the spot, as before the memo
+    n = ens.spec.sites
+    kj = np.outer(np.arange(-(n - 1), n), ens.modes.momenta)
+    a = np.cos(2.0 * ens.modes.angles) * t
+    b = np.sin(2.0 * ens.modes.angles) * t
+    return (np.cos(kj) @ a - np.sin(kj) @ b) / n
+
+
+def _assert_kernels_match_direct_build(n):
+    for gamma, field, T in PAIR_GRID:
+        ens = _ens(gamma=gamma, field_ratio=field, sites=n, T=T)
+        slope = correlations._occupation_slope(ens)
+        assert np.array_equal(correlations.kernel(ens)._g,
+                              _direct_contractions(ens, 1.0 - 2.0 * ens.occupations)), (n, T)
+        assert np.array_equal(correlations._contractions(ens, slope),
+                              _direct_contractions(ens, slope)), (n, T)
+
+
+@pytest.mark.parametrize("sites", (4, 6, 50, 300))
+def test_memoized_tables_give_the_directly_built_kernel(sites):
+    # bit for bit, with the memo cold, warm at the same N, and holding another
+    # N's tables; T = inf gives exact zeros either way
+    correlations._trig_tables.cache_clear()
+    _assert_kernels_match_direct_build(sites)
+    assert correlations._trig_tables.cache_info().misses == 1
+    _assert_kernels_match_direct_build(sites)
+    assert correlations._trig_tables.cache_info().misses == 1
+    correlations.kernel(_ens(sites=8))
+    _assert_kernels_match_direct_build(sites)
+    assert correlations.kernel(_ens(sites=sites, T=math.inf))._g.tolist() == [0.0] * (2 * sites - 1)
+
+
+def test_memo_follows_alternating_ring_sizes():
+    for n in (50, 300, 50):
+        ens = _ens(gamma=-0.5, field_ratio=0.5, sites=n)
+        kern = correlations.kernel(ens)
+        assert kern._g.shape == (2 * n - 1,)
+        assert np.array_equal(kern._g, _direct_contractions(ens, 1.0 - 2.0 * ens.occupations))
+        assert correlations._trig_tables.cache_info().currsize == 1
+
+
+def test_memoized_tables_are_read_only():
+    for table in correlations._trig_tables(8):
+        assert table.shape == (15, 8) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
+def test_sweep_builds_the_tables_once(capsys):
+    # 6 points, each one kernel and one slope kernel of var_jx_slope: 12
+    # builds and a single miss
+    correlations._trig_tables.cache_clear()
+    code = cli.main(["tscan", "--gamma", "0.5", "--field", "0.8", "--temp", "0.1:2:6:log",
+                     "--sites", "30", "--obs", "crb,varjx,meanjz"])
+    assert code == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 7
+    info = correlations._trig_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 11)
 
 
 # ---- two-point correlations ----------------------------------------------------

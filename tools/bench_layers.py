@@ -2,8 +2,9 @@
 
 Times ``correlations.fourth_moment_from_kernel`` (regular and breakdown
 points at N = 14, 50 and 100, one regular point at N = 200), ``var_jx`` (N = 50
-to 1000) and ``var_jx_slope`` for one or more source trees, and writes the medians to a
-JSON file together with the core count and the BLAS in use.  To compare a
+to 1000), ``var_jx_slope`` and ``kernel`` (N = 50 to 1000) for one or more
+source trees, and writes the medians to a JSON file together with the core
+count and the BLAS in use.  To compare a
 change with its parent commit, export the parent next to the checkout and
 pass both trees; the trees run alternately, each repetition in a fresh
 process with BLAS pinned to one thread:
@@ -14,12 +15,17 @@ process with BLAS pinned to one thread:
 
 A kernel is built outside the timed region.  Before ``fourth_moment_from_kernel``
 its pair correlators are filled by ``var_jx``, as a readout point does;
-``var_jx`` itself is timed on a fresh kernel.  Next to each time the file
-records how many ``correlations._halving_minors`` calls the timed call
-made, recursive ones included, and the value the call returned.  With
-the pair correlators filled, a fourth-moment call that makes any has
-taken orthogonal minors for the gap classes no elimination reached (0
-where there were none or Hadamard's bound left them out).  Each tree's values must repeat exactly over
+``var_jx`` itself is timed on a fresh kernel.  The "warm" ``kernel`` rows
+time a second kernel of the same ensemble, so the cos/sin tables of its
+ring size are built already, as at every point of a sweep but the first;
+the "cold" rows clear that memo first, where the tree has one.  Next to
+each time the file records how many calls of
+``correlations._halving_minors`` the timed call made through the module
+attribute (a tree whose recursion goes through it counts every level),
+and the value the call returned (sum of g_j^2 for a kernel).  With the
+pair correlators filled, a fourth-moment call that makes any has taken
+orthogonal minors for the gap classes no elimination reached (0 where
+there were none or Hadamard's bound left them out).  Each tree's values must repeat exactly over
 its repetitions; the file gives every value's relative difference from the
 first tree, and the run prints the largest, so a speed change that moves
 the numbers shows next to its timings.
@@ -57,6 +63,11 @@ GRID = (
     ("var_jx_slope", 50, 1.0, 0.5, 0.3, "regular"),
     ("var_jx_slope", 100, 1.0, 0.5, 0.3, "regular"),
     ("var_jx_slope", 300, 1.0, 0.5, 0.3, "regular"),
+    ("kernel", 50, 1.0, 0.5, 0.3, "warm"),
+    ("kernel", 300, 1.0, 0.5, 0.3, "warm"),
+    ("kernel", 1000, 1.0, 0.5, 0.3, "warm"),
+    ("kernel", 300, 1.0, 0.5, 0.3, "cold"),
+    ("kernel", 1000, 1.0, 0.5, 0.3, "cold"),
 )
 
 
@@ -81,17 +92,19 @@ def _time_grid() -> tuple[dict[str, float], dict[str, int], dict[str, float]]:
     try:
         for layer, n, gamma, field, temp, kind in GRID:
             ens = thermometry.ensemble(ChainSpec(gamma=gamma, field_ratio=field, sites=n), temp)
-            kern = correlations.kernel(ens)
+            kern = correlations.kernel(ens)  # builds the tables of N, if memoized
             if layer == "fourth_moment_from_kernel":
                 correlations.var_jx(kern)
-            call = getattr(correlations, layer)
+            if kind == "cold" and hasattr(correlations, "_trig_tables"):
+                correlations._trig_tables.cache_clear()
+            call, arg = getattr(correlations, layer), ens if layer == "kernel" else kern
             calls[0] = 0
             start = perf_counter()
-            value = call(kern)
+            value = call(arg)
             key = _key(layer, n, gamma, field, temp, kind)
             times[key] = perf_counter() - start
             halvings[key] = calls[0]
-            values[key] = float(value)
+            values[key] = float(value._g @ value._g) if layer == "kernel" else float(value)
     finally:
         correlations._halving_minors = halving
     return times, halvings, values
