@@ -34,24 +34,28 @@ correlator far below 1 has correspondingly fewer correct digits.
 
 The <J_x^4> sum needs one such determinant per gap class (t1, t2, t3) of
 the four sites, about N^3/12 of them.  Each is a principal minor of the
-same pair matrix T, on the sites [0, t1) u [t1+t2, t1+t2+t3), so by
-Schur's determinant formula it is the pair correlator c(t1) times a minor
-of the Schur complement Sigma_t1 that t1 steps of elimination of T leave
-behind, and c(t1) is the product of those t1 pivots.  One O(N^3)
-elimination of T therefore serves every class, and for fixed (t1, t2)
-every t3 is a leading minor of the window Sigma_t1[t2:, t2:], which one
-elimination without row exchanges gives as products of its pivots:
-O(N^5) flops for the sum instead of the O(N^6) of one det per class.
-The windows are eliminated in stacks, each at a
-panel-aligned offset in an identity matrix, so that no flop goes to the
-identity before a window and a window's pivots do not depend on its
-stack.  Where an elimination breaks down on a pivot that is zero to
-working precision (see fourth_moment_from_kernel), what it could not
-reach is left out if Hadamard's inequality certifies it below one ulp of
-<J_x^4>, and otherwise takes the leading minors of its own contraction
+same pair matrix T, on the sites [0, t1) u [t1+t2, t1+t2+t3), and the
+reversed class (t3, t2, t1) has the same determinant, so only t1 <= t3 is
+summed.  Read from the reversed class, by Schur's determinant formula, it
+is the pair correlator c(t3) times the leading t1 x t1 minor of the window
+Sigma_t3[t2:, t2:] of the Schur complement that t3 steps of elimination of
+T leave behind, and c(t3) is the product of those t3 pivots.  One O(N^3)
+elimination of T therefore serves every class, and for fixed (t3, t2)
+every t1 is a leading minor of the window's leading block of order
+min(t3, N-1-t3-t2), which one elimination without row exchanges gives as
+products of its pivots: O(N^5) flops for the sum instead of the O(N^6) of
+one det per class, and by a (2/3) k^3 flop count 7.1 (N = 50) to 7.4 (N =
+200) times fewer than reading each class from its smaller outer gap t1,
+whose windows must be eliminated whole.  The windows are eliminated in
+stacks, each at a panel-aligned offset in an identity matrix, so that no
+flop goes to the identity before a window and a window's pivots do not
+depend on its stack.  Where an elimination breaks down on a pivot that is
+zero to working precision (see fourth_moment_from_kernel), what it could
+not reach is left out if Hadamard's inequality certifies it below one ulp
+of <J_x^4>, and otherwise takes the leading minors of its own contraction
 matrices from orthogonal factors, as the pair correlators do.  The
-quadruple sum takes no LAPACK det; the one-det-per-class sum lives in
-the tests, as the reference.
+quadruple sum takes no LAPACK det; the one-det-per-class sum lives in the
+tests, as the reference.
 
 A subtlety worth stating once: these formulas describe the Hamiltonian
 variant whose fermions are exactly antiperiodic (the boundary bond carries
@@ -70,6 +74,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectrum import momentum_grid
 from .thermometry import ThermalEnsemble
@@ -95,10 +100,13 @@ MODULATIONS = ("uniform", "half")
 
 # cap on matrix entries in one stack of the quadruple sum (2.4 MB of
 # float64), whether it holds Schur windows or the contraction matrices of one
-# t2 that _fallback_sum bounds and, failing that, minors; chosen by timing: the
-# windows spend no flop on the identity before their offsets, so 200k-400k
-# entries time alike at N = 50, 200k-300k are fastest at N = 100 (400k is
-# 15-20 % slower, at regular and breakdown points alike), and 300k at N = 200
+# t2 that _fallback_sum bounds and, failing that, minors; chosen by timing
+# the windows of order min(t3, N-1-t3-t2), medians at (1, 0.5, 0.3) and
+# (-0.977, 0.386, 0.3155): 100k-400k entries time alike at N = 50 (600k is
+# 10 % slower), 200k-400k at N = 100 (100k is 10 % and 600k 25 % slower),
+# and 300k-600k at N = 200 (200k is 10 % and 100k 30 % slower).  The
+# fallback's stacks keep the value they were timed with (200k-300k fastest
+# at N = 100, breakdown points)
 _DET_BATCH_ELEMENTS = 300_000
 # width of the diagonal panels inside which _leading_minors takes scalar steps,
 # and where a panel's multipliers sit in its diagonal block; every window of
@@ -439,10 +447,11 @@ def _leading_minors(mats: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
 
     Gaussian elimination without row exchanges, in place: the minor of
     order k is the product of the first k pivots (Golub & Van Loan, Matrix
-    Computations, sec. 3.2).  Matrix i is the identity on its first
+    Computations, sec. 3.2).  Matrix i counts as the identity on its first
     offsets[i] rows and columns, a multiple of _PANEL that ascends down the
     stack, so the diagonal panel [k0, k1) is factored only for the prefix
-    of matrices with an offset below k1; the others keep pivots of 1.
+    of matrices with an offset below k1; the others keep pivots of 1, and
+    no entry of a matrix before its offset is read.
     Scalar steps run only inside a panel, on contiguous copies of its
     columns and of its rows of the upper factor with the batch axis
     innermost, and keep nothing but its pivots; the trailing Schur
@@ -484,7 +493,7 @@ def _class_weights(n: int, t1, t2, t3) -> np.ndarray:
     return copies * np.maximum(n - t1 - t2 - t3, 0)
 
 
-def _schur_snapshots(kern: CorrelationKernel, steps: int) -> list[np.ndarray]:
+def _schur_snapshots(kern: CorrelationKernel, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Trailing blocks of the pair matrix after t = 1 ... steps elimination steps.
 
     T[a, b] = g_{a-b-1} on bond sites 0 ... N-2 is the matrix whose leading
@@ -493,36 +502,62 @@ def _schur_snapshots(kern: CorrelationKernel, steps: int) -> list[np.ndarray]:
 
         Sigma_t = T[G, G] - T[G, F] T[F, F]^-1 T[F, G],   F = [0, t), G = [t, N-1),
 
-    returned as entry t - 1 (local index 0 is site t).  The list stops
-    early at a breakdown: a pivot that is zero to working precision or a
-    value that is not finite.
+    of order N-1-t (local index 0 is site t).  Returns (store, starts):
+    every Sigma_t is kept row-major in one flat store, from store[starts[t -
+    1]], so that windows of many snapshots gather in one indexing operation
+    (see _window_stack).  The store ends in 2(N-2) spare entries, zero but
+    for a 1 at store[-(N-2)]: their runs of m <= N-2 entries are the rows of
+    an m x m identity, and their first zeros take what a window row of the
+    last snapshot runs on into.  starts stops early at a breakdown: a pivot
+    that is zero to working precision or a value that is not finite.
     """
     n = kern.ensemble.spec.sites
+    orders = np.arange(n - 2, n - 2 - steps, -1)
+    ends = np.cumsum(orders * orders)
+    store = np.zeros(ends[-1] + 2 * (n - 2))
+    store[-(n - 2)] = 1.0
     a = np.arange(n - 1)
     block = kern._g[kern._off - 1 + a[:, None] - a[None, :]]
-    snapshots = []
+    reached = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(steps):
+        for order, end in zip(orders.tolist(), ends.tolist()):
             col = block[1:, 0] / block[0, 0]
             if not np.max(np.abs(col), initial=0.0) <= _MULTIPLIER_LIMIT:
                 break
-            block = block[1:, 1:] - col[:, None] * block[0, None, 1:]
-            if not np.isfinite(block).all():
+            snapshot = store[end - order * order:end].reshape(order, order)
+            np.multiply(col[:, None], block[0, None, 1:], out=snapshot)
+            np.subtract(block[1:, 1:], snapshot, out=snapshot)
+            if not np.isfinite(snapshot).all():
                 break
-            snapshots.append(block)
-    return snapshots
+            block = snapshot
+            reached += 1
+    return store, (ends - orders * orders)[:reached]
 
 
-def _window_stack(snapshots: list[np.ndarray], t1: np.ndarray, t2: np.ndarray,
-                  offsets: np.ndarray, m: int) -> np.ndarray:
-    # window Sigma_t1[t2:, t2:] of each (t1, t2) in an m x m identity, on
-    # rows and columns from its offset: the identity around it leaves its
-    # leading minor of order t3 as the stack's minor of order offset + t3
-    stack = np.zeros((len(t1), m, m))
-    stack[:, np.arange(m), np.arange(m)] = 1.0
-    for mat, a, b, o in zip(stack, t1.tolist(), t2.tolist(), offsets.tolist()):
-        window = snapshots[a - 1][b:, b:]
-        mat[o:o + len(window), o:o + len(window)] = window
+def _window_stack(store: np.ndarray, starts: np.ndarray, n: int, t3: np.ndarray,
+                  t2: np.ndarray, order: np.ndarray, offsets: np.ndarray, m: int) -> np.ndarray:
+    """The windows Sigma_t3[t2:t2+k, t2:t2+k], k = order, of a store of _schur_snapshots.
+
+    Window i sits in an m x m identity on rows and columns from offsets[i],
+    so that its leading minor of order j is the stack's of order offsets[i]
+    + j.  Each row of the stack is one run of m entries of the store, and
+    all B m rows come in one gather: a window row runs on along its row of
+    Sigma_t3 (into the next row, or the next snapshot), and those columns are
+    zeroed, once for every run of windows of one order; every other row is
+    a row of the identity at the end of the store.  The columns before a
+    window's offset keep what its rows ran over: no step of _leading_minors
+    reads them.
+    """
+    local = np.arange(m) - offsets[:, None]
+    size = n - 1 - t3
+    rows = np.where((local >= 0) & (local < order[:, None]),
+                    (starts[t3 - 1] + t2 * size + t2 - offsets)[:, None] + local * size[:, None],
+                    len(store) - (n - 2) - np.arange(m))
+    stack = sliding_window_view(store, m)[rows]
+    runs = np.flatnonzero(np.diff(order, prepend=-1)).tolist()
+    for lo, hi in zip(runs, runs[1:] + [len(order)]):
+        o, end = offsets[lo], offsets[lo] + order[lo]
+        stack[lo:hi, o:end, end:] = 0.0
     return stack
 
 
@@ -553,33 +588,44 @@ def _hadamard_products(kern: CorrelationKernel, t1: np.ndarray, t2: int,
     return np.prod(norms, axis=1)
 
 
-def _fallback_sum(kern: CorrelationKernel, pairs: list[tuple[int, int]]) -> float:
-    """The summed classes (t1, t2, t3 >= t1) of the (t1, t2) no elimination reached.
+def _fallback_sum(kern: CorrelationKernel, spans: np.ndarray) -> float:
+    """The summed classes (t1, t2, t3) of the spans no elimination reached.
 
-    The pairs go in stacks of one t2, by ascending t1, under the cap of
+    Each row (t1, t2, lo, hi) of spans stands for the classes (t1, t2, t3)
+    with lo <= t3 <= hi, the leading minors of order t1 + t3 of the
+    contraction matrix of (t1, t2) (see _quad_index), each weighted as the
+    class or its reverse, whichever has the smaller first gap
+    (_class_weights); the caller's spans hold each class once.  The rows go
+    in stacks of one t2, by ascending t1, under the cap of
     _DET_BATCH_ELEMENTS entries of their contraction matrices (m x m, m =
-    N-1-t2, see _quad_index).  First the classes' weighted Hadamard bounds
+    N-1-t2).  First the classes' weighted Hadamard bounds
     (_hadamard_products) are summed: O(N^4) flops.  If 24 times that sum,
     times _ROUNDING_MARGIN, is at most eps * (N + 3N(N-1)), they move
     <J_x^4> by less than one ulp of its two leading terms and are left out
-    (a NaN bound certifies nothing).  Otherwise _halving_minors gives every
-    leading minor of each pair's contraction matrix from orthogonal factors,
-    with no pivot to break down, and the class weights sum them: O(m^3)
-    flops per pair.  Each matrix is a principal block of the pair matrix,
-    whose singular values are at most 1, so every minor is accurate to near
-    roundoff of 1 in absolute terms, as the pair correlators are.
+    (a NaN bound certifies nothing).  Otherwise
+    _halving_minors gives every leading minor of each row's contraction
+    matrix from orthogonal factors, with no pivot to break down, and the
+    class weights sum them: O(m^3) flops per row.  Each matrix is a
+    principal block of the pair matrix, whose singular values are at most
+    1, so every minor is accurate to near roundoff of 1 in absolute terms,
+    as the pair correlators are.
     """
     n = kern.ensemble.spec.sites
-    t1s, t2s = np.array(pairs, dtype=int).reshape(-1, 2).T
+    t1s, t2s, firsts, lasts = spans[np.lexsort((spans[:, 0], spans[:, 1]))].T
     stacks = []
-    for t2 in np.unique(t2s).tolist():
-        column = np.sort(t1s[t2s == t2])
+    ends = np.flatnonzero(np.diff(t2s, append=-1)) + 1
+    for begin, end in zip([0, *ends[:-1].tolist()], ends.tolist()):
+        t2 = int(t2s[begin])
         m = n - 1 - t2
         order = np.arange(1, m + 1)
         chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
-        for lo in range(0, len(column), chunk):
-            t1 = column[lo:lo + chunk, None]
-            stacks.append((t1, t2, order, _class_weights(n, t1, t2, order - t1)))
+        for lo in range(begin, end, chunk):
+            hi = min(lo + chunk, end)
+            t1 = t1s[lo:hi, None]
+            t3 = order - t1
+            weights = _class_weights(n, np.minimum(t1, t3), t2, np.maximum(t1, t3))
+            weights[(t3 < firsts[lo:hi, None]) | (t3 > lasts[lo:hi, None])] = 0
+            stacks.append((t1, t2, order, weights))
     bound = sum(float(np.sum(weights * _hadamard_products(kern, t1, t2, order),
                              where=weights != 0))
                 for t1, t2, order, weights in stacks)
@@ -596,37 +642,55 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
     """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, by Schur windows.
 
     The contraction matrix of gap class (t1, t2, t3) is T[S, S] for the
-    pair matrix T of _schur_snapshots and S = F u W, F = [0, t1), W =
-    [t1+t2, t1+t2+t3).  By Schur's determinant formula its det is c(t1) *
-    det Sigma_t1[W, W], with c(t1) = det T[F, F] the pair correlator, and W
-    is the leading t3 x t3 block of the window Sigma_t1[t2:, t2:].  So one
-    elimination of T gives every Sigma_t1 (and c(t1), see below), and
-    one elimination of each window, of order N-1-t1-t2, gives every t3 of
-    its (t1, t2): the quotient property of Schur complements (Crabtree &
-    Haynsworth, 1969) makes the window's own elimination continue that of
-    T.  The windows of every t1 go through _leading_minors largest first,
-    in stacks of at most _DET_BATCH_ELEMENTS entries sized by the first,
-    largest window.  Each window sits in the identity at the largest
-    multiple of _PANEL that leaves it room, so it starts on a panel
-    boundary, as it would alone, and the panels before its offset skip it:
-    at most _PANEL - 1 rows of identity after it are eliminated with it,
-    and its minor of order t3 is the stack's of order offset + t3.  By the
-    reversal symmetry only t1 <= t3 is summed.
+    pair matrix T of _schur_snapshots and S = [0, t1) u [t1+t2,
+    t1+t2+t3).  Reversing the order of the sites transposes it and
+    reverses its rows and columns, so the reversed class (t3, t2, t1) has
+    the same det, and only t1 <= t3 is summed, each class read from its
+    reverse: S' = F u W, F = [0, t3), W = [t3+t2, t3+t2+t1).  By Schur's
+    determinant formula that det is c(t3) * det Sigma_t3[W, W], with c(t3)
+    = det T[F, F] the pair correlator, and W is the leading t1 x t1 block
+    of the window Sigma_t3[t2:, t2:].  As t1 <= min(t3, N-1-t3-t2), the
+    window is needed only to that order, and one elimination of its
+    leading block of that order gives every t1 of its (t3, t2): the
+    quotient property of Schur complements (Crabtree & Haynsworth, 1969)
+    makes the window's own elimination continue that of T.  So one
+    elimination of T, kept for N-3 steps, gives every Sigma_t3 (and c(t3),
+    see below), and the windows, 1128 at N = 50, go through
+    _leading_minors largest first, in stacks of at most
+    _DET_BATCH_ELEMENTS entries sized by the first, largest window, each
+    stack gathered by _window_stack in one indexing operation.  Each
+    window sits in the identity at the largest multiple of _PANEL that
+    leaves it room, so it starts on a panel boundary, as it would alone,
+    and the panels before its offset skip it: at most _PANEL - 1 rows of
+    identity after it are eliminated with it, and its minor of order t1 is
+    the stack's of order offset + t1.  Reading each class from its
+    smaller outer gap t1 instead, as c(t1) times a minor of order t3 of
+    Sigma_t1[t2:, t2:], eliminates every window whole: 576 windows at N
+    = 50, but 7.1 times the flops, and at the four gamma < 0 points of
+    test_nested_minors_near_the_negative_gamma_critical_line, N = 50, it
+    was 1.2e-10 to 8.9e-10 of <J_x^4> off, where this order is 8.7e-14 to
+    3.2e-11 off (see fourth_moment_from_kernel).
 
-    c(t1) is the product of the first t1 pivots of that elimination of T:
+    c(t3) is the product of the first t3 pivots of that elimination of T:
     Schur's formula in the elimination's own arithmetic.  The kernel's
-    memo of pair correlators is accurate in absolute terms only; at
-    (1, 2, 0.05), N = 60, its c(29) = 2.6e-10 is 5.5e-7 off in relative
-    terms, and the large window minors that c(29) multiplies would carry
-    that to 1.9e-10 of <J_x^4> (4.4e-9 at (-0.7, 0.3, 0.05), N = 60).
+    memo of pair correlators is accurate in absolute terms only; at (1, 2,
+    0.05), N = 60, its c(29) = 2.6e-10 is 5.5e-7 off in relative terms,
+    and with c(t3) read from the memo the sum would be 1.2e-9 of <J_x^4>
+    off there (8.5e-9 at (-0.7, 0.3, 0.05), N = 60), against 4e-17 and
+    3e-18 from the pivots.
 
-    Every (t1, t2) that no elimination reaches goes to one route,
+    Every class that no elimination reaches goes to one route,
     _fallback_sum: if the elimination of T breaks down after p steps, the
-    pairs with t1 > p, which have no snapshot, and the windows of every
-    stack on which _leading_minors breaks down.  Measured at N = 30, 40,
+    classes with t3 > p, which have no snapshot, and the classes of every
+    window of a stack on which _leading_minors breaks down.  The first go
+    there as the pairs (t1, t2), t1 <= (N-2)/2, one contraction matrix per
+    pair, so a breakdown at the first pivot hands over the very pairs, and
+    Hadamard bounds, that reading each class from t1 did; a broken window
+    (t3, t2) goes as the contraction matrix of (t3, t2), whose leading
+    minors of order t3 + t1 are its classes.  Measured at N = 30, 40,
     50, 60, 80 and 100, its Hadamard bound certifies the zero-correlation
-    lines: gamma = -1, h/J = 0 at T = 0.05, 0.3 and 5, the cold XX chain at
-    h/J = 2, T = 0.05, and T = inf, where it is exactly 0.  Below 30
+    lines: gamma = -1, h/J = 0 at T = 0.05, 0.3 and 5, the cold XX chain
+    at h/J = 2, T = 0.05, and T = inf, where it is exactly 0.  Below 30
     sites the gamma = -1 line at T <= 0.3 sits at the bound's edge (24 *
     margin * bound / (eps * lead) = 0.5 ... 2), and the rings of 6 to 16
     sites, and of 24 at T = 0.3, take the orthogonal minors; so does a
@@ -634,36 +698,45 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
     bound is O(1).
     """
     n = kern.ensemble.spec.sites
-    snapshots = _schur_snapshots(kern, (n - 2) // 2)
-    # c(t1) for t1 = 0 ... len(snapshots): products of the pivots T[0, 0] =
-    # g_{-1} and Sigma_t[0, 0], t = 1 ... len(snapshots) - 1
-    pivots = [snapshot[0, 0] for snapshot in snapshots[:-1]]
-    pairs = np.cumprod([1.0, kern._g[kern._off - 1], *pivots])
-    # the windows (t1, t2) of order N-1-t1-t2 >= t1, largest first
-    windows = sorted(((a, b) for a in range(1, len(snapshots) + 1) for b in range(1, n - 2 * a)),
-                     key=sum)
-    # the (t1, t2) past a breakdown of T, which have no snapshot (none if T
-    # did not break down)
-    unreached = [(a, b) for a in range(len(snapshots) + 1, (n - 2) // 2 + 1)
-                 for b in range(1, n - 2 * a)]
-    t1, t2 = np.array(windows, dtype=int).reshape(-1, 2).T
+    store, starts = _schur_snapshots(kern, n - 3)
+    reached = len(starts)
+    # c(t) for t = 0 ... reached: products of the pivots T[0, 0] = g_{-1}
+    # and Sigma_t[0, 0], t = 1 ... reached - 1
+    pairs = np.cumprod(np.concatenate(([1.0, kern._g[kern._off - 1]], store[starts[:-1]])))
+    # the windows (t3, t2) of every outer gap t3 <= reached, of order
+    # min(t3, N-1-t3-t2), largest first
+    t3, t2 = np.nonzero(np.add.outer(np.arange(reached), np.arange(n - 3)) <= n - 4)
+    t3, t2 = t3 + 1, t2 + 1
+    order = np.minimum(t3, n - 1 - t3 - t2)
+    rank = np.argsort(-order, kind="stable")
+    t3, t2, order = t3[rank], t2[rank], order[rank]
+    # what no elimination reached, as rows (t1, t2, lo, hi) of _fallback_sum;
+    # first the classes with t3 past a breakdown of T (none if T did not
+    # break down)
+    t1 = np.arange(1, (n - 2) // 2 + 1)
+    lo = np.maximum(t1, reached + 1)
+    row, col = np.nonzero(np.arange(1, n - 2) <= (n - 1 - t1 - lo)[:, None])
+    unreached = [np.stack((t1[row], col + 1, lo[row], n - 2 - t1[row] - col), axis=1)]
     total = 0.0
     start = 0
-    while start < len(t1):
-        m = n - 1 - t1[start] - t2[start]
+    while start < len(t3):
+        m = order[start]
         stop = start + max(1, _DET_BATCH_ELEMENTS // (m * m))
-        a, b = t1[start:stop], t2[start:stop]
+        a, b, k = t3[start:stop], t2[start:stop], order[start:stop]
         # each window starts on the last panel boundary that leaves it room
-        offsets = (a + b - a[0] - b[0]) // _PANEL * _PANEL
-        minors = _leading_minors(_window_stack(snapshots, a, b, offsets, m), offsets)
+        offsets = (m - k) // _PANEL * _PANEL
+        minors = _leading_minors(_window_stack(store, starts, n, a, b, k, offsets, m), offsets)
         if minors is None:
-            unreached += zip(a.tolist(), b.tolist())
+            # window (t3, t2) held the classes (t1, t2, t3), t1 = 1 ... k
+            unreached.append(np.stack((a, b, np.ones_like(k), k), axis=1))
         else:
-            t3 = np.arange(1, m + 1) - offsets[:, None]
-            weights = _class_weights(n, a[:, None], b[:, None], t3)
+            # stack minor q is the window's of order j = q - offset, class
+            # (j, t2, t3); the minors before the offset (j < 1) weigh nothing
+            j = np.arange(1, m + 1) - offsets[:, None]
+            weights = _class_weights(n, j, b[:, None], a[:, None]) * (j > 0)
             total += float(np.sum(pairs[a, None] * weights * minors))
         start = stop
-    return total + _fallback_sum(kern, unreached)
+    return total + _fallback_sum(kern, np.concatenate(unreached))
 
 
 def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
@@ -672,33 +745,35 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     The all-distinct quadruple sum comes from one elimination of the pair
     matrix, whose Schur-complement snapshots times the pair correlators
     give every gap class, and one blocked elimination per stack of Schur
-    windows (see _nested_quad_sum): O(N^5) flops.  A breakdown is a pivot
-    that is zero to working precision, as at T = inf (g = 0), on the
-    gamma = -1, h/J = 0 line (every pair matrix singular) and in the cold
-    XX chain polarized by h/J > 1.  The classes no elimination reached,
-    those past a breakdown of the pair matrix and those of a window stack
-    that broke down, are left out if Hadamard's inequality certifies that
-    they move the result by less than one ulp of N + 3N(N-1); otherwise
-    the leading minors of their own contraction matrices come from
-    orthogonal factors (_halving_minors).  No LAPACK det runs.  On those
-    lines the x spins are uncorrelated, and at N = 50 the certified points
-    give 3N^2 - 2N to roundoff in about 15 ms, against 130-180 ms when
-    every class past the breakdown took dets.
+    windows (see _nested_quad_sum): O(N^5) flops, 5.3-5.7 ms at N = 50,
+    36-38 ms at N = 100 and 0.51-0.57 s at N = 200 (BENCH_13.json).  A
+    breakdown is a pivot that is zero to working precision, as at T = inf
+    (g = 0), on the gamma = -1, h/J = 0 line (every pair matrix singular)
+    and in the cold XX chain polarized by h/J > 1.  The classes no
+    elimination reached, those past a breakdown of the pair matrix and
+    those of a window stack that broke down, are left out if Hadamard's
+    inequality certifies that they move the result by less than one ulp of
+    N + 3N(N-1); otherwise the leading minors of their own contraction
+    matrices come from orthogonal factors (_halving_minors).  No LAPACK det
+    runs.  On those lines the x spins are uncorrelated, and at N = 50 the
+    certified points give 3N^2 - 2N to roundoff in 5.7-6.2 ms, against
+    130-180 ms when every class past the breakdown took dets.
 
     The pair sum reads the kernel's memo of pair correlators; the
     quadruple sum does not (see _nested_quad_sum).
 
     Accuracy, measured against the pivoted one-det-per-gap-class sum at
-    N = 50: over the 186 points of round 0 of tscan-quartic at seeds 4 and
-    11 the quadruple sums differ by at most 1.9e-15 of <J_x^4> at gamma >=
-    0 (102 points) and by up to 1.69e-10 at gamma < 0 (84 points, worst at
-    (-0.697, 1.091, 0.792)).  That sample does not bound the gamma < 0
-    error: a 7 x 7 grid of gamma in [-0.979, -0.973], h/J in [0.382,
-    0.388] at T = 0.3155 has a median of 2.4e-11 and reaches 1.63e-9 at
-    (-0.977, 0.386, 0.3155).  The large differences sit at gamma < 0,
-    where elimination without row exchanges can grow the entries of its
-    upper factor by up to 1e17 (measured near the critical line; about 1
-    at gamma > 0), yet no multiplier crosses the breakdown limit.
+    N = 50: over the 186 distinct points of round 0 of tscan-quartic at
+    seeds 4 and 11 the quadruple sums differ by at most 1.9e-15 of <J_x^4>
+    at gamma >= 0 (102 points) and by up to 1.21e-10 at gamma < 0 (84
+    points, worst at (-1, 1, 0.7924), the only one above 1e-11).  On a 7 x
+    7 grid of gamma in [-0.979, -0.973], h/J in [0.382, 0.388] at T =
+    0.3155 the median is 1.7e-13 and the largest 7.2e-13.  Neither sample
+    bounds the gamma < 0 error.  It comes from
+    elimination without row exchanges, whose upper factor can grow by up
+    to 1e17 near that critical line (about 1 at gamma > 0) while no
+    multiplier crosses the breakdown limit; a bound needs orthogonal
+    factors.
     """
     n = kern.ensemble.spec.sites
     pair_sum = _pair_sum(_xx_correlations(kern))

@@ -338,53 +338,75 @@ def test_nested_minors_match_by_class_reference(sites, monkeypatch):
         assert 24.0 * abs(nested - want) <= 1e-10 * fourth, (gamma, field, T)
 
 
-@pytest.mark.parametrize("gamma, field, T", ((-0.892, 0.767, 0.792), (-1.0, 1.0, 0.792)))
+@pytest.mark.parametrize("gamma, field, T", ((-0.892, 0.767, 0.792), (-1.0, 1.0, 0.792),
+                                             (-0.977, 0.386, 0.3155), (-0.697, 1.091, 0.792)))
 def test_nested_minors_near_the_negative_gamma_critical_line(gamma, field, T):
     # elimination without row exchanges grows its upper factor by up to 1e17
-    # here; the Schur windows measure 1.5e-10 and 1.2e-10 of <J_x^4> against
-    # the by-class reference at these points (1.6e-9 at the first when each
-    # class's matrix was eliminated from its first row).  The bound holds for
-    # today's rounding order, not for the algorithm: with _PANEL = 1, 2, 4, 8
-    # and 16 alone, the first point measures 3.3e-10, 6.6e-11, 9.9e-10,
-    # 1.5e-10 and 3.2e-10, and the second 1.0e-10 ... 2.6e-10
+    # near this line.  Each class is c(t3) times a window minor of order t1
+    # <= t3, and these points measure 8.7e-14, 3.2e-11, 2.1e-13 and 7.1e-13
+    # of <J_x^4> against the by-class reference; with _PANEL = 1, 2, 4, 8
+    # and 16 alone they stay within 1.7e-14 ... 8.7e-14, 3.2e-11, 2.1e-13
+    # and 5.3e-14 ... 7.1e-13.  That is a margin over rounding orders, not a
+    # bound of the algorithm: (-1, 1, 0.7924) measures 1.2e-10
     kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=50, T=T))
     nested = correlations._nested_quad_sum(kern)
     fourth = correlations.fourth_moment_from_kernel(kern)
-    assert 24.0 * abs(nested - quad_sum_by_class(kern)) <= 2.5e-10 * fourth
+    assert 24.0 * abs(nested - quad_sum_by_class(kern)) <= 1e-10 * fourth
 
 
-def _windows(n, t1s):
-    # the (t1, t2) Schur windows of the quadruple sum for the given t1
-    return sorted((a, b) for a in t1s for b in range(1, n - 2 * a))
+def _windows(n, outer):
+    # the (s, t2) Schur windows of the quadruple sum for the given outer gaps s
+    return sorted((s, b) for s in outer for b in range(1, n - 1 - s))
 
 
-def _classes(n, t1_from):
-    # the (t1, t2) of every summed class with t1 >= t1_from
-    return sorted((a, b) for b in range(1, n - 2) for a in range(t1_from, (n - 1 - b) // 2 + 1))
+def _classes(n, past):
+    # every summed class (t1, t2, t3), t1 <= t3, with t3 > past
+    return sorted(key for key in _gap_classes(n) if key[2] > past)
+
+
+def _window_classes(n, windows):
+    # the classes (t1, t2, s), t1 = 1 ... min(s, N-1-s-t2), that the windows
+    # (s, t2) hold
+    return sorted((a, b, s) for s, b in windows for a in range(1, min(s, n - 1 - s - b) + 1))
 
 
 def _record_stacks(monkeypatch):
-    # the (t1, t2) of every window gathered, and those handed to the one
-    # route for what no elimination reached
-    windows, unreached = [], []
+    # the (s, t2) of every window gathered, stack by stack, the span rows
+    # handed to the one route for what no elimination reached, and the
+    # classes (t1, t2, t3) those rows sum
+    windows, spans, unreached = [], [], []
     window_stack, fallback = correlations._window_stack, correlations._fallback_sum
 
-    def gather(snapshots, t1, t2, offsets, m):
-        windows.append(list(zip(t1.tolist(), t2.tolist())))
-        return window_stack(snapshots, t1, t2, offsets, m)
+    def gather(store, starts, n, s, t2, order, offsets, m):
+        windows.append(list(zip(s.tolist(), t2.tolist())))
+        return window_stack(store, starts, n, s, t2, order, offsets, m)
 
-    def route(kern, pairs):
-        unreached.extend(pairs)
-        return fallback(kern, pairs)
+    def route(kern, rows):
+        n = kern.ensemble.spec.sites
+        spans.extend(rows.tolist())
+        unreached.extend((min(a, c), b, max(a, c)) for a, b, lo, hi in rows.tolist()
+                         for c in range(lo, min(hi, n - 1 - a - b) + 1))
+        return fallback(kern, rows)
 
     monkeypatch.setattr(correlations, "_window_stack", gather)
     monkeypatch.setattr(correlations, "_fallback_sum", route)
-    return windows, unreached
+    return windows, spans, unreached
+
+
+def _break_pair_matrix_after(monkeypatch, steps):
+    # a breakdown of the pair matrix forced after the given number of steps
+    snapshots = correlations._schur_snapshots
+
+    def broken(kern, count):
+        store, starts = snapshots(kern, count)
+        return store, starts[:steps]
+
+    monkeypatch.setattr(correlations, "_schur_snapshots", broken)
 
 
 def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
     # a cap of 200 entries leaves a few matrices a stack.  At the regular
-    # point each of the 36 Schur windows of N = 14 is eliminated in exactly
+    # point each of the 66 Schur windows of N = 14 is eliminated in exactly
     # one stack and nothing goes to the fallback.  With a breakdown of the
     # pair matrix forced at its first pivot, at the same point, every class
     # goes to the fallback, whose Hadamard bounds run in chunks of one t2
@@ -396,7 +418,7 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
     fourth = correlations.fourth_moment_from_kernel(kern)
     for breaks in (False, True):
         if breaks:
-            monkeypatch.setattr(correlations, "_schur_snapshots", lambda kern, steps: [])
+            _break_pair_matrix_after(monkeypatch, 0)
         whole = correlations._nested_quad_sum(kern)
         monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", cap)
         leading, hadamard, halving = (correlations._leading_minors,
@@ -408,16 +430,16 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
                             bounded.append((len(t1), t2)) or hadamard(kern, t1, t2, order))
         monkeypatch.setattr(correlations, "_halving_minors", lambda a:
                             halved.append(a.shape) or halving(a))
-        windows, unreached = _record_stacks(monkeypatch)
+        windows, spans, unreached = _record_stacks(monkeypatch)
         calls = _count_dets(monkeypatch)
         split = correlations._nested_quad_sum(kern)
         monkeypatch.undo()
         assert all(b == 1 or b * m * m <= cap for b, m, _ in shapes), breaks
         assert all(b == 1 or b * (n - 1 - t2) ** 2 <= cap for b, t2 in bounded), breaks
-        assert sum(b for b, _ in bounded) == len(unreached), breaks
-        assert sorted(sum(windows, [])) == _windows(n, () if breaks else range(1, n // 2))
+        assert sum(b for b, _ in bounded) == len(spans) == len(halved), breaks
+        assert sorted(sum(windows, [])) == _windows(n, () if breaks else range(1, n - 2))
         assert len(shapes) == len(windows)
-        assert sorted(unreached) == (_classes(n, 1) if breaks else [])
+        assert sorted(unreached) == (_classes(n, 0) if breaks else [])
         assert bool(halved) == breaks and calls == [], breaks
         assert split == pytest.approx(whole, rel=1e-13), breaks
         assert 24.0 * abs(split - quad_sum_by_class(kern)) <= 1e-12 * fourth, breaks
@@ -441,6 +463,29 @@ def test_breakdown_points_skip_dets_once_certified(gamma, field, T, monkeypatch)
         assert fourth == pytest.approx(3 * n * n - 2 * n, rel=1e-12), n
         if T == math.inf:
             assert fourth == 3 * n * n - 2 * n
+
+
+@pytest.mark.parametrize("gamma, field, T", BREAKDOWN_GRID)
+def test_breakdown_points_keep_the_certified_route(gamma, field, T, monkeypatch):
+    # past a breakdown of the pair matrix at its first pivot every class
+    # goes to the fallback in the frame t1 <= t3, one row (t1, t2, t1, N-1-
+    # t1-t2) per pair t1 <= (N-2)/2: the very pairs, and so the very
+    # Hadamard bounds, of reading each class from its smaller outer gap.
+    # They certify every class at N = 30 and 50, so no window is gathered
+    # and no orthogonal minor is taken
+    for n in (30, 50):
+        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
+        halving = correlations._halving_minors
+        halved = []
+        monkeypatch.setattr(correlations, "_halving_minors", lambda a:
+                            halved.append(a.shape) or halving(a))
+        windows, spans, unreached = _record_stacks(monkeypatch)
+        correlations._nested_quad_sum(kern)
+        monkeypatch.undo()
+        assert windows == [] and halved == [], n
+        assert sorted(spans) == sorted([a, b, a, n - 1 - a - b] for a in range(1, (n - 2) // 2 + 1)
+                                       for b in range(1, n - 2 * a)), n
+        assert sorted(unreached) == _classes(n, 0), n
 
 
 @pytest.mark.parametrize("gamma, field, T", NESTED_GRID + BREAKDOWN_GRID)
@@ -468,73 +513,94 @@ def test_hadamard_products_bound_every_class_det(gamma, field, T):
 
 
 def test_window_minors_do_not_depend_on_their_stack():
-    # windows of orders 47, 41, 33, 25 and 17 share one stack at the
-    # panel-aligned offsets 0, 0, 8, 16 and 24, so the first panels factor
-    # only a prefix of it.  Each window's minors must be bitwise those it
-    # gets alone, where orders 41, 33, 25 and 17 end on a 1 x 1 trailing
-    # update, and the identity around it must leave pivots of 1.  A first
-    # pivot of the last window, which the first three panels skip, that is
-    # zero or below roundoff of its column must still break the stack down
-    n = 50
-    t1, t2 = np.array([1, 2, 5, 3, 10]), np.array([1, 6, 11, 21, 22])
-    orders = n - 1 - t1 - t2
+    # windows of orders 24, 20, 15, 10, 7, 3 and 1 share one stack at the
+    # panel-aligned offsets 0, 0, 8, 8, 16, 16 and 16, so the first panels
+    # factor only a prefix of it.  Orders 20, 10 and 3 are leading blocks of
+    # Sigma_s[t2:, t2:] whose rows run on in the store past the window,
+    # orders 15, 7 and 1 are its whole trailing blocks, and order 1 is
+    # that of the last snapshot, whose rows run into the store's spare
+    # entries.  Each window must be gathered into the identity exactly as
+    # a zero-filled stack holds it, on every row and column from its
+    # offset, its minors must be bitwise those it gets alone, and the
+    # identity around it must leave pivots of 1.  A first pivot of the
+    # order-7 window, which the first two panels skip, that is zero or below
+    # roundoff of its column must still break the stack down
+    n, panel = 50, correlations._PANEL
+    s, t2 = np.array([24, 20, 30, 10, 40, 3, 47]), np.array([1, 3, 4, 5, 2, 40, 1])
+    orders = np.minimum(s, n - 1 - s - t2)
     m = orders[0]
-    offsets = (m - orders) // correlations._PANEL * correlations._PANEL
+    offsets = (m - orders) // panel * panel
+    assert orders.tolist() == [24, 20, 15, 10, 7, 3, 1]
+    assert offsets.tolist() == [0, 0, 8, 8, 16, 16, 16]
     origin = np.zeros(1, dtype=int)
     for gamma, field, T in (NESTED_GRID[0], (-0.892, 0.767, 0.792)):
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
-        snapshots = correlations._schur_snapshots(kern, (n - 2) // 2)
-        stack = correlations._window_stack(snapshots, t1, t2, offsets, m)
+        store, starts = correlations._schur_snapshots(kern, n - 3)
+        assert len(starts) == n - 3
+        stack = correlations._window_stack(store, starts, n, s, t2, orders, offsets, m)
+        filled = np.zeros_like(stack)
+        filled[:, np.arange(m), np.arange(m)] = 1.0
+        for mat, a, b, k, o in zip(filled, s.tolist(), t2.tolist(), orders.tolist(),
+                                   offsets.tolist()):
+            size = n - 1 - a
+            snapshot = store[starts[a - 1]:starts[a - 1] + size * size].reshape(size, size)
+            mat[o:o + k, o:o + k] = snapshot[b:b + k, b:b + k]
+        for mat, want, o in zip(stack, filled, offsets.tolist()):
+            assert np.array_equal(mat[o:, o:], want[o:, o:]) and np.array_equal(mat[:o], want[:o])
         minors = correlations._leading_minors(stack.copy(), offsets)
+        assert np.array_equal(minors, correlations._leading_minors(filled, offsets))
         for i, (k, o) in enumerate(zip(orders.tolist(), offsets.tolist())):
-            alone = correlations._leading_minors(
-                correlations._window_stack(snapshots, t1[i:i + 1], t2[i:i + 1], origin, k), origin)
+            alone = correlations._leading_minors(correlations._window_stack(
+                store, starts, n, s[i:i + 1], t2[i:i + 1], orders[i:i + 1], origin, k), origin)
             assert np.array_equal(minors[i, o:o + k], alone[0]), (gamma, k)
             assert np.all(minors[i, :o] == 1.0) and np.all(minors[i, o + k:] == alone[0, -1])
         for pivot in (0.0, 1e-18):
-            stack[-1, offsets[-1], offsets[-1]] = pivot
+            stack[4, offsets[4], offsets[4]] = pivot
             assert correlations._leading_minors(stack.copy(), offsets) is None, (gamma, pivot)
 
 
 def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):
     # a breakdown forced on the fourth window stack at a point where none
-    # breaks down: only its windows go to the fallback, every window is
-    # gathered once, the other stacks keep their elimination, and no det runs
+    # breaks down: only the classes of its windows go to the fallback, as
+    # one contraction matrix per window, every window is gathered once,
+    # the other stacks keep their elimination, and no det runs
     n = 30
     kern = correlations.kernel(_ens(sites=n))
     monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 5000)
     leading, count = correlations._leading_minors, itertools.count()
     monkeypatch.setattr(correlations, "_leading_minors",
                         lambda mats, offsets: None if next(count) == 3 else leading(mats, offsets))
-    windows, unreached = _record_stacks(monkeypatch)
+    windows, spans, unreached = _record_stacks(monkeypatch)
     calls = _count_dets(monkeypatch)
     quad = correlations._nested_quad_sum(kern)
     monkeypatch.undo()
-    assert sorted(unreached) == sorted(windows[3])
-    assert sorted(sum(windows, [])) == _windows(n, range(1, n // 2))
+    assert len(windows) > 4
+    assert sorted(spans) == sorted([s, b, 1, min(s, n - 1 - s - b)] for s, b in windows[3])
+    assert sorted(unreached) == _window_classes(n, windows[3])
+    assert sorted(sum(windows, [])) == _windows(n, range(1, n - 2))
     assert calls == []
     fourth = correlations.fourth_moment_from_kernel(kern)
     assert 24.0 * abs(quad - quad_sum_by_class(kern)) <= 1e-12 * fourth
 
 
 def test_pair_matrix_breakdown_sends_later_t1_to_dets(monkeypatch):
-    # a breakdown of the pair matrix forced after p = 5 steps: the classes
-    # with t1 <= 5 keep their Schur windows, those with t1 >= 6 alone go to
-    # the fallback, and no det runs
+    # a breakdown of the pair matrix forced after p = 5 steps, and after p
+    # = 20, past the (N-2)/2 = 14 steps a class's smaller outer gap can
+    # need: the windows of the outer gaps s <= p keep their elimination,
+    # the classes with t3 > p alone go to the fallback, and no det runs
     n = 30
     kern = correlations.kernel(_ens(sites=n))
-    snapshots = correlations._schur_snapshots
-    monkeypatch.setattr(correlations, "_schur_snapshots",
-                        lambda kern, steps: snapshots(kern, steps)[:5])
-    windows, unreached = _record_stacks(monkeypatch)
-    calls = _count_dets(monkeypatch)
-    quad = correlations._nested_quad_sum(kern)
-    monkeypatch.undo()
-    assert sorted(sum(windows, [])) == _windows(n, range(1, 6))
-    assert sorted(unreached) == _classes(n, 6)
-    assert calls == []
     fourth = correlations.fourth_moment_from_kernel(kern)
-    assert 24.0 * abs(quad - quad_sum_by_class(kern)) <= 1e-12 * fourth
+    for p in (5, 20):
+        _break_pair_matrix_after(monkeypatch, p)
+        windows, _, unreached = _record_stacks(monkeypatch)
+        calls = _count_dets(monkeypatch)
+        quad = correlations._nested_quad_sum(kern)
+        monkeypatch.undo()
+        assert sorted(sum(windows, [])) == _windows(n, range(1, p + 1)), p
+        assert sorted(unreached) == _classes(n, p), p
+        assert calls == [], p
+        assert 24.0 * abs(quad - quad_sum_by_class(kern)) <= 1e-12 * fourth, p
 
 
 def test_fourth_moment_makes_no_det_calls(monkeypatch):

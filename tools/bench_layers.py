@@ -1,10 +1,16 @@
 """Per-call timings of the slow layers of one point, on a fixed grid.
 
 Times ``correlations.fourth_moment_from_kernel`` (regular and breakdown
-points at N = 14, 50 and 100, one regular point at N = 200), ``var_jx`` (N = 50
-to 1000), ``var_jx_slope`` and ``kernel`` (N = 50 to 1000) for one or more
-source trees, and writes the medians to a JSON file together with the core
-count and the BLAS in use.  To compare a
+points at N = 14, 50 and 100, gamma < 0 points at N = 50 and 100, one regular
+point at N = 200), ``var_jx`` (N = 50 to 1000), ``var_jx_slope`` and
+``kernel`` (N = 50 to 1000) for one or more source trees, and writes the
+medians to a JSON file together with the core count and the BLAS in use.
+The CPU speed a process gets on a shared machine swings by tens of percent
+between runs, so each call is also divided by the mean duration of the
+benchmark's fixed speed probe (``sweepbench.worker.speed_probe``, about 1
+ms), timed just before and just after it: the "ref" statistics are per-call
+times in probe units, as ``sweepbench`` reports them, next to the raw
+seconds.  To compare a
 change with its parent commit, export the parent next to the checkout and
 pass both trees; the trees run alternately, each repetition in a fresh
 process with BLAS pinned to one thread:
@@ -41,6 +47,8 @@ import subprocess
 import sys
 from time import perf_counter
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 # (layer, N, gamma, h/J, T); "breakdown" points are where elimination without
 # row exchanges meets a zero pivot, so that the gap classes past it take
 # orthogonal minors unless a bound certifies them negligible, as it does not
@@ -54,6 +62,7 @@ GRID = (
     ("fourth_moment_from_kernel", 50, 0.0, 2.0, 0.05, "breakdown"),
     ("fourth_moment_from_kernel", 50, 1.0, 0.5, math.inf, "breakdown"),
     ("fourth_moment_from_kernel", 100, 1.0, 0.5, 0.3, "regular"),
+    ("fourth_moment_from_kernel", 100, -0.892, 0.767, 0.792, "regular"),
     ("fourth_moment_from_kernel", 100, -1.0, 0.0, 0.3, "breakdown"),
     ("fourth_moment_from_kernel", 200, 1.0, 0.5, 0.3, "regular"),
     ("var_jx", 50, 1.0, 0.5, 0.3, "regular"),
@@ -75,9 +84,11 @@ def _key(layer, n, gamma, field, temp, kind):
     return f"{layer} N={n} ({gamma:g}, {field:g}, {temp:g}) {kind}"
 
 
-def _time_grid() -> tuple[dict[str, float], dict[str, int], dict[str, float]]:
-    # one timing per grid entry, in seconds, the _halving_minors calls it
-    # made and the value it returned, with the tree on sys.path
+def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], dict[str, float]]:
+    # one timing per grid entry, in seconds and in speed-probe units, the
+    # _halving_minors calls it made and the value it returned, with the tree
+    # on sys.path
+    from sweepbench.worker import speed_probe
     from xythermo import correlations, thermometry
     from xythermo.spectrum import ChainSpec
 
@@ -87,7 +98,7 @@ def _time_grid() -> tuple[dict[str, float], dict[str, int], dict[str, float]]:
         calls[0] += 1
         return halving(a)
 
-    times, halvings, values = {}, {}, {}
+    times, refs, halvings, values = {}, {}, {}, {}
     correlations._halving_minors = counting_halving
     try:
         for layer, n, gamma, field, temp, kind in GRID:
@@ -99,15 +110,18 @@ def _time_grid() -> tuple[dict[str, float], dict[str, int], dict[str, float]]:
                 correlations._trig_tables.cache_clear()
             call, arg = getattr(correlations, layer), ens if layer == "kernel" else kern
             calls[0] = 0
+            before = speed_probe()
             start = perf_counter()
             value = call(arg)
+            elapsed = perf_counter() - start
             key = _key(layer, n, gamma, field, temp, kind)
-            times[key] = perf_counter() - start
+            times[key] = elapsed
+            refs[key] = 2.0 * elapsed / (before + speed_probe())
             halvings[key] = calls[0]
             values[key] = float(value._g @ value._g) if layer == "kernel" else float(value)
     finally:
         correlations._halving_minors = halving
-    return times, halvings, values
+    return times, refs, halvings, values
 
 
 def _relative_difference(value: float, base: float) -> float:
@@ -140,9 +154,9 @@ def main(argv=None) -> int:
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:  # one repetition of one tree, in a fresh process
-        sys.path.insert(0, args.worker)
-        times, halvings, values = _time_grid()
-        print(json.dumps({"times": times, "halvings": halvings, "values": values,
+        sys.path[:0] = [args.worker, ROOT]
+        times, refs, halvings, values = _time_grid()
+        print(json.dumps({"times": times, "refs": refs, "halvings": halvings, "values": values,
                           "env": _blas()}))
         return 0
     if not args.tree or not args.out or args.reps < 1:
@@ -159,6 +173,7 @@ def main(argv=None) -> int:
             runs[label].append(json.loads(proc.stdout))
             print(f"rep {rep + 1}/{args.reps} {label} done", file=sys.stderr, flush=True)
     times = {label: [r["times"] for r in reps] for label, reps in runs.items()}
+    refs = {label: [r["refs"] for r in reps] for label, reps in runs.items()}
     halvings = {label: reps[0]["halvings"] for label, reps in runs.items()}
     values = {label: reps[0]["values"] for label, reps in runs.items()}
     for label, reps in runs.items():  # deterministic: every repetition agrees
@@ -167,7 +182,8 @@ def main(argv=None) -> int:
                 raise SystemExit(f"{name} of tree {label} differ between repetitions")
     differences = _relative_differences(values)
     result = {
-        "what": "per-call seconds over repetitions that alternate the trees",
+        "what": "per-call seconds, and per-call time over the speed probe's (ref), over "
+                "repetitions that alternate the trees",
         "nproc": os.cpu_count(),
         "machine": os.uname().machine,
         "python": sys.version.split()[0],
@@ -176,6 +192,10 @@ def main(argv=None) -> int:
         **{stat: {label: {k: fn([r[k] for r in reps]) for k in reps[0]}
                   for label, reps in times.items()}
            for stat, fn in (("median_s", statistics.median), ("min_s", min), ("max_s", max))},
+        **{stat: {label: {k: fn([r[k] for r in reps]) for k in reps[0]}
+                  for label, reps in refs.items()}
+           for stat, fn in (("median_ref", statistics.median), ("min_ref", min),
+                            ("max_ref", max))},
         "halving_calls": halvings,
         "values": values,
         "relative_difference_from_first_tree": differences,
@@ -185,7 +205,8 @@ def main(argv=None) -> int:
         fh.write("\n")
     for label, medians in result["median_s"].items():
         for k, v in medians.items():
-            print(f"{label:>8}  {v:9.4f} s  {halvings[label][k]:6d} halvings  {k}")
+            print(f"{label:>8}  {v:9.4f} s  {result['median_ref'][label][k]:9.1f} ref  "
+                  f"{halvings[label][k]:6d} halvings  {k}")
     for label, diffs in list(differences.items())[1:]:
         worst = max(diffs, key=diffs.get)
         print(f"{label:>8}  largest relative difference of a value from tree "
