@@ -1,7 +1,10 @@
 """Collective-spin moments of the thermal chain via Wick's theorem.
 
 The J_z statistics need no kernel: <J_z>, its slope and Var(J_z) are O(N)
-mode sums over the ensemble (Var(J_z) is a density structure factor).
+mode sums over the ensemble (Var(J_z) is a density structure factor).  They
+read cos(theta_k), sin(theta_k) and cos(2 theta_k) from the mode table,
+which computes each once (spectrum.ModeTable), and take no trigonometry of
+their own.
 
 All x-basis statistics reduce to determinants built from a single vector of
 fermionic contractions g_j (the correlation kernel).  Writing A_l and B_l
@@ -25,12 +28,14 @@ The pair correlator at separation r is the leading r x r minor of one
 leading minors of a single matrix.  They come from orthogonal factors
 alone, by recursive halving (see _halving_minors): O(N^3) flops for all
 N - 1 minors, instead of O(N^4) for one det per separation, in a few
-LAPACK QR factorizations per level.  Elimination without row exchanges
-would be cheaper still, but it is unstable here: the pair correlator
-falls to ~1e-19 halfway round the ring and grows again toward r = N - 1,
-and the pivot ratios blow up with it.  Orthogonal factors keep every
-correlator accurate to near roundoff of 1, in absolute terms; a
-correlator far below 1 has correspondingly fewer correct digits.
+LAPACK QR factorizations per level, from the LAPACK that numpy bundles
+(numpy.linalg.lapack_lite), so that no code path of the package imports
+scipy.  Elimination without row exchanges would be cheaper still, but it
+is unstable here: the pair correlator falls to ~1e-19 halfway round the
+ring and grows again toward r = N - 1, and the pivot ratios blow up with
+it.  Orthogonal factors keep every correlator accurate to near roundoff of
+1, in absolute terms; a correlator far below 1 has correspondingly fewer
+correct digits.
 
 The <J_x^4> sum needs one such determinant per gap class (t1, t2, t3) of
 the four sites, about N^3/12 of them.  Each is a principal minor of the
@@ -71,10 +76,12 @@ boundary term both descriptions shed in the large-N limit.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.linalg import lapack_lite
 
 from .spectrum import momentum_grid
 from .thermometry import ThermalEnsemble
@@ -168,15 +175,15 @@ def _contractions(ens: ThermalEnsemble, t: np.ndarray) -> np.ndarray:
 
     The kernel has t = 1 - 2 n_k, its slope t = T d(1 - 2 n_k)/dT.  By the
     angle-sum formula g = (cos(kj) @ a - sin(kj) @ b) / N with the O(N)
-    products a = cos(2 theta) t and b = sin(2 theta) t; the (2N-1) x N
-    tables come from the memo of _trig_tables, which keeps the last ring
-    size's pair alive (2(2N-1)N floats: 2.9 MB at N = 300, 32 MB at N =
-    1000) and rebuilds them only when N changes.
+    products a = cos(2 theta) t and b = sin(2 theta) t, whose cos(2 theta)
+    and sin(2 theta) the mode table holds; the (2N-1) x N tables come from
+    the memo of _trig_tables, which keeps the last ring size's pair alive
+    (2(2N-1)N floats: 2.9 MB at N = 300, 32 MB at N = 1000) and rebuilds
+    them only when N changes.
     """
     cos_kj, sin_kj = _trig_tables(ens.spec.sites)
-    a = np.cos(2.0 * ens.modes.angles) * t
-    b = np.sin(2.0 * ens.modes.angles) * t
-    return (cos_kj @ a - sin_kj @ b) / ens.spec.sites
+    cos_2t, sin_2t = ens.modes.double_angle
+    return (cos_kj @ (cos_2t * t) - sin_kj @ (sin_2t * t)) / ens.spec.sites
 
 
 def _occupation_slope(ens: ThermalEnsemble) -> np.ndarray:
@@ -245,9 +252,10 @@ def _pair_correlation(kern, r, shift):
 def _halving_minors(a: np.ndarray) -> np.ndarray:
     """Leading principal minors det a[:r, :r], r = 1 ... n, of a real n x n matrix.
 
-    With a = QR (LAPACK geqrf/orgqr), minor r of a is minor r of Q times
-    the product of the first r diagonal entries of R, and det Q = -1 to
-    the number of Householder reflections that are not the identity.
+    With a = QR (LAPACK dgeqrf/dorgqr, through numpy.linalg.lapack_lite),
+    minor r of a is minor r of Q times the product of the first r diagonal
+    entries of R, and det Q = -1 to the number of Householder reflections
+    that are not the identity.
     Since Q is orthogonal, Jacobi's complementary-minor identity gives
     det Q[:r, :r] = det Q * det Q[r:, r:].  So the minors of order up to
     h = n // 2 are the leading minors of Q[:h, :h], those of higher order
@@ -258,14 +266,12 @@ def _halving_minors(a: np.ndarray) -> np.ndarray:
     minors are at most 1 in magnitude and come out with an absolute error
     of a few ulps of 1; minor r of a carries that error times prod |R_ii|.
     """
-    from scipy.linalg import lapack  # the only user of scipy.linalg
-
     minors = np.empty(len(a))
-    _halve_into(a, minors, lapack)
+    _halve_into(a, minors)
     return minors
 
 
-def _halve_into(a: np.ndarray, out: np.ndarray, lapack) -> None:
+def _halve_into(a: np.ndarray, out: np.ndarray) -> None:
     # the recursion of _halving_minors, writing the minors of a into out (a
     # view of the caller's output, possibly reversed); blocks of order <= 2
     # write scalars
@@ -275,19 +281,27 @@ def _halve_into(a: np.ndarray, out: np.ndarray, lapack) -> None:
         if n == 2:
             out[1] = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
         return
-    # workspace for the blocked LAPACK code (the default of 3n is unblocked)
-    qr, tau, _, info = lapack.dgeqrf(a, lwork=32 * n)
+    # LAPACK works in column-major order: the C-ordered copy of a's transpose
+    # is a in that layout, and the factors come back in it, so qr.T holds R
+    # on and above its diagonal after dgeqrf, and Q after dorgqr.  The
+    # workspace is for the blocked code (the default of 3n is unblocked)
+    qr = a.T.copy()
+    tau = np.empty(n)
+    lwork = 32 * n
+    work = np.empty(lwork)
+    info = lapack_lite.dgeqrf(n, n, qr, n, tau, work, lwork, 0)["info"]
     products = np.cumprod(np.diagonal(qr))
-    q, _, orth_info = lapack.dorgqr(qr, tau, lwork=32 * n, overwrite_a=True)
+    orth_info = lapack_lite.dorgqr(n, n, n, qr, n, tau, work, lwork, 0)["info"]
     if info or orth_info:
         raise RuntimeError(f"LAPACK QR failed: geqrf info {info}, orgqr info {orth_info}")
+    q = qr.T
     h = n // 2
     # det Q[r:, r:] for r = h+1 ... n-1 is minor n-r of the reversed
     # trailing block, so its minors land on out[n-2] down to out[h]; its
     # last, the whole block's det, lands on out[h-1], which the leading
     # block then overwrites.  The empty det of r = n is 1
-    _halve_into(q[h:, h:][::-1, ::-1], out[n - 2::-1][:n - h], lapack)
-    _halve_into(q[:h, :h], out[:h], lapack)
+    _halve_into(q[h:, h:][::-1, ::-1], out[n - 2::-1][:n - h])
+    _halve_into(q[:h, :h], out[:h])
     out[-1] = 1.0
     if np.count_nonzero(tau) % 2:  # det Q = -1
         out[h:] *= -1.0
@@ -375,8 +389,8 @@ def modulation_weights(modulation: str, n: int) -> np.ndarray:
 def _jz_mode_sum(ens: ThermalEnsemble, modulation: str, t: np.ndarray) -> float:
     # sum_l w_l <sz_l> with <sz_l> = -g_0, an O(N) mode sum without a kernel
     w = modulation_weights(modulation, ens.spec.sites)
-    g0 = float(np.sum(np.cos(2.0 * ens.modes.angles) * t)) / ens.spec.sites
-    return float(np.sum(w)) * -g0
+    g0 = float((ens.modes.double_angle[0] * t).sum()) / ens.spec.sites
+    return float(w.sum()) * -g0
 
 
 def mean_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
@@ -393,38 +407,23 @@ def mean_jz_slope(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     return _jz_mode_sum(ens, modulation, _occupation_slope(ens))
 
 
-def _rotation(ens: ThermalEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    # (cos theta_k, sin theta_k) by the half-angle formula from a = cos k - h/J
-    # and b = gamma sin k, 2 theta_k = atan2(b, a): nothing cancels, and where
-    # b = 0 they are exactly 0 and +-1, which cos and sin of the stored angles
-    # are not (sin(2 * pi/2) = 1.2e-16); a zero mode (a = b = 0) has theta = 0
-    k = ens.modes.momenta
-    a = np.cos(k) - ens.spec.field_ratio
-    b = ens.spec.gamma * np.sin(k)
-    r = np.hypot(a, b)
-    large = np.sqrt(0.5 + 0.5 * np.divide(np.abs(a), r, out=np.ones_like(r), where=r > 0))
-    small = 0.5 * np.divide(np.abs(b), r, out=np.zeros_like(r), where=r > 0) / large
-    return np.where(a >= 0, large, small), np.copysign(np.where(a >= 0, small, large), b)
-
-
-def _structure_factor(ens: ThermalEnsemble, shift: int) -> float:
-    """S(q) = sum_{l, m} e^{iq(l - m)} <sz_l sz_m>_c for q = 0 or pi.
+def _structure_terms(modes: Sequence[np.ndarray], shifted: Sequence[np.ndarray]) -> np.ndarray:
+    """The terms of S(q) = sum_{l, m} e^{iq(l - m)} <sz_l sz_m>_c, one per mode.
 
     The free-fermion density structure factor (Barouch & McCoy, Phys. Rev.
-    A 3, 786, 1971), with k + q the index shift by `shift` (N/2 for q = pi)
-    on the antiperiodic grid and t_k = 1 - 2 n_k >= 0:
+    A 3, 786, 1971), with t_k = 1 - 2 n_k >= 0 on the antiperiodic grid:
 
         S(q) = 2 sum_k [n_k (1 - n_{k+q}) + n_{k+q} (1 - n_k)
                         + sin^2(theta_k + theta_{k+q}) t_k t_{k+q}],
 
     their cos^2/sin^2 form regrouped so that every term is non-negative.
+    modes holds the rows (cos theta_k, sin theta_k, n_k, t_k), and shifted
+    the same rows at k + q; the bracket comes back column by column.
     """
-    cos_t, sin_t = _rotation(ens)
-    n = ens.occupations
-    t = 1.0 - 2.0 * n
-    cos_q, sin_q, n_q, t_q = (np.roll(x, -shift) for x in (cos_t, sin_t, n, t))
+    cos_t, sin_t, n, t = modes
+    cos_q, sin_q, n_q, t_q = shifted
     pairing = (sin_t * cos_q + cos_t * sin_q) ** 2  # sin^2(theta_k + theta_{k+q})
-    return 2.0 * float(np.sum(n * (1.0 - n_q) + n_q * (1.0 - n) + pairing * t * t_q))
+    return n * (1.0 - n_q) + n_q * (1.0 - n) + pairing * t * t_q
 
 
 def var_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
@@ -432,14 +431,23 @@ def var_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
 
     The uniform probe reads S(0).  The half probe weights w_l = (1 + (-1)^l)/2,
     so it reads (S(0) + S(pi))/4: N is even, and momentum conservation
-    removes the cross term.  Exactly 0 in a frozen chain.
+    removes the cross term.  Exactly 0 in a frozen chain.  The rotation
+    comes from the mode table, and t = 1 - 2 n is formed once.  k + q is a
+    shift of the grid's index (see _structure_terms): none for q = 0, and
+    N/2 for q = pi, where the half probe takes the terms of S(0) and S(pi)
+    side by side, from the modes twice against the modes at k and at k + pi.
     """
-    s0 = _structure_factor(ens, 0)
+    if modulation not in MODULATIONS:
+        raise ValueError(f"unknown modulation {modulation!r}; expected one of {MODULATIONS}")
+    n = ens.occupations
+    rows = (*ens.modes.rotation, n, 1.0 - 2.0 * n)
     if modulation == "uniform":
-        return s0
-    if modulation == "half":
-        return 0.25 * (s0 + _structure_factor(ens, ens.spec.sites // 2))
-    raise ValueError(f"unknown modulation {modulation!r}; expected one of {MODULATIONS}")
+        return 2.0 * float(_structure_terms(rows, rows).sum())
+    size, h = len(n), len(n) // 2
+    modes = np.array(rows)
+    terms = _structure_terms(np.concatenate((modes, modes), axis=1),
+                             np.concatenate((modes, modes[:, h:], modes[:, :h]), axis=1))
+    return 0.25 * (2.0 * float(terms[:size].sum()) + 2.0 * float(terms[size:].sum()))
 
 
 def _leading_minors(mats: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:

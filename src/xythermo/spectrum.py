@@ -10,11 +10,15 @@ transverse field h = field_ratio * J.  A Jordan-Wigner map followed by a
 Bogoliubov rotation diagonalizes it into free fermionic modes on the
 antiperiodic momentum grid k_j = pi*(2j+1)/N; this module provides that
 grid, the dispersion, the mode table (momenta, energies, rotation
-angles), the exact minimum gap over continuous k, and the field at which
-the ground state factorizes into a product state.
+angles, and the cosines and sines of the rotation that every mode sum
+reads, each computed once per table), the exact minimum gap over
+continuous k, and the field at which the ground state factorizes into a
+product state.  cos k and sin k of the grid depend on N alone and are
+kept for one ring size at a time.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,7 +80,8 @@ class ModeTable:
     """Free-fermion modes of a chain: momenta, energies, Bogoliubov angles.
 
     ``momenta`` is the antiperiodic grid k_j = pi*(2j+1)/N for
-    j = -N/2 ... N/2-1, in increasing order.  ``energies`` holds the
+    j = -N/2 ... N/2-1, in increasing order, read-only and shared with
+    the other tables of the same ring size.  ``energies`` holds the
     dispersion at each momentum (nonnegative, units of the coupling).
     ``angles`` holds the rotation angle theta_k of the Bogoliubov
     transformation that diagonalizes the quadratic fermion Hamiltonian with
@@ -88,12 +93,38 @@ class ModeTable:
     [0, pi/2].  This branch is the one validated against dense-matrix
     correlation functions (see the test suite), which pins the convention
     unambiguously.
+
+    ``rotation`` and ``double_angle`` are computed once per table, on first
+    read, and every mode sum of the ensemble reads them from here.
     """
 
     spec: ChainSpec
     momenta: np.ndarray
     energies: np.ndarray
     angles: np.ndarray
+
+    @functools.cached_property
+    def rotation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cos theta_k, sin theta_k), by the half-angle formula.
+
+        From a = cos k - h/J and b = gamma sin k, 2 theta_k = atan2(b, a):
+        nothing cancels, and where b = 0 they are exactly 0 and +-1, which
+        cos and sin of the stored angles are not (sin(2 * pi/2) =
+        1.2e-16); a zero mode (a = b = 0) has theta = 0.
+        """
+        _, cos_k, sin_k = _grid_trig(self.spec.sites)
+        a = cos_k - self.spec.field_ratio
+        b = self.spec.gamma * sin_k
+        r = np.hypot(a, b)
+        nonzero, right = r > 0, a >= 0
+        large = np.sqrt(0.5 + 0.5 * np.divide(np.abs(a), r, out=np.ones_like(r), where=nonzero))
+        small = 0.5 * np.divide(np.abs(b), r, out=np.zeros_like(r), where=nonzero) / large
+        return np.where(right, large, small), np.copysign(np.where(right, small, large), b)
+
+    @functools.cached_property
+    def double_angle(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cos 2 theta_k, sin 2 theta_k) of the stored angles."""
+        return np.cos(2.0 * self.angles), np.sin(2.0 * self.angles)
 
 
 def dispersion(spec: ChainSpec, k):
@@ -118,14 +149,32 @@ def momentum_grid(n: int) -> np.ndarray:
     return np.pi * (2 * j + 1) / n
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_trig(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the grid of N modes with its cos k and sin k, read-only: they depend
+    # on N alone, so a sweep at fixed N builds them for its first point only
+    k = momentum_grid(n)
+    arrays = k, np.cos(k), np.sin(k)
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 def mode_table(spec: ChainSpec) -> ModeTable:
-    """Momenta, energies and Bogoliubov angles for all N modes of a chain."""
-    k = momentum_grid(spec.sites)
-    energies = dispersion(spec, k)
+    """Momenta, energies and Bogoliubov angles for all N modes of a chain.
+
+    The momenta and their cos k and sin k come from a memo on N (one ring
+    size at a time, read-only), so the table costs no trigonometry beyond
+    its angles; the energies are those of dispersion() to the last bit.
+    """
+    k, cos_k, sin_k = _grid_trig(spec.sites)
+    a = cos_k - spec.field_ratio
+    b = spec.gamma * sin_k
+    energies = 2.0 * spec.coupling * np.hypot(a, b)
     # atan2 keeps the quadrant so that the rotated quadratic form has
     # energy +eps_k for every mode, including cos k < h/J where the naive
     # arctan branch would flip sign.
-    angles = 0.5 * np.arctan2(spec.gamma * np.sin(k), np.cos(k) - spec.field_ratio)
+    angles = 0.5 * np.arctan2(b, a)
     return ModeTable(spec=spec, momenta=k, energies=energies, angles=angles)
 
 

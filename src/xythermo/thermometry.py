@@ -4,7 +4,8 @@ For a thermal state of the free-fermion solution, the quantum Fisher
 information for temperature is the energy variance over T^4, and the
 corresponding Cramer-Rao bound caps the signal-to-noise ratio (T/dT)^2 of
 any temperature estimate at snr_crb = T^2 * qfi.  Everything here is a mode
-sum, exact at any N.
+sum, exact at any N.  The Fermi factors come from libm's exp, one mode at a
+time (see ensemble), so this module needs numpy alone.
 
 Temperature is dimensionless throughout: the ``temperature`` argument means
 T/J with k_B = 1.  ``temperature = math.inf`` is accepted and gives the
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .spectrum import ChainSpec, ModeTable, mode_table
 
@@ -28,8 +28,9 @@ class ThermalEnsemble:
     """A chain at fixed temperature with cached mode occupations.
 
     ``occupations`` are the Fermi factors n_k = 1/(1 + exp(eps_k/T)), one per
-    mode, each in (0, 1/2] (the upper bound is attained only for zero-energy
-    modes or infinite temperature).
+    mode, each in [0, 1/2] (the upper bound is attained only for zero-energy
+    modes or infinite temperature, and the lower one once exp(eps_k/T)
+    overflows, at eps_k/T just above log(DBL_MAX) = 709.78).
     """
 
     spec: ChainSpec
@@ -51,11 +52,33 @@ def ensemble(spec: ChainSpec, temperature: float) -> ThermalEnsemble:
     if not temperature > 0:
         raise ValueError(f"temperature must be > 0 (in units of J), got {temperature}")
     modes = mode_table(spec)
-    # expit(-x) = 1/(1+e^x) never overflows; x = inf cleanly gives 0.5 at
-    # temperature = inf because eps/inf = 0.
+    # n_k = 1/(1 + e^x) from libm's exp (see _fermi_factors): exactly 0 once
+    # e^x overflows, and exactly 1/2 at temperature = inf, where x = eps/inf = 0
     x = modes.energies / (temperature * spec.coupling)
-    occ = expit(-x)
-    return ThermalEnsemble(spec=spec, temperature=temperature, modes=modes, occupations=occ)
+    return ThermalEnsemble(spec=spec, temperature=temperature, modes=modes,
+                           occupations=_fermi_factors(x))
+
+
+def _fermi_factors(x: np.ndarray) -> np.ndarray:
+    # 1/(1 + e^x) with e^x from libm's exp, one element at a time: bit for bit
+    # what scipy.special.expit(-x) gives, since + and / are correctly rounded
+    # in numpy as in C, and 0 where e^x overflows (x above log(DBL_MAX)),
+    # which Python reports by raising.  np.exp is not used: its SIMD code
+    # differs from libm in the last bit for a few per cent of arguments, and
+    # the cancellations of the cold readouts amplify that
+    values = x.tolist()
+    try:
+        e = np.fromiter(map(math.exp, values), float, len(values))
+    except OverflowError:
+        e = np.fromiter(map(_exp_or_inf, values), float, len(values))
+    return 1.0 / (1.0 + e)
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def energy_variance(ens: ThermalEnsemble) -> float:
@@ -81,4 +104,4 @@ def snr_crb(ens: ThermalEnsemble) -> float:
     temperature = inf yields an exact 0 instead of inf * 0.
     """
     x = ens.reduced_energies()
-    return float(np.sum(x * x * ens.fluctuation_weights()))
+    return float((x * x * ens.fluctuation_weights()).sum())

@@ -99,15 +99,33 @@ def test_meanjz_phase_diagram_builds_no_kernel(monkeypatch, capsys):
     assert built == []
 
 
-def test_meanjz_phase_diagram_leaves_scipy_linalg_unimported():
+def _run_listing_scipy(argv):
+    # one in-process CLI run in a fresh interpreter; prints its exit code and
+    # whether scipy.linalg is loaded, then a line with every scipy module loaded
     script = ("import sys\n"
               "from xythermo import cli\n"
-              "code = cli.main(['phase-diagram', '--gamma', '0:1:2', '--field', '0:2:2',"
-              " '--sites', '8', '--obs', 'crb,meanjz', '--out', sys.argv[1]])\n"
-              "print(code, 'scipy.linalg' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", script, os.devnull],
+              f"code = cli.main({argv!r} + ['--out', sys.argv[1]])\n"
+              "print(code, 'scipy.linalg' in sys.modules)\n"
+              "print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+    return subprocess.run([sys.executable, "-c", script, os.devnull],
                           capture_output=True, text=True, env=subprocess_env())
+
+
+def test_meanjz_phase_diagram_leaves_scipy_linalg_unimported():
+    proc = _run_listing_scipy(["phase-diagram", "--gamma", "0:1:2", "--field", "0:2:2",
+                               "--sites", "8", "--obs", "crb,meanjz"])
     assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert proc.stdout.splitlines()[1:] == [""], proc.stdout  # no scipy module at all
+
+
+def test_varjx_tscan_imports_no_scipy():
+    # the pair minors' QR comes from numpy's LAPACK and the occupations from
+    # libm's exp, so a run with every readout loads no scipy module either
+    proc = _run_listing_scipy(["tscan", "--gamma", "0.5", "--field", "0.8",
+                               "--temp", "0.1:2:3:log", "--sites", "12",
+                               "--obs", "crb,varjx,meanjz"])
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert proc.stdout.splitlines()[1:] == [""], proc.stdout
 
 
 def test_cold_xx_line_is_delivered_below_the_ceiling():

@@ -7,6 +7,9 @@ live cross-checks against the same reference run next to them at small N.
 import collections
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -16,6 +19,7 @@ from xythermo import cli, correlations, oracle, thermometry
 from xythermo.spectrum import ChainSpec
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _ens(gamma=1.0, field_ratio=0.5, sites=8, T=0.3):
@@ -655,6 +659,78 @@ def test_halving_minors_match_one_det_per_order(n):
             assert np.array_equal(np.sign(got), (-1.0) ** np.arange(1, n + 1)), name
 
 
+def _scipy_halving_minors(a):
+    # the halving recursion as it was, with scipy.linalg.lapack's QR: the
+    # reference for the package's calls through numpy.linalg.lapack_lite
+    from scipy.linalg import lapack
+
+    def halve_into(a, out):
+        n = len(a)
+        if n <= 2:
+            out[0] = a[0, 0]
+            if n == 2:
+                out[1] = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+            return
+        qr, tau, _, info = lapack.dgeqrf(a, lwork=32 * n)
+        products = np.cumprod(np.diagonal(qr))
+        q, _, orth_info = lapack.dorgqr(qr, tau, lwork=32 * n, overwrite_a=True)
+        assert info == orth_info == 0
+        h = n // 2
+        halve_into(q[h:, h:][::-1, ::-1], out[n - 2::-1][:n - h])
+        halve_into(q[:h, :h], out[:h])
+        out[-1] = 1.0
+        if np.count_nonzero(tau) % 2:
+            out[h:] *= -1.0
+        out *= products
+
+    minors = np.empty(len(a))
+    halve_into(a, minors)
+    return minors
+
+
+def _pair_matrices(sites):
+    # both pair matrices (x: shift -1, y: +1) of every PAIR_GRID point
+    a = np.arange(sites - 1)
+    for gamma, field, T in PAIR_GRID:
+        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=sites, T=T))
+        for shift in (-1, +1):
+            yield (gamma, field, T, shift), kern._g[kern._off + shift + a[:, None] - a[None, :]]
+
+
+def _assert_halving_equals_scipy_recursion(sites):
+    for label, mat in _pair_matrices(sites):
+        assert np.array_equal(correlations._halving_minors(mat), _scipy_halving_minors(mat)), label
+
+
+@pytest.mark.parametrize("n", (*range(1, 10), 33, 64))
+def test_halving_minors_equal_the_scipy_lapack_recursion_bitwise(n):
+    rng = np.random.default_rng(n)
+    for name, a in _halving_cases(n, rng).items():
+        assert np.array_equal(correlations._halving_minors(a), _scipy_halving_minors(a)), name
+
+
+@pytest.mark.parametrize("sites", (4, 50))
+def test_pair_matrix_minors_equal_the_scipy_lapack_recursion_bitwise(sites):
+    _assert_halving_equals_scipy_recursion(sites)
+
+
+def test_large_pair_matrix_minors_equal_the_scipy_lapack_recursion_bitwise():
+    # at N = 300 the blocked QR runs multi-threaded unless BLAS is pinned, and
+    # numpy and scipy bundle separately built OpenBLAS libraries, whose
+    # threaded reductions group sums differently; with one thread each, as
+    # the benchmark and the README pin it, the two agree to the last bit
+    script = ("import sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import test_correlations\n"
+              "test_correlations._assert_halving_equals_scipy_recursion(300)\n"
+              "print('ok')\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script, os.path.dirname(__file__)],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout.split() == ["ok"], proc.stderr[-2000:]
+
+
 def _mp_leading_minors(mat):
     # every leading minor of a float matrix, exactly as given, by elimination
     # without row exchanges in 60-digit arithmetic
@@ -815,6 +891,51 @@ def test_var_jz_is_exactly_zero_in_a_frozen_chain():
 def test_var_jz_rejects_unknown_modulation():
     with pytest.raises(ValueError):
         correlations.var_jz(_ens(), "quarter")
+
+
+def _rolled_var_jz(ens, modulation):
+    # the structure-factor sums as they were: the rotation from freshly built
+    # trig, t = 1 - 2n formed once per S(q), and k + q by four np.roll copies
+    k = ens.modes.momenta
+    a = np.cos(k) - ens.spec.field_ratio
+    b = ens.spec.gamma * np.sin(k)
+    r = np.hypot(a, b)
+    large = np.sqrt(0.5 + 0.5 * np.divide(np.abs(a), r, out=np.ones_like(r), where=r > 0))
+    small = 0.5 * np.divide(np.abs(b), r, out=np.zeros_like(r), where=r > 0) / large
+    cos_t, sin_t = np.where(a >= 0, large, small), np.copysign(np.where(a >= 0, small, large), b)
+
+    def structure_factor(shift):
+        n = ens.occupations
+        t = 1.0 - 2.0 * n
+        cos_q, sin_q, n_q, t_q = (np.roll(x, -shift) for x in (cos_t, sin_t, n, t))
+        pairing = (sin_t * cos_q + cos_t * sin_q) ** 2
+        return 2.0 * float(np.sum(n * (1.0 - n_q) + n_q * (1.0 - n) + pairing * t * t_q))
+
+    s0 = structure_factor(0)
+    if modulation == "uniform":
+        return s0
+    return 0.25 * (s0 + structure_factor(ens.spec.sites // 2))
+
+
+def _fresh_jz_mode_sum(ens, modulation, t):
+    w = correlations.modulation_weights(modulation, ens.spec.sites)
+    g0 = float(np.sum(np.cos(2.0 * ens.modes.angles) * t)) / ens.spec.sites
+    return float(np.sum(w)) * -g0
+
+
+@pytest.mark.parametrize("sites", (6, 50, 300))
+@pytest.mark.parametrize("modulation", correlations.MODULATIONS)
+def test_jz_statistics_equal_the_fresh_trig_formulas_bitwise(sites, modulation):
+    # the mode table's rotation and double angle, the one t of var_jz and its
+    # sliced k + pi shift change no bit of Var(J_z), <J_z> or its slope
+    for gamma, field, T in PAIR_GRID:
+        ens = _ens(gamma=gamma, field_ratio=field, sites=sites, T=T)
+        label = (gamma, field, T)
+        assert correlations.var_jz(ens, modulation) == _rolled_var_jz(ens, modulation), label
+        assert correlations.mean_jz(ens, modulation) == _fresh_jz_mode_sum(
+            ens, modulation, 1.0 - 2.0 * ens.occupations), label
+        assert correlations.mean_jz_slope(ens, modulation) == _fresh_jz_mode_sum(
+            ens, modulation, correlations._occupation_slope(ens)), label
 
 
 # ---- bundles and limits -----------------------------------------------------------

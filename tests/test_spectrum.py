@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from xythermo import oracle
+from xythermo import oracle, spectrum
 from xythermo.spectrum import (
     ChainSpec,
     dispersion,
     energy_gap,
     factorization_field,
     mode_table,
+    momentum_grid,
 )
 
 
@@ -121,3 +122,59 @@ def test_mode_energies_match_quadratic_form():
         want = oracle.single_particle_energies(spec)
         scale = max(1.0, float(want[-1]))
         assert np.max(np.abs(got - want)) / scale < 1e-12
+
+
+# the parameter points of the kernel tests, plus a coupling other than 1
+MODE_SPECS = ((1.0, 0.5, 1.0), (1.0, 2.0, 1.0), (0.0, 0.5, 1.0), (-0.5, 0.5, 1.0),
+              (-0.7, 0.3, 1.0), (-1.0, 0.0, 1.0), (0.0, 2.0, 1.0), (1.0, 1.0, 1.0),
+              (0.6, 0.8, 2.5))
+
+
+def _fresh_rotation(spec, k):
+    # (cos theta, sin theta) by the half-angle formula on freshly built trig
+    a = np.cos(k) - spec.field_ratio
+    b = spec.gamma * np.sin(k)
+    r = np.hypot(a, b)
+    large = np.sqrt(0.5 + 0.5 * np.divide(np.abs(a), r, out=np.ones_like(r), where=r > 0))
+    small = 0.5 * np.divide(np.abs(b), r, out=np.zeros_like(r), where=r > 0) / large
+    return np.where(a >= 0, large, small), np.copysign(np.where(a >= 0, small, large), b)
+
+
+@pytest.mark.parametrize("sites", (4, 6, 50, 300))
+def test_mode_table_equals_fresh_trig_formulas_bitwise(sites):
+    # the memoized cos k and sin k give the energies of dispersion() and the
+    # angles, rotation and double angle of the formulas on np.cos(k),
+    # np.sin(k), to the last bit
+    k = momentum_grid(sites)
+    for gamma, field, coupling in MODE_SPECS:
+        spec = ChainSpec(gamma=gamma, field_ratio=field, sites=sites, coupling=coupling)
+        mt = mode_table(spec)
+        assert np.array_equal(mt.momenta, k)
+        assert np.array_equal(mt.energies, dispersion(spec, k))
+        angles = 0.5 * np.arctan2(gamma * np.sin(k), np.cos(k) - field)
+        assert np.array_equal(mt.angles, angles)
+        for got, want in zip(mt.rotation, _fresh_rotation(spec, k)):
+            assert np.array_equal(got, want)
+        for got, want in zip(mt.double_angle, (np.cos(2.0 * angles), np.sin(2.0 * angles))):
+            assert np.array_equal(got, want)
+
+
+def test_mode_table_derived_arrays_are_computed_once():
+    mt = mode_table(ChainSpec(gamma=0.5, field_ratio=0.5, sites=8))
+    assert mt.rotation is mt.rotation
+    assert mt.double_angle is mt.double_angle
+
+
+def test_grid_memo_is_read_only_and_follows_alternating_ring_sizes():
+    spectrum._grid_trig.cache_clear()
+    for n in (50, 300, 50, 8):
+        mt = mode_table(ChainSpec(gamma=0.5, field_ratio=0.5, sites=n))
+        k, cos_k, sin_k = spectrum._grid_trig(n)
+        assert mt.momenta is k and np.array_equal(k, momentum_grid(n))
+        assert np.array_equal(cos_k, np.cos(k)) and np.array_equal(sin_k, np.sin(k))
+        assert spectrum._grid_trig.cache_info().currsize == 1
+        for x in (k, cos_k, sin_k):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+    assert spectrum._grid_trig.cache_info().misses == 4

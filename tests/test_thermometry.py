@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import expit  # reference only; the package does not import scipy
 
 from xythermo import oracle, thermometry
 from xythermo.spectrum import ChainSpec
@@ -27,6 +29,45 @@ def test_occupations_limits():
     mid = thermometry.ensemble(spec, 0.7)
     assert np.all(mid.occupations > 0.0) and np.all(mid.occupations < 0.5)
     assert len(mid.occupations) == 8
+
+
+def _expit_grid():
+    # a dense grid of reduced energies x = eps/T: 0, the bulk, the subnormal
+    # results near x = 709.75, a few ulps either side of the overflow edge of
+    # exp at log(DBL_MAX), beyond it, and inf
+    edge = math.log(sys.float_info.max)
+    ulps = [edge]
+    for _ in range(20):
+        ulps = [np.nextafter(ulps[0], -math.inf), *ulps, np.nextafter(ulps[-1], math.inf)]
+    return np.concatenate((np.linspace(0.0, 40.0, 40_001), np.linspace(40.0, 800.0, 76_001),
+                           np.linspace(708.0, 745.2, 20_001), ulps, [1e3, 1e300, math.inf]))
+
+
+def test_occupations_equal_scipy_expit_bitwise():
+    x = _expit_grid()
+    got = thermometry._fermi_factors(x)
+    assert np.array_equal(got, expit(-x))
+    assert not np.signbit(got).any()
+    # the subnormal range is reached, and past the overflow edge n is exactly 0
+    assert 0.0 < got[x == 709.75][0] < sys.float_info.min
+    assert np.all(got[x > math.log(sys.float_info.max) + 1e-12] == 0.0)
+
+
+@pytest.mark.parametrize("temperature", (1e-3, 0.05, 0.3, 5.0, math.inf))
+def test_ensemble_occupations_equal_scipy_expit_bitwise(temperature):
+    for gamma, field in ((1.0, 0.5), (0.0, 2.0), (-0.7, 0.3), (1.0, 0.0)):
+        for sites in (6, 50):
+            spec = ChainSpec(gamma=gamma, field_ratio=field, sites=sites, coupling=1.5)
+            ens = thermometry.ensemble(spec, temperature)
+            want = expit(-(ens.modes.energies / (temperature * spec.coupling)))
+            assert np.array_equal(ens.occupations, want), (gamma, field, sites)
+
+
+def test_occupations_reach_exactly_zero_once_exp_overflows():
+    # eps/T = 3/1e-3 is far past log(DBL_MAX): the documented [0, 1/2] range
+    ens = thermometry.ensemble(ChainSpec(gamma=1.0, field_ratio=0.5, sites=8), 1e-3)
+    assert np.all(ens.occupations == 0.0)
+    assert thermometry.snr_crb(ens) == 0.0
 
 
 def test_flat_band_occupation_closed_form():

@@ -3,8 +3,13 @@
 Times ``correlations.fourth_moment_from_kernel`` (regular and breakdown
 points at N = 14, 50 and 100, gamma < 0 points at N = 50 and 100, one regular
 point at N = 200), ``var_jx`` (N = 50 to 1000), ``var_jx_slope`` and
-``kernel`` (N = 50 to 1000) for one or more source trees, and writes the
-medians to a JSON file together with the core count and the BLAS in use.
+``kernel`` (N = 50 to 1000), and at N = 50 the per-point layers of a
+``phase-diagram`` sweep: ``thermometry.ensemble``, ``var_jz`` (uniform and
+half probe) and ``mean_jz_slope``, for one or more source trees, and writes
+the medians to a JSON file together with the core count and the BLAS in use.
+Each grid row makes one untimed warm-up call and then CALLS timed calls in
+the same process, and takes their median, so that a row does not read the
+allocator and cache state that the rows before it left.
 The CPU speed a process gets on a shared machine swings by tens of percent
 between runs, so each call is also divided by the mean duration of the
 benchmark's fixed speed probe (``sweepbench.worker.speed_probe``, about 1
@@ -19,22 +24,27 @@ process with BLAS pinned to one thread:
     python tools/bench_layers.py --tree parent=/tmp/parent/src --tree change=src \\
         --reps 5 --out BENCH.json
 
-A kernel is built outside the timed region.  Before ``fourth_moment_from_kernel``
-its pair correlators are filled by ``var_jx``, as a readout point does;
-``var_jx`` itself is timed on a fresh kernel.  The "warm" ``kernel`` rows
-time a second kernel of the same ensemble, so the cos/sin tables of its
-ring size are built already, as at every point of a sweep but the first;
-the "cold" rows clear that memo first, where the tree has one.  Next to
-each time the file records how many calls of
-``correlations._halving_minors`` the timed call made through the module
+Every call gets its own ensemble and kernel, built outside the timed
+region, so that nothing one call computes on first read is there for the
+next.  Before ``fourth_moment_from_kernel`` the kernel's pair correlators
+are filled by ``var_jx``, as a readout point does; ``var_jx`` itself is
+timed on a fresh kernel.  The "warm" ``kernel`` rows time the kernel of an
+ensemble after another ensemble's kernel, so the cos/sin tables of its ring
+size are built already, as at every point of a sweep but the first; the
+"cold" rows clear that memo first, where the tree has one.  The
+``ensemble`` row builds the mode table and occupations of a ring size seen
+before, as at every point of a sweep but the first, and the J_z rows take a
+fresh ensemble's first read.  Next to each time the file records how many
+calls of ``correlations._halving_minors`` the timed call made through the module
 attribute (a tree whose recursion goes through it counts every level),
-and the value the call returned (sum of g_j^2 for a kernel).  With the
-pair correlators filled, a fourth-moment call that makes any has taken
-orthogonal minors for the gap classes no elimination reached (0 where
-there were none or Hadamard's bound left them out).  Each tree's values must repeat exactly over
-its repetitions; the file gives every value's relative difference from the
-first tree, and the run prints the largest, so a speed change that moves
-the numbers shows next to its timings.
+and the value the call returned (sum of g_j^2 for a kernel, of n_k for an
+ensemble).  With the pair correlators filled, a fourth-moment call that
+makes any has taken orthogonal minors for the gap classes no elimination
+reached (0 where there were none or Hadamard's bound left them out).  Each
+tree's values must repeat exactly over its calls and repetitions; the file
+gives every value's relative difference from the first tree, and the run
+prints the largest, so a speed change that moves the numbers shows next to
+its timings.
 """
 from __future__ import annotations
 
@@ -77,7 +87,15 @@ GRID = (
     ("kernel", 1000, 1.0, 0.5, 0.3, "warm"),
     ("kernel", 300, 1.0, 0.5, 0.3, "cold"),
     ("kernel", 1000, 1.0, 0.5, 0.3, "cold"),
+    ("ensemble", 50, 1.0, 0.5, 0.3, "warm"),
+    ("var_jz", 50, 1.0, 0.5, 0.3, "uniform"),
+    ("var_jz", 50, 1.0, 0.5, 0.3, "half"),
+    ("mean_jz_slope", 50, 1.0, 0.5, 0.3, "uniform"),
 )
+
+
+# timed calls per grid row and repetition, after one warm-up call
+CALLS = 5
 
 
 def _key(layer, n, gamma, field, temp, kind):
@@ -85,40 +103,66 @@ def _key(layer, n, gamma, field, temp, kind):
 
 
 def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], dict[str, float]]:
-    # one timing per grid entry, in seconds and in speed-probe units, the
-    # _halving_minors calls it made and the value it returned, with the tree
-    # on sys.path
+    # per grid entry, the median of CALLS timings after one warm-up call, in
+    # seconds and in speed-probe units, the _halving_minors calls one call
+    # made and the value it returned, with the tree on sys.path
     from sweepbench.worker import speed_probe
     from xythermo import correlations, thermometry
     from xythermo.spectrum import ChainSpec
 
-    halving, calls = correlations._halving_minors, [0]
+    halving, count = correlations._halving_minors, [0]
 
     def counting_halving(a):
-        calls[0] += 1
+        count[0] += 1
         return halving(a)
+
+    def prepare(layer, n, gamma, field, temp, kind):
+        # the call, with its argument built fresh and outside the timed region
+        spec = ChainSpec(gamma=gamma, field_ratio=field, sites=n)
+        if layer == "ensemble":
+            return lambda: thermometry.ensemble(spec, temp)
+        ens = thermometry.ensemble(spec, temp)
+        if layer in ("var_jz", "mean_jz_slope"):
+            return lambda: getattr(correlations, layer)(ens, kind)
+        if layer == "kernel":
+            # another ensemble's kernel builds the tables of N, if memoized
+            correlations.kernel(thermometry.ensemble(spec, temp))
+            if kind == "cold" and hasattr(correlations, "_trig_tables"):
+                correlations._trig_tables.cache_clear()
+            return lambda: correlations.kernel(ens)
+        kern = correlations.kernel(ens)
+        if layer == "fourth_moment_from_kernel":
+            correlations.var_jx(kern)
+        call = getattr(correlations, layer)
+        return lambda: call(kern)
+
+    def scalar(layer, value):
+        if layer == "kernel":
+            return float(value._g @ value._g)
+        if layer == "ensemble":
+            return float(value.occupations.sum())
+        return float(value)
 
     times, refs, halvings, values = {}, {}, {}, {}
     correlations._halving_minors = counting_halving
     try:
-        for layer, n, gamma, field, temp, kind in GRID:
-            ens = thermometry.ensemble(ChainSpec(gamma=gamma, field_ratio=field, sites=n), temp)
-            kern = correlations.kernel(ens)  # builds the tables of N, if memoized
-            if layer == "fourth_moment_from_kernel":
-                correlations.var_jx(kern)
-            if kind == "cold" and hasattr(correlations, "_trig_tables"):
-                correlations._trig_tables.cache_clear()
-            call, arg = getattr(correlations, layer), ens if layer == "kernel" else kern
-            calls[0] = 0
-            before = speed_probe()
-            start = perf_counter()
-            value = call(arg)
-            elapsed = perf_counter() - start
-            key = _key(layer, n, gamma, field, temp, kind)
-            times[key] = elapsed
-            refs[key] = 2.0 * elapsed / (before + speed_probe())
-            halvings[key] = calls[0]
-            values[key] = float(value._g @ value._g) if layer == "kernel" else float(value)
+        for row in GRID:
+            key = _key(*row)
+            prepare(*row)()  # warm-up
+            elapsed, ref, seen = [], [], set()
+            for _ in range(CALLS):
+                call = prepare(*row)
+                count[0] = 0
+                before = speed_probe()
+                start = perf_counter()
+                value = call()
+                elapsed.append(perf_counter() - start)
+                ref.append(2.0 * elapsed[-1] / (before + speed_probe()))
+                seen.add((count[0], scalar(row[0], value)))
+            if len(seen) != 1:
+                raise SystemExit(f"{key}: calls disagree: {sorted(seen)}")
+            times[key], refs[key] = statistics.median(elapsed), statistics.median(ref)
+            halvings[key], values[key] = seen.pop()
     finally:
         correlations._halving_minors = halving
     return times, refs, halvings, values
@@ -182,13 +226,15 @@ def main(argv=None) -> int:
                 raise SystemExit(f"{name} of tree {label} differ between repetitions")
     differences = _relative_differences(values)
     result = {
-        "what": "per-call seconds, and per-call time over the speed probe's (ref), over "
-                "repetitions that alternate the trees",
+        "what": "per-call seconds, and per-call time over the speed probe's (ref): the "
+                "median of each repetition's timed calls after a warm-up call, then "
+                "median, min and max over repetitions that alternate the trees",
         "nproc": os.cpu_count(),
         "machine": os.uname().machine,
         "python": sys.version.split()[0],
         **next(iter(runs.values()))[0]["env"],
         "reps": args.reps,
+        "calls": CALLS,
         **{stat: {label: {k: fn([r[k] for r in reps]) for k in reps[0]}
                   for label, reps in times.items()}
            for stat, fn in (("median_s", statistics.median), ("min_s", min), ("max_s", max))},
@@ -205,7 +251,7 @@ def main(argv=None) -> int:
         fh.write("\n")
     for label, medians in result["median_s"].items():
         for k, v in medians.items():
-            print(f"{label:>8}  {v:9.4f} s  {result['median_ref'][label][k]:9.1f} ref  "
+            print(f"{label:>8}  {v * 1e3:10.4f} ms  {result['median_ref'][label][k]:9.4g} ref  "
                   f"{halvings[label][k]:6d} halvings  {k}")
     for label, diffs in list(differences.items())[1:]:
         worst = max(diffs, key=diffs.get)
