@@ -23,9 +23,9 @@ setup = faraday.FaradaySetup(kappa=2.0)
 # -- 1. what the probe sees -------------------------------------------------
 spec = ChainSpec(gamma=1.0, field_ratio=0.5, sites=50)
 for T in (0.1, 0.5, 2.0):
-    ens = thermometry.ensemble(spec, T)
-    print(f"T = {T:<4} output mean = {faraday.output_mean(ens, setup):+8.4f}  "
-          f"output variance = {faraday.output_variance(ens, setup):8.4f}")
+    point = faraday.ReadoutPoint(thermometry.ensemble(spec, T), setup)
+    print(f"T = {T:<4} output mean = {point.output_mean:+8.4f}  "
+          f"output variance = {point.output_variance:8.4f}")
 
 # -- 2. temperature scan: ordered vs paramagnetic working point -------------
 temps = np.geomspace(0.05, 5.0, 25)
@@ -35,10 +35,9 @@ def scan(spec, label):
           f"N = {spec.sites})")
     print(f"{'T':>7} {'snr_crb':>9} {'var_jx':>9} {'mean_jz':>9}   winner")
     for T in temps[::4]:
-        ens = thermometry.ensemble(spec, float(T))
-        crb = thermometry.snr_crb(ens)
-        vx = faraday.temperature_snr(ens, setup, faraday.ReadoutObservable.VAR_JX)
-        mz = faraday.temperature_snr(ens, setup, faraday.ReadoutObservable.MEAN_JZ)
+        # one point per temperature: its three SNRs share one kernel
+        point = faraday.ReadoutPoint(thermometry.ensemble(spec, float(T)), setup)
+        crb, vx, mz = point.snr_crb, point.snr_varjx, point.snr_meanjz
         winner = "var_jx" if vx >= mz else "mean_jz"
         print(f"{T:>7.3f} {crb:>9.3f} {vx:>9.3f} {mz:>9.3f}   {winner}")
 
@@ -54,8 +53,8 @@ scan(ChainSpec(gamma=0.0, field_ratio=1.5, sites=50), "paramagnet")
 spec = ChainSpec(gamma=0.0, field_ratio=1.5, sites=50)
 print("\nmean_jz readout efficiency (fraction of the quantum ceiling):")
 for T in (0.2, 0.3, 0.4, 0.5):
-    report = faraday.sensitivity_report(spec, T, setup)
-    print(f"  T = {T}: {report.snr_meanjz / report.snr_crb:.1%}")
+    point = faraday.ReadoutPoint(thermometry.ensemble(spec, T), setup)
+    print(f"  T = {T}: {point.snr_meanjz / point.snr_crb:.1%}")
 
 # -- 4. shot noise ------------------------------------------------------------
 # A real probe adds photon shot noise ~ N/(2 kappa^2) under the mean-based

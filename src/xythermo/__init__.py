@@ -5,15 +5,16 @@ its free-fermion modes and computes, at finite temperature: the quantum
 Fisher information and Cramer-Rao signal-to-noise ceiling for temperature
 estimation, the collective-spin moments <J_z>, Var(J_z), Var(J_x), <J_x^4>,
 and the error-propagated sensitivity of a quantum-non-demolition Faraday
-readout.  A dense small-ring reference (``oracle``) backs every formula.
+readout.  ``ReadoutPoint`` holds every result of one (ensemble, probe
+setup) point, each computed once, on first read: the moments, the output
+quadrature, the slopes and the three SNRs.  A dense small-ring reference
+(``oracle``) backs every formula.
 """
 from .correlations import (
     CorrelationKernel,
-    MomentSet,
     fourth_moment_jx,
     kernel,
     mean_jz,
-    moments,
     var_jx,
     var_jz,
     xx_correlation,
@@ -22,10 +23,7 @@ from .faraday import (
     FaradaySetup,
     NoiseUnderflowError,
     ReadoutObservable,
-    SensitivityReport,
-    output_mean,
-    output_variance,
-    sensitivity_report,
+    ReadoutPoint,
     temperature_snr,
 )
 from .spectrum import (
@@ -45,10 +43,9 @@ __all__ = [
     "ModeTable",
     "ThermalEnsemble",
     "CorrelationKernel",
-    "MomentSet",
     "FaradaySetup",
     "ReadoutObservable",
-    "SensitivityReport",
+    "ReadoutPoint",
     "NoiseUnderflowError",
     "dispersion",
     "mode_table",
@@ -64,10 +61,6 @@ __all__ = [
     "mean_jz",
     "var_jz",
     "fourth_moment_jx",
-    "moments",
-    "output_mean",
-    "output_variance",
     "temperature_snr",
-    "sensitivity_report",
     "__version__",
 ]

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,13 +272,6 @@ def cmd_dispersion(cfg: SweepConfig) -> int:
     return EXIT_OK
 
 
-def _point(cfg: SweepConfig, g: float, f: float, t: float) -> faraday.ReadoutPoint:
-    spec = ChainSpec(gamma=g, field_ratio=f, sites=cfg.sites)
-    setup = faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
-                                 include_shot_noise=cfg.shot_noise)
-    return faraday.ReadoutPoint(thermometry.ensemble(spec, t), setup)
-
-
 def _snr_values(cfg: SweepConfig, point: faraday.ReadoutPoint) -> list[float]:
     # the --obs names crb, varjx, meanjz map onto the point's snr_* members
     return [getattr(point, f"snr_{obs}") for obs in cfg.obs]
@@ -305,52 +299,62 @@ def _read_partial_csv(path: str, columns: list[str]) -> dict[tuple, list[float]]
     return done
 
 
-def cmd_phase_diagram(cfg: SweepConfig) -> int:
-    columns = ["gamma", "field_ratio", "temperature"] + [f"snr_{o}_per_site" for o in cfg.obs]
+def _sweep(cfg: SweepConfig, columns: list[str],
+           row: Callable[[faraday.ReadoutPoint], list[float]]) -> int:
+    # one row per grid point, its coordinates then row(point): one probe setup
+    # per sweep, one ReadoutPoint per point; --resume reuses a partial CSV
     points = [(g, f, t) for g in cfg.gamma for f in cfg.field for t in cfg.temp]
     total = len(points)
+    setup = faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
+                                 include_shot_noise=cfg.shot_noise)
     cached = _read_partial_csv(cfg.out, columns) if cfg.resume else {}
     emitter = _Emitter(cfg, columns)
     try:
         for done, (g, f, t) in enumerate(points, start=1):
-            row = cached.get((g, f, t))
-            if row is None:
-                snrs = _snr_values(cfg, _point(cfg, g, f, t))
-                row = [g, f, t] + [s / cfg.sites for s in snrs]
-            emitter.row(row)
-            print(f"phase-diagram: {done}/{total}", file=sys.stderr, flush=True)
+            values = cached.get((g, f, t))
+            if values is None:
+                spec = ChainSpec(gamma=g, field_ratio=f, sites=cfg.sites)
+                values = [g, f, t] + row(faraday.ReadoutPoint(thermometry.ensemble(spec, t),
+                                                              setup))
+            emitter.row(values)
+            print(f"{cfg.command}: {done}/{total}", file=sys.stderr, flush=True)
     finally:
         emitter.close()
     return EXIT_OK
+
+
+def cmd_phase_diagram(cfg: SweepConfig) -> int:
+    columns = ["gamma", "field_ratio", "temperature"] + [f"snr_{o}_per_site" for o in cfg.obs]
+    return _sweep(cfg, columns, lambda point: [s / cfg.sites for s in _snr_values(cfg, point)])
 
 
 def cmd_tscan(cfg: SweepConfig) -> int:
     columns = (["gamma", "field_ratio", "temperature",
                 "var_jx_shot_ratio", "mean_jz_per_sqrt_sites"]
                + [f"snr_{o}" for o in cfg.obs])
-    points = [(g, f, t) for g in cfg.gamma for f in cfg.field for t in cfg.temp]
-    total = len(points)
-    emitter = _Emitter(cfg, columns)
-    try:
-        for done, (g, f, t) in enumerate(points, start=1):
-            point = _point(cfg, g, f, t)
-            shot = point.var_jx / cfg.sites / faraday.INPUT_QUADRATURE_VARIANCE
-            mz = point.mean_jz / math.sqrt(cfg.sites)
-            emitter.row([g, f, t, shot, mz] + _snr_values(cfg, point))
-            print(f"tscan: {done}/{total}", file=sys.stderr, flush=True)
-    finally:
-        emitter.close()
-    return EXIT_OK
+
+    def row(point: faraday.ReadoutPoint) -> list[float]:
+        shot = point.var_jx / cfg.sites / faraday.INPUT_QUADRATURE_VARIANCE
+        mz = point.mean_jz / math.sqrt(cfg.sites)
+        return [shot, mz] + _snr_values(cfg, point)
+
+    return _sweep(cfg, columns, row)
 
 
 # ---- validate ----------------------------------------------------------------
 
 def _validation_checks():
+    # one ReadoutPoint, so one kernel, per ensemble
+    setup = faraday.FaradaySetup()
+
+    def point(spec: ChainSpec, t: float) -> faraday.ReadoutPoint:
+        return faraday.ReadoutPoint(thermometry.ensemble(spec, t), setup)
+
     spec = ChainSpec(gamma=0.7, field_ratio=0.4, sites=6)
     temp = 0.37
     sys_m = oracle.build(spec, oracle.MATCHED)
-    ens = thermometry.ensemble(spec, temp)
-    kern = correlations.kernel(ens)
+    here = point(spec, temp)
+    ens = here.ensemble
 
     yield ("mode energies match quadratic-form spectrum",
            float(np.max(np.abs(np.sort(ens.modes.energies)
@@ -360,11 +364,10 @@ def _validation_checks():
     got, want = thermometry.qfi(ens), oracle.oracle_qfi(sys_m, temp)
     yield ("qfi matches dense reference", abs(got / want - 1.0), 1e-10)
     pairs = [
-        ("var_jx", correlations.var_jx(kern), oracle.oracle_var_jx(sys_m, temp)),
-        ("mean_jz", correlations.mean_jz(ens), oracle.oracle_mean_jz(sys_m, temp)),
-        ("var_jz", correlations.var_jz(ens), oracle.oracle_var_jz(sys_m, temp)),
-        ("fourth_moment_jx", correlations.fourth_moment_jx(ens),
-         oracle.oracle_fourth_jx(sys_m, temp)),
+        ("var_jx", here.var_jx, oracle.oracle_var_jx(sys_m, temp)),
+        ("mean_jz", here.mean_jz, oracle.oracle_mean_jz(sys_m, temp)),
+        ("var_jz", here.var_jz, oracle.oracle_var_jz(sys_m, temp)),
+        ("fourth_moment_jx", here.fourth_jx, oracle.oracle_fourth_jx(sys_m, temp)),
     ]
     for name, got, want in pairs:
         yield (f"{name} matches dense reference", abs(got / want - 1.0), 1e-8)
@@ -376,35 +379,32 @@ def _validation_checks():
     for where, line in (("at gamma<0", ChainSpec(gamma=-0.7, field_ratio=0.3, sites=8)),
                         ("on the gamma=-1, h/J=0 line", ChainSpec(gamma=-1.0, field_ratio=0.0,
                                                                   sites=8))):
-        got = correlations.fourth_moment_jx(thermometry.ensemble(line, temp))
+        got = point(line, temp).fourth_jx
         want = oracle.oracle_fourth_jx(oracle.build(line, oracle.MATCHED), temp)
         yield (f"fourth_moment_jx {where} matches dense reference", abs(got / want - 1.0), 1e-8)
     # the same line at 50 sites, where the bound certifies it and no minor is taken:
     # the x spins are uncorrelated, so <J_x^4> is that of N independent spins
-    line = ChainSpec(gamma=-1.0, field_ratio=0.0, sites=50)
-    got = correlations.fourth_moment_jx(thermometry.ensemble(line, temp))
+    got = point(ChainSpec(gamma=-1.0, field_ratio=0.0, sites=50), temp).fourth_jx
     yield ("fourth_moment_jx on the gamma=-1, h/J=0 line at N=50 equals 3N^2-2N",
            abs(got / (3 * 50 * 50 - 2 * 50) - 1.0), 1e-12)
     # a polarized XX chain, where Var(J_z) ~ 5e-18 sits far below roundoff of <J_z>^2
     cold = ChainSpec(gamma=0.0, field_ratio=2.0, sites=10)
-    got = correlations.var_jz(thermometry.ensemble(cold, 0.05))
+    got = point(cold, 0.05).var_jz
     want = oracle.oracle_var_jz(oracle.build(cold, oracle.MATCHED), 0.05)
     yield ("cold XX var_jz matches dense reference", abs(got / want - 1.0), 1e-8)
-    dev = max(abs(kern.coefficient(b - a) - oracle.string_contraction(sys_m, temp, a, b))
+    dev = max(abs(here.kernel.coefficient(b - a) - oracle.string_contraction(sys_m, temp, a, b))
               for a in range(6) for b in range(6))
     yield ("kernel equals dense string contractions", dev, 1e-10)
-    flipped = correlations.kernel(thermometry.ensemble(
-        ChainSpec(gamma=-spec.gamma, field_ratio=spec.field_ratio, sites=6), temp))
+    flipped = point(ChainSpec(gamma=-spec.gamma, field_ratio=spec.field_ratio, sites=6), temp)
     yield ("y-axis variance equals x-axis variance at -gamma",
-           abs(correlations.var_jy(kern) - correlations.var_jx(flipped)), 1e-10)
-    m = correlations.moments(thermometry.ensemble(spec, math.inf))
-    dev = max(abs(m.mean_jx), abs(m.var_jx - 6), abs(m.mean_jz),
-              abs(m.var_jz - 6), abs(m.fourth_jx - (3 * 36 - 12)))
+           abs(correlations.var_jy(here.kernel) - flipped.var_jx), 1e-10)
+    hot = point(spec, math.inf)
+    dev = max(abs(hot.var_jx - 6), abs(hot.mean_jz), abs(hot.var_jz - 6),
+              abs(hot.fourth_jx - (3 * 36 - 12)))
     yield ("infinite-temperature moments are exact", dev, 1e-12)
-    setup = faraday.FaradaySetup()
     worst = 0.0
     for t in (0.2, 0.5, 1.0):
-        p = faraday.ReadoutPoint(thermometry.ensemble(spec, t), setup)
+        p = point(spec, t)
         worst = max(worst, max(p.snr_varjx, p.snr_meanjz) / p.snr_crb - 1.0)
     yield ("readout SNR below Cramer-Rao ceiling", worst, 1e-3)
 

@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -88,7 +87,6 @@ from .thermometry import ThermalEnsemble
 
 __all__ = [
     "CorrelationKernel",
-    "MomentSet",
     "kernel",
     "xx_correlation",
     "yy_correlation",
@@ -99,7 +97,6 @@ __all__ = [
     "mean_jz_slope",
     "var_jz",
     "fourth_moment_jx",
-    "moments",
     "modulation_weights",
 ]
 
@@ -132,15 +129,16 @@ _ROUNDING_MARGIN = 2.0
 
 
 class CorrelationKernel:
-    """The g_j vector for one ensemble, plus its <sx sx> correlators.
+    """The g_j vector for one ensemble, plus its <sx sx> and <sy sy> correlators.
 
-    The correlators of every separation are computed together, once, on
-    first use, to an absolute accuracy near roundoff of 1 (see
-    _pair_correlations); xx_correlation, var_jx and the pair sum of
-    fourth_moment_from_kernel read that one array.
+    The correlators of every separation along one axis are computed
+    together, once, on first use, to an absolute accuracy near roundoff of
+    1 (see _pair_correlations); xx_correlation, var_jx and the pair sum of
+    fourth_moment_from_kernel read the x array, yy_correlation and var_jy
+    the y array.
     """
 
-    __slots__ = ("ensemble", "_g", "_off", "_xx")
+    __slots__ = ("ensemble", "_g", "_off", "_xx", "_yy")
 
     def __init__(self, ensemble: ThermalEnsemble, values: np.ndarray):
         n = ensemble.spec.sites
@@ -150,6 +148,7 @@ class CorrelationKernel:
         self._g = values
         self._off = n - 1  # position of j = 0
         self._xx: np.ndarray | None = None  # <sx_0 sx_r>, r = 0 ... N-1
+        self._yy: np.ndarray | None = None  # <sy_0 sy_r>, r = 0 ... N-1
 
     def coefficient(self, j: int) -> float:
         n = self.ensemble.spec.sites
@@ -189,7 +188,7 @@ def _contractions(ens: ThermalEnsemble, t: np.ndarray) -> np.ndarray:
 def _occupation_slope(ens: ThermalEnsemble) -> np.ndarray:
     # T d(1 - 2 n_k)/dT = -2 n_k (1 - n_k) eps_k/T: exactly 0 at T = inf,
     # and 0 (not inf * 0) once n_k(1 - n_k) underflows at low T
-    return -2.0 * ens.fluctuation_weights() * ens.reduced_energies()
+    return -2.0 * ens.fluctuation_weights * ens.reduced_energies
 
 
 def kernel(ens: ThermalEnsemble) -> CorrelationKernel:
@@ -226,9 +225,11 @@ def yy_correlation(kern: CorrelationKernel, r: int) -> float:
 
     Not part of the main observable set -- it exists because the y-axis
     variance at anisotropy gamma must equal the x-axis variance at -gamma,
-    which makes a sharp cross-check of the whole kernel machinery.
+    which makes a sharp cross-check of the whole kernel machinery.  Reads
+    the kernel's y correlator array, filled as the x one is (see
+    xx_correlation).
     """
-    return _pair_correlation(kern, _separation(kern, r), shift=+1)
+    return _yy_correlations(kern)[_separation(kern, r)].item()
 
 
 def _separation(kern: CorrelationKernel, r) -> int:
@@ -240,9 +241,8 @@ def _separation(kern: CorrelationKernel, r) -> int:
 
 
 def _pair_correlation(kern, r, shift):
-    # one LAPACK det for one separation 0 <= r <= N-1: yy_correlation, the
-    # pairs of var_jx_slope's complex kernel, and the test reference for the
-    # halving
+    # one LAPACK det for one separation 0 <= r <= N-1: the pairs of
+    # var_jx_slope's complex kernel, and the test reference for the halving
     if r == 0:
         return 1.0
     a = np.arange(r)
@@ -335,6 +335,12 @@ def _xx_correlations(kern: CorrelationKernel) -> np.ndarray:
     return kern._xx
 
 
+def _yy_correlations(kern: CorrelationKernel) -> np.ndarray:
+    if kern._yy is None:
+        kern._yy = _pair_correlations(kern, shift=+1)
+    return kern._yy
+
+
 def _pair_sum(corr: np.ndarray) -> float:
     # sum of <s s> over all ordered site pairs: separation d pairs up
     # (N - d) times each way along the fermionic ordering
@@ -368,7 +374,7 @@ def var_jx_slope(kern: CorrelationKernel) -> float:
 
 def var_jy(kern: CorrelationKernel) -> float:
     """Variance of J_y; satisfies var_jy(gamma) = var_jx(-gamma) exactly."""
-    return kern.ensemble.spec.sites + _pair_sum(_pair_correlations(kern, shift=+1))
+    return kern.ensemble.spec.sites + _pair_sum(_yy_correlations(kern))
 
 
 def modulation_weights(modulation: str, n: int) -> np.ndarray:
@@ -808,36 +814,3 @@ def fourth_moment_jx(ens: ThermalEnsemble) -> float:
     """
     return fourth_moment_from_kernel(kernel(ens))
 
-
-@dataclass(frozen=True)
-class MomentSet:
-    """Collective-spin moments of one thermal state (all dimensionless).
-
-    mean_jx is identically zero: the thermal state commutes with the ring
-    parity while J_x anticommutes with it, so odd x-moments vanish without
-    any numerical cancellation.  var_jx_squared = fourth_jx - var_jx^2 is
-    the variance of the observable J_x^2, the noise term of a variance-based
-    readout.
-    """
-
-    mean_jx: float
-    var_jx: float
-    mean_jz: float
-    var_jz: float
-    fourth_jx: float
-    var_jx_squared: float
-
-
-def moments(ens: ThermalEnsemble, modulation: str = "uniform") -> MomentSet:
-    """All collective moments of one ensemble; the x moments share one kernel."""
-    kern = kernel(ens)
-    vx = var_jx(kern)
-    fourth = fourth_moment_from_kernel(kern)
-    return MomentSet(
-        mean_jx=0.0,
-        var_jx=vx,
-        mean_jz=mean_jz(ens, modulation),
-        var_jz=var_jz(ens, modulation),
-        fourth_jx=fourth,
-        var_jx_squared=fourth - vx * vx,
-    )

@@ -14,8 +14,9 @@ which is capped by the Cramer-Rao value of the thermometry module.  The
 slope T d<A>/dT is exact, from T dn_k/dT = n_k (1 - n_k) eps_k/T, and
 exactly 0 at T = inf.  The noise Var(A) is the atomic variance, plus the
 light shot-noise floor N/(2 kappa^2) for the J_z readout when requested.
-Every J_z statistic is a mode sum over the ensemble; only the J_x readout
-builds a correlation kernel.
+ReadoutPoint holds every result of one (ensemble, setup) point, each
+computed once, on first read; only its J_x members build a correlation
+kernel, one per point.
 """
 from __future__ import annotations
 
@@ -35,20 +36,15 @@ from .correlations import (
     var_jx_slope,
     var_jz,
 )
-from .spectrum import ChainSpec
-from .thermometry import ThermalEnsemble, ensemble, snr_crb
+from .thermometry import ThermalEnsemble, snr_crb
 
 __all__ = [
     "INPUT_QUADRATURE_VARIANCE",
     "FaradaySetup",
     "ReadoutObservable",
     "ReadoutPoint",
-    "SensitivityReport",
     "NoiseUnderflowError",
-    "output_mean",
-    "output_variance",
     "temperature_snr",
-    "sensitivity_report",
 ]
 
 
@@ -94,46 +90,18 @@ class FaradaySetup:
             raise ValueError(f"unknown modulation {self.modulation!r}")
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
-    """CRB ceiling and per-readout SNRs at one (gamma, h/J, T) point."""
-
-    gamma: float
-    field_ratio: float
-    temperature: float
-    snr_crb: float
-    snr_varjx: float
-    snr_meanjz: float
-    per_site: bool
-
-
-def _mean_shift(mean_jz_value: float, setup: FaradaySetup, n: int) -> float:
-    return -(setup.kappa / math.sqrt(n)) * mean_jz_value
-
-
-def _variance_shift(var_jz_value: float, setup: FaradaySetup, n: int) -> float:
-    return INPUT_QUADRATURE_VARIANCE + (setup.kappa**2 / n) * var_jz_value
-
-
-def output_mean(ens: ThermalEnsemble, setup: FaradaySetup) -> float:
-    """Mean output quadrature, -(kappa/sqrt(N)) <J_z>."""
-    return _mean_shift(mean_jz(ens, setup.modulation), setup, ens.spec.sites)
-
-
-def output_variance(ens: ThermalEnsemble, setup: FaradaySetup) -> float:
-    """Output quadrature variance, 1/2 + (kappa^2/N) Var(J_z)."""
-    return _variance_shift(var_jz(ens, setup.modulation), setup, ens.spec.sites)
-
-
 @dataclass(eq=False)
 class ReadoutPoint:
-    """Moments, slopes (T d/dT) and SNRs of one (ensemble, setup) point.
+    """Moments, output statistics, slopes (T d/dT) and SNRs of one point.
 
     Each member is computed at most once, on first read.  The J_x members
-    share one kernel; the J_z members read the ensemble alone, so a point
-    that reads only snr_crb and snr_meanjz builds no kernel.  Reading an
-    SNR raises NoiseUnderflowError when its noise variance is not positive
-    or the SNR is not finite.
+    share one kernel, and <J_x^4> is summed once; the J_z members, the
+    output quadrature and the ceiling read the ensemble alone, so a point
+    that reads only those, snr_crb and snr_meanjz builds no kernel.
+    <J_x> has no member: the thermal state commutes with the ring parity
+    while J_x anticommutes with it, so every odd x-moment is exactly 0,
+    and var_jx is <J_x^2>.  Reading an SNR raises NoiseUnderflowError when
+    its noise variance is not positive or the SNR is not finite.
     """
 
     ensemble: ThermalEnsemble
@@ -168,13 +136,28 @@ class ReadoutPoint:
         return mean_jz_slope(self.ensemble, self.setup.modulation)
 
     @cached_property
+    def var_jx_squared(self) -> float:
+        """Var(J_x^2) = <J_x^4> - Var(J_x)^2, the noise of the VAR_JX readout."""
+        return self.fourth_jx - self.var_jx * self.var_jx
+
+    @cached_property
+    def output_mean(self) -> float:
+        """Mean output quadrature, -(kappa/sqrt(N)) <J_z>."""
+        return -(self.setup.kappa / math.sqrt(self.ensemble.spec.sites)) * self.mean_jz
+
+    @cached_property
+    def output_variance(self) -> float:
+        """Output quadrature variance, 1/2 + (kappa^2/N) Var(J_z)."""
+        return (INPUT_QUADRATURE_VARIANCE
+                + (self.setup.kappa**2 / self.ensemble.spec.sites) * self.var_jz)
+
+    @cached_property
     def snr_crb(self) -> float:
         return snr_crb(self.ensemble)
 
     @cached_property
     def snr_varjx(self) -> float:
-        noise = self.fourth_jx - self.var_jx * self.var_jx
-        return self._snr(ReadoutObservable.VAR_JX, self.var_jx_slope, noise)
+        return self._snr(ReadoutObservable.VAR_JX, self.var_jx_slope, self.var_jx_squared)
 
     @cached_property
     def snr_meanjz(self) -> float:
@@ -207,23 +190,3 @@ def temperature_snr(ens: ThermalEnsemble, setup: FaradaySetup,
     if not isinstance(observable, ReadoutObservable):
         raise TypeError(f"unknown readout observable {observable!r}")
     return getattr(ReadoutPoint(ens, setup), f"snr_{observable.value}")
-
-
-def sensitivity_report(spec: ChainSpec, temperature: float, setup: FaradaySetup,
-                       per_site: bool = False) -> SensitivityReport:
-    """CRB ceiling plus both readout SNRs at one parameter point.
-
-    With per_site=True every SNR is divided by N, the natural normalization
-    for comparing chains of different length.
-    """
-    point = ReadoutPoint(ensemble(spec, temperature), setup)
-    scale = 1.0 / spec.sites if per_site else 1.0
-    return SensitivityReport(
-        gamma=spec.gamma,
-        field_ratio=spec.field_ratio,
-        temperature=temperature,
-        snr_crb=scale * point.snr_crb,
-        snr_varjx=scale * point.snr_varjx,
-        snr_meanjz=scale * point.snr_meanjz,
-        per_site=per_site,
-    )

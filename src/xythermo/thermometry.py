@@ -13,6 +13,7 @@ exact maximally-mixed values (every occupation exactly 1/2).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,8 @@ class ThermalEnsemble:
     mode, each in [0, 1/2] (the upper bound is attained only for zero-energy
     modes or infinite temperature, and the lower one once exp(eps_k/T)
     overflows, at eps_k/T just above log(DBL_MAX) = 709.78).
+    ``fluctuation_weights`` and ``reduced_energies`` are computed once, on
+    first read, and are read-only arrays that every mode sum shares.
     """
 
     spec: ChainSpec
@@ -38,13 +41,20 @@ class ThermalEnsemble:
     modes: ModeTable
     occupations: np.ndarray
 
+    @functools.cached_property
     def fluctuation_weights(self) -> np.ndarray:
         """n_k(1 - n_k) per mode, stable down to occupations ~ 1e-300."""
-        return self.occupations * (1.0 - self.occupations)
+        return _read_only(self.occupations * (1.0 - self.occupations))
 
+    @functools.cached_property
     def reduced_energies(self) -> np.ndarray:
         """eps_k / T, the only combination thermal quantities depend on."""
-        return self.modes.energies / (self.temperature * self.spec.coupling)
+        return _read_only(self.modes.energies / (self.temperature * self.spec.coupling))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def ensemble(spec: ChainSpec, temperature: float) -> ThermalEnsemble:
@@ -84,7 +94,7 @@ def _exp_or_inf(v: float) -> float:
 def energy_variance(ens: ThermalEnsemble) -> float:
     """<H^2> - <H>^2 = sum_k eps_k^2 n_k (1 - n_k), in squared energy units."""
     e = ens.modes.energies
-    return float(np.sum(e * e * ens.fluctuation_weights()))
+    return float(np.sum(e * e * ens.fluctuation_weights))
 
 
 def qfi(ens: ThermalEnsemble) -> float:
@@ -103,5 +113,5 @@ def snr_crb(ens: ThermalEnsemble) -> float:
     Computed as sum_k (eps_k/T)^2 n_k(1-n_k) rather than T^2 * qfi so that
     temperature = inf yields an exact 0 instead of inf * 0.
     """
-    x = ens.reduced_energies()
-    return float((x * x * ens.fluctuation_weights()).sum())
+    x = ens.reduced_energies
+    return float((x * x * ens.fluctuation_weights).sum())

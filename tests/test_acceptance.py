@@ -205,16 +205,17 @@ def test_criterion_8_symmetry_suite():
 def test_criterion_9_trivial_limits():
     for sites in (6, 10):
         spec = ChainSpec(gamma=0.7, field_ratio=0.4, sites=sites)
-        m = correlations.moments(thermometry.ensemble(spec, math.inf))
-        want = (0.0, sites, 0.0, sites, 3 * sites**2 - 2 * sites)
-        got = (m.mean_jx, m.var_jx, m.mean_jz, m.var_jz, m.fourth_jx)
+        m = faraday.ReadoutPoint(thermometry.ensemble(spec, math.inf), faraday.FaradaySetup())
+        want = (sites, 0.0, sites, 3 * sites**2 - 2 * sites)
+        got = (m.var_jx, m.mean_jz, m.var_jz, m.fourth_jx)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
 
     saturated = thermometry.ensemble(ChainSpec(gamma=0.0, field_ratio=1e3, sites=8), 0.01)
     setup = faraday.FaradaySetup(kappa=1.0)
     assert correlations.mean_jz(saturated) == pytest.approx(8.0, abs=1e-6)
     assert correlations.var_jz(saturated) == pytest.approx(0.0, abs=1e-6)
-    assert faraday.output_mean(saturated, setup) == pytest.approx(-math.sqrt(8.0), abs=1e-6)
-    assert faraday.output_variance(saturated, setup) == pytest.approx(0.5, abs=1e-6)
+    point = faraday.ReadoutPoint(saturated, setup)
+    assert point.output_mean == pytest.approx(-math.sqrt(8.0), abs=1e-6)
+    assert point.output_variance == pytest.approx(0.5, abs=1e-6)
     print("criterion 9: PASS - infinite-temperature moments exact, "
           "saturated paramagnet limits within 1e-6")

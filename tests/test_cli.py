@@ -297,3 +297,21 @@ def test_validate_passes():
     assert "ok   fourth_moment_jx at gamma<0 matches dense reference" in proc.stdout
     assert "ok   fourth_moment_jx on the gamma=-1, h/J=0 line matches dense reference" in proc.stdout
     assert "ok   fourth_moment_jx on the gamma=-1, h/J=0 line at N=50 equals 3N^2-2N" in proc.stdout
+
+
+def test_validate_builds_one_kernel_per_ensemble(monkeypatch, capsys):
+    """Each ensemble of the battery is one ReadoutPoint, so it gets one kernel."""
+    built = collections.Counter()
+    kernel = correlations.kernel
+
+    def counted(ens):
+        built[ens.spec, ens.temperature] += 1
+        return kernel(ens)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("xythermo")]:
+        for attr, value in list(vars(module).items()):
+            if value is kernel:
+                monkeypatch.setattr(module, attr, counted)
+    assert cli.main(["validate"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    assert len(built) >= 8 and set(built.values()) == {1}

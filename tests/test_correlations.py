@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from xythermo import cli, correlations, oracle, thermometry
+from xythermo import cli, correlations, faraday, oracle, thermometry
 from xythermo.spectrum import ChainSpec
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -258,7 +258,7 @@ def test_fourth_moment_repeat_call_is_stable():
 def test_fourth_dominates_squared_variance():
     # Var(J_x^2) = <J_x^4> - <J_x^2>^2 >= 0
     for gamma, f, T in ((1.0, 0.0, 0.1), (0.5, 1.0, 0.5), (0.2, 1.8, 1.5)):
-        m = correlations.moments(_ens(gamma=gamma, field_ratio=f, T=T))
+        m = faraday.ReadoutPoint(_ens(gamma=gamma, field_ratio=f, T=T), faraday.FaradaySetup())
         assert m.var_jx_squared >= 0.0
         assert m.fourth_jx == pytest.approx(m.var_jx**2 + m.var_jx_squared, rel=1e-12)
 
@@ -832,6 +832,18 @@ def test_var_jx_makes_no_det_calls_on_a_real_kernel(monkeypatch):
     assert calls == []
 
 
+def test_yy_pairs_make_no_det_calls_on_a_real_kernel(monkeypatch):
+    kern = correlations.kernel(_ens(sites=300))
+    det = np.linalg.det
+    calls = []
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(np.shape(a)) or det(a))
+    var_y = correlations.var_jy(kern)
+    assert var_y == kern.ensemble.spec.sites + correlations._pair_sum(kern._yy)
+    assert correlations.yy_correlation(kern, 299) == kern._yy[299]
+    assert correlations.var_jy(kern) == var_y
+    assert calls == []
+
+
 def test_var_jx_slope_keeps_the_per_separation_path():
     # the complex-step kernel is not rotated: the slope is the same number,
     # to the last bit, as when every pair took one LAPACK det
@@ -878,7 +890,7 @@ def test_uniform_var_jz_of_xx_chain_is_four_fluctuation_weights(sites):
     # at gamma = 0 particle number is conserved: Var(J_z) = 4 sum_k n_k (1 - n_k)
     for field, T in ((0.5, 0.3), (1.0, 0.05), (1.9, 0.05), (2.0, 0.05), (3.0, 1.0)):
         ens = _ens(gamma=0.0, field_ratio=field, sites=sites, T=T)
-        want = 4.0 * float(np.sum(ens.fluctuation_weights()))
+        want = 4.0 * float(np.sum(ens.fluctuation_weights))
         assert correlations.var_jz(ens) == pytest.approx(want, rel=1e-12), (field, T)
 
 
@@ -941,20 +953,29 @@ def test_jz_statistics_equal_the_fresh_trig_formulas_bitwise(sites, modulation):
 # ---- bundles and limits -----------------------------------------------------------
 
 def test_moments_bundle_consistent_with_parts():
+    # every moment of a point is, bit for bit, what the standalone function gives
     ens = _ens(gamma=0.6, field_ratio=1.1, T=0.45)
     kern = correlations.kernel(ens)
-    m = correlations.moments(ens)
-    assert m.mean_jx == 0.0
-    assert m.var_jx == pytest.approx(correlations.var_jx(kern), rel=1e-14)
-    assert m.mean_jz == pytest.approx(correlations.mean_jz(ens), rel=1e-14)
-    assert m.var_jz == pytest.approx(correlations.var_jz(ens), rel=1e-14)
-    assert m.fourth_jx == pytest.approx(correlations.fourth_moment_jx(ens), rel=1e-14)
+    for modulation in correlations.MODULATIONS:
+        m = faraday.ReadoutPoint(ens, faraday.FaradaySetup(modulation=modulation))
+        assert m.var_jx == correlations.var_jx(kern)
+        assert m.mean_jz == correlations.mean_jz(ens, modulation)
+        assert m.var_jz == correlations.var_jz(ens, modulation)
+        assert m.fourth_jx == correlations.fourth_moment_jx(ens)
+        assert m.var_jx_slope == correlations.var_jx_slope(kern)
+        assert m.mean_jz_slope == correlations.mean_jz_slope(ens, modulation)
+        assert m.var_jx_squared == m.fourth_jx - m.var_jx * m.var_jx
+    # the point has no <J_x>: the ring parity makes it vanish, as the dense
+    # reference confirms
+    dense = oracle.build(ens.spec, oracle.MATCHED)
+    assert oracle.thermal_expectation(dense, 0.45, oracle.collective_x(8)) == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_infinite_temperature_moments_are_exact():
     n = 8
-    m = correlations.moments(_ens(sites=n, T=math.inf))
-    assert (m.mean_jx, m.var_jx, m.var_jz, m.fourth_jx) == (0.0, n, n, 3 * n * n - 2 * n)
+    m = faraday.ReadoutPoint(_ens(sites=n, T=math.inf), faraday.FaradaySetup())
+    assert (m.var_jx, m.var_jz, m.fourth_jx) == (n, n, 3 * n * n - 2 * n)
     assert m.mean_jz == 0.0
     assert m.var_jx_squared == 2 * n * n - 2 * n
 

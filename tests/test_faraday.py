@@ -1,16 +1,15 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from xythermo import faraday, oracle, thermometry
+from xythermo import correlations, faraday, oracle, thermometry
 from xythermo.faraday import (
     FaradaySetup,
     NoiseUnderflowError,
     ReadoutObservable,
-    output_mean,
-    output_variance,
-    sensitivity_report,
+    ReadoutPoint,
     temperature_snr,
 )
 from xythermo.spectrum import ChainSpec
@@ -36,41 +35,77 @@ def test_setup_validation():
 
 
 def test_output_statistics_at_infinite_temperature():
-    ens = _ens(T=math.inf)
-    setup = FaradaySetup(kappa=1.0)
-    assert output_mean(ens, setup) == 0.0
-    assert output_variance(ens, setup) == pytest.approx(1.5, abs=1e-12)  # 1/2 + N/N
+    point = ReadoutPoint(_ens(T=math.inf), FaradaySetup(kappa=1.0))
+    assert point.output_mean == 0.0
+    assert point.output_variance == pytest.approx(1.5, abs=1e-12)  # 1/2 + N/N
 
 
 def test_output_statistics_saturated_paramagnet():
-    ens = _ens(gamma=0.0, field_ratio=1e3, T=0.01)
-    setup = FaradaySetup(kappa=1.0)
-    assert output_mean(ens, setup) == pytest.approx(-math.sqrt(8.0), abs=1e-9)
-    assert output_variance(ens, setup) == pytest.approx(0.5, abs=1e-9)
+    point = ReadoutPoint(_ens(gamma=0.0, field_ratio=1e3, T=0.01), FaradaySetup(kappa=1.0))
+    assert point.output_mean == pytest.approx(-math.sqrt(8.0), abs=1e-9)
+    assert point.output_variance == pytest.approx(0.5, abs=1e-9)
 
 
 def test_output_statistics_match_dense_reference():
     ens = _ens(gamma=0.6, field_ratio=0.9, T=0.4)
     sys = oracle.build(ens.spec, oracle.MATCHED)
-    setup = FaradaySetup(kappa=2.0)
+    point = ReadoutPoint(ens, FaradaySetup(kappa=2.0))
     want_mean = -(2.0 / math.sqrt(8.0)) * oracle.oracle_mean_jz(sys, 0.4)
     want_var = 0.5 + (4.0 / 8.0) * oracle.oracle_var_jz(sys, 0.4)
-    assert output_mean(ens, setup) == pytest.approx(want_mean, rel=1e-10)
-    assert output_variance(ens, setup) == pytest.approx(want_var, rel=1e-10)
+    assert point.output_mean == pytest.approx(want_mean, rel=1e-10)
+    assert point.output_variance == pytest.approx(want_var, rel=1e-10)
 
 
 def test_quadrature_maps_are_affine():
-    # round-trip randomized atomic moments through the published linear maps
+    # round-trip randomized atomic moments through the point's linear maps:
+    # a member assigned before its first read is the one the outputs read
     rng = np.random.default_rng(5)
     for _ in range(20):
         kappa = float(rng.uniform(0.5, 10.0))
         n = int(rng.choice([8, 50, 200]))
-        setup = FaradaySetup(kappa=kappa)
+        point = ReadoutPoint(_ens(sites=n), FaradaySetup(kappa=kappa))
         mz, vz = float(rng.uniform(-n, n)), float(rng.uniform(0.0, 4 * n))
-        x = faraday._mean_shift(mz, setup, n)
+        point.mean_jz, point.var_jz = mz, vz
+        x = point.output_mean
         assert mz == pytest.approx(-x * math.sqrt(n) / kappa, rel=1e-12)
-        v = faraday._variance_shift(vz, setup, n)
+        v = point.output_variance
         assert vz == pytest.approx((v - 0.5) * n / kappa**2, rel=1e-12, abs=1e-12)
+
+
+def _counting(monkeypatch, *fns):
+    # wraps each function wherever the modules a point calls hold it by name
+    calls = collections.Counter()
+    for fn in fns:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for module in (correlations, faraday):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_point_reading_every_member_builds_one_kernel_and_one_quad_sum(monkeypatch):
+    calls = _counting(monkeypatch, correlations.kernel, correlations._nested_quad_sum)
+    point = ReadoutPoint(_ens(gamma=0.6, field_ratio=0.9, sites=10, T=0.4), FaradaySetup())
+    members = ("snr_crb", "snr_varjx", "snr_meanjz", "var_jx_slope", "mean_jz_slope",
+               "output_mean", "output_variance", "var_jx_squared")
+    first = [getattr(point, name) for name in members]
+    assert [getattr(point, name) for name in members] == first
+    assert calls == {"kernel": 1, "_nested_quad_sum": 1}
+
+
+def test_point_reading_only_jz_members_builds_no_kernel(monkeypatch):
+    built = []
+    init = correlations.CorrelationKernel.__init__
+    monkeypatch.setattr(correlations.CorrelationKernel, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    for setup in (FaradaySetup(), FaradaySetup(modulation="half", include_shot_noise=True)):
+        point = ReadoutPoint(_ens(gamma=0.6, field_ratio=0.9, sites=10, T=0.4), setup)
+        values = (point.output_mean, point.output_variance, point.snr_crb, point.snr_meanjz)
+        assert all(math.isfinite(v) for v in values)
+    assert built == []
 
 
 def test_snr_exact_at_temperature_extremes():
@@ -172,23 +207,22 @@ def test_snr_against_independent_derivative_of_dense_moments():
 
 
 def test_sensitivity_report_bundles_and_normalizes():
+    # one point bundles the ceiling and both readouts, each the number the
+    # standalone functions give
     spec = ChainSpec(gamma=1.0, field_ratio=0.2, sites=8)
     setup = FaradaySetup()
-    raw = sensitivity_report(spec, 0.35, setup)
-    per = sensitivity_report(spec, 0.35, setup, per_site=True)
-    assert raw.gamma == 1.0 and raw.field_ratio == 0.2 and raw.temperature == 0.35
-    assert not raw.per_site and per.per_site
     ens = thermometry.ensemble(spec, 0.35)
-    assert raw.snr_crb == pytest.approx(thermometry.snr_crb(ens), rel=1e-12)
-    assert raw.snr_varjx == pytest.approx(
+    point = ReadoutPoint(ens, setup)
+    assert point.snr_crb == pytest.approx(thermometry.snr_crb(ens), rel=1e-12)
+    assert point.snr_varjx == pytest.approx(
         temperature_snr(ens, setup, ReadoutObservable.VAR_JX), rel=1e-12)
-    for field in ("snr_crb", "snr_varjx", "snr_meanjz"):
-        assert getattr(per, field) == pytest.approx(getattr(raw, field) / 8.0, rel=1e-12)
+    assert point.snr_meanjz == pytest.approx(
+        temperature_snr(ens, setup, ReadoutObservable.MEAN_JZ), rel=1e-12)
 
 
 def test_report_snrs_vanish_toward_zero_temperature():
     spec = ChainSpec(gamma=1.0, field_ratio=0.3, sites=8)
-    rep = sensitivity_report(spec, 0.02, FaradaySetup())
-    assert rep.snr_crb < 1e-15
-    assert rep.snr_varjx < 1e-10
-    assert rep.snr_meanjz < 1e-10
+    point = ReadoutPoint(thermometry.ensemble(spec, 0.02), FaradaySetup())
+    assert point.snr_crb < 1e-15
+    assert point.snr_varjx < 1e-10
+    assert point.snr_meanjz < 1e-10

@@ -166,6 +166,9 @@ def test_snr_crb_vanishes_at_both_extremes_and_is_unimodal():
 
 def test_reduced_energies_and_fluctuation_weights():
     ens = thermometry.ensemble(ChainSpec(gamma=0.4, field_ratio=1.1, sites=8), 0.5)
-    assert np.allclose(ens.reduced_energies(), ens.modes.energies / 0.5, atol=1e-15)
-    w = ens.fluctuation_weights()
+    assert np.allclose(ens.reduced_energies, ens.modes.energies / 0.5, atol=1e-15)
+    w = ens.fluctuation_weights
     assert np.allclose(w, ens.occupations * (1 - ens.occupations), atol=1e-15)
+    # computed once per ensemble, and shared read-only by every reader
+    assert ens.fluctuation_weights is w and ens.reduced_energies is ens.reduced_energies
+    assert not w.flags.writeable and not ens.reduced_energies.flags.writeable
