@@ -61,12 +61,11 @@ for T in (0.2, 0.3, 0.4, 0.5):
 # readout.  Stronger coupling buys it back.
 spec = ChainSpec(gamma=0.0, field_ratio=1.5, sites=50)
 ens = thermometry.ensemble(spec, 0.3)
-ideal = faraday.temperature_snr(ens, setup, faraday.ReadoutObservable.MEAN_JZ)
+ideal = faraday.ReadoutPoint(ens, setup).snr_meanjz
 print(f"\nmean_jz snr at T = 0.3 without shot noise: {ideal:.3f}")
 for kappa in (0.5, 1.0, 2.0, 5.0, 20.0):
-    noisy = faraday.temperature_snr(
-        ens, faraday.FaradaySetup(kappa=kappa, include_shot_noise=True),
-        faraday.ReadoutObservable.MEAN_JZ)
+    noisy = faraday.ReadoutPoint(
+        ens, faraday.FaradaySetup(kappa=kappa, include_shot_noise=True)).snr_meanjz
     print(f"  kappa = {kappa:<4} with shot noise: {noisy:.3f}")
 
 # -- 5. spatially modulated probe -------------------------------------------

@@ -22,9 +22,7 @@ from .correlations import (
 from .faraday import (
     FaradaySetup,
     NoiseUnderflowError,
-    ReadoutObservable,
     ReadoutPoint,
-    temperature_snr,
 )
 from .spectrum import (
     ChainSpec,
@@ -44,7 +42,6 @@ __all__ = [
     "ThermalEnsemble",
     "CorrelationKernel",
     "FaradaySetup",
-    "ReadoutObservable",
     "ReadoutPoint",
     "NoiseUnderflowError",
     "dispersion",
@@ -61,6 +58,5 @@ __all__ = [
     "mean_jz",
     "var_jz",
     "fourth_moment_jx",
-    "temperature_snr",
     "__version__",
 ]

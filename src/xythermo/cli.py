@@ -6,8 +6,8 @@ Subcommands: ``dispersion`` (mode energies and gap), ``phase-diagram``
 ``validate`` (the built-in dense-reference test battery).
 
 Output is a flat table, CSV or JSON, written deterministically: the same
-config and package version produce byte-identical files.  Wall-clock time
-and progress go to stderr only.
+config and package version produce byte-identical files at a fixed BLAS
+thread count.  Wall-clock time and progress go to stderr only.
 """
 from __future__ import annotations
 

@@ -20,7 +20,6 @@ kernel, one per point.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,10 +40,8 @@ from .thermometry import ThermalEnsemble, snr_crb
 __all__ = [
     "INPUT_QUADRATURE_VARIANCE",
     "FaradaySetup",
-    "ReadoutObservable",
     "ReadoutPoint",
     "NoiseUnderflowError",
-    "temperature_snr",
 ]
 
 
@@ -59,13 +56,6 @@ class NoiseUnderflowError(ArithmeticError):
     variance underflows: the error-propagation formula becomes 0/0 and no
     meaningful sensitivity exists.
     """
-
-
-class ReadoutObservable(enum.Enum):
-    """Which thermal observable the probe sequence measures."""
-
-    MEAN_JZ = "meanjz"  # direct quadrature shift, A = J_z
-    VAR_JX = "varjx"    # variance readout, A = J_x^2 (mean J_x vanishes)
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,7 @@ class ReadoutPoint:
 
     @cached_property
     def snr_varjx(self) -> float:
-        return self._snr(ReadoutObservable.VAR_JX, self.var_jx_slope, self.var_jx_squared)
+        return self._snr("varjx", self.var_jx_slope, self.var_jx_squared)
 
     @cached_property
     def snr_meanjz(self) -> float:
@@ -166,27 +156,15 @@ class ReadoutPoint:
             # invert the quadrature map: measured X_out variance 1/2 + (k^2/N)V
             # corresponds to inferring J_z with extra variance N/(2 kappa^2)
             noise += self.ensemble.spec.sites / (2.0 * self.setup.kappa**2)
-        return self._snr(ReadoutObservable.MEAN_JZ, self.mean_jz_slope, noise)
+        return self._snr("meanjz", self.mean_jz_slope, noise)
 
-    def _snr(self, observable: ReadoutObservable, slope: float, noise: float) -> float:
+    def _snr(self, readout: str, slope: float, noise: float) -> float:
         spec, t = self.ensemble.spec, self.ensemble.temperature
         if not (noise > 0.0 and math.isfinite(noise)):
             raise NoiseUnderflowError(
-                f"{observable.value} noise variance {noise} at T={t} "
+                f"{readout} noise variance {noise} at T={t} "
                 f"(gamma={spec.gamma}, h/J={spec.field_ratio})")
         snr = slope * slope / noise
         if not math.isfinite(snr):
-            raise NoiseUnderflowError(f"non-finite {observable.value} SNR at T={t}")
+            raise NoiseUnderflowError(f"non-finite {readout} SNR at T={t}")
         return snr
-
-
-def temperature_snr(ens: ThermalEnsemble, setup: FaradaySetup,
-                    observable: ReadoutObservable) -> float:
-    """Error-propagated (T/dT)^2 of one readout at the ensemble's temperature.
-
-    Exactly 0 at T = inf.  Raises NoiseUnderflowError when the readout noise
-    is not positive or the resulting SNR is non-finite.
-    """
-    if not isinstance(observable, ReadoutObservable):
-        raise TypeError(f"unknown readout observable {observable!r}")
-    return getattr(ReadoutPoint(ens, setup), f"snr_{observable.value}")

@@ -74,10 +74,9 @@ def hamiltonian(spec: ChainSpec, sector: str = MATCHED) -> np.ndarray:
     """Dense Hamiltonian of the requested sector (real symmetric)."""
     if sector not in _SECTORS:
         raise ValueError(f"unknown sector {sector!r}; expected one of {_SECTORS}")
-    n, J, gamma = spec.sites, spec.coupling, spec.gamma
-    h = spec.field_ratio * J
-    cx = J * (1.0 + gamma) / 2.0
-    cy = J * (1.0 - gamma) / 2.0
+    n, gamma, h = spec.sites, spec.gamma, spec.field_ratio
+    cx = (1.0 + gamma) / 2.0
+    cy = (1.0 - gamma) / 2.0
     dim = 2**n
     H = np.zeros((dim, dim))
     for l in range(n - 1):
@@ -123,7 +122,7 @@ def _weights(sys: DenseSystem, temperature: float) -> np.ndarray:
     if not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
     e = sys.eigenvalues
-    x = (e - e[0]) / (temperature * sys.spec.coupling)  # shift: no overflow
+    x = (e - e[0]) / temperature  # shift: no overflow
     w = np.exp(-x)
     return w / w.sum()
 
@@ -158,7 +157,7 @@ def oracle_qfi(sys: DenseSystem, temperature: float) -> float:
     e = sys.eigenvalues
     mean = float(p @ e)
     var = float(p @ (e - mean) ** 2)
-    return var / (temperature * sys.spec.coupling) ** 4
+    return var / temperature**4
 
 
 # ---- collective observables ------------------------------------------------
@@ -248,14 +247,13 @@ def bdg_matrix(spec: ChainSpec) -> np.ndarray:
     Eigenvalues come in +-eps_k pairs; the positive half must match the
     dispersion on the antiperiodic grid.
     """
-    n, J, gamma = spec.sites, spec.coupling, spec.gamma
-    h = spec.field_ratio * J
+    n, gamma, h = spec.sites, spec.gamma, spec.field_ratio
     hop = np.zeros((n, n))
     for l in range(n - 1):
         hop[l, l + 1] = 1.0
     hop[n - 1, 0] = -1.0  # antiperiodic wrap
-    A = J * (hop + hop.T) - 2.0 * h * np.eye(n)
-    B = J * gamma * (hop - hop.T)
+    A = hop + hop.T - 2.0 * h * np.eye(n)
+    B = gamma * (hop - hop.T)
     return np.block([[A, B], [-B, -A]])
 
 

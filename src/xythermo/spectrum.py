@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ __all__ = [
 class ChainSpec:
     """Parameters of the XY ring.
 
+    The exchange energy J is the unit: every energy downstream (mode
+    energies, gaps, temperatures) is in units of J.
+
     Attributes
     ----------
     gamma : float
@@ -48,31 +52,27 @@ class ChainSpec:
         Transverse field over coupling, h/J.  Any finite real value.
     sites : int
         Number of spins N.  Even and >= 4; for N = 2 the periodic bond sum
-        would double-count the single bond, so it is excluded.
-    coupling : float
-        Exchange energy J > 0.  All energies downstream scale with J;
-        leaving it at 1.0 reports everything in units of J.
-    boundary : str
-        Always "periodic".  Stored to make the contract explicit.
+        would double-count the single bond, so it is excluded.  Any
+        integral value that is not a bool is accepted (numpy integers
+        too) and stored as a plain int.
     """
 
     gamma: float
     field_ratio: float
     sites: int
-    coupling: float = 1.0
-    boundary: str = "periodic"
 
     def __post_init__(self) -> None:
         if not -1.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [-1, 1], got {self.gamma}")
         if not math.isfinite(self.field_ratio):
             raise ValueError(f"field_ratio must be finite, got {self.field_ratio}")
-        if not (isinstance(self.sites, int) and self.sites >= 4 and self.sites % 2 == 0):
-            raise ValueError(f"sites must be an even integer >= 4, got {self.sites}")
-        if not (self.coupling > 0 and math.isfinite(self.coupling)):
-            raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
-        if self.boundary != "periodic":
-            raise ValueError(f"only periodic boundaries are supported, got {self.boundary!r}")
+        try:
+            sites = None if isinstance(self.sites, bool) else operator.index(self.sites)
+        except TypeError:
+            sites = None
+        if sites is None or sites < 4 or sites % 2:
+            raise ValueError(f"sites must be an even integer >= 4, got {self.sites!r}")
+        object.__setattr__(self, "sites", sites)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +82,7 @@ class ModeTable:
     ``momenta`` is the antiperiodic grid k_j = pi*(2j+1)/N for
     j = -N/2 ... N/2-1, in increasing order, read-only and shared with
     the other tables of the same ring size.  ``energies`` holds the
-    dispersion at each momentum (nonnegative, units of the coupling).
+    dispersion at each momentum (nonnegative, in units of J).
     ``angles`` holds the rotation angle theta_k of the Bogoliubov
     transformation that diagonalizes the quadratic fermion Hamiltonian with
     all mode energies nonnegative:
@@ -135,7 +135,7 @@ def dispersion(spec: ChainSpec, k):
     """
     k = np.asarray(k, dtype=float)
     lam = spec.field_ratio
-    e = 2.0 * spec.coupling * np.hypot(np.cos(k) - lam, spec.gamma * np.sin(k))
+    e = 2.0 * np.hypot(np.cos(k) - lam, spec.gamma * np.sin(k))
     return float(e) if e.ndim == 0 else e
 
 
@@ -170,7 +170,7 @@ def mode_table(spec: ChainSpec) -> ModeTable:
     k, cos_k, sin_k = _grid_trig(spec.sites)
     a = cos_k - spec.field_ratio
     b = spec.gamma * sin_k
-    energies = 2.0 * spec.coupling * np.hypot(a, b)
+    energies = 2.0 * np.hypot(a, b)
     # atan2 keeps the quadrant so that the rotated quadratic form has
     # energy +eps_k for every mode, including cos k < h/J where the naive
     # arctan branch would flip sign.
@@ -187,14 +187,14 @@ def energy_gap(spec: ChainSpec) -> float:
     cos k = (h/J)/(1 - gamma^2) whenever that lies in [-1, 1].  Exactly zero
     on the critical lines |h/J| = 1 and on the segment gamma = 0, |h/J| <= 1.
     """
-    gamma, lam, J = spec.gamma, spec.field_ratio, spec.coupling
-    candidates = [2.0 * J * abs(1.0 - lam), 2.0 * J * abs(1.0 + lam)]
+    gamma, lam = spec.gamma, spec.field_ratio
+    candidates = [2.0 * abs(1.0 - lam), 2.0 * abs(1.0 + lam)]
     g2 = gamma * gamma
     if g2 < 1.0 and abs(lam) <= 1.0 - g2:
         # interior stationary point; the radicand is >= 0 exactly on this
         # parameter range, clamp to guard roundoff at its boundary
         radicand = max(0.0, 1.0 - lam * lam / (1.0 - g2))
-        candidates.append(2.0 * J * abs(gamma) * math.sqrt(radicand))
+        candidates.append(2.0 * abs(gamma) * math.sqrt(radicand))
     return min(candidates)
 
 

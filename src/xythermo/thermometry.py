@@ -49,7 +49,7 @@ class ThermalEnsemble:
     @functools.cached_property
     def reduced_energies(self) -> np.ndarray:
         """eps_k / T, the only combination thermal quantities depend on."""
-        return _read_only(self.modes.energies / (self.temperature * self.spec.coupling))
+        return _read_only(self.modes.energies / self.temperature)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -64,7 +64,7 @@ def ensemble(spec: ChainSpec, temperature: float) -> ThermalEnsemble:
     modes = mode_table(spec)
     # n_k = 1/(1 + e^x) from libm's exp (see _fermi_factors): exactly 0 once
     # e^x overflows, and exactly 1/2 at temperature = inf, where x = eps/inf = 0
-    x = modes.energies / (temperature * spec.coupling)
+    x = modes.energies / temperature
     return ThermalEnsemble(spec=spec, temperature=temperature, modes=modes,
                            occupations=_fermi_factors(x))
 
@@ -103,8 +103,7 @@ def qfi(ens: ThermalEnsemble) -> float:
     Equals energy_variance / T^4 and is additive over modes.  Decays to zero
     at both temperature extremes for gapped chains.
     """
-    t4 = (ens.temperature * ens.spec.coupling) ** 4
-    return energy_variance(ens) / t4
+    return energy_variance(ens) / ens.temperature**4
 
 
 def snr_crb(ens: ThermalEnsemble) -> float:

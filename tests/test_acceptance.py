@@ -148,15 +148,15 @@ def test_criterion_6_readout_regimes_and_ratios():
     lines = []
     for T in (0.2, 0.3, 0.4, 0.5):
         fm = thermometry.ensemble(ferro, T)
-        vx = faraday.temperature_snr(fm, setup, faraday.ReadoutObservable.VAR_JX)
-        mz = faraday.temperature_snr(fm, setup, faraday.ReadoutObservable.MEAN_JZ)
+        point = faraday.ReadoutPoint(fm, setup)
+        vx, mz = point.snr_varjx, point.snr_meanjz
         assert vx > mz
         fm_ratio = vx / thermometry.snr_crb(fm)
         assert 0.0 < fm_ratio <= 1.0
 
         pm = thermometry.ensemble(para, T)
-        vx = faraday.temperature_snr(pm, setup, faraday.ReadoutObservable.VAR_JX)
-        mz = faraday.temperature_snr(pm, setup, faraday.ReadoutObservable.MEAN_JZ)
+        point = faraday.ReadoutPoint(pm, setup)
+        vx, mz = point.snr_varjx, point.snr_meanjz
         assert mz > vx
         pm_ratio = mz / thermometry.snr_crb(pm)
         assert 0.0 < pm_ratio <= 1.0
@@ -177,8 +177,9 @@ def test_criterion_7_cramer_rao_dominance_randomized():
         T = float(np.exp(rng.uniform(math.log(0.1), math.log(2.0))))
         ens = thermometry.ensemble(spec, T)
         ceiling = thermometry.snr_crb(ens)
-        for observable in faraday.ReadoutObservable:
-            ratio = faraday.temperature_snr(ens, setup, observable) / ceiling
+        point = faraday.ReadoutPoint(ens, setup)
+        for snr in (point.snr_meanjz, point.snr_varjx):
+            ratio = snr / ceiling
             worst = max(worst, ratio)
             assert ratio <= 1.0 + 1e-3
     print(f"criterion 7: PASS - 1000 samples x 2 readouts, max snr/ceiling {worst:.6f}")

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from xythermo import correlations, faraday, oracle, thermometry
-from xythermo.faraday import (
-    FaradaySetup,
-    NoiseUnderflowError,
-    ReadoutObservable,
-    ReadoutPoint,
-    temperature_snr,
-)
+from xythermo.faraday import FaradaySetup, NoiseUnderflowError, ReadoutPoint
 from xythermo.spectrum import ChainSpec
 
 
@@ -108,12 +102,18 @@ def test_point_reading_only_jz_members_builds_no_kernel(monkeypatch):
     assert built == []
 
 
+def _readout_snrs(ens, setup):
+    # the two readouts of one point: (snr_meanjz, snr_varjx)
+    point = ReadoutPoint(ens, setup)
+    return point.snr_meanjz, point.snr_varjx
+
+
 def test_snr_exact_at_temperature_extremes():
     setup = FaradaySetup()
     cold = _ens(T=1e-4)
-    for obs in ReadoutObservable:
-        assert 0.0 <= temperature_snr(cold, setup, obs) <= thermometry.snr_crb(cold)
-        assert temperature_snr(_ens(T=math.inf), setup, obs) == 0.0
+    for snr in _readout_snrs(cold, setup):
+        assert 0.0 <= snr <= thermometry.snr_crb(cold)
+    assert _readout_snrs(_ens(T=math.inf), setup) == (0.0, 0.0)
 
 
 def test_varjx_snr_where_every_pair_matrix_is_singular():
@@ -122,7 +122,7 @@ def test_varjx_snr_where_every_pair_matrix_is_singular():
     for sites in (10, 50):
         for T in (0.05, 0.3, 5.0):
             ens = _ens(gamma=-1.0, field_ratio=0.0, sites=sites, T=T)
-            snr = temperature_snr(ens, setup, ReadoutObservable.VAR_JX)
+            snr = ReadoutPoint(ens, setup).snr_varjx
             assert math.isfinite(snr)
             assert 0.0 <= snr <= thermometry.snr_crb(ens)
 
@@ -130,15 +130,15 @@ def test_varjx_snr_where_every_pair_matrix_is_singular():
 def test_snr_noise_underflow_on_saturated_state():
     ens = _ens(gamma=0.0, field_ratio=1e3, T=0.01)
     with pytest.raises(NoiseUnderflowError):
-        temperature_snr(ens, FaradaySetup(), ReadoutObservable.MEAN_JZ)
+        ReadoutPoint(ens, FaradaySetup()).snr_meanjz
     assert issubclass(NoiseUnderflowError, ArithmeticError)
 
 
 def test_snr_vanishes_at_very_high_temperature():
     ens = _ens(T=1e5)
     setup = FaradaySetup()
-    for obs in ReadoutObservable:
-        assert temperature_snr(ens, setup, obs) < 1e-6
+    for snr in _readout_snrs(ens, setup):
+        assert snr < 1e-6
 
 
 def test_snr_below_cramer_rao_ceiling():
@@ -147,32 +147,28 @@ def test_snr_below_cramer_rao_ceiling():
         for T in (0.15, 0.4, 1.1):
             ens = _ens(gamma=gamma, field_ratio=f, sites=10, T=T)
             ceiling = thermometry.snr_crb(ens)
-            for obs in ReadoutObservable:
-                assert temperature_snr(ens, setup, obs) <= ceiling * (1.0 + 1e-3)
+            for snr in _readout_snrs(ens, setup):
+                assert snr <= ceiling * (1.0 + 1e-3)
 
 
 def test_shot_noise_never_helps_and_vanishes_at_large_coupling():
     ens = _ens(gamma=0.4, field_ratio=1.3, T=0.5)
     for kappa in (1.0, 2.0, 5.0):
-        ideal = temperature_snr(ens, FaradaySetup(kappa=kappa), ReadoutObservable.MEAN_JZ)
-        noisy = temperature_snr(
-            ens, FaradaySetup(kappa=kappa, include_shot_noise=True), ReadoutObservable.MEAN_JZ)
+        ideal = ReadoutPoint(ens, FaradaySetup(kappa=kappa)).snr_meanjz
+        noisy = ReadoutPoint(ens, FaradaySetup(kappa=kappa, include_shot_noise=True)).snr_meanjz
         assert noisy <= ideal
-    ideal = temperature_snr(ens, FaradaySetup(kappa=1e4), ReadoutObservable.MEAN_JZ)
-    noisy = temperature_snr(
-        ens, FaradaySetup(kappa=1e4, include_shot_noise=True), ReadoutObservable.MEAN_JZ)
+    ideal = ReadoutPoint(ens, FaradaySetup(kappa=1e4)).snr_meanjz
+    noisy = ReadoutPoint(ens, FaradaySetup(kappa=1e4, include_shot_noise=True)).snr_meanjz
     assert noisy == pytest.approx(ideal, rel=1e-6)
 
 
 def test_regime_preference_matches_phases():
     setup = FaradaySetup()
     for T in (0.1, 0.2, 0.4):
-        fm = _ens(gamma=1.0, field_ratio=0.0, sites=12, T=T)
-        assert (temperature_snr(fm, setup, ReadoutObservable.VAR_JX)
-                > temperature_snr(fm, setup, ReadoutObservable.MEAN_JZ))
-        pm = _ens(gamma=0.0, field_ratio=1.5, sites=12, T=T)
-        assert (temperature_snr(pm, setup, ReadoutObservable.MEAN_JZ)
-                > temperature_snr(pm, setup, ReadoutObservable.VAR_JX))
+        mz, vx = _readout_snrs(_ens(gamma=1.0, field_ratio=0.0, sites=12, T=T), setup)
+        assert vx > mz
+        mz, vx = _readout_snrs(_ens(gamma=0.0, field_ratio=1.5, sites=12, T=T), setup)
+        assert mz > vx
 
 
 def test_snr_against_independent_derivative_of_dense_moments():
@@ -185,7 +181,7 @@ def test_snr_against_independent_derivative_of_dense_moments():
     T = 0.4
     sys = oracle.build(spec, oracle.MATCHED)
     setup = FaradaySetup()
-    ens = thermometry.ensemble(spec, T)
+    point = ReadoutPoint(thermometry.ensemble(spec, T), setup)
 
     e, vecs = sys.eigenvalues, sys.eigenvectors
     p = np.exp(-(e - e[0]) / T)
@@ -196,28 +192,28 @@ def test_snr_against_independent_derivative_of_dense_moments():
 
     slope = dp @ ((vecs**2).T @ jz)
     want = slope**2 * T**2 / oracle.oracle_var_jz(sys, T)
-    got = temperature_snr(ens, setup, ReadoutObservable.MEAN_JZ)
-    assert got == pytest.approx(want, rel=1e-9)
+    assert point.snr_meanjz == pytest.approx(want, rel=1e-9)
 
     jx = vecs.T @ oracle.collective_x(8) @ vecs
     slope = dp @ np.diag(jx @ jx)
     noise = oracle.oracle_fourth_jx(sys, T) - oracle.oracle_var_jx(sys, T) ** 2
-    got = temperature_snr(ens, setup, ReadoutObservable.VAR_JX)
-    assert got == pytest.approx(slope**2 * T**2 / noise, rel=1e-9)
+    assert point.snr_varjx == pytest.approx(slope**2 * T**2 / noise, rel=1e-9)
 
 
 def test_sensitivity_report_bundles_and_normalizes():
-    # one point bundles the ceiling and both readouts, each the number the
-    # standalone functions give
+    # one point bundles the ceiling and both readouts, each the slope^2 over
+    # noise that the standalone functions give
     spec = ChainSpec(gamma=1.0, field_ratio=0.2, sites=8)
     setup = FaradaySetup()
     ens = thermometry.ensemble(spec, 0.35)
     point = ReadoutPoint(ens, setup)
+    kern = correlations.kernel(ens)
+    noise = correlations.fourth_moment_from_kernel(kern) - correlations.var_jx(kern) ** 2
     assert point.snr_crb == pytest.approx(thermometry.snr_crb(ens), rel=1e-12)
     assert point.snr_varjx == pytest.approx(
-        temperature_snr(ens, setup, ReadoutObservable.VAR_JX), rel=1e-12)
+        correlations.var_jx_slope(kern) ** 2 / noise, rel=1e-12)
     assert point.snr_meanjz == pytest.approx(
-        temperature_snr(ens, setup, ReadoutObservable.MEAN_JZ), rel=1e-12)
+        correlations.mean_jz_slope(ens) ** 2 / correlations.var_jz(ens), rel=1e-12)
 
 
 def test_report_snrs_vanish_toward_zero_temperature():

@@ -23,10 +23,14 @@ def test_chain_spec_validation():
         ChainSpec(gamma=0.5, field_ratio=0.0, sites=2)
     with pytest.raises(ValueError):
         ChainSpec(gamma=0.5, field_ratio=math.nan, sites=8)
-    with pytest.raises(ValueError):
-        ChainSpec(gamma=0.5, field_ratio=0.0, sites=8, coupling=-1.0)
-    with pytest.raises(ValueError):
-        ChainSpec(gamma=0.5, field_ratio=0.0, sites=8, boundary="open")
+    for sites in (True, 8.0, np.float64(8.0), np.int64(7), np.int64(2), "8"):
+        with pytest.raises(ValueError, match="sites must be an even integer >= 4"):
+            ChainSpec(gamma=0.5, field_ratio=0.0, sites=sites)
+    # any integral value that is not a bool is accepted and stored as an int
+    for sites in (np.int64(8), np.int32(8), np.uint8(8)):
+        spec = ChainSpec(1.0, 0.5, sites)
+        assert type(spec.sites) is int and spec.sites == 8
+        assert spec == ChainSpec(1.0, 0.5, 8) and repr(spec) == repr(ChainSpec(1.0, 0.5, 8))
 
 
 def test_dispersion_point_values():
@@ -37,12 +41,6 @@ def test_dispersion_point_values():
     assert dispersion(tilted, 0.0) == pytest.approx(2.0 * abs(1.0 - 0.75), abs=1e-14)
     xx = ChainSpec(gamma=0.0, field_ratio=0.5, sites=8)
     assert dispersion(xx, math.pi / 3) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_dispersion_scales_with_coupling():
-    weak = ChainSpec(gamma=0.6, field_ratio=0.8, sites=8, coupling=1.0)
-    strong = ChainSpec(gamma=0.6, field_ratio=0.8, sites=8, coupling=2.5)
-    assert dispersion(strong, 1.1) == pytest.approx(2.5 * dispersion(weak, 1.1), rel=1e-14)
 
 
 def test_dispersion_even_in_k():
@@ -124,10 +122,9 @@ def test_mode_energies_match_quadratic_form():
         assert np.max(np.abs(got - want)) / scale < 1e-12
 
 
-# the parameter points of the kernel tests, plus a coupling other than 1
-MODE_SPECS = ((1.0, 0.5, 1.0), (1.0, 2.0, 1.0), (0.0, 0.5, 1.0), (-0.5, 0.5, 1.0),
-              (-0.7, 0.3, 1.0), (-1.0, 0.0, 1.0), (0.0, 2.0, 1.0), (1.0, 1.0, 1.0),
-              (0.6, 0.8, 2.5))
+# the parameter points of the kernel tests, plus a generic one
+MODE_SPECS = ((1.0, 0.5), (1.0, 2.0), (0.0, 0.5), (-0.5, 0.5), (-0.7, 0.3), (-1.0, 0.0),
+              (0.0, 2.0), (1.0, 1.0), (0.6, 0.8))
 
 
 def _fresh_rotation(spec, k):
@@ -146,8 +143,8 @@ def test_mode_table_equals_fresh_trig_formulas_bitwise(sites):
     # angles, rotation and double angle of the formulas on np.cos(k),
     # np.sin(k), to the last bit
     k = momentum_grid(sites)
-    for gamma, field, coupling in MODE_SPECS:
-        spec = ChainSpec(gamma=gamma, field_ratio=field, sites=sites, coupling=coupling)
+    for gamma, field in MODE_SPECS:
+        spec = ChainSpec(gamma=gamma, field_ratio=field, sites=sites)
         mt = mode_table(spec)
         assert np.array_equal(mt.momenta, k)
         assert np.array_equal(mt.energies, dispersion(spec, k))

@@ -57,9 +57,9 @@ def test_occupations_equal_scipy_expit_bitwise():
 def test_ensemble_occupations_equal_scipy_expit_bitwise(temperature):
     for gamma, field in ((1.0, 0.5), (0.0, 2.0), (-0.7, 0.3), (1.0, 0.0)):
         for sites in (6, 50):
-            spec = ChainSpec(gamma=gamma, field_ratio=field, sites=sites, coupling=1.5)
+            spec = ChainSpec(gamma=gamma, field_ratio=field, sites=sites)
             ens = thermometry.ensemble(spec, temperature)
-            want = expit(-(ens.modes.energies / (temperature * spec.coupling)))
+            want = expit(-(ens.modes.energies / temperature))
             assert np.array_equal(ens.occupations, want), (gamma, field, sites)
 
 
