@@ -222,7 +222,10 @@ class _Emitter:
         self.cfg = cfg
         self.columns = columns
         self.rows: list[list[float]] = []
-        self.fh = sys.stdout if cfg.out == "-" else open(cfg.out, "w")
+        try:
+            self.fh = sys.stdout if cfg.out == "-" else open(cfg.out, "w")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.out}: {exc}") from None
         if cfg.format == "csv":
             self.fh.write(",".join(columns) + "\n")
             self.fh.flush()

@@ -54,13 +54,14 @@ one det per class, and by a (2/3) k^3 flop count 7.1 (N = 50) to 7.4 (N =
 whose windows must be eliminated whole.  The windows are eliminated in
 stacks, each at a panel-aligned offset in an identity matrix, so that no
 flop goes to the identity before a window and a window's pivots do not
-depend on its stack.  Where an elimination breaks down on a pivot that is
-zero to working precision (see fourth_moment_from_kernel), what it could
-not reach is left out if Hadamard's inequality certifies it below one ulp
-of <J_x^4>, and otherwise takes the leading minors of its own contraction
-matrices from orthogonal factors, as the pair correlators do.  The
-quadruple sum takes no LAPACK det; the one-det-per-class sum lives in the
-tests, as the reference.
+depend on its stack.  Where any elimination, of T or of a window stack,
+breaks down on a pivot that is zero to working precision (see
+fourth_moment_from_kernel), the whole sum goes to one fallback instead: it
+is left out if Hadamard's inequality certifies it below one ulp of
+<J_x^4>, and otherwise every class takes the leading minors of its own
+contraction matrix from orthogonal factors, as the pair correlators do.
+The quadruple sum takes no LAPACK det; the one-det-per-class sum lives in
+the tests, as the reference.
 
 A subtlety worth stating once: these formulas describe the Hamiltonian
 variant whose fermions are exactly antiperiodic (the boundary bond carries
@@ -103,8 +104,9 @@ __all__ = [
 MODULATIONS = ("uniform", "half")
 
 # cap on matrix entries in one stack of the quadruple sum (2.4 MB of
-# float64), whether it holds Schur windows or the contraction matrices of one
-# t2 that _fallback_sum bounds and, failing that, minors; chosen by timing
+# float64), whether it holds Schur windows or, at a point where an
+# elimination broke down, the contraction matrices of one t2 that
+# _fallback_sum bounds and, failing that, minors; chosen by timing
 # the windows of order min(t3, N-1-t3-t2), medians at (1, 0.5, 0.3) and
 # (-0.977, 0.386, 0.3155): 100k-400k entries time alike at N = 50 (600k is
 # 10 % slower), 200k-400k at N = 100 (100k is 10 % and 600k 25 % slower),
@@ -121,7 +123,7 @@ _EPS = np.finfo(float).eps
 # a multiplier above 1/eps means its pivot is below roundoff of the entries
 # it eliminates, i.e. zero to working precision
 _MULTIPLIER_LIMIT = 1.0 / _EPS
-# factor on Hadamard's bound of the classes no elimination reached; it
+# factor on Hadamard's bound of the classes of a breakdown point; it
 # covers the rounding of the computed bound, a sum of at most N^3/12
 # non-negative terms, each a product of at most N square roots of prefix sums
 # of squares, whose relative error is below (N^2 + N^3/12) eps, far below 1
@@ -507,8 +509,8 @@ def _class_weights(n: int, t1, t2, t3) -> np.ndarray:
     return copies * np.maximum(n - t1 - t2 - t3, 0)
 
 
-def _schur_snapshots(kern: CorrelationKernel, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trailing blocks of the pair matrix after t = 1 ... steps elimination steps.
+def _schur_snapshots(kern: CorrelationKernel) -> tuple[np.ndarray, np.ndarray] | None:
+    """Trailing blocks of the pair matrix after t = 1 ... N-3 elimination steps.
 
     T[a, b] = g_{a-b-1} on bond sites 0 ... N-2 is the matrix whose leading
     minors are the pair correlators.  After t steps of Gaussian elimination
@@ -522,30 +524,28 @@ def _schur_snapshots(kern: CorrelationKernel, steps: int) -> tuple[np.ndarray, n
     (see _window_stack).  The store ends in 2(N-2) spare entries, zero but
     for a 1 at store[-(N-2)]: their runs of m <= N-2 entries are the rows of
     an m x m identity, and their first zeros take what a window row of the
-    last snapshot runs on into.  starts stops early at a breakdown: a pivot
-    that is zero to working precision or a value that is not finite.
+    last snapshot runs on into.  Returns None at a breakdown: a pivot that
+    is zero to working precision or a value that is not finite.
     """
     n = kern.ensemble.spec.sites
-    orders = np.arange(n - 2, n - 2 - steps, -1)
+    orders = np.arange(n - 2, 1, -1)
     ends = np.cumsum(orders * orders)
     store = np.zeros(ends[-1] + 2 * (n - 2))
     store[-(n - 2)] = 1.0
     a = np.arange(n - 1)
     block = kern._g[kern._off - 1 + a[:, None] - a[None, :]]
-    reached = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for order, end in zip(orders.tolist(), ends.tolist()):
             col = block[1:, 0] / block[0, 0]
             if not np.max(np.abs(col), initial=0.0) <= _MULTIPLIER_LIMIT:
-                break
+                return None
             snapshot = store[end - order * order:end].reshape(order, order)
             np.multiply(col[:, None], block[0, None, 1:], out=snapshot)
             np.subtract(block[1:, 1:], snapshot, out=snapshot)
             if not np.isfinite(snapshot).all():
-                break
+                return None
             block = snapshot
-            reached += 1
-    return store, (ends - orders * orders)[:reached]
+    return store, ends - orders * orders
 
 
 def _window_stack(store: np.ndarray, starts: np.ndarray, n: int, t3: np.ndarray,
@@ -602,44 +602,35 @@ def _hadamard_products(kern: CorrelationKernel, t1: np.ndarray, t2: int,
     return np.prod(norms, axis=1)
 
 
-def _fallback_sum(kern: CorrelationKernel, spans: np.ndarray) -> float:
-    """The summed classes (t1, t2, t3) of the spans no elimination reached.
+def _fallback_sum(kern: CorrelationKernel) -> float:
+    """The quadruple sum of _nested_quad_sum where one of its eliminations broke down.
 
-    Each row (t1, t2, lo, hi) of spans stands for the classes (t1, t2, t3)
-    with lo <= t3 <= hi, the leading minors of order t1 + t3 of the
-    contraction matrix of (t1, t2) (see _quad_index), each weighted as the
-    class or its reverse, whichever has the smaller first gap
-    (_class_weights); the caller's spans hold each class once.  The rows go
-    in stacks of one t2, by ascending t1, under the cap of
-    _DET_BATCH_ELEMENTS entries of their contraction matrices (m x m, m =
-    N-1-t2).  First the classes' weighted Hadamard bounds
-    (_hadamard_products) are summed: O(N^4) flops.  If 24 times that sum,
-    times _ROUNDING_MARGIN, is at most eps * (N + 3N(N-1)), they move
-    <J_x^4> by less than one ulp of its two leading terms and are left out
-    (a NaN bound certifies nothing).  Otherwise
-    _halving_minors gives every leading minor of each row's contraction
-    matrix from orthogonal factors, with no pivot to break down, and the
-    class weights sum them: O(m^3) flops per row.  Each matrix is a
-    principal block of the pair matrix, whose singular values are at most
-    1, so every minor is accurate to near roundoff of 1 in absolute terms,
-    as the pair correlators are.
+    Every summed class (t1, t2, t3), t1 <= t3, is the leading minor of
+    order t1 + t3 of the m x m contraction matrix of (t1, t2), m = N-1-t2
+    (see _quad_index), t1 = 1 ... m // 2; _class_weights weights each minor
+    as its class and gives those of order below 2 t1 none.  The matrices go
+    in stacks of one t2, t2 ascending, by ascending t1, under the cap of
+    _DET_BATCH_ELEMENTS entries.  First the classes' weighted Hadamard
+    bounds (_hadamard_products) are summed: O(N^4) flops.  If 24 times that
+    sum, times _ROUNDING_MARGIN, is at most eps * (N + 3N(N-1)), the
+    classes move <J_x^4> by less than one ulp of its two leading terms and
+    the sum is 0 (a NaN bound certifies nothing).  Otherwise
+    _halving_minors gives every leading minor of each contraction matrix
+    from orthogonal factors, with no pivot to break down, and the class
+    weights sum them: O(m^3) flops per matrix.  Each matrix is a principal
+    block of the pair matrix, whose singular values are at most 1, so
+    every minor is accurate to near roundoff of 1 in absolute terms, as the
+    pair correlators are.
     """
     n = kern.ensemble.spec.sites
-    t1s, t2s, firsts, lasts = spans[np.lexsort((spans[:, 0], spans[:, 1]))].T
     stacks = []
-    ends = np.flatnonzero(np.diff(t2s, append=-1)) + 1
-    for begin, end in zip([0, *ends[:-1].tolist()], ends.tolist()):
-        t2 = int(t2s[begin])
+    for t2 in range(1, n - 2):
         m = n - 1 - t2
         order = np.arange(1, m + 1)
         chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
-        for lo in range(begin, end, chunk):
-            hi = min(lo + chunk, end)
-            t1 = t1s[lo:hi, None]
-            t3 = order - t1
-            weights = _class_weights(n, np.minimum(t1, t3), t2, np.maximum(t1, t3))
-            weights[(t3 < firsts[lo:hi, None]) | (t3 > lasts[lo:hi, None])] = 0
-            stacks.append((t1, t2, order, weights))
+        for lo in range(1, m // 2 + 1, chunk):
+            t1 = np.arange(lo, min(lo + chunk, m // 2 + 1))[:, None]
+            stacks.append((t1, t2, order, _class_weights(n, t1, t2, order - t1)))
     bound = sum(float(np.sum(weights * _hadamard_products(kern, t1, t2, order),
                              where=weights != 0))
                 for t1, t2, order, weights in stacks)
@@ -652,7 +643,7 @@ def _fallback_sum(kern: CorrelationKernel, spans: np.ndarray) -> float:
     return total
 
 
-def _nested_quad_sum(kern: CorrelationKernel) -> float:
+def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, by Schur windows.
 
     The contraction matrix of gap class (t1, t2, t3) is T[S, S] for the
@@ -693,44 +684,37 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
     off there (8.5e-9 at (-0.7, 0.3, 0.05), N = 60), against 4e-17 and
     3e-18 from the pivots.
 
-    Every class that no elimination reaches goes to one route,
-    _fallback_sum: if the elimination of T breaks down after p steps, the
-    classes with t3 > p, which have no snapshot, and the classes of every
-    window of a stack on which _leading_minors breaks down.  The first go
-    there as the pairs (t1, t2), t1 <= (N-2)/2, one contraction matrix per
-    pair, so a breakdown at the first pivot hands over the very pairs, and
-    Hadamard bounds, that reading each class from t1 did; a broken window
-    (t3, t2) goes as the contraction matrix of (t3, t2), whose leading
-    minors of order t3 + t1 are its classes.  Measured at N = 30, 40,
-    50, 60, 80 and 100, its Hadamard bound certifies the zero-correlation
-    lines: gamma = -1, h/J = 0 at T = 0.05, 0.3 and 5, the cold XX chain
-    at h/J = 2, T = 0.05, and T = inf, where it is exactly 0.  Below 30
-    sites the gamma = -1 line at T <= 0.3 sits at the bound's edge (24 *
-    margin * bound / (eps * lead) = 0.5 ... 2), and the rings of 6 to 16
-    sites, and of 24 at T = 0.3, take the orthogonal minors; so does a
-    breakdown at a point whose correlations are not negligible, where the
-    bound is O(1).
+    If any elimination breaks down, that of T at any step or that of any
+    window stack, the sum stops there and returns None, and its caller
+    takes the whole sum from _fallback_sum instead, which reads every class
+    from the contraction matrices of the pairs (t1, t2), t1 <= (N-2)/2,
+    with no elimination.  A point is never split between the two: the
+    windows that do not break down at a point where one stack does can be
+    far less accurate than the fallback (see fourth_moment_from_kernel).
+    Measured at N = 30, 40, 50, 60, 80 and 100, the fallback's Hadamard
+    bound certifies the zero-correlation lines: gamma = -1, h/J = 0 at T =
+    0.05, 0.3 and 5, the cold XX chain at h/J = 2, T = 0.05, and T = inf,
+    where it is exactly 0.  Below 30 sites the gamma = -1 line at T <= 0.3
+    sits at the bound's edge (24 * margin * bound / (eps * lead) = 0.5 ...
+    2), and the rings of 6 to 16 sites, and of 24 at T = 0.3, take the
+    orthogonal minors; so does a breakdown at a point whose correlations
+    are not negligible, where the bound is O(1).
     """
     n = kern.ensemble.spec.sites
-    store, starts = _schur_snapshots(kern, n - 3)
-    reached = len(starts)
-    # c(t) for t = 0 ... reached: products of the pivots T[0, 0] = g_{-1}
-    # and Sigma_t[0, 0], t = 1 ... reached - 1
+    snapshots = _schur_snapshots(kern)
+    if snapshots is None:
+        return None
+    store, starts = snapshots
+    # c(t) for t = 0 ... N-3: products of the pivots T[0, 0] = g_{-1} and
+    # Sigma_t[0, 0], t = 1 ... N-4
     pairs = np.cumprod(np.concatenate(([1.0, kern._g[kern._off - 1]], store[starts[:-1]])))
-    # the windows (t3, t2) of every outer gap t3 <= reached, of order
-    # min(t3, N-1-t3-t2), largest first
-    t3, t2 = np.nonzero(np.add.outer(np.arange(reached), np.arange(n - 3)) <= n - 4)
+    # the windows (t3, t2) of every outer gap t3, of order min(t3,
+    # N-1-t3-t2), largest first
+    t3, t2 = np.nonzero(np.add.outer(np.arange(n - 3), np.arange(n - 3)) <= n - 4)
     t3, t2 = t3 + 1, t2 + 1
     order = np.minimum(t3, n - 1 - t3 - t2)
     rank = np.argsort(-order, kind="stable")
     t3, t2, order = t3[rank], t2[rank], order[rank]
-    # what no elimination reached, as rows (t1, t2, lo, hi) of _fallback_sum;
-    # first the classes with t3 past a breakdown of T (none if T did not
-    # break down)
-    t1 = np.arange(1, (n - 2) // 2 + 1)
-    lo = np.maximum(t1, reached + 1)
-    row, col = np.nonzero(np.arange(1, n - 2) <= (n - 1 - t1 - lo)[:, None])
-    unreached = [np.stack((t1[row], col + 1, lo[row], n - 2 - t1[row] - col), axis=1)]
     total = 0.0
     start = 0
     while start < len(t3):
@@ -741,16 +725,14 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float:
         offsets = (m - k) // _PANEL * _PANEL
         minors = _leading_minors(_window_stack(store, starts, n, a, b, k, offsets, m), offsets)
         if minors is None:
-            # window (t3, t2) held the classes (t1, t2, t3), t1 = 1 ... k
-            unreached.append(np.stack((a, b, np.ones_like(k), k), axis=1))
-        else:
-            # stack minor q is the window's of order j = q - offset, class
-            # (j, t2, t3); the minors before the offset (j < 1) weigh nothing
-            j = np.arange(1, m + 1) - offsets[:, None]
-            weights = _class_weights(n, j, b[:, None], a[:, None]) * (j > 0)
-            total += float(np.sum(pairs[a, None] * weights * minors))
+            return None
+        # stack minor q is the window's of order j = q - offset, class (j,
+        # t2, t3); the minors before the offset (j < 1) weigh nothing
+        j = np.arange(1, m + 1) - offsets[:, None]
+        weights = _class_weights(n, j, b[:, None], a[:, None]) * (j > 0)
+        total += float(np.sum(pairs[a, None] * weights * minors))
         start = stop
-    return total + _fallback_sum(kern, np.concatenate(unreached))
+    return total
 
 
 def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
@@ -763,15 +745,21 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     36-38 ms at N = 100 and 0.51-0.57 s at N = 200 (BENCH_13.json).  A
     breakdown is a pivot that is zero to working precision, as at T = inf
     (g = 0), on the gamma = -1, h/J = 0 line (every pair matrix singular)
-    and in the cold XX chain polarized by h/J > 1.  The classes no
-    elimination reached, those past a breakdown of the pair matrix and
-    those of a window stack that broke down, are left out if Hadamard's
-    inequality certifies that they move the result by less than one ulp of
-    N + 3N(N-1); otherwise the leading minors of their own contraction
-    matrices come from orthogonal factors (_halving_minors).  No LAPACK det
-    runs.  On those lines the x spins are uncorrelated, and at N = 50 the
-    certified points give 3N^2 - 2N to roundoff in 5.7-6.2 ms, against
-    130-180 ms when every class past the breakdown took dets.
+    and in the cold XX chain polarized by h/J > 1.  Where any elimination
+    breaks down, the pair matrix's at any step or a window stack's, the
+    whole quadruple sum comes from _fallback_sum instead: it is 0 if
+    Hadamard's inequality certifies that the classes move the result by
+    less than one ulp of N + 3N(N-1), and otherwise every contraction
+    matrix takes its leading minors from orthogonal factors
+    (_halving_minors).  No LAPACK det runs.  On those lines the x spins are
+    uncorrelated, and at N = 50 the certified points give 3N^2 - 2N to
+    roundoff in 5.7-6.2 ms, against 130-180 ms when every class past the
+    breakdown took dets.  The fallback takes the whole point, never the
+    classes of the broken stack alone: at (-0.9653537597782795,
+    0.2609446655556303, 0.05), N = 50, where one window stack breaks down,
+    that split left the quadruple sum 1.8e-8 of <J_x^4> off the by-class
+    reference, as the windows that did not break down lose about 8 digits
+    there; the whole-point fallback is 2.8e-17 off.
 
     The pair sum reads the kernel's memo of pair correlators; the
     quadruple sum does not (see _nested_quad_sum).
@@ -792,6 +780,8 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     n = kern.ensemble.spec.sites
     pair_sum = _pair_sum(_xx_correlations(kern))
     quad = _nested_quad_sum(kern)
+    if quad is None:
+        quad = _fallback_sum(kern)
     # quadruple sum split by coincidence pattern of the four site indices:
     #   all equal            -> N
     #   two distinct pairs   -> 3 N (N-1)

@@ -227,6 +227,15 @@ def test_unreadable_config_exits_two(tmp_path):
         assert proc.stderr.startswith("error: config file"), value
 
 
+def test_unwritable_out_exits_two(tmp_path):
+    # a file in a directory that does not exist, and a directory to resume into
+    for args in (("tscan", "--temp", "0.3", "--out", str(tmp_path / "missing" / "x.csv")),
+                 ("phase-diagram", "--temp", "0.3", "--out", str(tmp_path), "--resume")):
+        proc = run_cli(*args, "--sites", "6")
+        assert proc.returncode == 2, args
+        assert proc.stderr.startswith("error: cannot write"), args
+
+
 @pytest.mark.parametrize("command, key", [("tscan", "temp"), ("phase-diagram", "gamma")])
 def test_config_empty_axis_exits_two(tmp_path, command, key):
     # the flags cannot give an empty axis; from a file it would sweep nothing

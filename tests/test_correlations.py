@@ -368,62 +368,79 @@ def _classes(n, past):
     return sorted(key for key in _gap_classes(n) if key[2] > past)
 
 
-def _window_classes(n, windows):
-    # the classes (t1, t2, s), t1 = 1 ... min(s, N-1-s-t2), that the windows
-    # (s, t2) hold
-    return sorted((a, b, s) for s, b in windows for a in range(1, min(s, n - 1 - s - b) + 1))
+def _pair_classes(n, pairs):
+    # the classes (t1, t2, t3), t1 <= t3, that the contraction matrices of
+    # the pairs (t1, t2) hold as their leading minors of order t1 + t3
+    return sorted((a, b, c) for a, b in pairs for c in range(a, n - a - b))
 
 
 def _record_stacks(monkeypatch):
-    # the (s, t2) of every window gathered, stack by stack, the span rows
-    # handed to the one route for what no elimination reached, and the
-    # classes (t1, t2, t3) those rows sum
-    windows, spans, unreached = [], [], []
-    window_stack, fallback = correlations._window_stack, correlations._fallback_sum
+    # the (s, t2) of every window gathered, stack by stack, and the pairs
+    # (t1, t2) whose contraction matrices the fallback bounds
+    windows, pairs = [], []
+    window_stack, hadamard = correlations._window_stack, correlations._hadamard_products
 
     def gather(store, starts, n, s, t2, order, offsets, m):
         windows.append(list(zip(s.tolist(), t2.tolist())))
         return window_stack(store, starts, n, s, t2, order, offsets, m)
 
-    def route(kern, rows):
-        n = kern.ensemble.spec.sites
-        spans.extend(rows.tolist())
-        unreached.extend((min(a, c), b, max(a, c)) for a, b, lo, hi in rows.tolist()
-                         for c in range(lo, min(hi, n - 1 - a - b) + 1))
-        return fallback(kern, rows)
+    def bound(kern, t1, t2, order):
+        pairs.extend((a, t2) for a in t1.ravel().tolist())
+        return hadamard(kern, t1, t2, order)
 
     monkeypatch.setattr(correlations, "_window_stack", gather)
-    monkeypatch.setattr(correlations, "_fallback_sum", route)
-    return windows, spans, unreached
+    monkeypatch.setattr(correlations, "_hadamard_products", bound)
+    return windows, pairs
 
 
-def _break_pair_matrix_after(monkeypatch, steps):
-    # a breakdown of the pair matrix forced after the given number of steps
+def _singular_at(kern, steps):
+    # a kernel of the same ensemble whose pair matrix T has pivots of 1 for
+    # the given number of elimination steps and then an exact 0: T is the
+    # identity plus ones at that distance above and below the diagonal, so
+    # that only the first step changes the pivot it then meets (1 - 1 * 1),
+    # and T = 0 for no steps
+    n = kern.ensemble.spec.sites
+    g = np.zeros(2 * n - 1)
+    if steps:
+        g[n - 2] = g[n - 2 + steps] = g[n - 2 - steps] = 1.0
+    return correlations.CorrelationKernel(kern.ensemble, g)
+
+
+def _break_pair_matrix_after(monkeypatch, kern, steps):
+    # a breakdown of the pair matrix forced after the given number of steps:
+    # the snapshots come from the elimination of _singular_at's matrix
     snapshots = correlations._schur_snapshots
+    singular = _singular_at(kern, steps)
+    monkeypatch.setattr(correlations, "_schur_snapshots", lambda kern: snapshots(singular))
 
-    def broken(kern, count):
-        store, starts = snapshots(kern, count)
-        return store, starts[:steps]
 
-    monkeypatch.setattr(correlations, "_schur_snapshots", broken)
+def test_pair_matrix_elimination_breaks_down_at_the_forced_step():
+    # steps 0 ... N-4 are checked; the pivot of step N-3 is never taken
+    n = 30
+    kern = correlations.kernel(_ens(sites=n))
+    assert correlations._schur_snapshots(kern) is not None
+    for steps in (0, 1, 5, 20, n - 4):
+        assert correlations._schur_snapshots(_singular_at(kern, steps)) is None, steps
+    assert correlations._schur_snapshots(_singular_at(kern, n - 3)) is not None
 
 
 def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
     # a cap of 200 entries leaves a few matrices a stack.  At the regular
     # point each of the 66 Schur windows of N = 14 is eliminated in exactly
     # one stack and nothing goes to the fallback.  With a breakdown of the
-    # pair matrix forced at its first pivot, at the same point, every class
-    # goes to the fallback, whose Hadamard bounds run in chunks of one t2
-    # under the cap; the bound is O(1) and certifies nothing, so every
+    # pair matrix forced at its first pivot, at the same point, the whole
+    # sum goes to the fallback, whose Hadamard bounds run in chunks of one
+    # t2 under the cap; the bound is O(1) and certifies nothing, so every
     # class takes the orthogonal minors of its own contraction matrix
     n, cap = 14, 200
     gamma, field, T = NESTED_GRID[0]
     kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
     fourth = correlations.fourth_moment_from_kernel(kern)
     for breaks in (False, True):
+        route = correlations._fallback_sum if breaks else correlations._nested_quad_sum
+        whole = route(kern)
         if breaks:
-            _break_pair_matrix_after(monkeypatch, 0)
-        whole = correlations._nested_quad_sum(kern)
+            _break_pair_matrix_after(monkeypatch, kern, 0)
         monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", cap)
         leading, hadamard, halving = (correlations._leading_minors,
                                       correlations._hadamard_products, correlations._halving_minors)
@@ -434,16 +451,19 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
                             bounded.append((len(t1), t2)) or hadamard(kern, t1, t2, order))
         monkeypatch.setattr(correlations, "_halving_minors", lambda a:
                             halved.append(a.shape) or halving(a))
-        windows, spans, unreached = _record_stacks(monkeypatch)
+        windows, pairs = _record_stacks(monkeypatch)
         calls = _count_dets(monkeypatch)
         split = correlations._nested_quad_sum(kern)
+        if breaks:
+            assert split is None
+            split = correlations._fallback_sum(kern)
         monkeypatch.undo()
         assert all(b == 1 or b * m * m <= cap for b, m, _ in shapes), breaks
         assert all(b == 1 or b * (n - 1 - t2) ** 2 <= cap for b, t2 in bounded), breaks
-        assert sum(b for b, _ in bounded) == len(spans) == len(halved), breaks
+        assert sum(b for b, _ in bounded) == len(pairs) == len(halved), breaks
         assert sorted(sum(windows, [])) == _windows(n, () if breaks else range(1, n - 2))
         assert len(shapes) == len(windows)
-        assert sorted(unreached) == (_classes(n, 0) if breaks else [])
+        assert _pair_classes(n, pairs) == (_classes(n, 0) if breaks else [])
         assert bool(halved) == breaks and calls == [], breaks
         assert split == pytest.approx(whole, rel=1e-13), breaks
         assert 24.0 * abs(split - quad_sum_by_class(kern)) <= 1e-12 * fourth, breaks
@@ -463,7 +483,8 @@ def test_breakdown_points_skip_dets_once_certified(gamma, field, T, monkeypatch)
         fourth = correlations.fourth_moment_from_kernel(kern)
         monkeypatch.undo()
         assert calls == [], f"dets taken at N={n}"
-        assert 24.0 * abs(correlations._nested_quad_sum(kern) - want) <= 1e-12 * fourth, n
+        assert correlations._nested_quad_sum(kern) is None, n
+        assert 24.0 * abs(correlations._fallback_sum(kern) - want) <= 1e-12 * fourth, n
         assert fourth == pytest.approx(3 * n * n - 2 * n, rel=1e-12), n
         if T == math.inf:
             assert fourth == 3 * n * n - 2 * n
@@ -472,24 +493,25 @@ def test_breakdown_points_skip_dets_once_certified(gamma, field, T, monkeypatch)
 @pytest.mark.parametrize("gamma, field, T", BREAKDOWN_GRID)
 def test_breakdown_points_keep_the_certified_route(gamma, field, T, monkeypatch):
     # past a breakdown of the pair matrix at its first pivot every class
-    # goes to the fallback in the frame t1 <= t3, one row (t1, t2, t1, N-1-
-    # t1-t2) per pair t1 <= (N-2)/2: the very pairs, and so the very
-    # Hadamard bounds, of reading each class from its smaller outer gap.
-    # They certify every class at N = 30 and 50, so no window is gathered
-    # and no orthogonal minor is taken
+    # goes to the fallback in the frame t1 <= t3, one contraction matrix per
+    # pair (t1, t2), t1 <= (N-2)/2: the very pairs, and so the very Hadamard
+    # bounds, of reading each class from its smaller outer gap.  They
+    # certify every class at N = 30 and 50, so no window is gathered and no
+    # orthogonal minor is taken
     for n in (30, 50):
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
+        correlations.var_jx(kern)  # the pair correlators take orthogonal minors of their own
         halving = correlations._halving_minors
         halved = []
         monkeypatch.setattr(correlations, "_halving_minors", lambda a:
                             halved.append(a.shape) or halving(a))
-        windows, spans, unreached = _record_stacks(monkeypatch)
-        correlations._nested_quad_sum(kern)
+        windows, pairs = _record_stacks(monkeypatch)
+        correlations.fourth_moment_from_kernel(kern)
         monkeypatch.undo()
         assert windows == [] and halved == [], n
-        assert sorted(spans) == sorted([a, b, a, n - 1 - a - b] for a in range(1, (n - 2) // 2 + 1)
+        assert sorted(pairs) == sorted((a, b) for a in range(1, (n - 2) // 2 + 1)
                                        for b in range(1, n - 2 * a)), n
-        assert sorted(unreached) == _classes(n, 0), n
+        assert _pair_classes(n, pairs) == _classes(n, 0), n
 
 
 @pytest.mark.parametrize("gamma, field, T", NESTED_GRID + BREAKDOWN_GRID)
@@ -539,7 +561,7 @@ def test_window_minors_do_not_depend_on_their_stack():
     origin = np.zeros(1, dtype=int)
     for gamma, field, T in (NESTED_GRID[0], (-0.892, 0.767, 0.792)):
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
-        store, starts = correlations._schur_snapshots(kern, n - 3)
+        store, starts = correlations._schur_snapshots(kern)
         assert len(starts) == n - 3
         stack = correlations._window_stack(store, starts, n, s, t2, orders, offsets, m)
         filled = np.zeros_like(stack)
@@ -563,48 +585,53 @@ def test_window_minors_do_not_depend_on_their_stack():
             assert correlations._leading_minors(stack.copy(), offsets) is None, (gamma, pivot)
 
 
-def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):
-    # a breakdown forced on the fourth window stack at a point where none
-    # breaks down: only the classes of its windows go to the fallback, as
-    # one contraction matrix per window, every window is gathered once,
-    # the other stacks keep their elimination, and no det runs
-    n = 30
-    kern = correlations.kernel(_ens(sites=n))
-    monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 5000)
-    leading, count = correlations._leading_minors, itertools.count()
-    monkeypatch.setattr(correlations, "_leading_minors",
-                        lambda mats, offsets: None if next(count) == 3 else leading(mats, offsets))
-    windows, spans, unreached = _record_stacks(monkeypatch)
-    calls = _count_dets(monkeypatch)
-    quad = correlations._nested_quad_sum(kern)
-    monkeypatch.undo()
-    assert len(windows) > 4
-    assert sorted(spans) == sorted([s, b, 1, min(s, n - 1 - s - b)] for s, b in windows[3])
-    assert sorted(unreached) == _window_classes(n, windows[3])
-    assert sorted(sum(windows, [])) == _windows(n, range(1, n - 2))
-    assert calls == []
-    fourth = correlations.fourth_moment_from_kernel(kern)
-    assert 24.0 * abs(quad - quad_sum_by_class(kern)) <= 1e-12 * fourth
-
-
-def test_pair_matrix_breakdown_sends_later_t1_to_dets(monkeypatch):
-    # a breakdown of the pair matrix forced after p = 5 steps, and after p
-    # = 20, past the (N-2)/2 = 14 steps a class's smaller outer gap can
-    # need: the windows of the outer gaps s <= p keep their elimination,
-    # the classes with t3 > p alone go to the fallback, and no det runs
+def test_any_breakdown_sends_the_whole_point_to_the_fallback(monkeypatch):
+    # a breakdown of the pair matrix forced after p = 0, 5 and 20 steps, and
+    # one forced on the fourth window stack, at a point where none breaks
+    # down: the nested sum stops at the breakdown, no window after it is
+    # gathered, and every class reaches the fallback exactly once, through
+    # one contraction matrix per pair (t1, t2); no det runs
     n = 30
     kern = correlations.kernel(_ens(sites=n))
     fourth = correlations.fourth_moment_from_kernel(kern)
-    for p in (5, 20):
-        _break_pair_matrix_after(monkeypatch, p)
-        windows, _, unreached = _record_stacks(monkeypatch)
+    want = quad_sum_by_class(kern)
+    for p in (0, 5, 20, None):
+        if p is None:
+            monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 5000)
+            leading, count = correlations._leading_minors, itertools.count()
+            monkeypatch.setattr(correlations, "_leading_minors", lambda mats, offsets:
+                                None if next(count) == 3 else leading(mats, offsets))
+        else:
+            _break_pair_matrix_after(monkeypatch, kern, p)
+        fallback, taken = correlations._fallback_sum, []
+        monkeypatch.setattr(correlations, "_fallback_sum", lambda kern:
+                            taken.append(fallback(kern)) or taken[-1])
+        windows, pairs = _record_stacks(monkeypatch)
         calls = _count_dets(monkeypatch)
-        quad = correlations._nested_quad_sum(kern)
+        correlations.fourth_moment_from_kernel(kern)
         monkeypatch.undo()
-        assert sorted(sum(windows, [])) == _windows(n, range(1, p + 1)), p
-        assert sorted(unreached) == _classes(n, p), p
+        assert len(windows) == (0 if p is not None else 4), p
+        assert len(set(sum(windows, []))) == len(sum(windows, [])), p
+        assert len(taken) == 1 and _pair_classes(n, pairs) == _classes(n, 0), p
         assert calls == [], p
-        assert 24.0 * abs(quad - quad_sum_by_class(kern)) <= 1e-12 * fourth, p
+        assert 24.0 * abs(taken[0] - want) <= 1e-12 * fourth, p
+
+
+def test_window_breakdown_point_of_the_quartic_sweep(monkeypatch):
+    # a tscan-quartic point at which one window stack breaks down.  There
+    # the windows that do not break down lose about 8 digits: sending the
+    # broken stack's classes alone to the fallback left the quadruple sum
+    # 1.8e-8 of <J_x^4> off, the whole point in the fallback 2.8e-17
+    kern = correlations.kernel(_ens(gamma=-0.9653537597782795, field_ratio=0.2609446655556303,
+                                    sites=50, T=0.05))
+    fallback, taken = correlations._fallback_sum, []
+    monkeypatch.setattr(correlations, "_fallback_sum", lambda *args:
+                        taken.append(fallback(*args)) or taken[-1])
+    calls = _count_dets(monkeypatch)
+    fourth = correlations.fourth_moment_from_kernel(kern)
+    monkeypatch.undo()
+    assert calls == [] and len(taken) == 1
+    assert 24.0 * abs(taken[0] - quad_sum_by_class(kern)) <= 1e-15 * fourth
 
 
 def test_fourth_moment_makes_no_det_calls(monkeypatch):

@@ -1,8 +1,8 @@
 """Per-call timings of the slow layers of one point, on a fixed grid.
 
 Times ``correlations.fourth_moment_from_kernel`` (regular and breakdown
-points at N = 14, 50 and 100, gamma < 0 points at N = 50 and 100, one regular
-point at N = 200), ``var_jx`` (N = 50 to 1000), ``var_jx_slope`` and
+points at N = 14, 50 and 100, gamma < 0 points at N = 50 and 100, a point
+where one window stack breaks down at N = 50, one regular point at N = 200), ``var_jx`` (N = 50 to 1000), ``var_jx_slope`` and
 ``kernel`` (N = 50 to 1000), and at N = 50 the per-point layers of a
 ``phase-diagram`` sweep: ``thermometry.ensemble``, ``var_jz`` (uniform and
 half probe) and ``mean_jz_slope``, for one or more source trees, and writes
@@ -39,8 +39,9 @@ calls of ``correlations._halving_minors`` the timed call made through the module
 attribute (a tree whose recursion goes through it counts every level),
 and the value the call returned (sum of g_j^2 for a kernel, of n_k for an
 ensemble).  With the pair correlators filled, a fourth-moment call that
-makes any has taken orthogonal minors for the gap classes no elimination
-reached (0 where there were none or Hadamard's bound left them out).  Each
+makes any has met a breakdown and taken orthogonal minors for every gap
+class; it makes none where no elimination broke down, or where Hadamard's
+bound left every class out.  Each
 tree's values must repeat exactly over its calls and repetitions; the file
 gives every value's relative difference from the first tree, and the run
 prints the largest, so a speed change that moves the numbers shows next to
@@ -59,10 +60,12 @@ from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (layer, N, gamma, h/J, T); "breakdown" points are where elimination without
-# row exchanges meets a zero pivot, so that the gap classes past it take
-# orthogonal minors unless a bound certifies them negligible, as it does not
-# at N = 14 on the gamma = -1, h/J = 0 line
+# (layer, N, gamma, h/J, T); "breakdown" points are where the elimination of
+# the pair matrix without row exchanges meets a zero pivot, so that every
+# gap class takes orthogonal minors unless a bound certifies them
+# negligible, as it does not at N = 14 on the gamma = -1, h/J = 0 line; at
+# the "window breakdown" point, from the tscan-quartic benchmark, the pair
+# matrix does not break down but one stack of its Schur windows does
 GRID = (
     ("fourth_moment_from_kernel", 14, -1.0, 0.0, 0.3, "breakdown"),
     ("fourth_moment_from_kernel", 50, 1.0, 0.5, 0.3, "regular"),
@@ -71,6 +74,8 @@ GRID = (
     ("fourth_moment_from_kernel", 50, -1.0, 0.0, 5.0, "breakdown"),
     ("fourth_moment_from_kernel", 50, 0.0, 2.0, 0.05, "breakdown"),
     ("fourth_moment_from_kernel", 50, 1.0, 0.5, math.inf, "breakdown"),
+    ("fourth_moment_from_kernel", 50, -0.9653537597782795, 0.2609446655556303, 0.05,
+     "window breakdown"),
     ("fourth_moment_from_kernel", 100, 1.0, 0.5, 0.3, "regular"),
     ("fourth_moment_from_kernel", 100, -0.892, 0.767, 0.792, "regular"),
     ("fourth_moment_from_kernel", 100, -1.0, 0.0, 0.3, "breakdown"),
