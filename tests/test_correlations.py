@@ -585,36 +585,48 @@ def test_window_minors_do_not_depend_on_their_stack():
             assert correlations._leading_minors(stack.copy(), offsets) is None, (gamma, pivot)
 
 
-def test_any_breakdown_sends_the_whole_point_to_the_fallback(monkeypatch):
-    # a breakdown of the pair matrix forced after p = 0, 5 and 20 steps, and
-    # one forced on the fourth window stack, at a point where none breaks
-    # down: the nested sum stops at the breakdown, no window after it is
-    # gathered, and every class reaches the fallback exactly once, through
-    # one contraction matrix per pair (t1, t2); no det runs
-    n = 30
-    kern = correlations.kernel(_ens(sites=n))
+def _check_whole_point_in_fallback(monkeypatch, kern, label):
+    # with a breakdown already forced: the nested sum stops at it, no window
+    # after it is gathered, and every class reaches the fallback exactly
+    # once, through one contraction matrix per pair (t1, t2); no det runs.
+    # Returns the windows gathered, stack by stack
+    n = kern.ensemble.spec.sites
+    fallback, taken = correlations._fallback_sum, []
+    monkeypatch.setattr(correlations, "_fallback_sum", lambda kern:
+                        taken.append(fallback(kern)) or taken[-1])
+    windows, pairs = _record_stacks(monkeypatch)
+    calls = _count_dets(monkeypatch)
     fourth = correlations.fourth_moment_from_kernel(kern)
-    want = quad_sum_by_class(kern)
-    for p in (0, 5, 20, None):
-        if p is None:
-            monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 5000)
-            leading, count = correlations._leading_minors, itertools.count()
-            monkeypatch.setattr(correlations, "_leading_minors", lambda mats, offsets:
-                                None if next(count) == 3 else leading(mats, offsets))
-        else:
-            _break_pair_matrix_after(monkeypatch, kern, p)
-        fallback, taken = correlations._fallback_sum, []
-        monkeypatch.setattr(correlations, "_fallback_sum", lambda kern:
-                            taken.append(fallback(kern)) or taken[-1])
-        windows, pairs = _record_stacks(monkeypatch)
-        calls = _count_dets(monkeypatch)
-        correlations.fourth_moment_from_kernel(kern)
-        monkeypatch.undo()
-        assert len(windows) == (0 if p is not None else 4), p
-        assert len(set(sum(windows, []))) == len(sum(windows, [])), p
-        assert len(taken) == 1 and _pair_classes(n, pairs) == _classes(n, 0), p
-        assert calls == [], p
-        assert 24.0 * abs(taken[0] - want) <= 1e-12 * fourth, p
+    monkeypatch.undo()
+    assert len(set(sum(windows, []))) == len(sum(windows, [])), label
+    assert len(taken) == 1 and _pair_classes(n, pairs) == _classes(n, 0), label
+    assert calls == [], label
+    assert 24.0 * abs(taken[0] - quad_sum_by_class(kern)) <= 1e-12 * fourth, label
+    return windows
+
+
+def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):
+    # a breakdown forced on the fourth window stack at a point where none
+    # breaks down.  The name is kept from when that stack alone took dets;
+    # now the stacks after it are not gathered and the whole point goes to
+    # the fallback, which takes no det
+    kern = correlations.kernel(_ens(sites=30))
+    monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 5000)
+    leading, count = correlations._leading_minors, itertools.count()
+    monkeypatch.setattr(correlations, "_leading_minors", lambda mats, offsets:
+                        None if next(count) == 3 else leading(mats, offsets))
+    assert len(_check_whole_point_in_fallback(monkeypatch, kern, "window")) == 4
+
+
+def test_pair_matrix_breakdown_sends_later_t1_to_dets(monkeypatch):
+    # a breakdown of the pair matrix forced after p = 0, 5 and 20 steps, at
+    # a point where none breaks down.  The name is kept from when the
+    # classes with t3 > p alone went to dets; now no window is gathered and
+    # the whole point goes to the fallback, which takes no det
+    kern = correlations.kernel(_ens(sites=30))
+    for p in (0, 5, 20):
+        _break_pair_matrix_after(monkeypatch, kern, p)
+        assert _check_whole_point_in_fallback(monkeypatch, kern, p) == [], p
 
 
 def test_window_breakdown_point_of_the_quartic_sweep(monkeypatch):
