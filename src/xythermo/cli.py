@@ -86,7 +86,7 @@ class SweepConfig:
     command: str
     gamma: tuple[float, ...] = (1.0,)
     field: tuple[float, ...] = (0.0,)
-    temp: tuple[float, ...] = (0.3,)
+    temp: tuple[float, ...] = ()
     sites: int = 50
     kappa: float = 2.0
     modulation: str = "uniform"
@@ -97,7 +97,10 @@ class SweepConfig:
     resume: bool = False
 
     def echo(self) -> dict:
-        # the config block embedded in JSON output; excludes output routing
+        # the config block embedded in JSON output: the options the command
+        # takes, without output routing
+        if self.command not in _TEMP_DEFAULTS:
+            return {"gamma": list(self.gamma), "field": list(self.field), "sites": self.sites}
         return {
             "gamma": list(self.gamma),
             "field": list(self.field),

@@ -2,9 +2,10 @@
 
 The J_z statistics need no kernel: <J_z>, its slope and Var(J_z) are O(N)
 mode sums over the ensemble (Var(J_z) is a density structure factor).  They
-read cos(theta_k), sin(theta_k) and cos(2 theta_k) from the mode table,
-which computes each once (spectrum.ModeTable), and take no trigonometry of
-their own.
+read cos(theta_k), sin(theta_k) and cos(2 theta_k) from the mode table and
+t_k = 1 - 2 n_k and its slope from the ensemble, each built with its record
+(spectrum.ModeTable, thermometry.ThermalEnsemble), and take no
+trigonometry of their own.
 
 All x-basis statistics reduce to determinants built from a single vector of
 fermionic contractions g_j (the correlation kernel).  Writing A_l and B_l
@@ -83,7 +84,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.linalg import lapack_lite
 
-from .spectrum import momentum_grid
+from .spectrum import _read_only, momentum_grid
 from .thermometry import ThermalEnsemble
 
 __all__ = [
@@ -165,16 +166,14 @@ def _trig_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     # antiperiodic grid of the mode table across, read-only: they depend on N
     # alone, so a sweep at fixed N builds them for its first kernel only
     kj = np.outer(np.arange(-(n - 1), n), momentum_grid(n))
-    tables = np.cos(kj), np.sin(kj)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return _read_only(np.cos(kj), np.sin(kj))
 
 
 def _contractions(ens: ThermalEnsemble, t: np.ndarray) -> np.ndarray:
     """g_j = (1/N) sum_k cos(k j + 2 theta_k) t_k for j = -(N-1) ... N-1.
 
-    The kernel has t = 1 - 2 n_k, its slope t = T d(1 - 2 n_k)/dT.  By the
+    The kernel reads t from the ensemble's polarizations t_k = 1 - 2 n_k,
+    and var_jx_slope from its polarization_slopes T dt_k/dT.  By the
     angle-sum formula g = (cos(kj) @ a - sin(kj) @ b) / N with the O(N)
     products a = cos(2 theta) t and b = sin(2 theta) t, whose cos(2 theta)
     and sin(2 theta) the mode table holds; the (2N-1) x N tables come from
@@ -187,12 +186,6 @@ def _contractions(ens: ThermalEnsemble, t: np.ndarray) -> np.ndarray:
     return (cos_kj @ (cos_2t * t) - sin_kj @ (sin_2t * t)) / ens.spec.sites
 
 
-def _occupation_slope(ens: ThermalEnsemble) -> np.ndarray:
-    # T d(1 - 2 n_k)/dT = -2 n_k (1 - n_k) eps_k/T: exactly 0 at T = inf,
-    # and 0 (not inf * 0) once n_k(1 - n_k) underflows at low T
-    return -2.0 * ens.fluctuation_weights * ens.reduced_energies
-
-
 def kernel(ens: ThermalEnsemble) -> CorrelationKernel:
     """Contraction vector g_j of a thermal ensemble.
 
@@ -203,7 +196,7 @@ def kernel(ens: ThermalEnsemble) -> CorrelationKernel:
     builds them in O(N^2) transcendental evaluations, and every later one
     costs two matrix-vector products.
     """
-    return CorrelationKernel(ens, _contractions(ens, 1.0 - 2.0 * ens.occupations))
+    return CorrelationKernel(ens, _contractions(ens, ens.polarizations))
 
 
 def xx_correlation(kern: CorrelationKernel, r: int) -> float:
@@ -240,15 +233,6 @@ def _separation(kern: CorrelationKernel, r) -> int:
     if not (0 <= r <= n - 1 and r == int(r)):
         raise ValueError(f"separation must be an integer in [0, N-1], got {r}")
     return int(r)
-
-
-def _pair_correlation(kern, r, shift):
-    # one LAPACK det for one separation 0 <= r <= N-1: the pairs of
-    # var_jx_slope's complex kernel, and the test reference for the halving
-    if r == 0:
-        return 1.0
-    a = np.arange(r)
-    return np.linalg.det(kern._g[kern._off + shift + a[:, None] - a[None, :]]).item()
 
 
 def _halving_minors(a: np.ndarray) -> np.ndarray:
@@ -323,7 +307,7 @@ def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     absolute, near roundoff of 1 (at most 5.4e-15 at four N = 60 points
     measured against 60-digit arithmetic), not relative to the correlator.
     Householder reflections take norms, which are not complex-analytic:
-    the kernel must be real (var_jx_slope does not come here).
+    the kernel must be real.
     """
     n = kern.ensemble.spec.sites
     a = np.arange(n - 1)
@@ -361,16 +345,18 @@ def var_jx_slope(kern: CorrelationKernel) -> float:
     The pair determinants are polynomials in the g_j, so the pair sums of
     the complex kernel g + i s T dg/dT are Var(J_x) + i s T dVar(J_x)/dT +
     O(s^2), with no subtraction.  Unlike det * tr(M^-1 dM) this stays finite
-    where pair matrices are singular (gamma = -1, h/J = 0).  Householder
-    reflections are not complex-analytic, so each pair takes one LAPACK
-    det: O(N^4) flops.
+    where pair matrices are singular (gamma = -1, h/J = 0).  The complex
+    (N-1) x (N-1) pair matrix is gathered once, and, as Householder
+    reflections are not complex-analytic, each of its leading r x r blocks
+    takes one LAPACK det: O(N^4) flops.
     """
     ens = kern.ensemble
     n = ens.spec.sites
     step = 2.0**-64  # a power of two, so scaling by it is exact
-    slope = _contractions(ens, _occupation_slope(ens))
-    stepped = CorrelationKernel(ens, kern._g + 1j * step * slope)
-    corr = np.array([_pair_correlation(stepped, r, -1) for r in range(n)])
+    stepped = kern._g + 1j * step * _contractions(ens, ens.polarization_slopes)
+    a = np.arange(n - 1)
+    pairs = stepped[kern._off - 1 + a[:, None] - a[None, :]]
+    corr = np.array([np.linalg.det(pairs[:r, :r]) for r in range(n)])
     return (n + _pair_sum(corr)).imag / step
 
 
@@ -407,12 +393,12 @@ def mean_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     With h > 0 the chain polarizes toward +z (Hamiltonian -h sum sz), so the
     uniform value approaches +N in a saturating field.
     """
-    return _jz_mode_sum(ens, modulation, 1.0 - 2.0 * ens.occupations)
+    return _jz_mode_sum(ens, modulation, ens.polarizations)
 
 
 def mean_jz_slope(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     """T * d<J_z>/dT, exact: the mean's mode sum with T d(1 - 2 n_k)/dT."""
-    return _jz_mode_sum(ens, modulation, _occupation_slope(ens))
+    return _jz_mode_sum(ens, modulation, ens.polarization_slopes)
 
 
 def _structure_terms(modes: Sequence[np.ndarray], shifted: Sequence[np.ndarray]) -> np.ndarray:
@@ -440,18 +426,18 @@ def var_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     The uniform probe reads S(0).  The half probe weights w_l = (1 + (-1)^l)/2,
     so it reads (S(0) + S(pi))/4: N is even, and momentum conservation
     removes the cross term.  Exactly 0 in a frozen chain.  The rotation
-    comes from the mode table, and t = 1 - 2 n is formed once.  k + q is a
-    shift of the grid's index (see _structure_terms): none for q = 0, and
-    N/2 for q = pi, where the half probe takes the terms of S(0) and S(pi)
-    side by side, from the modes twice against the modes at k and at k + pi.
+    comes from the mode table, n and t = 1 - 2 n from the ensemble.  k + q
+    is a shift of the grid's index (see _structure_terms): none for q = 0,
+    and N/2 for q = pi, where the half probe takes the terms of S(0) and
+    S(pi) side by side, from the modes twice against the modes at k and at
+    k + pi.
     """
     if modulation not in MODULATIONS:
         raise ValueError(f"unknown modulation {modulation!r}; expected one of {MODULATIONS}")
-    n = ens.occupations
-    rows = (*ens.modes.rotation, n, 1.0 - 2.0 * n)
+    rows = (*ens.modes.rotation, ens.occupations, ens.polarizations)
     if modulation == "uniform":
         return 2.0 * float(_structure_terms(rows, rows).sum())
-    size, h = len(n), len(n) // 2
+    size, h = ens.spec.sites, ens.spec.sites // 2
     modes = np.array(rows)
     terms = _structure_terms(np.concatenate((modes, modes), axis=1),
                              np.concatenate((modes, modes[:, h:], modes[:, :h]), axis=1))

@@ -33,7 +33,6 @@ __all__ = [
     "build",
     "hamiltonian",
     "thermal_expectation",
-    "thermal_variance",
     "oracle_qfi",
     "oracle_var_jx",
     "oracle_fourth_jx",
@@ -139,16 +138,6 @@ def thermal_expectation(sys: DenseSystem, temperature: float, observable) -> flo
     V = sys.eigenvectors
     diag = np.einsum("bi,bi->i", V, observable @ V)
     return float(p @ diag)
-
-
-def thermal_variance(sys: DenseSystem, temperature: float, observable: np.ndarray) -> float:
-    """<O^2> - <O>^2 without cancellation: rotate, shift by the mean, square."""
-    p = _weights(sys, temperature)
-    V = sys.eigenvectors
-    D = V.T @ observable @ V
-    m = float(p @ np.diag(D))
-    D[np.diag_indices_from(D)] -= m
-    return float(p @ np.einsum("ij,ij->i", D, D))
 
 
 def oracle_qfi(sys: DenseSystem, temperature: float) -> float:

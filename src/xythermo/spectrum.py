@@ -11,7 +11,7 @@ Bogoliubov rotation diagonalizes it into free fermionic modes on the
 antiperiodic momentum grid k_j = pi*(2j+1)/N; this module provides that
 grid, the dispersion, the mode table (momenta, energies, rotation
 angles, and the cosines and sines of the rotation that every mode sum
-reads, each computed once per table), the exact minimum gap over
+reads, each built with the table, read-only), the exact minimum gap over
 continuous k, and the field at which the ground state factorizes into a
 product state.  cos k and sin k of the grid depend on N alone and are
 kept for one ring size at a time.
@@ -80,12 +80,11 @@ class ModeTable:
     """Free-fermion modes of a chain: momenta, energies, Bogoliubov angles.
 
     ``momenta`` is the antiperiodic grid k_j = pi*(2j+1)/N for
-    j = -N/2 ... N/2-1, in increasing order, read-only and shared with
-    the other tables of the same ring size.  ``energies`` holds the
-    dispersion at each momentum (nonnegative, in units of J).
-    ``angles`` holds the rotation angle theta_k of the Bogoliubov
-    transformation that diagonalizes the quadratic fermion Hamiltonian with
-    all mode energies nonnegative:
+    j = -N/2 ... N/2-1, in increasing order, shared with the other tables
+    of the same ring size.  ``energies`` holds the dispersion at each
+    momentum (nonnegative, in units of J).  ``angles`` holds the rotation
+    angle theta_k of the Bogoliubov transformation that diagonalizes the
+    quadratic fermion Hamiltonian with all mode energies nonnegative:
 
         2*theta_k = atan2(gamma * sin k, cos k - h/J)
 
@@ -94,37 +93,21 @@ class ModeTable:
     correlation functions (see the test suite), which pins the convention
     unambiguously.
 
-    ``rotation`` and ``double_angle`` are computed once per table, on first
-    read, and every mode sum of the ensemble reads them from here.
+    ``rotation`` is (cos theta_k, sin theta_k), by the half-angle formula
+    from a = cos k - h/J and b = gamma sin k: nothing cancels, and where b
+    = 0 they are exactly 0 and +-1, which cos and sin of the angles are
+    not (sin(2 * pi/2) = 1.2e-16); a zero mode (a = b = 0) has theta = 0.
+    ``double_angle`` is (cos 2 theta_k, sin 2 theta_k) of the angles.
+    mode_table() builds every array of the table, read-only, and every
+    mode sum of the ensemble reads them from here.
     """
 
     spec: ChainSpec
     momenta: np.ndarray
     energies: np.ndarray
     angles: np.ndarray
-
-    @functools.cached_property
-    def rotation(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cos theta_k, sin theta_k), by the half-angle formula.
-
-        From a = cos k - h/J and b = gamma sin k, 2 theta_k = atan2(b, a):
-        nothing cancels, and where b = 0 they are exactly 0 and +-1, which
-        cos and sin of the stored angles are not (sin(2 * pi/2) =
-        1.2e-16); a zero mode (a = b = 0) has theta = 0.
-        """
-        _, cos_k, sin_k = _grid_trig(self.spec.sites)
-        a = cos_k - self.spec.field_ratio
-        b = self.spec.gamma * sin_k
-        r = np.hypot(a, b)
-        nonzero, right = r > 0, a >= 0
-        large = np.sqrt(0.5 + 0.5 * np.divide(np.abs(a), r, out=np.ones_like(r), where=nonzero))
-        small = 0.5 * np.divide(np.abs(b), r, out=np.zeros_like(r), where=nonzero) / large
-        return np.where(right, large, small), np.copysign(np.where(right, small, large), b)
-
-    @functools.cached_property
-    def double_angle(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cos 2 theta_k, sin 2 theta_k) of the stored angles."""
-        return np.cos(2.0 * self.angles), np.sin(2.0 * self.angles)
+    rotation: tuple[np.ndarray, np.ndarray]
+    double_angle: tuple[np.ndarray, np.ndarray]
 
 
 def dispersion(spec: ChainSpec, k):
@@ -149,33 +132,46 @@ def momentum_grid(n: int) -> np.ndarray:
     return np.pi * (2 * j + 1) / n
 
 
-@functools.lru_cache(maxsize=1)
-def _grid_trig(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # the grid of N modes with its cos k and sin k, read-only: they depend
-    # on N alone, so a sweep at fixed N builds them for its first point only
-    k = momentum_grid(n)
-    arrays = k, np.cos(k), np.sin(k)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    # the arrays, made read-only in place
     for x in arrays:
         x.flags.writeable = False
     return arrays
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_trig(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the grid of N modes with its cos k and sin k, read-only: they depend
+    # on N alone, so a sweep at fixed N builds them for its first point only
+    k = momentum_grid(n)
+    return _read_only(k, np.cos(k), np.sin(k))
+
+
 def mode_table(spec: ChainSpec) -> ModeTable:
-    """Momenta, energies and Bogoliubov angles for all N modes of a chain.
+    """Momenta, energies, Bogoliubov angles and rotations for all N modes of a chain.
 
     The momenta and their cos k and sin k come from a memo on N (one ring
     size at a time, read-only), so the table costs no trigonometry beyond
-    its angles; the energies are those of dispersion() to the last bit.
+    its angles and double angles; the energies are those of dispersion()
+    to the last bit.
     """
     k, cos_k, sin_k = _grid_trig(spec.sites)
     a = cos_k - spec.field_ratio
     b = spec.gamma * sin_k
-    energies = 2.0 * np.hypot(a, b)
+    r = np.hypot(a, b)
+    energies = 2.0 * r
     # atan2 keeps the quadrant so that the rotated quadratic form has
     # energy +eps_k for every mode, including cos k < h/J where the naive
     # arctan branch would flip sign.
     angles = 0.5 * np.arctan2(b, a)
-    return ModeTable(spec=spec, momenta=k, energies=energies, angles=angles)
+    nonzero, right = r > 0, a >= 0
+    large = np.sqrt(0.5 + 0.5 * np.divide(np.abs(a), r, out=np.ones_like(r), where=nonzero))
+    small = 0.5 * np.divide(np.abs(b), r, out=np.zeros_like(r), where=nonzero) / large
+    rotation = np.where(right, large, small), np.copysign(np.where(right, small, large), b)
+    double_angle = np.cos(2.0 * angles), np.sin(2.0 * angles)
+    _read_only(energies, angles, *rotation, *double_angle)
+    return ModeTable(spec=spec, momenta=k, energies=energies, angles=angles,
+                     rotation=rotation, double_angle=double_angle)
 
 
 def energy_gap(spec: ChainSpec) -> float:

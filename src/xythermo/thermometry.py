@@ -13,48 +13,41 @@ exact maximally-mixed values (every occupation exactly 1/2).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import ChainSpec, ModeTable, mode_table
+from .spectrum import ChainSpec, ModeTable, _read_only, mode_table
 
 __all__ = ["ThermalEnsemble", "ensemble", "energy_variance", "qfi", "snr_crb"]
 
 
 @dataclass(frozen=True, eq=False)
 class ThermalEnsemble:
-    """A chain at fixed temperature with cached mode occupations.
+    """A chain at fixed temperature with its per-mode thermal arrays.
 
     ``occupations`` are the Fermi factors n_k = 1/(1 + exp(eps_k/T)), one per
     mode, each in [0, 1/2] (the upper bound is attained only for zero-energy
     modes or infinite temperature, and the lower one once exp(eps_k/T)
     overflows, at eps_k/T just above log(DBL_MAX) = 709.78).
-    ``fluctuation_weights`` and ``reduced_energies`` are computed once, on
-    first read, and are read-only arrays that every mode sum shares.
+    ``reduced_energies`` are eps_k/T, the only combination thermal
+    quantities depend on; ``fluctuation_weights`` are n_k(1 - n_k), stable
+    down to occupations ~ 1e-300; ``polarizations`` are t_k = 1 - 2 n_k, and
+    ``polarization_slopes`` their T dt_k/dT = -2 n_k(1 - n_k) eps_k/T,
+    exactly 0 at T = inf and 0 (not inf * 0) once n_k(1 - n_k) underflows
+    at low T.  ensemble() builds every array, read-only, and every mode sum
+    reads them from here.
     """
 
     spec: ChainSpec
     temperature: float  # units of J
     modes: ModeTable
     occupations: np.ndarray
-
-    @functools.cached_property
-    def fluctuation_weights(self) -> np.ndarray:
-        """n_k(1 - n_k) per mode, stable down to occupations ~ 1e-300."""
-        return _read_only(self.occupations * (1.0 - self.occupations))
-
-    @functools.cached_property
-    def reduced_energies(self) -> np.ndarray:
-        """eps_k / T, the only combination thermal quantities depend on."""
-        return _read_only(self.modes.energies / self.temperature)
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
+    reduced_energies: np.ndarray
+    fluctuation_weights: np.ndarray
+    polarizations: np.ndarray
+    polarization_slopes: np.ndarray
 
 
 def ensemble(spec: ChainSpec, temperature: float) -> ThermalEnsemble:
@@ -65,8 +58,13 @@ def ensemble(spec: ChainSpec, temperature: float) -> ThermalEnsemble:
     # n_k = 1/(1 + e^x) from libm's exp (see _fermi_factors): exactly 0 once
     # e^x overflows, and exactly 1/2 at temperature = inf, where x = eps/inf = 0
     x = modes.energies / temperature
-    return ThermalEnsemble(spec=spec, temperature=temperature, modes=modes,
-                           occupations=_fermi_factors(x))
+    n = _fermi_factors(x)
+    weights = n * (1.0 - n)
+    t, slopes = 1.0 - 2.0 * n, -2.0 * weights * x
+    _read_only(n, x, weights, t, slopes)
+    return ThermalEnsemble(spec=spec, temperature=temperature, modes=modes, occupations=n,
+                           reduced_energies=x, fluctuation_weights=weights,
+                           polarizations=t, polarization_slopes=slopes)
 
 
 def _fermi_factors(x: np.ndarray) -> np.ndarray:

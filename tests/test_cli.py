@@ -175,6 +175,16 @@ def test_json_document_structure():
                               "var_jx_shot_ratio", "mean_jz_per_sqrt_sites", "snr_crb"]
     assert len(doc["rows"]) == 1
     assert all(math.isfinite(v) for v in doc["rows"][0])
+    assert sorted(doc["metadata"]["config"]) == sorted(
+        ["gamma", "field", "temp", "sites", "kappa", "modulation", "shot_noise", "obs"])
+
+
+def test_dispersion_json_echoes_only_its_options():
+    proc = run_cli("dispersion", "--gamma", "0.5", "--field", "1.2", "--sites", "6",
+                   "--format", "json")
+    assert proc.returncode == 0
+    config = json.loads(proc.stdout)["metadata"]["config"]
+    assert config == {"gamma": [0.5], "field": [1.2], "sites": 6}
 
 
 def test_config_file_with_flag_overrides(tmp_path):

@@ -83,7 +83,7 @@ def _direct_contractions(ens, t):
 def _assert_kernels_match_direct_build(n):
     for gamma, field, T in PAIR_GRID:
         ens = _ens(gamma=gamma, field_ratio=field, sites=n, T=T)
-        slope = correlations._occupation_slope(ens)
+        slope = ens.polarization_slopes
         assert np.array_equal(correlations.kernel(ens)._g,
                               _direct_contractions(ens, 1.0 - 2.0 * ens.occupations)), (n, T)
         assert np.array_equal(correlations._contractions(ens, slope),
@@ -824,9 +824,18 @@ def test_quad_sum_takes_pair_correlators_from_its_pivots():
 PAIR_GRID = NESTED_GRID + ((-1.0, 0.0, 0.3), (0.0, 2.0, 0.05), (1.0, 0.5, math.inf))
 
 
+def _pair_correlation(kern, r, shift):
+    # one LAPACK det for one separation 0 <= r <= N-1: the reference for
+    # the halving
+    if r == 0:
+        return 1.0
+    a = np.arange(r)
+    return np.linalg.det(kern._g[kern._off + shift + a[:, None] - a[None, :]]).item()
+
+
 def _per_separation_pair_sum(kern, shift):
     n = kern.ensemble.spec.sites
-    corr = np.array([correlations._pair_correlation(kern, r, shift) for r in range(n)])
+    corr = np.array([_pair_correlation(kern, r, shift) for r in range(n)])
     return n + correlations._pair_sum(corr)
 
 
@@ -847,7 +856,7 @@ def test_qr_correlators_keep_the_sign_of_negative_minors():
     for gamma, shift in ((0.8, +1), (-0.6, -1)):
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=1.2, sites=60, T=0.5))
         got = correlations._pair_correlations(kern, shift)
-        want = np.array([correlations._pair_correlation(kern, r, shift) for r in range(60)])
+        want = np.array([_pair_correlation(kern, r, shift) for r in range(60)])
         assert np.count_nonzero(want < -1e-8) >= 5
         large = np.abs(want) > 1e-8
         assert np.array_equal(np.sign(got[large]), np.sign(want[large]))
@@ -986,7 +995,7 @@ def test_jz_statistics_equal_the_fresh_trig_formulas_bitwise(sites, modulation):
         assert correlations.mean_jz(ens, modulation) == _fresh_jz_mode_sum(
             ens, modulation, 1.0 - 2.0 * ens.occupations), label
         assert correlations.mean_jz_slope(ens, modulation) == _fresh_jz_mode_sum(
-            ens, modulation, correlations._occupation_slope(ens)), label
+            ens, modulation, ens.polarization_slopes), label
 
 
 # ---- bundles and limits -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -172,3 +173,30 @@ def test_reduced_energies_and_fluctuation_weights():
     # computed once per ensemble, and shared read-only by every reader
     assert ens.fluctuation_weights is w and ens.reduced_energies is ens.reduced_energies
     assert not w.flags.writeable and not ens.reduced_energies.flags.writeable
+    # t = 1 - 2 n and its slope T dt/dT, bit for bit the formulas they replace
+    assert np.array_equal(ens.polarizations, 1.0 - 2.0 * ens.occupations)
+    assert np.array_equal(ens.polarization_slopes, -2.0 * w * ens.reduced_energies)
+
+
+def _record_arrays(record):
+    # every array field of a record, a tuple field's arrays under field[i]
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, np.ndarray):
+            yield field.name, value
+        elif isinstance(value, tuple):
+            yield from ((f"{field.name}[{i}]", x) for i, x in enumerate(value))
+
+
+@pytest.mark.parametrize("temperature", (0.3, math.inf))
+def test_mode_table_and_ensemble_arrays_refuse_writes(temperature):
+    ens = thermometry.ensemble(ChainSpec(gamma=0.4, field_ratio=1.1, sites=8), temperature)
+    arrays = dict(_record_arrays(ens.modes)) | dict(_record_arrays(ens))
+    assert sorted(arrays) == sorted([
+        "momenta", "energies", "angles", "rotation[0]", "rotation[1]", "double_angle[0]",
+        "double_angle[1]", "occupations", "reduced_energies", "fluctuation_weights",
+        "polarizations", "polarization_slopes"])
+    for name, x in arrays.items():
+        assert x.shape == (8,) and not x.flags.writeable, name
+        with pytest.raises(ValueError):
+            x[0] = 0.25

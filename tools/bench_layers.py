@@ -32,9 +32,13 @@ timed on a fresh kernel.  The "warm" ``kernel`` rows time the kernel of an
 ensemble after another ensemble's kernel, so the cos/sin tables of its ring
 size are built already, as at every point of a sweep but the first; the
 "cold" rows clear that memo first, where the tree has one.  The
-``ensemble`` row builds the mode table and occupations of a ring size seen
-before, as at every point of a sweep but the first, and the J_z rows take a
-fresh ensemble's first read.  Next to each time the file records how many
+``ensemble`` row builds the mode table and the thermal record of a ring
+size seen before, as at every point of a sweep but the first: in trees
+where the records build every per-mode array up front (rotations, double
+angles, reduced energies, fluctuation weights, 1 - 2 n_k and its slope),
+that is all of them, and the J_z rows of a fresh ensemble then time the
+mode sums alone; in trees that build some of those arrays on first read,
+the J_z rows include that build.  Next to each time the file records how many
 calls of ``correlations._halving_minors`` the timed call made through the module
 attribute (a tree whose recursion goes through it counts every level),
 and the value the call returned (sum of g_j^2 for a kernel, of n_k for an

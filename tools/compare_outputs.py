@@ -1,0 +1,96 @@
+"""Compare the CLI output of source trees, run by run, by stdout hash and exit code.
+
+For each tree, one fresh process with BLAS pinned to one thread runs a
+fixed list of command lines through ``xythermo.cli.main`` and records the
+sha256 of each run's stdout (stderr, with progress and wall time, is
+dropped) and its exit code: round 0 of each ``sweepbench`` workload at
+seeds 411, 415 and 416, the README ``tscan`` (100 sites) and phase
+diagram, the plateau sweep, which exits 3 partway, and ``validate``.
+Each mismatch with the first tree is printed, and the exit code is 1 if
+there is any:
+
+    git archive --prefix=parent/ HEAD~1 | tar x -C /tmp
+    python tools/compare_outputs.py --tree parent=/tmp/parent/src --tree change=src
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (411, 415, 416)
+EXTRA = {
+    "readme tscan": "tscan --gamma 1 --field 0.5 --temp 0.05:5:40:log --sites 100",
+    "readme phase diagram": "phase-diagram --gamma -1:1:41 --field 0:2:41 --temp 0.05 "
+                            "--sites 50 --obs crb,meanjz",
+    "plateau sweep": "tscan --gamma -1:1:5 --field 0:2:5 --temp 0.05:5:4:log --sites 30 "
+                     "--obs crb,varjx,meanjz",
+    "validate": "validate",
+}
+
+
+def _runs() -> dict[str, list[str]]:
+    from sweepbench.workloads import WORKLOADS, rounds
+
+    runs = {f"{workload} seed {seed} sweep {i}": sweep.argv
+            for workload in WORKLOADS for seed in SEEDS
+            for i, sweep in enumerate(rounds(workload, seed, 1)[0])}
+    return runs | {name: line.split() for name, line in EXTRA.items()}
+
+
+def _run_all() -> dict[str, tuple[str, int]]:
+    # (sha256 of stdout, exit code) of every run, with the tree on sys.path
+    from xythermo import cli
+
+    results = {}
+    for name, argv in _runs().items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        results[name] = (hashlib.sha256(out.getvalue().encode()).hexdigest(), code)
+    return results
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
+                        help="a label and the src directory of one source tree (repeatable)")
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:  # every run of one tree, in a fresh process
+        sys.path[:0] = [args.worker, ROOT]
+        print(json.dumps(_run_all()))
+        return 0
+    if not args.tree:
+        parser.error("need at least one --tree")
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    results = {}
+    for label, src in (t.split("=", 1) for t in args.tree):
+        proc = subprocess.run([sys.executable, __file__, "--worker", os.path.abspath(src)],
+                              env=env, capture_output=True, text=True, check=True)
+        results[label] = json.loads(proc.stdout)
+        print(f"{label}: {len(results[label])} runs", file=sys.stderr, flush=True)
+    (first, base), *others = results.items()
+    mismatches = 0
+    for label, runs in others:
+        for name, (digest, code) in runs.items():
+            if [digest, code] != base[name]:
+                mismatches += 1
+                print(f"{label} differs from {first}: {name}: exit {code} vs {base[name][1]}, "
+                      f"stdout {digest[:12]} vs {base[name][0][:12]}")
+    print(f"{mismatches} mismatch(es) over {len(base)} runs")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
