@@ -5,6 +5,12 @@ Subcommands: ``dispersion`` (mode energies and gap), ``phase-diagram``
 (temperature scans of the readout signals at fixed couplings), and
 ``validate`` (the built-in dense-reference test battery).
 
+Each option of the first three but ``--config`` and ``--resume`` is declared
+once, in ``_OPTIONS``, which the flags, the keys of a ``--config`` file
+(exactly the command's options, checked as their flags are), the defaults,
+the JSON config block and the negative-value fold all read.  ``validate``
+takes no options.
+
 Output is a flat table, CSV or JSON, written deterministically: the same
 config and package version produce byte-identical files at a fixed BLAS
 thread count.  Wall-clock time and progress go to stderr only.
@@ -26,28 +32,31 @@ from .spectrum import ChainSpec, energy_gap, mode_table
 
 OBSERVABLES = ("crb", "varjx", "meanjz")
 
-_TEMP_DEFAULTS = {"phase-diagram": "0.05", "tscan": "0.05:5:40:log"}
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(argparse.ArgumentTypeError):
+    """A refused option; argparse prints the message of one raised for a flag."""
 
+
+# ---- one converter per kind of value ---------------------------------------------
+# each takes a flag's text or a config file's JSON value, so a file value gets
+# its flag's checks; JSON true is not a number, though int() and float() take it
 
 def parse_axis(text: str) -> tuple[float, ...]:
     """Parse 'start:stop:steps[:log]' (or a bare scalar) into grid values."""
     parts = str(text).split(":")
-    if len(parts) == 1:
-        return (float(parts[0]),)
-    if len(parts) not in (3, 4):
+    if len(parts) not in (1, 3, 4):
         raise ConfigError(f"axis {text!r}: expected start:stop:steps[:log]")
     if len(parts) == 4 and parts[3] != "log":
         raise ConfigError(f"axis {text!r}: unknown spacing {parts[3]!r}")
     try:
-        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        start = float(parts[0])
+        if len(parts) == 1:
+            return (start,)
+        stop, steps = float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"axis {text!r}: {exc}") from None
     if steps < 1:
@@ -63,108 +72,121 @@ def parse_axis(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(start, stop, steps))
 
 
-def _axis_type(text):
-    try:
-        return parse_axis(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _number(value) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"expected a number, got {value!r}")
 
 
-def _obs_type(text):
-    if text == "none":
-        return ()
-    names = tuple(t.strip() for t in str(text).split(",") if t.strip())
+def _integer(value) -> int:
+    # "6" and 6 pass, as they pass int(); 6.9 does not
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"expected an integer, got {value!r}")
+
+
+def _axis(value) -> tuple[float, ...]:
+    """An axis string, a number, or a JSON list of numbers."""
+    if isinstance(value, str):
+        return parse_axis(value)
+    if not isinstance(value, list):
+        return (_number(value),)
+    if not value:  # parse_axis never gives one: the sweep would have no points
+        raise ConfigError("an axis needs at least one value")
+    return tuple(_number(x) for x in value)
+
+
+_axis.metavar = "START:STOP:STEPS[:log]"
+
+
+def _observables(value) -> tuple[str, ...]:
+    """A comma list of OBSERVABLES or 'none', or a JSON list of names."""
+    if isinstance(value, list) and all(isinstance(name, str) for name in value):
+        value = ",".join(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"expected a comma list of names, got {value!r}")
+    names = () if value == "none" else [t.strip() for t in value.split(",") if t.strip()]
     for name in names:
         if name not in OBSERVABLES:
-            raise argparse.ArgumentTypeError(
+            raise ConfigError(
                 f"unknown observable {name!r}; choose from {', '.join(OBSERVABLES)} or 'none'")
     return tuple(o for o in OBSERVABLES if o in names)
 
 
-@dataclass
-class SweepConfig:
-    command: str
-    gamma: tuple[float, ...] = (1.0,)
-    field: tuple[float, ...] = (0.0,)
-    temp: tuple[float, ...] = ()
-    sites: int = 50
-    kappa: float = 2.0
-    modulation: str = "uniform"
-    shot_noise: bool = False
-    obs: tuple[str, ...] = OBSERVABLES
-    format: str = "csv"
-    out: str = "-"
-    resume: bool = False
-
-    def echo(self) -> dict:
-        # the config block embedded in JSON output: the options the command
-        # takes, without output routing
-        if self.command not in _TEMP_DEFAULTS:
-            return {"gamma": list(self.gamma), "field": list(self.field), "sites": self.sites}
-        return {
-            "gamma": list(self.gamma),
-            "field": list(self.field),
-            "temp": list(self.temp),
-            "sites": self.sites,
-            "kappa": self.kappa,
-            "modulation": self.modulation,
-            "shot_noise": self.shot_noise,
-            "obs": list(self.obs),
-        }
-
-
-def _config_float(value) -> float:
-    # the flags parse text with float(), which refuses "true"; JSON true would pass
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _config_axis(value) -> tuple[float, ...]:
-    """An axis from a config file: an axis string, a number or a list of numbers."""
-    if isinstance(value, str):
-        return parse_axis(value)
-    if isinstance(value, (int, float)):
-        return (_config_float(value),)
-    axis = tuple(_config_float(x) for x in value)
-    if not axis:  # parse_axis never gives one: the sweep would have no points
-        raise ValueError("an axis needs at least one value")
-    return axis
-
-
-def _config_int(value) -> int:
-    # the flag parses text with int(), so "6" passes and 6.9 or true does not
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _config_bool(value) -> bool:
+def _switch(value) -> bool:
+    # the flag takes no value; a file gives true or false
     if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
+        raise ConfigError(f"expected true or false, got {value!r}")
     return value
 
 
-def _config_obs(value) -> tuple[str, ...]:
-    """--obs from a config file: the flag's comma string, or a list of names."""
-    return _obs_type(value if isinstance(value, str) else ",".join(value))
+def _choice(*words: str) -> Callable[[object], str]:
+    def convert(value):
+        if value not in words:
+            raise ConfigError(f"expected {' or '.join(words)}, got {value!r}")
+        return value
+
+    convert.metavar = "{" + ",".join(words) + "}"
+    return convert
 
 
-_CONFIG_KEYS = {
-    "gamma": _config_axis,
-    "field": _config_axis,
-    "temp": _config_axis,
-    "sites": _config_int,
-    "kappa": _config_float,
-    "modulation": str,
-    "shot_noise": _config_bool,
-    "obs": _config_obs,
-    "format": str,
-    "out": str,
+# ---- the options of the table commands ------------------------------------------
+
+@dataclass(frozen=True)
+class _Option:
+    """One option: its converter, its help, and its default per command.
+
+    The commands that take it are the keys of defaults; each default goes
+    through the converter as a flag's text does.  echo=False keeps it out of
+    the JSON metadata, which records what was computed, not where it went.
+    """
+
+    convert: Callable[[object], object]
+    defaults: dict[str, object]
+    help: str
+    echo: bool = True
+
+
+_SWEEPS = ("phase-diagram", "tscan")
+_TABLES = ("dispersion",) + _SWEEPS  # the commands that write a table
+
+# the flag of each key is --key with '-' for '_'; the key order is that of
+# the config block in the JSON metadata
+_OPTIONS = {
+    "gamma": _Option(_axis, dict.fromkeys(_TABLES, "1"), "anisotropy axis, or a single value"),
+    "field": _Option(_axis, dict.fromkeys(_TABLES, "0"), "field ratio h/J axis"),
+    "temp": _Option(_axis, {"phase-diagram": "0.05", "tscan": "0.05:5:40:log"},
+                    "temperature axis T/J"),
+    "sites": _Option(_integer, dict.fromkeys(_TABLES, 50), "ring length N, even and >= 4"),
+    "kappa": _Option(_number, dict.fromkeys(_SWEEPS, 2.0), "light-matter coupling"),
+    "modulation": _Option(_choice(*correlations.MODULATIONS), dict.fromkeys(_SWEEPS, "uniform"),
+                          "probe modulation"),
+    "shot_noise": _Option(_switch, dict.fromkeys(_SWEEPS, False),
+                          "add the light shot-noise floor to the meanjz readout"),
+    "obs": _Option(_observables, dict.fromkeys(_SWEEPS, ",".join(OBSERVABLES)),
+                   "SNR columns: a comma list from crb,varjx,meanjz, or 'none'"),
+    "format": _Option(_choice("csv", "json"), dict.fromkeys(_TABLES, "csv"), "table format",
+                      echo=False),
+    "out": _Option(str, dict.fromkeys(_TABLES, "-"), "output path, '-' for stdout", echo=False),
 }
 
 
-def _load_config_file(path: str) -> dict:
+def _options(command: str) -> dict[str, _Option]:
+    return {name: opt for name, opt in _OPTIONS.items() if command in opt.defaults}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _load_config_file(path: str, command: str) -> dict:
+    """The file's options, keyed as the command's flags are (with '-' or '_')."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -172,33 +194,26 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    out = {}
+    options, out = _options(command), {}
     for key, value in raw.items():
-        norm = key.replace("-", "_")
-        if norm not in _CONFIG_KEYS:
-            raise ConfigError(f"config file {path}: unknown key {key!r}")
+        name = key.replace("-", "_")
+        if name not in options:
+            raise ConfigError(f"config file {path}: {command} has no option {key!r}")
         try:
-            out[norm] = _CONFIG_KEYS[norm](value)
-        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            out[name] = options[name].convert(value)
+        except ConfigError as exc:
             raise ConfigError(f"config file {path}: bad value for {key!r}: {exc}") from None
     return out
 
 
-def _resolve(args: argparse.Namespace) -> SweepConfig:
-    cfg = SweepConfig(command=args.command)
-    if args.command in _TEMP_DEFAULTS:
-        cfg.temp = parse_axis(_TEMP_DEFAULTS[args.command])
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, value in file_cfg.items():
-        setattr(cfg, key, value)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-    cfg.resume = bool(getattr(args, "resume", False))
-    if cfg.resume and (cfg.out == "-" or cfg.format != "csv"):
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's options: the table's defaults, then the --config file, then the flags."""
+    values = {name: opt.convert(opt.defaults[args.command])
+              for name, opt in _options(args.command).items()}
+    if args.config:
+        values |= _load_config_file(args.config, args.command)
+    cfg = argparse.Namespace(**values | vars(args))  # a flag not given is not in args
+    if getattr(cfg, "resume", False) and (cfg.out == "-" or cfg.format != "csv"):
         raise ConfigError("--resume needs --format csv and --out pointing at a file")
     # fail fast on invalid physics parameters, before any file is opened;
     # main reports the ValueError of a bad spec or setup as a config error
@@ -206,9 +221,9 @@ def _resolve(args: argparse.Namespace) -> SweepConfig:
         ChainSpec(gamma=g, field_ratio=0.0, sites=cfg.sites)
     for f in cfg.field:
         ChainSpec(gamma=0.0, field_ratio=f, sites=cfg.sites)
-    if any(not t > 0 for t in cfg.temp):
-        raise ConfigError("temperatures must be > 0")
-    if cfg.command in ("phase-diagram", "tscan"):
+    if cfg.command in _SWEEPS:
+        if any(not t > 0 for t in cfg.temp):
+            raise ConfigError("temperatures must be > 0")
         faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
                              include_shot_noise=cfg.shot_noise)
     return cfg
@@ -221,7 +236,7 @@ def _fmt(x: float) -> str:
 class _Emitter:
     """Streams one table to a file or stdout; CSV row-by-row, JSON at close."""
 
-    def __init__(self, cfg: SweepConfig, columns: list[str]):
+    def __init__(self, cfg: argparse.Namespace, columns: list[str]):
         self.cfg = cfg
         self.columns = columns
         self.rows: list[list[float]] = []
@@ -249,7 +264,8 @@ class _Emitter:
                 "metadata": {
                     "version": __version__,
                     "command": self.cfg.command,
-                    "config": self.cfg.echo(),
+                    "config": {name: getattr(self.cfg, name)
+                               for name, opt in _options(self.cfg.command).items() if opt.echo},
                 },
                 "columns": self.columns,
                 "rows": self.rows,
@@ -262,7 +278,7 @@ class _Emitter:
             self.fh.flush()
 
 
-def cmd_dispersion(cfg: SweepConfig) -> int:
+def cmd_dispersion(cfg: argparse.Namespace) -> int:
     columns = ["gamma", "field_ratio", "momentum", "energy", "gap"]
     emitter = _Emitter(cfg, columns)
     try:
@@ -278,7 +294,7 @@ def cmd_dispersion(cfg: SweepConfig) -> int:
     return EXIT_OK
 
 
-def _snr_values(cfg: SweepConfig, point: faraday.ReadoutPoint) -> list[float]:
+def _snr_values(cfg: argparse.Namespace, point: faraday.ReadoutPoint) -> list[float]:
     # the --obs names crb, varjx, meanjz map onto the point's snr_* members
     return [getattr(point, f"snr_{obs}") for obs in cfg.obs]
 
@@ -305,7 +321,7 @@ def _read_partial_csv(path: str, columns: list[str]) -> dict[tuple, list[float]]
     return done
 
 
-def _sweep(cfg: SweepConfig, columns: list[str],
+def _sweep(cfg: argparse.Namespace, columns: list[str],
            row: Callable[[faraday.ReadoutPoint], list[float]]) -> int:
     # one row per grid point, its coordinates then row(point): one probe setup
     # per sweep, one ReadoutPoint per point; --resume reuses a partial CSV
@@ -313,7 +329,7 @@ def _sweep(cfg: SweepConfig, columns: list[str],
     total = len(points)
     setup = faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
                                  include_shot_noise=cfg.shot_noise)
-    cached = _read_partial_csv(cfg.out, columns) if cfg.resume else {}
+    cached = _read_partial_csv(cfg.out, columns) if getattr(cfg, "resume", False) else {}
     emitter = _Emitter(cfg, columns)
     try:
         for done, (g, f, t) in enumerate(points, start=1):
@@ -329,12 +345,12 @@ def _sweep(cfg: SweepConfig, columns: list[str],
     return EXIT_OK
 
 
-def cmd_phase_diagram(cfg: SweepConfig) -> int:
+def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
     columns = ["gamma", "field_ratio", "temperature"] + [f"snr_{o}_per_site" for o in cfg.obs]
     return _sweep(cfg, columns, lambda point: [s / cfg.sites for s in _snr_values(cfg, point)])
 
 
-def cmd_tscan(cfg: SweepConfig) -> int:
+def cmd_tscan(cfg: argparse.Namespace) -> int:
     columns = (["gamma", "field_ratio", "temperature",
                 "var_jx_shot_ratio", "mean_jz_per_sqrt_sites"]
                + [f"snr_{o}" for o in cfg.obs])
@@ -366,7 +382,8 @@ def _validation_checks():
            float(np.max(np.abs(np.sort(ens.modes.energies)
                                - oracle.single_particle_energies(spec)))), 1e-12)
     yield ("matched dense spectrum equals mode subset sums",
-           float(np.max(np.abs(sys_m.eigenvalues - oracle.free_spectrum(spec)))), 1e-9)
+           float(np.max(np.abs(sys_m.eigenvalues
+                               - oracle.free_spectrum(ens.modes.energies)))), 1e-9)
     got, want = thermometry.qfi(ens), oracle.oracle_qfi(sys_m, temp)
     yield ("qfi matches dense reference", abs(got / want - 1.0), 1e-10)
     pairs = [
@@ -415,7 +432,7 @@ def _validation_checks():
     yield ("readout SNR below Cramer-Rao ceiling", worst, 1e-3)
 
 
-def cmd_validate(cfg: SweepConfig) -> int:
+def cmd_validate() -> int:
     failures = 0
     for name, deviation, bound in _validation_checks():
         ok = deviation <= bound
@@ -430,51 +447,38 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="xythermo",
         description="Thermometry bounds and Faraday-readout scans for the XY ring.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, temp_default=None):
-        p.add_argument("--config", help="JSON file with any of the sweep keys; flags override")
-        p.add_argument("--gamma", type=_axis_type, metavar="START:STOP:STEPS[:log]",
-                       help="anisotropy axis (or a single value)")
-        p.add_argument("--field", type=_axis_type, metavar="START:STOP:STEPS[:log]",
-                       help="field ratio h/J axis")
-        p.add_argument("--sites", type=int, help="ring length N (even, >= 4; default 50)")
-        p.add_argument("--out", help="output path, '-' for stdout (default)")
-        p.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
-        if temp_default is not None:
-            p.add_argument("--temp", type=_axis_type, metavar="START:STOP:STEPS[:log]",
-                           help=f"temperature axis T/J (default {temp_default})")
-            p.add_argument("--kappa", type=float, help="light-matter coupling (default 2.0)")
-            p.add_argument("--obs", type=_obs_type,
-                           help="comma list from crb,varjx,meanjz, or 'none' (default all)")
-            p.add_argument("--modulation", choices=correlations.MODULATIONS,
-                           help="probe modulation (default uniform)")
-            p.add_argument("--shot-noise", dest="shot_noise", action="store_const", const=True,
-                           help="add the light shot-noise floor to the meanjz readout")
-
-    p = sub.add_parser("dispersion", help="mode energies and gap over a (gamma, field) grid")
-    add_common(p)
-    p = sub.add_parser("phase-diagram", help="per-site SNR maps over (gamma, field, T)")
-    add_common(p, temp_default="0.05")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse finished rows from an interrupted CSV at --out")
-    p = sub.add_parser("tscan", help="temperature scans of readout signals and SNRs")
-    add_common(p, temp_default="0.05:5:40:log")
-    p = sub.add_parser("validate", help="run the dense-reference validation battery")
-    p.add_argument("--config", help=argparse.SUPPRESS)
+    for command, about in (("dispersion", "mode energies and gap over a (gamma, field) grid"),
+                           ("phase-diagram", "per-site SNR maps over (gamma, field, T)"),
+                           ("tscan", "temperature scans of readout signals and SNRs")):
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", help="JSON file whose keys are this command's options, "
+                       "checked as their flags are; flags override")
+        # a flag not given leaves no attribute, so _resolve can layer the file under it
+        for name, opt in _options(command).items():
+            if opt.convert is _switch:
+                p.add_argument(_flag(name), action="store_true", default=argparse.SUPPRESS,
+                               help=opt.help)
+            else:
+                p.add_argument(_flag(name), type=opt.convert, default=argparse.SUPPRESS,
+                               metavar=getattr(opt.convert, "metavar", None),
+                               help=f"{opt.help} (default {opt.defaults[command]})")
+        if command == "phase-diagram":
+            p.add_argument("--resume", action="store_true",
+                           help="reuse finished rows from an interrupted CSV at --out")
+    sub.add_parser("validate", help="run the dense-reference validation battery")
     return parser
-
-
-_NUMERIC_FLAGS = {"--gamma", "--field", "--temp", "--kappa"}
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
     # '--gamma -1:1:41' would be read by argparse as a flag named '-1:1:41';
-    # fold the value into '--gamma=-1:1:41' form when it looks numeric
+    # fold the value of an axis or number flag into '--gamma=-1:1:41' form
+    # when it looks numeric
+    numeric = {_flag(name) for name, opt in _OPTIONS.items() if opt.convert in (_axis, _number)}
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if (tok in _NUMERIC_FLAGS and len(nxt) > 1 and nxt[0] == "-"
+        if (tok in numeric and len(nxt) > 1 and nxt[0] == "-"
                 and (nxt[1].isdigit() or nxt[1] == ".")):
             out.append(f"{tok}={nxt}")
             i += 2
@@ -489,14 +493,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(_join_negative_values(argv))
     start = time.perf_counter()
     try:
-        cfg = _resolve(args)
-        handler = {
-            "dispersion": cmd_dispersion,
-            "phase-diagram": cmd_phase_diagram,
-            "tscan": cmd_tscan,
-            "validate": cmd_validate,
-        }[cfg.command]
-        code = handler(cfg)
+        if args.command == "validate":
+            code = cmd_validate()
+        else:
+            handler = {"dispersion": cmd_dispersion, "phase-diagram": cmd_phase_diagram,
+                       "tscan": cmd_tscan}[args.command]
+            code = handler(_resolve(args))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -99,7 +99,6 @@ __all__ = [
     "mean_jz_slope",
     "var_jz",
     "fourth_moment_jx",
-    "modulation_weights",
 ]
 
 MODULATIONS = ("uniform", "half")
@@ -365,26 +364,24 @@ def var_jy(kern: CorrelationKernel) -> float:
     return kern.ensemble.spec.sites + _pair_sum(_yy_correlations(kern))
 
 
-def modulation_weights(modulation: str, n: int) -> np.ndarray:
-    """Per-site probe weights cos^2(k_p l d) for the supported probe modes.
+def _check_modulation(modulation: str) -> None:
+    """Refuse a probe other than those of the J_z functions.
 
-    "uniform" is the unmodulated probe (k_p d = pi, every weight 1); "half"
-    modulates at k_p d = pi/2, weighting even sites 1 and odd sites 0.
+    The probe weights site l by cos^2(k_p l d): "uniform" is the
+    unmodulated probe (k_p d = pi, every weight 1); "half" modulates at
+    k_p d = pi/2, weighting even sites 1 and odd sites 0.
     """
-    if modulation == "uniform":
-        return np.ones(n)
-    if modulation == "half":
-        w = np.zeros(n)
-        w[::2] = 1.0
-        return w
-    raise ValueError(f"unknown modulation {modulation!r}; expected one of {MODULATIONS}")
+    if modulation not in MODULATIONS:
+        raise ValueError(f"unknown modulation {modulation!r}; expected one of {MODULATIONS}")
 
 
 def _jz_mode_sum(ens: ThermalEnsemble, modulation: str, t: np.ndarray) -> float:
-    # sum_l w_l <sz_l> with <sz_l> = -g_0, an O(N) mode sum without a kernel
-    w = modulation_weights(modulation, ens.spec.sites)
-    g0 = float((ens.modes.double_angle[0] * t).sum()) / ens.spec.sites
-    return float(w.sum()) * -g0
+    # sum_l w_l <sz_l> with <sz_l> = -g_0, an O(N) mode sum without a kernel;
+    # the weights sum to N (uniform) or N/2 (half), both exact
+    _check_modulation(modulation)
+    n = ens.spec.sites
+    g0 = float((ens.modes.double_angle[0] * t).sum()) / n
+    return (n if modulation == "uniform" else n / 2) * -g0
 
 
 def mean_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
@@ -432,8 +429,7 @@ def var_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     S(pi) side by side, from the modes twice against the modes at k and at
     k + pi.
     """
-    if modulation not in MODULATIONS:
-        raise ValueError(f"unknown modulation {modulation!r}; expected one of {MODULATIONS}")
+    _check_modulation(modulation)
     rows = (*ens.modes.rotation, ens.occupations, ens.polarizations)
     if modulation == "uniform":
         return 2.0 * float(_structure_terms(rows, rows).sum())

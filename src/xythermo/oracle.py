@@ -24,7 +24,7 @@ from functools import reduce
 
 import numpy as np
 
-from .spectrum import ChainSpec, mode_table
+from .spectrum import ChainSpec
 
 __all__ = [
     "PHYSICAL",
@@ -217,16 +217,17 @@ def string_contraction(sys: DenseSystem, temperature: float, a_site: int, b_site
 
 # ---- free-fermion cross-checks ----------------------------------------------
 
-def free_spectrum(spec: ChainSpec) -> np.ndarray:
-    """All 2^N many-body energies of the mode solution, sorted ascending.
+def free_spectrum(energies: np.ndarray) -> np.ndarray:
+    """All 2^N many-body energies of N free modes, sorted ascending.
 
-    Every subset of modes may be occupied; the matched-sector dense spectrum
-    must equal this multiset exactly.
+    Every subset of modes may be occupied, each adding its energy to the
+    vacuum's -sum/2.  Given the mode solution's energies, which the caller
+    brings, the matched-sector dense spectrum must equal this multiset.
     """
-    if spec.sites > 12:
-        raise ValueError("2^N subset enumeration capped at 12 sites")
-    eps = mode_table(spec).energies
-    occ = np.indices((2,) * spec.sites).reshape(spec.sites, -1).T
+    eps = np.asarray(energies, dtype=float)
+    if eps.size > 12:
+        raise ValueError("2^N subset enumeration capped at 12 modes")
+    occ = np.indices((2,) * eps.size).reshape(eps.size, -1).T
     return np.sort(occ @ eps - eps.sum() / 2.0)
 
 

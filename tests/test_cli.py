@@ -53,6 +53,16 @@ def test_dispersion_gap_constant_within_block():
     assert gaps.pop() == pytest.approx(2 * 0.7, abs=1e-12)
 
 
+def test_negative_values_parse_in_the_space_form():
+    # '--field -0.5' would otherwise reach argparse as an unknown flag '-0.5'
+    spaced = run_cli("dispersion", "--gamma", "-1:1:3", "--field", "-0.5", "--sites", "6")
+    joined = run_cli("dispersion", "--gamma=-1:1:3", "--field=-0.5", "--sites", "6")
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout
+    assert {row[:2] for row in map(tuple, parse_csv(spaced.stdout)[1])} == {
+        (-1.0, -0.5), (0.0, -0.5), (1.0, -0.5)}
+
+
 def test_byte_identical_across_runs(tmp_path):
     args = ("phase-diagram", "--gamma", "-1:1:3", "--field", "0:2:3",
             "--temp", "0.2:0.8:2", "--sites", "8")
@@ -227,14 +237,26 @@ def test_unreadable_config_exits_two(tmp_path):
     unknown.write_text(json.dumps({"sitez": 8}))
     assert run_cli("tscan", "--config", str(unknown)).returncode == 2
     # values the matching flag would refuse: an unknown observable, a
-    # non-bool shot_noise, a non-integer site count and bools for numbers
+    # non-bool shot_noise, a non-integer site count, bools for numbers, and
+    # a format or modulation outside the flag's choices
     for value in ({"obs": ["foo"]}, {"obs": "foo"}, {"shot_noise": "false"}, {"sites": 6.9},
-                  {"kappa": True}, {"gamma": [True]}):
+                  {"kappa": True}, {"gamma": [True]}, {"format": "yaml"},
+                  {"modulation": "quarter"}):
         cfg = tmp_path / "value.json"
         cfg.write_text(json.dumps(value))
         proc = run_cli("tscan", "--config", str(cfg), "--temp", "0.3", "--sites", "6")
         assert proc.returncode == 2, value
         assert proc.stderr.startswith("error: config file"), value
+    # keys of flags that dispersion does not take, whatever their value
+    for key, value in (("temp", 0.3), ("modulation", "quarter")):
+        cfg = tmp_path / "dispersion.json"
+        cfg.write_text(json.dumps({key: value}))
+        proc = run_cli("dispersion", "--config", str(cfg), "--sites", "6")
+        assert proc.returncode == 2, key
+        assert proc.stderr.startswith("error: config file") and repr(key) in proc.stderr, key
+    # validate takes no options, so not even a readable config file
+    cfg.write_text(json.dumps({}))
+    assert run_cli("validate", "--config", str(cfg)).returncode == 2
 
 
 def test_unwritable_out_exits_two(tmp_path):

@@ -207,13 +207,25 @@ def test_half_modulation_against_dense_reference():
         oracle.oracle_var_jz(sys, 0.4, "half"), rel=1e-10)
 
 
+def modulation_weights(modulation, n):
+    """Per-site probe weights cos^2(k_p l d), for the references below.
+
+    "uniform" is the unmodulated probe (k_p d = pi, every weight 1); "half"
+    modulates at k_p d = pi/2, weighting even sites 1 and odd sites 0.
+    """
+    w = np.ones(n)
+    if modulation == "half":
+        w[1::2] = 0.0
+    return w
+
+
 def test_modulation_weights():
-    assert np.all(correlations.modulation_weights("uniform", 6) == 1.0)
-    assert np.allclose(correlations.modulation_weights("half", 6), [1, 0, 1, 0, 1, 0], atol=1e-15)
-    with pytest.raises(ValueError):
-        correlations.modulation_weights("quarter", 6)
-    with pytest.raises(ValueError):
-        correlations.mean_jz(_ens(), "quarter")
+    assert np.all(modulation_weights("uniform", 6) == 1.0)
+    assert np.array_equal(modulation_weights("half", 6), [1, 0, 1, 0, 1, 0])
+    ens = _ens()
+    for jz_statistic in (correlations.mean_jz, correlations.mean_jz_slope, correlations.var_jz):
+        with pytest.raises(ValueError):
+            jz_statistic(ens, "quarter")
 
 
 def test_var_jy_matches_dense_reference():
@@ -907,7 +919,7 @@ def _site_space_var_jz(kern, modulation):
     # the former kernel route: sum_r (sum_l w_l w_{l+r}) <sz_0 sz_r>_c, with the
     # connected correlator 1 - g_0^2 on site and -g_r g_{-r} off site
     n = kern.ensemble.spec.sites
-    w = correlations.modulation_weights(modulation, n)
+    w = modulation_weights(modulation, n)
     conn = np.array([1.0 - kern.coefficient(0) ** 2]
                     + [-kern.coefficient(r) * kern.coefficient(-r) for r in range(1, n)])
     autocorr = np.array([w @ np.roll(w, -r) for r in range(n)])
@@ -978,7 +990,7 @@ def _rolled_var_jz(ens, modulation):
 
 
 def _fresh_jz_mode_sum(ens, modulation, t):
-    w = correlations.modulation_weights(modulation, ens.spec.sites)
+    w = modulation_weights(modulation, ens.spec.sites)
     g0 = float(np.sum(np.cos(2.0 * ens.modes.angles) * t)) / ens.spec.sites
     return float(np.sum(w)) * -g0
 

@@ -9,7 +9,7 @@ import ast
 import numpy as np
 import pytest
 
-from xythermo import oracle
+from xythermo import oracle, spectrum
 from xythermo.spectrum import ChainSpec, mode_table
 
 
@@ -36,7 +36,8 @@ def test_ising_zero_field_spectrum_is_classical():
 def test_matched_sector_spectrum_is_free(gamma, field_ratio):
     spec = _spec(gamma=gamma, field_ratio=field_ratio, sites=6)
     sys = oracle.build(spec, oracle.MATCHED)
-    assert np.max(np.abs(sys.eigenvalues - oracle.free_spectrum(spec))) < 1e-9
+    free = oracle.free_spectrum(mode_table(spec).energies)
+    assert np.max(np.abs(sys.eigenvalues - free)) < 1e-9
 
 
 def test_ground_energy_equals_mode_sum():
@@ -109,3 +110,17 @@ def test_oracle_imports_nothing_from_correlations():
         elif isinstance(node, ast.Import):
             imported.extend(alias.name for alias in node.names)
     assert not [name for name in imported if "correlations" in name.split(".")]
+
+
+def test_oracle_binds_only_chain_spec_from_spectrum():
+    # free_spectrum is handed the mode energies: a mode table or dispersion
+    # built here would be the route under test checking itself
+    bound = [name for name, value in vars(oracle).items()
+             if value is spectrum or getattr(value, "__module__", None) == spectrum.__name__]
+    assert bound == ["ChainSpec"]
+    with open(oracle.__file__) as fh:
+        tree = ast.parse(fh.read())
+    taken = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("spectrum")
+             for alias in node.names]
+    assert taken == ["ChainSpec"]  # a function-local import included

@@ -156,12 +156,6 @@ def test_mode_table_equals_fresh_trig_formulas_bitwise(sites):
             assert np.array_equal(got, want)
 
 
-def test_mode_table_derived_arrays_are_computed_once():
-    mt = mode_table(ChainSpec(gamma=0.5, field_ratio=0.5, sites=8))
-    assert mt.rotation is mt.rotation
-    assert mt.double_angle is mt.double_angle
-
-
 def test_grid_memo_is_read_only_and_follows_alternating_ring_sizes():
     spectrum._grid_trig.cache_clear()
     for n in (50, 300, 50, 8):

@@ -4,8 +4,11 @@ For each tree, one fresh process with BLAS pinned to one thread runs a
 fixed list of command lines through ``xythermo.cli.main`` and records the
 sha256 of each run's stdout (stderr, with progress and wall time, is
 dropped) and its exit code: round 0 of each ``sweepbench`` workload at
-seeds 411, 415 and 416, the README ``tscan`` (100 sites) and phase
-diagram, the plateau sweep, which exits 3 partway, and ``validate``.
+seeds 411, 415 and 416, the README ``dispersion``, ``tscan`` (100 sites)
+and phase diagram, ``dispersion`` and ``tscan`` as JSON, a phase diagram
+with every probe option, the same sweep from a ``--config`` file (alone,
+and as CSV with ``--sites`` overriding the file), the plateau sweep, which
+exits 3 partway, and ``validate``.
 Each mismatch with the first tree is printed, and the exit code is 1 if
 there is any:
 
@@ -22,10 +25,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (411, 415, 416)
 EXTRA = {
+    "readme dispersion": "dispersion --gamma 1 --field 0:2:21 --sites 64",
+    "dispersion json": "dispersion --gamma -1:1:3 --field 0.5 --sites 8 --format json",
+    "tscan json": "tscan --gamma 0.5 --field 0:1:2 --temp 0.1:1:3:log --sites 10 --format json",
+    "probe options": "phase-diagram --gamma -1:1:3 --field 0:2:3 --temp 0.2 --sites 10 "
+                     "--modulation half --shot-noise --kappa 3",
+    "config file": "phase-diagram --config {config}",
+    "config file, flags override": "phase-diagram --config {config} --sites 6 --format csv",
     "readme tscan": "tscan --gamma 1 --field 0.5 --temp 0.05:5:40:log --sites 100",
     "readme phase diagram": "phase-diagram --gamma -1:1:41 --field 0:2:41 --temp 0.05 "
                             "--sites 50 --obs crb,meanjz",
@@ -33,23 +44,30 @@ EXTRA = {
                      "--obs crb,varjx,meanjz",
     "validate": "validate",
 }
+# the probe-options sweep as a file: every axis form, an obs list, a switch and two choices
+CONFIG = {"gamma": "-1:1:3", "field": [0.0, 1.0, 2.0], "temp": 0.2, "sites": 10,
+          "obs": ["crb", "varjx", "meanjz"], "shot-noise": True, "modulation": "half",
+          "kappa": 3, "format": "json"}
 
 
-def _runs() -> dict[str, list[str]]:
+def _runs(config: str) -> dict[str, list[str]]:
     from sweepbench.workloads import WORKLOADS, rounds
 
     runs = {f"{workload} seed {seed} sweep {i}": sweep.argv
             for workload in WORKLOADS for seed in SEEDS
             for i, sweep in enumerate(rounds(workload, seed, 1)[0])}
-    return runs | {name: line.split() for name, line in EXTRA.items()}
+    return runs | {name: line.format(config=config).split() for name, line in EXTRA.items()}
 
 
-def _run_all() -> dict[str, tuple[str, int]]:
+def _run_all(tmp: str) -> dict[str, tuple[str, int]]:
     # (sha256 of stdout, exit code) of every run, with the tree on sys.path
     from xythermo import cli
 
+    config = os.path.join(tmp, "sweep.json")
+    with open(config, "w") as fh:
+        json.dump(CONFIG, fh)
     results = {}
-    for name, argv in _runs().items():
+    for name, argv in _runs(config).items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             try:
@@ -68,7 +86,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.worker:  # every run of one tree, in a fresh process
         sys.path[:0] = [args.worker, ROOT]
-        print(json.dumps(_run_all()))
+        with tempfile.TemporaryDirectory() as tmp:
+            print(json.dumps(_run_all(tmp)))
         return 0
     if not args.tree:
         parser.error("need at least one --tree")
