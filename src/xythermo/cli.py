@@ -126,6 +126,13 @@ def _switch(value) -> bool:
     return value
 
 
+def _path(value) -> str:
+    # a flag's text is a string already; a file's null or number is no path
+    if not isinstance(value, str):
+        raise ConfigError(f"expected a path string, got {value!r}")
+    return value
+
+
 def _choice(*words: str) -> Callable[[object], str]:
     def convert(value):
         if value not in words:
@@ -173,7 +180,7 @@ _OPTIONS = {
                    "SNR columns: a comma list from crb,varjx,meanjz, or 'none'"),
     "format": _Option(_choice("csv", "json"), dict.fromkeys(_TABLES, "csv"), "table format",
                       echo=False),
-    "out": _Option(str, dict.fromkeys(_TABLES, "-"), "output path, '-' for stdout", echo=False),
+    "out": _Option(_path, dict.fromkeys(_TABLES, "-"), "output path, '-' for stdout", echo=False),
 }
 
 

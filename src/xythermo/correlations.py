@@ -25,18 +25,30 @@ skew-symmetric matrices reduce exactly (block structure, sign +1) to plain
 determinants of contraction submatrices.
 
 The pair correlator at separation r is the leading r x r minor of one
-(N-1) x (N-1) Toeplitz matrix, so every separation comes from the
+(N-1) x (N-1) Toeplitz matrix T, so every separation comes from the
 leading minors of a single matrix.  They come from orthogonal factors
 alone, by recursive halving (see _halving_minors): O(N^3) flops for all
 N - 1 minors, instead of O(N^4) for one det per separation, in a few
 LAPACK QR factorizations per level, from the LAPACK that numpy bundles
-(numpy.linalg.lapack_lite), so that no code path of the package imports
-scipy.  Elimination without row exchanges would be cheaper still, but it
-is unstable here: the pair correlator falls to ~1e-19 halfway round the
+(numpy.linalg.lapack_lite), and blocks of order _LEAF or less in one
+stacked QR (np.linalg.qr), so that no code path of the package imports
+scipy.  T is the leading block of the skew-circulant C of order N, whose
+det is prod t_k and whose inverse is the kernel with theta -> -theta and
+t -> 1/t; by Jacobi's complementary-minor identity the correlators past
+(N-1)//2 are det C times leading minors of C^-1, so two halvings of half
+order give them all, a quarter of the flops of one halving of T (see
+_pair_correlations).  Where C is singular to working precision (at
+infinite temperature, and at the XX chain's zero mode at h/J = 0, N = 2
+mod 4) the two halves disagree on the separation they share, and T takes
+one halving whole.
+Elimination without row exchanges would be cheaper still, but it is
+unstable here: the pair correlator falls to ~1e-19 halfway round the
 ring and grows again toward r = N - 1, and the pivot ratios blow up with
-it.  Orthogonal factors keep every correlator accurate to near roundoff of
-1, in absolute terms; a correlator far below 1 has correspondingly fewer
-correct digits.
+it.  Orthogonal factors keep every correlator accurate to near roundoff
+of 1, in absolute terms, on both halves: the singular values of C^-1
+reach coth(eps_min / 2T), but |det C| times the volume of any columns of
+C^-1 is the volume of the complementary rows of C, at most 1.  A
+correlator far below 1 has correspondingly fewer correct digits.
 
 The <J_x^4> sum needs one such determinant per gap class (t1, t2, t3) of
 the four sites, about N^3/12 of them.  Each is a principal minor of the
@@ -123,6 +135,23 @@ _EPS = np.finfo(float).eps
 # a multiplier above 1/eps means its pivot is below roundoff of the entries
 # it eliminates, i.e. zero to working precision
 _MULTIPLIER_LIMIT = 1.0 / _EPS
+# order at and below which a block of the halving recursion takes all its
+# leading minors from one stacked QR (_leaf_minors) instead of recursing;
+# chosen by timing var_jx at N = 50, 300 and 1000 and the fallback sum of
+# a window breakdown point at N = 50, best of four: 16 and 20 time alike
+# (within 9 %); 12 is 18 % and 8 31 % slower at N = 50, and 24 and 32
+# are 40-55 % slower on the fallback sum
+_LEAF = 16
+# mantissas in [1/2, 1) whose product stays a normal float: (1/2)^1000 > 2^-1022
+_MANTISSA_RUN = 1000
+# largest difference of the two values of c((N-1)//2) at which the pair
+# correlators take the skew-circulant split (see _pair_correlations).
+# Measured: at most 2.6e-15 at N = 50 and 60, 5.9e-14 at N = 300 and 9.5e-14
+# at N = 1000 where C is regular; 1.9e-5 and more at the zero-mode points of
+# N = 50, and 6.9e-10 at N = 1002, T = 0.05.  Where a zero-mode point agrees
+# to within it (N = 302, T = 0.3; N = 1002, T >= 0.126), the split is within
+# 5.7e-16 of the whole matrix's halving
+_SPLIT_AGREEMENT = 1e-12
 # factor on Hadamard's bound of the classes of a breakdown point; it
 # covers the rounding of the computed bound, a sum of at most N^3/12
 # non-negative terms, each a product of at most N square roots of prefix sums
@@ -202,14 +231,15 @@ def xx_correlation(kern: CorrelationKernel, r: int) -> float:
     """<sx_l sx_{l+r}> as the r x r Toeplitz determinant with entries g_{a-b-1}.
 
     r = 0 returns 1 (same site); valid for 0 <= r <= N-1.  Reads the
-    kernel's correlator array, which one recursive QR halving fills for
-    all r at once (see _pair_correlations).  The error is absolute, near
-    roundoff of 1 whatever the size of the correlator, because the minors
-    come from orthogonal factors, whose minors are at most 1 in
-    magnitude: a correlator of 1e-10 keeps only about six correct digits.
-    Var(J_x) weights them by at most 2N, so its absolute error is at
-    most about N^2 times theirs (1.2e-15 relative against 60-digit
-    arithmetic at N = 60, gamma = 1, h/J = 2, T = 0.05).
+    kernel's correlator array, which two recursive QR halvings of half
+    order fill for all r at once (see _pair_correlations).  The error is
+    absolute, near roundoff of 1 whatever the size of the correlator,
+    because the minors come from orthogonal factors, whose minors are at
+    most 1 in magnitude: a correlator of 1e-10 keeps only about six correct
+    digits.  Var(J_x) weights them by at most 2N, so its absolute error is
+    at most about N^2 times theirs; against the 40-digit reference of
+    tools/mp_reference.py, Var(J_x) and Var(J_y) are within 8.8e-15
+    relative at the nine test grid points, N = 60 and 300.
     """
     return _xx_correlations(kern)[_separation(kern, r)].item()
 
@@ -234,6 +264,12 @@ def _separation(kern: CorrelationKernel, r) -> int:
     return int(r)
 
 
+def _toeplitz(values: np.ndarray, diagonal: int, m: int) -> np.ndarray:
+    # the m x m matrix M[a, b] = values[diagonal + a - b]
+    a = np.arange(m)
+    return values[diagonal + a[:, None] - a[None, :]]
+
+
 def _halving_minors(a: np.ndarray) -> np.ndarray:
     """Leading principal minors det a[:r, :r], r = 1 ... n, of a real n x n matrix.
 
@@ -246,7 +282,8 @@ def _halving_minors(a: np.ndarray) -> np.ndarray:
     h = n // 2 are the leading minors of Q[:h, :h], those of higher order
     the trailing minors of Q[h:, h:], i.e. the leading minors of that
     block reversed in rows and columns, and both blocks recurse down to
-    n <= 2 in closed form: O(n^3) flops, with no division and no pivot.
+    order _LEAF, where one stacked QR gives every minor of a block (see
+    _leaf_minors): O(n^3) flops, with no division and no pivot.
     Every block that recurses is part of an orthogonal matrix, so its
     minors are at most 1 in magnitude and come out with an absolute error
     of a few ulps of 1; minor r of a carries that error times prod |R_ii|.
@@ -258,14 +295,20 @@ def _halving_minors(a: np.ndarray) -> np.ndarray:
 
 def _halve_into(a: np.ndarray, out: np.ndarray) -> None:
     # the recursion of _halving_minors, writing the minors of a into out (a
-    # view of the caller's output, possibly reversed); blocks of order <= 2
-    # write scalars
+    # view of the caller's output, possibly reversed)
+    if len(a) <= _LEAF:
+        out[:] = _leaf_minors(a)
+    else:
+        out *= np.cumprod(_split_into(a, out))
+
+
+def _split_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One level of the halving: factors a = QR and writes Q's leading minors into out.
+
+    Returns R's diagonal, whose cumulative products the caller multiplies
+    in.
+    """
     n = len(a)
-    if n <= 2:
-        out[0] = a[0, 0]
-        if n == 2:
-            out[1] = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        return
     # LAPACK works in column-major order: the C-ordered copy of a's transpose
     # is a in that layout, and the factors come back in it, so qr.T holds R
     # on and above its diagonal after dgeqrf, and Q after dorgqr.  The
@@ -275,7 +318,7 @@ def _halve_into(a: np.ndarray, out: np.ndarray) -> None:
     lwork = 32 * n
     work = np.empty(lwork)
     info = lapack_lite.dgeqrf(n, n, qr, n, tau, work, lwork, 0)["info"]
-    products = np.cumprod(np.diagonal(qr))
+    diagonal = np.diagonal(qr).copy()
     orth_info = lapack_lite.dorgqr(n, n, n, qr, n, tau, work, lwork, 0)["info"]
     if info or orth_info:
         raise RuntimeError(f"LAPACK QR failed: geqrf info {info}, orgqr info {orth_info}")
@@ -290,28 +333,127 @@ def _halve_into(a: np.ndarray, out: np.ndarray) -> None:
     out[-1] = 1.0
     if np.count_nonzero(tau) % 2:  # det Q = -1
         out[h:] *= -1.0
-    out *= products
+    return diagonal
+
+
+@functools.lru_cache(maxsize=_LEAF)
+def _outside_leading_blocks(n: int) -> np.ndarray:
+    # (n, n, n) mask, read-only: entry [j, a, b] is outside the leading
+    # (j+1) x (j+1) block
+    order = np.arange(n)
+    return _read_only(np.maximum.outer(order, order) > order[:, None, None])[0]
+
+
+def _leaf_minors(a: np.ndarray) -> np.ndarray:
+    """Every leading minor of a small block, from one stacked QR.
+
+    Matrix j of the stack is the identity with its leading (j+1) x (j+1)
+    block replaced by a's, so its det is minor j + 1 of a.  One LAPACK
+    dgeqrf of the stack (np.linalg.qr, mode "raw") factors every matrix,
+    and det = prod R_ii times -1 to the number of reflections that are not
+    the identity, the sign rule of the recursion: on the identity's columns
+    there is nothing below the diagonal to reflect, so tau = 0 and R_ii = 1.
+    """
+    stack = np.where(_outside_leading_blocks(len(a)), np.eye(len(a)), a)
+    factors, tau = np.linalg.qr(stack, mode="raw")
+    signs = 1.0 - 2.0 * (np.count_nonzero(tau, axis=-1) % 2)
+    return signs * np.prod(np.diagonal(factors, axis1=-2, axis2=-1), axis=-1)
+
+
+def _binary_cumprod(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative products of x as mantissas m and integer exponents e, m 2^e.
+
+    No product leaves the float range, however many factors there are: the
+    mantissas of x (np.frexp, in [1/2, 1)) multiply in runs of
+    _MANTISSA_RUN, short enough to stay normal floats, each run scaled by
+    the last mantissa of the run before it, renormalized.
+    """
+    mantissas, exponents = np.frexp(x)
+    exponents = np.cumsum(exponents)
+    carry, shift = 1.0, 0
+    for lo in range(0, len(x), _MANTISSA_RUN):
+        run = mantissas[lo:lo + _MANTISSA_RUN]
+        np.cumprod(run, out=run)
+        run *= carry
+        exponents[lo:lo + _MANTISSA_RUN] += shift
+        carry, step = np.frexp(run[-1])
+        shift += int(step)
+    return mantissas, exponents
+
+
+def _inverse_minors(kern: CorrelationKernel, shift: int, m: int) -> np.ndarray | None:
+    """det C times each leading minor of order 1 ... m of C^-1, or None.
+
+    C[a, b] = g_{shift+a-b}, a, b = 0 ... N-1, with g_{j+N} = -g_j, is
+    skew-circulant: the antiperiodic modes diagonalize it, with eigenvalues
+    e^{i(k shift + 2 theta_k)} t_k whose phases cancel in pairs k, -k, so
+    det C = prod t_k, and C^-1 is the kernel sum with theta -> -theta and
+    t -> 1/t, C^-1[a, b] = (1/N) sum_k cos(k (a-b-shift) - 2 theta_k) / t_k,
+    from the same cos(kj) and sin(kj) tables.  Its leading block of order m
+    is factored once (_split_into), and det C times the cumulative products
+    of R's diagonal are carried in mantissas and exponents
+    (_binary_cumprod): det C is 1e-1002 for the XX chain at h/J = 0, N =
+    1000 and temperature 5.  None where some 1/t_k or entry is not finite.
+    """
+    ens = kern.ensemble
+    n = ens.spec.sites
+    cos_kj, sin_kj = _trig_tables(n)
+    cos_2t, sin_2t = ens.modes.double_angle
+    t = ens.polarizations
+    # C^-1[a, b] reads j = a - b - shift in [-(m-1) - shift, m-1 - shift]
+    rows = slice(n - m - shift, n + m - 1 - shift)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inverse_t = 1.0 / t
+        values = (cos_kj[rows] @ (cos_2t * inverse_t) + sin_kj[rows] @ (sin_2t * inverse_t)) / n
+    if not np.isfinite(values).all():
+        return None
+    minors = np.empty(m)
+    diagonal = _split_into(_toeplitz(values, m - 1, m), minors)
+    mantissas, exponents = _binary_cumprod(np.concatenate((t, diagonal)))
+    return np.ldexp(mantissas[n:] * minors, exponents[n:])
 
 
 def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     """Pair correlators of every separation r = 0 ... N-1 (x: shift -1, y: +1).
 
     Correlator r is the leading r x r minor of the (N-1) x (N-1) Toeplitz
-    matrix M[a, b] = g_{shift+a-b}, and _halving_minors gives them all
-    from orthogonal factors: O(N^3) flops with no pivot to break down, so
-    singular matrices and g = 0 (T = inf, exact zeros: every tau and every
-    R_ii is 0) need no fallback.  M is a block of the Majorana correlation
-    matrix, whose singular values tanh(eps_k / 2T) are at most 1, so every
-    prod |R_ii| is at most 1 too, and the error of every correlator is
-    absolute, near roundoff of 1 (at most 5.4e-15 at four N = 60 points
-    measured against 60-digit arithmetic), not relative to the correlator.
+    matrix M[a, b] = g_{shift+a-b}, and _halving_minors gives them from
+    orthogonal factors, with no pivot to break down.  M is the leading
+    block of the skew-circulant C of order N (see _inverse_minors), so by
+    Jacobi's complementary-minor identity c(r) = det C * det C^-1[r:, r:],
+    and C^-1 is Toeplitz too: its trailing block of order N-r is its
+    leading one.  So the halving of M's leading block of order h = (N-1)//2
+    gives c(1) ... c(h), and that of C^-1's leading block of order N-h
+    gives c(h) ... c(N-1): two halvings of half order, about a quarter of
+    the flops of one of order N-1.
+    Both give c(h), and the split is taken only where they agree to
+    _SPLIT_AGREEMENT.  Elsewhere C is singular to working precision (at
+    infinite temperature, where g = 0 and every t_k = 0, or at the zero
+    mode of the XX chain at h/J = 0 and N = 2 mod 4, where t_k of k = pi/2
+    is roundoff), and the whole matrix M takes one halving, which needs no
+    inverse: at N = 50 the split is off by up to 2.7e-2 there.
+    M is a block of the Majorana correlation matrix, whose singular values
+    tanh(eps_k / 2T) are at most 1, so every prod |R_ii| of its
+    halving is at most 1 too, and the error of every correlator is
+    absolute, near roundoff of 1, not relative to the correlator.  The
+    singular values of C^-1 reach coth(eps_min / 2T), but the error of
+    the second half stays absolute all the same: |det C| times the volume
+    of any set of columns of C^-1 is the volume of the complementary rows
+    of C (Jacobi again), at most 1, and the leading columns of C^-1's block
+    have at most the volume of the columns they are cut from, so |det C|
+    prod_{i<=r} |R_ii| <= 1 for every r.
     Householder reflections take norms, which are not complex-analytic:
     the kernel must be real.
     """
     n = kern.ensemble.spec.sites
-    a = np.arange(n - 1)
-    mat = np.asarray_chkfinite(kern._g[kern._off + shift + a[:, None] - a[None, :]])
-    return np.concatenate(([1.0], _halving_minors(mat)))
+    g = np.asarray_chkfinite(kern._g)
+    h = (n - 1) // 2
+    tail = _inverse_minors(kern, shift, n - h)
+    if tail is not None:
+        lead = _halving_minors(_toeplitz(g, kern._off + shift, h))
+        if abs(tail[-1] - lead[-1]) <= _SPLIT_AGREEMENT:
+            return np.concatenate(([1.0], lead, tail[-2::-1]))
+    return np.concatenate(([1.0], _halving_minors(_toeplitz(g, kern._off + shift, n - 1))))
 
 
 def _xx_correlations(kern: CorrelationKernel) -> np.ndarray:
@@ -353,8 +495,7 @@ def var_jx_slope(kern: CorrelationKernel) -> float:
     n = ens.spec.sites
     step = 2.0**-64  # a power of two, so scaling by it is exact
     stepped = kern._g + 1j * step * _contractions(ens, ens.polarization_slopes)
-    a = np.arange(n - 1)
-    pairs = stepped[kern._off - 1 + a[:, None] - a[None, :]]
+    pairs = _toeplitz(stepped, kern._off - 1, n - 1)
     corr = np.array([np.linalg.det(pairs[:r, :r]) for r in range(n)])
     return (n + _pair_sum(corr)).imag / step
 
@@ -514,8 +655,7 @@ def _schur_snapshots(kern: CorrelationKernel) -> tuple[np.ndarray, np.ndarray] |
     ends = np.cumsum(orders * orders)
     store = np.zeros(ends[-1] + 2 * (n - 2))
     store[-(n - 2)] = 1.0
-    a = np.arange(n - 1)
-    block = kern._g[kern._off - 1 + a[:, None] - a[None, :]]
+    block = _toeplitz(kern._g, kern._off - 1, n - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for order, end in zip(orders.tolist(), ends.tolist()):
             col = block[1:, 0] / block[0, 0]

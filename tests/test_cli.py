@@ -259,6 +259,18 @@ def test_unreadable_config_exits_two(tmp_path):
     assert run_cli("validate", "--config", str(cfg)).returncode == 2
 
 
+@pytest.mark.parametrize("value", (None, 3, ["x.csv"]))
+def test_config_out_must_be_a_path_string(tmp_path, value):
+    # str() would take any of these: null wrote the table to a file named None
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"out": value}))
+    proc = run_cli("tscan", "--config", str(cfg), "--temp", "0.3", "--sites", "6",
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: config file {cfg}: bad value for 'out'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+
 def test_unwritable_out_exits_two(tmp_path):
     # a file in a directory that does not exist, and a directory to resume into
     for args in (("tscan", "--temp", "0.3", "--out", str(tmp_path / "missing" / "x.csv")),

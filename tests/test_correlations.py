@@ -5,7 +5,9 @@ The frozen literals below were produced by the dense reference implementation
 live cross-checks against the same reference run next to them at small N.
 """
 import collections
+import importlib.util
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -14,6 +16,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from xythermo import cli, correlations, faraday, oracle, thermometry
 from xythermo.spectrum import ChainSpec
@@ -121,15 +124,16 @@ def test_memoized_tables_are_read_only():
 
 
 def test_sweep_builds_the_tables_once(capsys):
-    # 6 points, each one kernel and one slope kernel of var_jx_slope: 12
-    # builds and a single miss
+    # 6 points, each one kernel, one inverse kernel of the pair correlators'
+    # skew-circulant split and one slope kernel of var_jx_slope: 18 reads
+    # and a single miss
     correlations._trig_tables.cache_clear()
     code = cli.main(["tscan", "--gamma", "0.5", "--field", "0.8", "--temp", "0.1:2:6:log",
                      "--sites", "30", "--obs", "crb,varjx,meanjz"])
     assert code == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 7
     info = correlations._trig_tables.cache_info()
-    assert (info.misses, info.hits) == (1, 11)
+    assert (info.misses, info.hits) == (1, 17)
 
 
 # ---- two-point correlations ----------------------------------------------------
@@ -711,16 +715,23 @@ def test_halving_minors_match_one_det_per_order(n):
 
 
 def _scipy_halving_minors(a):
-    # the halving recursion as it was, with scipy.linalg.lapack's QR: the
-    # reference for the package's calls through numpy.linalg.lapack_lite
+    # the halving recursion, with scipy.linalg.lapack's QR, one matrix at a
+    # time at the leaves: the reference for the package's calls through
+    # numpy.linalg.lapack_lite and np.linalg.qr
     from scipy.linalg import lapack
 
     def halve_into(a, out):
         n = len(a)
-        if n <= 2:
-            out[0] = a[0, 0]
-            if n == 2:
-                out[1] = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        if n <= correlations._LEAF:
+            # matrix j: the identity around a's leading (j+1) x (j+1) block
+            stack = np.broadcast_to(np.eye(n), (n, n, n)).copy()
+            for j in range(n):
+                stack[j, :j + 1, :j + 1] = a[:j + 1, :j + 1]
+            factors = [lapack.dgeqrf(m) for m in stack]
+            assert all(info == 0 for *_, info in factors)
+            diagonals = np.array([np.diagonal(qr) for qr, *_ in factors])
+            signs = 1.0 - 2.0 * np.array([np.count_nonzero(tau) % 2 for _, tau, *_ in factors])
+            out[:] = signs * np.prod(diagonals, axis=-1)
             return
         qr, tau, _, info = lapack.dgeqrf(a, lwork=32 * n)
         products = np.cumprod(np.diagonal(qr))
@@ -819,6 +830,99 @@ def test_pair_correlators_are_accurate_in_absolute_terms(gamma, field, T):
     got = correlations._xx_correlations(kern)
     assert np.max(np.abs(got - np.array([float(x) for x in exact]))) <= 2e-15
     assert abs(correlations.var_jx(kern) - float(var_exact)) <= 1e-14 * float(var_exact)
+
+
+def test_pair_variances_match_the_40_digit_reference():
+    # tools/mp_reference.py: Var(J_x) and Var(J_y) from occupations and
+    # kernel in mpmath and fixed-point Givens minors, at every PAIR_GRID
+    # point for N = 60 and 300.  Unlike the 60-digit minors of the float
+    # kernel above, it holds where the true correlators vanish below the
+    # kernel's rounding, as at (0, 2, 0.05)
+    with open(os.path.join(os.path.dirname(__file__), "pair_reference.json")) as fh:
+        points = json.load(fh)["points"]
+    grid = {(p["gamma"], p["field_ratio"], float(p["temperature"])) for p in points}
+    assert grid == set(PAIR_GRID) and {p["sites"] for p in points} == {60, 300}
+    for p in points:
+        kern = correlations.kernel(_ens(gamma=p["gamma"], field_ratio=p["field_ratio"],
+                                        sites=p["sites"], T=float(p["temperature"])))
+        for name in ("var_jx", "var_jy"):
+            exact = mpmath.mpf(p[name])
+            assert abs(getattr(correlations, name)(kern) - exact) <= 1e-14 * exact, (p, name)
+
+
+def test_40_digit_reference_method_matches_the_dense_oracle():
+    # the reference's own route (mpmath kernel, fixed-point Givens minors)
+    # against exact diagonalization of the 8-site matched ring, with
+    # var_jy(gamma) read as var_jx(-gamma)
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "mp_reference.py")
+    spec = importlib.util.spec_from_file_location("mp_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    n = 8
+    for gamma, field, T in PAIR_GRID[:-1]:
+        g = reference.kernel(n, gamma, field, T)
+        for shift, sign in ((-1, 1.0), (+1, -1.0)):
+            dense = oracle.build(ChainSpec(gamma=sign * gamma, field_ratio=field, sites=n),
+                                 oracle.MATCHED)
+            want = oracle.oracle_var_jx(dense, T)
+            assert float(reference.variance(n, g, shift)) == pytest.approx(want, rel=1e-12), (
+                gamma, field, T, shift)
+
+
+def _whole_matrix_correlators(kern, shift):
+    # every correlator from one halving of the (N-1) x (N-1) pair matrix
+    n = kern.ensemble.spec.sites
+    pairs = correlations._toeplitz(kern._g, kern._off + shift, n - 1)
+    return np.concatenate(([1.0], correlations._halving_minors(pairs)))
+
+
+@pytest.mark.parametrize("T", cli.parse_axis("0.05:5:6:log"))
+def test_zero_mode_points_take_the_whole_matrix_halving(T):
+    # gamma = 0, h/J = 0 and N = 50 = 2 (mod 4): k = pi/2 is on the grid and
+    # its t_k is roundoff, so C is singular to working precision; the two
+    # values of c(h) disagree and every correlator comes from the whole
+    # matrix, bit for bit, at every temperature of a tscan sweep
+    n, h = 50, 24
+    kern = correlations.kernel(_ens(gamma=0.0, field_ratio=0.0, sites=n, T=T))
+    for shift in (-1, +1):
+        lead = correlations._halving_minors(correlations._toeplitz(kern._g, kern._off + shift, h))
+        tail = correlations._inverse_minors(kern, shift, n - h)
+        assert tail is None or not abs(tail[-1] - lead[-1]) <= correlations._SPLIT_AGREEMENT
+        assert np.array_equal(correlations._pair_correlations(kern, shift),
+                              _whole_matrix_correlators(kern, shift)), (T, shift)
+
+
+@pytest.mark.parametrize("sites, log10_det", ((300, -300.3), (1000, -1002.3)))
+def test_split_stays_in_range_where_det_c_underflows(sites, log10_det, monkeypatch):
+    # the gapless XX chain at T = 5: det C = prod t_k is 1e-300 (N = 300) and
+    # 1e-1002 (N = 1000, below the float range), and 1/t_min reaches 480
+    # and 1600; the split is taken, no halving above order h, and every
+    # correlator is finite and within 2e-15 of the whole matrix's halving
+    ens = _ens(gamma=0.0, field_ratio=0.0, sites=sites, T=5.0)
+    assert np.log10(ens.polarizations).sum() == pytest.approx(log10_det, abs=0.05)
+    kern = correlations.kernel(ens)
+    halving, orders = correlations._halving_minors, []
+    monkeypatch.setattr(correlations, "_halving_minors", lambda a: orders.append(len(a)) or
+                        halving(a))
+    for shift in (-1, +1):
+        got = correlations._pair_correlations(kern, shift)
+        assert orders == [(sites - 1) // 2], shift
+        want = _whole_matrix_correlators(kern, shift)
+        orders.clear()
+        assert np.isfinite(got).all() and np.max(np.abs(got - want)) <= 2e-15, shift
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None, database=None)
+@given(half_sites=st.integers(3, 30), gamma=st.floats(-1.0, 1.0),
+       field=st.floats(0.0, 2.0), log10_T=st.floats(-1.3, 0.7))
+def test_var_jy_is_var_jx_at_flipped_anisotropy_for_any_point(half_sites, gamma, field, log10_T):
+    # whichever route each takes: split, or whole matrix at a zero mode
+    n, T = 2 * half_sites, 10.0 ** log10_T
+    kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
+    flipped = correlations.kernel(_ens(gamma=-gamma, field_ratio=field, sites=n, T=T))
+    assert correlations.var_jy(kern) == pytest.approx(correlations.var_jx(flipped), rel=1e-13)
 
 
 def test_quad_sum_takes_pair_correlators_from_its_pivots():

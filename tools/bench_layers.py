@@ -2,8 +2,11 @@
 
 Times ``correlations.fourth_moment_from_kernel`` (regular and breakdown
 points at N = 14, 50 and 100, gamma < 0 points at N = 50 and 100, a point
-where one window stack breaks down at N = 50, one regular point at N = 200), ``var_jx`` (N = 50 to 1000), ``var_jx_slope`` and
-``kernel`` (N = 50 to 1000), and at N = 50 the per-point layers of a
+where one window stack breaks down at N = 50, one regular point at N =
+200), ``var_jx`` (N = 50 to 1000, the gapless XX chain at T = 5 and N =
+300, and a zero-mode point at N = 50), ``var_jy`` (N = 300),
+``var_jx_slope`` and ``kernel`` (N = 50 to 1000), and at N = 50 the
+per-point layers of a
 ``phase-diagram`` sweep: ``thermometry.ensemble``, ``var_jz`` (uniform and
 half probe) and ``mean_jz_slope``, for one or more source trees, and writes
 the medians to a JSON file together with the core count and the BLAS in use.
@@ -69,7 +72,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # gap class takes orthogonal minors unless a bound certifies them
 # negligible, as it does not at N = 14 on the gamma = -1, h/J = 0 line; at
 # the "window breakdown" point, from the tscan-quartic benchmark, the pair
-# matrix does not break down but one stack of its Schur windows does
+# matrix does not break down but one stack of its Schur windows does.  The
+# "gapless" var_jx point has t_min = 2e-3 and det C = 1e-300 for the
+# skew-circulant split of the pair correlators; at the "zero mode" point (N
+# = 2 mod 4, gamma = 0, h/J = 0) C is singular to working precision and the
+# whole pair matrix takes one halving
 GRID = (
     ("fourth_moment_from_kernel", 14, -1.0, 0.0, 0.3, "breakdown"),
     ("fourth_moment_from_kernel", 50, 1.0, 0.5, 0.3, "regular"),
@@ -88,6 +95,9 @@ GRID = (
     ("var_jx", 100, 1.0, 0.5, 0.3, "regular"),
     ("var_jx", 300, 1.0, 0.5, 0.3, "regular"),
     ("var_jx", 1000, 1.0, 0.5, 0.3, "regular"),
+    ("var_jx", 300, 0.0, 0.0, 5.0, "gapless"),
+    ("var_jx", 50, 0.0, 0.0, 0.126, "zero mode"),
+    ("var_jy", 300, 1.0, 0.5, 0.3, "regular"),
     ("var_jx_slope", 50, 1.0, 0.5, 0.3, "regular"),
     ("var_jx_slope", 100, 1.0, 0.5, 0.3, "regular"),
     ("var_jx_slope", 300, 1.0, 0.5, 0.3, "regular"),

@@ -10,7 +10,11 @@ with every probe option, the same sweep from a ``--config`` file (alone,
 and as CSV with ``--sites`` overriding the file), the plateau sweep, which
 exits 3 partway, and ``validate``.
 Each mismatch with the first tree is printed, and the exit code is 1 if
-there is any:
+there is any.  Where both outputs are tables (CSV, or JSON with columns
+and rows) of the same shape, each numeric column that moved is printed
+with its largest relative move |v - v0| / |v0| against the first tree's
+v0 (inf where v0 = 0) and its largest absolute move, so that a change
+that moves numbers can state by how much:
 
     git archive --prefix=parent/ HEAD~1 | tar x -C /tmp
     python tools/compare_outputs.py --tree parent=/tmp/parent/src --tree change=src
@@ -22,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -59,8 +64,46 @@ def _runs(config: str) -> dict[str, list[str]]:
     return runs | {name: line.format(config=config).split() for name, line in EXTRA.items()}
 
 
-def _run_all(tmp: str) -> dict[str, tuple[str, int]]:
-    # (sha256 of stdout, exit code) of every run, with the tree on sys.path
+def _table(text: str) -> dict[str, list[float]] | None:
+    # the numeric columns of a CSV or JSON table; None for any other output
+    try:
+        doc = json.loads(text)
+        columns, rows = doc["columns"], doc["rows"]
+    except (ValueError, TypeError, KeyError):
+        lines = text.splitlines()
+        if not lines or "," not in lines[0]:
+            return None
+        columns, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    table = {}
+    for i, name in enumerate(columns):
+        try:
+            table[name] = [float(row[i]) for row in rows]
+        except (ValueError, TypeError, IndexError):
+            pass  # not a numeric column
+    return table
+
+
+def _moves(table: dict[str, list[float]], base: dict[str, list[float]]) -> list[str]:
+    # per column that moved: its largest relative and absolute move from base
+    if table.keys() != base.keys() or any(len(table[k]) != len(base[k]) for k in base):
+        return ["tables differ in shape"]
+    lines = []
+    for name, values in table.items():
+        # a NaN on one side only moved by inf; NaN on both did not move
+        moved = [(v, v0) for v, v0 in zip(values, base[name])
+                 if v != v0 and not (math.isnan(v) and math.isnan(v0))]
+        if moved:
+            absolute = [abs(v - v0) if not math.isnan(v - v0) else math.inf for v, v0 in moved]
+            rel = max(a / abs(v0) if abs(v0) > 0 else math.inf
+                      for a, (_, v0) in zip(absolute, moved))
+            lines.append(f"{name}: {len(moved)} value(s) moved, largest relative move "
+                         f"{rel:.3g}, absolute {max(absolute):.3g}")
+    return lines
+
+
+def _run_all(tmp: str) -> dict[str, tuple[str, int, dict | None]]:
+    # (sha256 of stdout, exit code, numeric columns) of every run, with the
+    # tree on sys.path
     from xythermo import cli
 
     config = os.path.join(tmp, "sweep.json")
@@ -74,7 +117,8 @@ def _run_all(tmp: str) -> dict[str, tuple[str, int]]:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
-        results[name] = (hashlib.sha256(out.getvalue().encode()).hexdigest(), code)
+        text = out.getvalue()
+        results[name] = (hashlib.sha256(text.encode()).hexdigest(), code, _table(text))
     return results
 
 
@@ -102,11 +146,15 @@ def main(argv=None) -> int:
     (first, base), *others = results.items()
     mismatches = 0
     for label, runs in others:
-        for name, (digest, code) in runs.items():
-            if [digest, code] != base[name]:
+        for name, (digest, code, table) in runs.items():
+            base_digest, base_code, base_table = base[name]
+            if (digest, code) != (base_digest, base_code):
                 mismatches += 1
-                print(f"{label} differs from {first}: {name}: exit {code} vs {base[name][1]}, "
-                      f"stdout {digest[:12]} vs {base[name][0][:12]}")
+                print(f"{label} differs from {first}: {name}: exit {code} vs {base_code}, "
+                      f"stdout {digest[:12]} vs {base_digest[:12]}")
+                if table is not None and base_table is not None:
+                    for line in _moves(table, base_table):
+                        print(f"    {line}")
     print(f"{mismatches} mismatch(es) over {len(base)} runs")
     return 1 if mismatches else 0
 
