@@ -84,13 +84,18 @@ pair at sites (l, m), l < m, correlates through the determinant at linear
 separation m - l even when the ring distance N - (m - l) is shorter.  Pair
 sums below therefore weight separation d by 2(N - d) instead of assuming
 ring symmetry; this reproduces the dense matrix values to machine precision
-at any size, and differs from the physical periodic chain only by the
-boundary term both descriptions shed in the large-N limit.
+at any size.  It is not the physical periodic chain, and the difference is
+not a boundary term: the matched ring admits single domain walls at cost
+e^{-Delta/T}, the physical ring only pairs of them, so the two agree only
+once N >> e^{Delta/T}.  In the ordered phase at low T that is no ring this
+package runs: the Cramer-Rao ceiling at (gamma, h/J, T) = (1, 0.5, 0.05),
+N = 50, is 9.6e7 times the physical ring's, and 2.4e15 times at (1, 0, 0.05).
 """
 from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -159,33 +164,42 @@ _SPLIT_AGREEMENT = 1e-12
 _ROUNDING_MARGIN = 2.0
 
 
+@dataclass(frozen=True, eq=False)
 class CorrelationKernel:
-    """The g_j vector for one ensemble, plus its <sx sx> and <sy sy> correlators.
+    """The g_j vector of one ensemble, plus its <sx sx> and <sy sy> correlators.
 
-    The correlators of every separation along one axis are computed
-    together, once, on first use, to an absolute accuracy near roundoff of
-    1 (see _pair_correlations); xx_correlation, var_jx and the pair sum of
-    fourth_moment_from_kernel read the x array, yy_correlation and var_jy
-    the y array.
+    g holds g_j for j = -(N-1) ... N-1 (g_0 at g[N-1]) and is made
+    read-only.  The correlators of every separation along one axis are
+    computed together, once, on first read, to an absolute accuracy near
+    roundoff of 1 (see _pair_correlations); xx_correlation, var_jx and the
+    pair sum of fourth_moment_from_kernel read xx, yy_correlation and
+    var_jy read yy.
     """
 
-    __slots__ = ("ensemble", "_g", "_off", "_xx", "_yy")
+    ensemble: ThermalEnsemble
+    g: np.ndarray
 
-    def __init__(self, ensemble: ThermalEnsemble, values: np.ndarray):
-        n = ensemble.spec.sites
-        if values.shape != (2 * n - 1,):
-            raise ValueError(f"need 2N-1 coefficients, got shape {values.shape}")
-        self.ensemble = ensemble
-        self._g = values
-        self._off = n - 1  # position of j = 0
-        self._xx: np.ndarray | None = None  # <sx_0 sx_r>, r = 0 ... N-1
-        self._yy: np.ndarray | None = None  # <sy_0 sy_r>, r = 0 ... N-1
+    def __post_init__(self) -> None:
+        n = self.ensemble.spec.sites
+        if self.g.shape != (2 * n - 1,):
+            raise ValueError(f"need 2N-1 coefficients, got shape {self.g.shape}")
+        _read_only(self.g)
+
+    @functools.cached_property
+    def xx(self) -> np.ndarray:
+        """<sx_0 sx_r>, r = 0 ... N-1, read-only."""
+        return _read_only(_pair_correlations(self, shift=-1))[0]
+
+    @functools.cached_property
+    def yy(self) -> np.ndarray:
+        """<sy_0 sy_r>, r = 0 ... N-1, read-only."""
+        return _read_only(_pair_correlations(self, shift=+1))[0]
 
     def coefficient(self, j: int) -> float:
         n = self.ensemble.spec.sites
         if not (-(n - 1) <= j <= n - 1 and j == int(j)):
             raise ValueError(f"j must be an integer in [-(N-1), N-1], got {j}")
-        return float(self._g[self._off + int(j)])
+        return float(self.g[n - 1 + int(j)])
 
 
 @functools.lru_cache(maxsize=1)
@@ -197,21 +211,26 @@ def _trig_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.cos(kj), np.sin(kj))
 
 
-def _contractions(ens: ThermalEnsemble, t: np.ndarray) -> np.ndarray:
-    """g_j = (1/N) sum_k cos(k j + 2 theta_k) t_k for j = -(N-1) ... N-1.
+def _contractions(ens: ThermalEnsemble, t: np.ndarray, rows: slice = slice(None),
+                  angle_sign: float = 1.0) -> np.ndarray:
+    """(1/N) sum_k cos(k j + 2 s theta_k) t_k, s = angle_sign, on rows of j = -(N-1) ... N-1.
 
-    The kernel reads t from the ensemble's polarizations t_k = 1 - 2 n_k,
-    and var_jx_slope from its polarization_slopes T dt_k/dT.  By the
-    angle-sum formula g = (cos(kj) @ a - sin(kj) @ b) / N with the O(N)
-    products a = cos(2 theta) t and b = sin(2 theta) t, whose cos(2 theta)
-    and sin(2 theta) the mode table holds; the (2N-1) x N tables come from
-    the memo of _trig_tables, which keeps the last ring size's pair alive
-    (2(2N-1)N floats: 2.9 MB at N = 300, 32 MB at N = 1000) and rebuilds
-    them only when N changes.
+    The one mode transform of the module: the kernel's g reads t from the
+    ensemble's polarizations t_k = 1 - 2 n_k, var_jx_slope's vector their
+    slopes T dt_k/dT, and _inverse_minors the entries of C^-1 with theta
+    -> -theta (angle_sign -1) and t -> 1/t, on the rows it needs.  By the
+    angle-sum formula the sum is (cos(kj) @ a - sin(kj) @ b) / N with the
+    O(N) products a = cos(2 theta) t and b = angle_sign sin(2 theta) t,
+    whose cos(2 theta) and sin(2 theta) the mode table holds; the (2N-1) x
+    N tables come from the memo of _trig_tables, which keeps the last ring
+    size's pair alive (2(2N-1)N floats: 2.9 MB at N = 300, 32 MB at N =
+    1000) and rebuilds them only when N changes.  The rows are sliced
+    before the products: slicing the full product moves last bits.
     """
     cos_kj, sin_kj = _trig_tables(ens.spec.sites)
     cos_2t, sin_2t = ens.modes.double_angle
-    return (cos_kj @ (cos_2t * t) - sin_kj @ (sin_2t * t)) / ens.spec.sites
+    return (cos_kj[rows] @ (cos_2t * t)
+            - sin_kj[rows] @ (angle_sign * sin_2t * t)) / ens.spec.sites
 
 
 def kernel(ens: ThermalEnsemble) -> CorrelationKernel:
@@ -241,7 +260,7 @@ def xx_correlation(kern: CorrelationKernel, r: int) -> float:
     tools/mp_reference.py, Var(J_x) and Var(J_y) are within 8.8e-15
     relative at the nine test grid points, N = 60 and 300.
     """
-    return _xx_correlations(kern)[_separation(kern, r)].item()
+    return kern.xx[_separation(kern, r)].item()
 
 
 def yy_correlation(kern: CorrelationKernel, r: int) -> float:
@@ -253,7 +272,7 @@ def yy_correlation(kern: CorrelationKernel, r: int) -> float:
     the kernel's y correlator array, filled as the x one is (see
     xx_correlation).
     """
-    return _yy_correlations(kern)[_separation(kern, r)].item()
+    return kern.yy[_separation(kern, r)].item()
 
 
 def _separation(kern: CorrelationKernel, r) -> int:
@@ -389,22 +408,18 @@ def _inverse_minors(kern: CorrelationKernel, shift: int, m: int) -> np.ndarray |
     e^{i(k shift + 2 theta_k)} t_k whose phases cancel in pairs k, -k, so
     det C = prod t_k, and C^-1 is the kernel sum with theta -> -theta and
     t -> 1/t, C^-1[a, b] = (1/N) sum_k cos(k (a-b-shift) - 2 theta_k) / t_k,
-    from the same cos(kj) and sin(kj) tables.  Its leading block of order m
-    is factored once (_split_into), and det C times the cumulative products
-    of R's diagonal are carried in mantissas and exponents
+    the kernel's own mode transform (_contractions).  Its leading block of
+    order m is factored once (_split_into), and det C times the cumulative
+    products of R's diagonal are carried in mantissas and exponents
     (_binary_cumprod): det C is 1e-1002 for the XX chain at h/J = 0, N =
     1000 and temperature 5.  None where some 1/t_k or entry is not finite.
     """
-    ens = kern.ensemble
-    n = ens.spec.sites
-    cos_kj, sin_kj = _trig_tables(n)
-    cos_2t, sin_2t = ens.modes.double_angle
-    t = ens.polarizations
+    n = kern.ensemble.spec.sites
+    t = kern.ensemble.polarizations
     # C^-1[a, b] reads j = a - b - shift in [-(m-1) - shift, m-1 - shift]
     rows = slice(n - m - shift, n + m - 1 - shift)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inverse_t = 1.0 / t
-        values = (cos_kj[rows] @ (cos_2t * inverse_t) + sin_kj[rows] @ (sin_2t * inverse_t)) / n
+        values = _contractions(kern.ensemble, 1.0 / t, rows, angle_sign=-1.0)
     if not np.isfinite(values).all():
         return None
     minors = np.empty(m)
@@ -446,26 +461,14 @@ def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     the kernel must be real.
     """
     n = kern.ensemble.spec.sites
-    g = np.asarray_chkfinite(kern._g)
+    g = np.asarray_chkfinite(kern.g)
     h = (n - 1) // 2
     tail = _inverse_minors(kern, shift, n - h)
     if tail is not None:
-        lead = _halving_minors(_toeplitz(g, kern._off + shift, h))
+        lead = _halving_minors(_toeplitz(g, n - 1 + shift, h))
         if abs(tail[-1] - lead[-1]) <= _SPLIT_AGREEMENT:
             return np.concatenate(([1.0], lead, tail[-2::-1]))
-    return np.concatenate(([1.0], _halving_minors(_toeplitz(g, kern._off + shift, n - 1))))
-
-
-def _xx_correlations(kern: CorrelationKernel) -> np.ndarray:
-    if kern._xx is None:
-        kern._xx = _pair_correlations(kern, shift=-1)
-    return kern._xx
-
-
-def _yy_correlations(kern: CorrelationKernel) -> np.ndarray:
-    if kern._yy is None:
-        kern._yy = _pair_correlations(kern, shift=+1)
-    return kern._yy
+    return np.concatenate(([1.0], _halving_minors(_toeplitz(g, n - 1 + shift, n - 1))))
 
 
 def _pair_sum(corr: np.ndarray) -> float:
@@ -477,7 +480,7 @@ def _pair_sum(corr: np.ndarray) -> float:
 
 def var_jx(kern: CorrelationKernel) -> float:
     """Variance of J_x = sum_l sx_l; equals <J_x^2> since <J_x> = 0."""
-    return kern.ensemble.spec.sites + _pair_sum(_xx_correlations(kern))
+    return kern.ensemble.spec.sites + _pair_sum(kern.xx)
 
 
 def var_jx_slope(kern: CorrelationKernel) -> float:
@@ -494,15 +497,15 @@ def var_jx_slope(kern: CorrelationKernel) -> float:
     ens = kern.ensemble
     n = ens.spec.sites
     step = 2.0**-64  # a power of two, so scaling by it is exact
-    stepped = kern._g + 1j * step * _contractions(ens, ens.polarization_slopes)
-    pairs = _toeplitz(stepped, kern._off - 1, n - 1)
+    stepped = kern.g + 1j * step * _contractions(ens, ens.polarization_slopes)
+    pairs = _toeplitz(stepped, n - 2, n - 1)
     corr = np.array([np.linalg.det(pairs[:r, :r]) for r in range(n)])
     return (n + _pair_sum(corr)).imag / step
 
 
 def var_jy(kern: CorrelationKernel) -> float:
     """Variance of J_y; satisfies var_jy(gamma) = var_jx(-gamma) exactly."""
-    return kern.ensemble.spec.sites + _pair_sum(_yy_correlations(kern))
+    return kern.ensemble.spec.sites + _pair_sum(kern.yy)
 
 
 def _check_modulation(modulation: str) -> None:
@@ -566,19 +569,17 @@ def var_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     removes the cross term.  Exactly 0 in a frozen chain.  The rotation
     comes from the mode table, n and t = 1 - 2 n from the ensemble.  k + q
     is a shift of the grid's index (see _structure_terms): none for q = 0,
-    and N/2 for q = pi, where the half probe takes the terms of S(0) and
-    S(pi) side by side, from the modes twice against the modes at k and at
-    k + pi.
+    and N/2 for q = pi, the mode rows rolled by N/2.
     """
     _check_modulation(modulation)
     rows = (*ens.modes.rotation, ens.occupations, ens.polarizations)
+    s0 = 2.0 * float(_structure_terms(rows, rows).sum())
     if modulation == "uniform":
-        return 2.0 * float(_structure_terms(rows, rows).sum())
-    size, h = ens.spec.sites, ens.spec.sites // 2
-    modes = np.array(rows)
-    terms = _structure_terms(np.concatenate((modes, modes), axis=1),
-                             np.concatenate((modes, modes[:, h:], modes[:, :h]), axis=1))
-    return 0.25 * (2.0 * float(terms[:size].sum()) + 2.0 * float(terms[size:].sum()))
+        return s0
+    # the rows rolled by N/2, by two slices: a fifth of the time of np.roll
+    modes, h = np.array(rows), ens.spec.sites // 2
+    s_pi = 2.0 * float(_structure_terms(modes, np.hstack((modes[:, h:], modes[:, :h]))).sum())
+    return 0.25 * (s0 + s_pi)
 
 
 def _leading_minors(mats: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
@@ -655,7 +656,7 @@ def _schur_snapshots(kern: CorrelationKernel) -> tuple[np.ndarray, np.ndarray] |
     ends = np.cumsum(orders * orders)
     store = np.zeros(ends[-1] + 2 * (n - 2))
     store[-(n - 2)] = 1.0
-    block = _toeplitz(kern._g, kern._off - 1, n - 1)
+    block = _toeplitz(kern.g, n - 2, n - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for order, end in zip(orders.tolist(), ends.tolist()):
             col = block[1:, 0] / block[0, 0]
@@ -703,7 +704,7 @@ def _quad_index(kern: CorrelationKernel, t1: np.ndarray, t2: int,
     # t1 in the column t1, with B sites [0, t1) u [t1+t2, N-1); the leading
     # minor of order t1 + t3 of that matrix is gap class (t1, t2, t3)
     b_sites = order - 1 + np.where(order > t1, t2, 0)
-    return kern._off - 1 + b_sites[:, :, None] - b_sites[:, None, :]
+    return kern.ensemble.spec.sites - 2 + b_sites[:, :, None] - b_sites[:, None, :]
 
 
 def _hadamard_products(kern: CorrelationKernel, t1: np.ndarray, t2: int,
@@ -717,7 +718,7 @@ def _hadamard_products(kern: CorrelationKernel, t1: np.ndarray, t2: int,
     sum of squares along a row of the m x m matrix, never a difference of
     two sums.  O(m^2) flops per matrix.
     """
-    norms = np.sqrt(np.cumsum(np.square(kern._g)[_quad_index(kern, t1, t2, order)], axis=2))
+    norms = np.sqrt(np.cumsum(np.square(kern.g)[_quad_index(kern, t1, t2, order)], axis=2))
     # norms[b, i, k-1] is the norm of row i of the leading k x k block, and
     # the bound of order k is the product over its rows i < k
     norms[:, order[:, None] > order] = 1.0
@@ -760,7 +761,7 @@ def _fallback_sum(kern: CorrelationKernel) -> float:
         return 0.0
     total = 0.0
     for t1, t2, order, weights in stacks:
-        mats = kern._g[_quad_index(kern, t1, t2, order)]
+        mats = kern.g[_quad_index(kern, t1, t2, order)]
         total += float(np.sum(weights * np.array([_halving_minors(mat) for mat in mats])))
     return total
 
@@ -829,7 +830,7 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     store, starts = snapshots
     # c(t) for t = 0 ... N-3: products of the pivots T[0, 0] = g_{-1} and
     # Sigma_t[0, 0], t = 1 ... N-4
-    pairs = np.cumprod(np.concatenate(([1.0, kern._g[kern._off - 1]], store[starts[:-1]])))
+    pairs = np.cumprod(np.concatenate(([1.0, kern.g[n - 2]], store[starts[:-1]])))
     # the windows (t3, t2) of every outer gap t3, of order min(t3,
     # N-1-t3-t2), largest first
     t3, t2 = np.nonzero(np.add.outer(np.arange(n - 3), np.arange(n - 3)) <= n - 4)
@@ -863,25 +864,25 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     The all-distinct quadruple sum comes from one elimination of the pair
     matrix, whose Schur-complement snapshots times the pair correlators
     give every gap class, and one blocked elimination per stack of Schur
-    windows (see _nested_quad_sum): O(N^5) flops, 5.3-5.7 ms at N = 50,
-    36-38 ms at N = 100 and 0.51-0.57 s at N = 200 (BENCH_13.json).  A
-    breakdown is a pivot that is zero to working precision, as at T = inf
-    (g = 0), on the gamma = -1, h/J = 0 line (every pair matrix singular)
-    and in the cold XX chain polarized by h/J > 1.  Where any elimination
-    breaks down, the pair matrix's at any step or a window stack's, the
-    whole quadruple sum comes from _fallback_sum instead: it is 0 if
-    Hadamard's inequality certifies that the classes move the result by
-    less than one ulp of N + 3N(N-1), and otherwise every contraction
-    matrix takes its leading minors from orthogonal factors
-    (_halving_minors).  No LAPACK det runs.  On those lines the x spins are
-    uncorrelated, and at N = 50 the certified points give 3N^2 - 2N to
-    roundoff in 5.7-6.2 ms, against 130-180 ms when every class past the
-    breakdown took dets.  The fallback takes the whole point, never the
-    classes of the broken stack alone: at (-0.9653537597782795,
-    0.2609446655556303, 0.05), N = 50, where one window stack breaks down,
-    that split left the quadruple sum 1.8e-8 of <J_x^4> off the by-class
-    reference, as the windows that did not break down lose about 8 digits
-    there; the whole-point fallback is 2.8e-17 off.
+    windows (see _nested_quad_sum): O(N^5) flops, medians of 6.2 ref units
+    (calls of the benchmark's speed probe, about 1 ms) at N = 50, 71 at N =
+    100 and 715 at N = 200 (BENCH_20.json).  A breakdown is a pivot that
+    is zero to working precision, as at T = inf (g = 0), on the gamma =
+    -1, h/J = 0 line (every pair matrix singular) and in the cold XX chain
+    polarized by h/J > 1.  Where any elimination breaks down, the pair
+    matrix's at any step or a window stack's, the whole quadruple sum
+    comes from _fallback_sum instead: it is 0 if Hadamard's inequality
+    certifies that the classes move the result by less than one ulp of N
+    + 3N(N-1), and otherwise every contraction matrix takes its leading
+    minors from orthogonal factors (_halving_minors).  No LAPACK det runs.
+    On those lines the x spins are uncorrelated, and at N = 50 the
+    certified points give 3N^2 - 2N to roundoff in 8.7-9.1 ref units.  The
+    fallback takes the whole point, never the classes of the broken stack
+    alone: at (-0.9653537597782795, 0.2609446655556303, 0.05), N = 50,
+    where one window stack breaks down, that split left the quadruple sum
+    1.8e-8 of <J_x^4> off the by-class reference, as the windows that did
+    not break down lose about 8 digits there; the whole-point fallback is
+    2.8e-17 off.
 
     The pair sum reads the kernel's memo of pair correlators; the
     quadruple sum does not (see _nested_quad_sum).
@@ -900,7 +901,7 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     factors.
     """
     n = kern.ensemble.spec.sites
-    pair_sum = _pair_sum(_xx_correlations(kern))
+    pair_sum = _pair_sum(kern.xx)
     quad = _nested_quad_sum(kern)
     if quad is None:
         quad = _fallback_sum(kern)

@@ -157,7 +157,9 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
 
     def scalar(layer, value):
         if layer == "kernel":
-            return float(value._g @ value._g)
+            # g is a public member of the kernel record, _g in older trees
+            g = value.g if hasattr(value, "g") else value._g
+            return float(g @ g)
         if layer == "ensemble":
             return float(value.occupations.sum())
         return float(value)

@@ -1,14 +1,16 @@
-"""Compare the CLI output of source trees, run by run, by stdout hash and exit code.
+"""Compare the CLI output of source trees, run by run, by stdout hash, stderr and exit code.
 
 For each tree, one fresh process with BLAS pinned to one thread runs a
 fixed list of command lines through ``xythermo.cli.main`` and records the
-sha256 of each run's stdout (stderr, with progress and wall time, is
-dropped) and its exit code: round 0 of each ``sweepbench`` workload at
-seeds 411, 415 and 416, the README ``dispersion``, ``tscan`` (100 sites)
-and phase diagram, ``dispersion`` and ``tscan`` as JSON, a phase diagram
-with every probe option, the same sweep from a ``--config`` file (alone,
-and as CSV with ``--sites`` overriding the file), the plateau sweep, which
-exits 3 partway, and ``validate``.
+sha256 of each run's stdout, its stderr lines but for progress
+(``<command>: i/n``) and ``wall time:``, so that a refused sweep is
+compared by its message, and its exit code: round 0 of each
+``sweepbench`` workload at seeds 411, 415 and 416, the README
+``dispersion``, ``tscan`` (100 sites) and phase diagram, ``dispersion``
+and ``tscan`` as JSON, a phase diagram with every probe option, the same
+sweep from a ``--config`` file (alone, and as CSV with ``--sites``
+overriding the file), the plateau sweep, which exits 3 partway, and
+``validate``.
 Each mismatch with the first tree is printed, and the exit code is 1 if
 there is any.  Where both outputs are tables (CSV, or JSON with columns
 and rows) of the same shape, each numeric column that moved is printed
@@ -28,12 +30,15 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (411, 415, 416)
+# stderr lines that differ from run to run, or only report how far a sweep got
+UNCOMPARED_STDERR = re.compile(r"[\w-]+: \d+/\d+$|wall time: ")
 EXTRA = {
     "readme dispersion": "dispersion --gamma 1 --field 0:2:21 --sites 64",
     "dispersion json": "dispersion --gamma -1:1:3 --field 0.5 --sites 8 --format json",
@@ -101,9 +106,9 @@ def _moves(table: dict[str, list[float]], base: dict[str, list[float]]) -> list[
     return lines
 
 
-def _run_all(tmp: str) -> dict[str, tuple[str, int, dict | None]]:
-    # (sha256 of stdout, exit code, numeric columns) of every run, with the
-    # tree on sys.path
+def _run_all(tmp: str) -> dict[str, tuple[str, int, dict | None, list[str]]]:
+    # (sha256 of stdout, exit code, numeric columns, compared stderr lines)
+    # of every run, with the tree on sys.path
     from xythermo import cli
 
     config = os.path.join(tmp, "sweep.json")
@@ -111,14 +116,16 @@ def _run_all(tmp: str) -> dict[str, tuple[str, int, dict | None]]:
         json.dump(CONFIG, fh)
     results = {}
     for name, argv in _runs(config).items():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
         text = out.getvalue()
-        results[name] = (hashlib.sha256(text.encode()).hexdigest(), code, _table(text))
+        stderr = [line for line in err.getvalue().splitlines()
+                  if not UNCOMPARED_STDERR.match(line)]
+        results[name] = (hashlib.sha256(text.encode()).hexdigest(), code, _table(text), stderr)
     return results
 
 
@@ -146,15 +153,17 @@ def main(argv=None) -> int:
     (first, base), *others = results.items()
     mismatches = 0
     for label, runs in others:
-        for name, (digest, code, table) in runs.items():
-            base_digest, base_code, base_table = base[name]
-            if (digest, code) != (base_digest, base_code):
+        for name, (digest, code, table, stderr) in runs.items():
+            base_digest, base_code, base_table, base_stderr = base[name]
+            if (digest, code, stderr) != (base_digest, base_code, base_stderr):
                 mismatches += 1
                 print(f"{label} differs from {first}: {name}: exit {code} vs {base_code}, "
                       f"stdout {digest[:12]} vs {base_digest[:12]}")
                 if table is not None and base_table is not None:
                     for line in _moves(table, base_table):
                         print(f"    {line}")
+                if stderr != base_stderr:
+                    print(f"    stderr {first}: {base_stderr}\n    stderr {label}: {stderr}")
     print(f"{mismatches} mismatch(es) over {len(base)} runs")
     return 1 if mismatches else 0
 
