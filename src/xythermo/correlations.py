@@ -28,13 +28,18 @@ The pair correlator at separation r is the leading r x r minor of one
 (N-1) x (N-1) Toeplitz matrix T, so every separation comes from the
 leading minors of a single matrix.  They come from orthogonal factors
 alone, by recursive halving (see _halving_minors): O(N^3) flops for all
-N - 1 minors, instead of O(N^4) for one det per separation, in a few
-LAPACK QR factorizations per level, from the LAPACK that numpy bundles
-(numpy.linalg.lapack_lite), and blocks of order _LEAF or less in one
-stacked QR (np.linalg.qr), so that no code path of the package imports
-scipy.  T is the leading block of the skew-circulant C of order N, whose
-det is prod t_k and whose inverse is the kernel with theta -> -theta and
-t -> 1/t; by Jacobi's complementary-minor identity the correlators past
+N - 1 minors, instead of O(N^4) for one det per separation.  The halving
+takes a stack of matrices of one order: each step of its recursion
+factors the whole stack in one call of numpy's stacked LAPACK QR (the
+gufuncs np.linalg.qr is built from), and blocks of order _LEAF or less
+take every minor from one more, so that no code path of the package
+imports scipy.  Every matrix of a stack gets the LAPACK calls it would
+get alone, so its minors are the same bits.  Var(J_x) takes medians of
+0.65 ref units (calls of the benchmark's speed probe, about 1 ms) at N =
+50, 6.1 at N = 300 and 61 at N = 1000 (BENCH_23.json).  T is the
+leading block of the skew-circulant C of order N, whose det is prod t_k
+and whose inverse is the kernel with theta -> -theta and t -> 1/t; by
+Jacobi's complementary-minor identity the correlators past
 (N-1)//2 are det C times leading minors of C^-1, so two halvings of half
 order give them all, a quarter of the flops of one halving of T (see
 _pair_correlations).  Where C is singular to working precision (at
@@ -99,7 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.linalg import lapack_lite
+from numpy.linalg import _umath_linalg
 
 from .spectrum import _read_only, momentum_grid
 from .thermometry import ThermalEnsemble
@@ -290,69 +295,62 @@ def _toeplitz(values: np.ndarray, diagonal: int, m: int) -> np.ndarray:
 
 
 def _halving_minors(a: np.ndarray) -> np.ndarray:
-    """Leading principal minors det a[:r, :r], r = 1 ... n, of a real n x n matrix.
+    """Leading principal minors det a[..., :r, :r], r = 1 ... n, of a real (..., n, n) stack.
 
-    With a = QR (LAPACK dgeqrf/dorgqr, through numpy.linalg.lapack_lite),
-    minor r of a is minor r of Q times the product of the first r diagonal
-    entries of R, and det Q = -1 to the number of Householder reflections
-    that are not the identity.
+    With a = QR (LAPACK dgeqrf/dorgqr), minor r of a is minor r of Q times
+    the product of the first r diagonal entries of R, and det Q = -1 to the
+    number of Householder reflections that are not the identity.
     Since Q is orthogonal, Jacobi's complementary-minor identity gives
     det Q[:r, :r] = det Q * det Q[r:, r:].  So the minors of order up to
     h = n // 2 are the leading minors of Q[:h, :h], those of higher order
     the trailing minors of Q[h:, h:], i.e. the leading minors of that
     block reversed in rows and columns, and both blocks recurse down to
     order _LEAF, where one stacked QR gives every minor of a block (see
-    _leaf_minors): O(n^3) flops, with no division and no pivot.
+    _leaf_minors): O(n^3) flops, with no division and no pivot.  Each
+    level factors its whole stack in one call of numpy's stacked LAPACK QR
+    (see _split), and where n is even the two halves go down as one stack,
+    so a stack costs as many calls as one matrix.  Every matrix gets the
+    LAPACK calls it would get alone, on the same bytes, so its minors do
+    not depend on the stack it comes in.
     Every block that recurses is part of an orthogonal matrix, so its
     minors are at most 1 in magnitude and come out with an absolute error
     of a few ulps of 1; minor r of a carries that error times prod |R_ii|.
     """
-    minors = np.empty(len(a))
-    _halve_into(a, minors)
-    return minors
+    if a.shape[-1] <= _LEAF:
+        return _leaf_minors(a)
+    minors, diagonal = _split(a)
+    return minors * np.cumprod(diagonal, axis=-1)
 
 
-def _halve_into(a: np.ndarray, out: np.ndarray) -> None:
-    # the recursion of _halving_minors, writing the minors of a into out (a
-    # view of the caller's output, possibly reversed)
-    if len(a) <= _LEAF:
-        out[:] = _leaf_minors(a)
-    else:
-        out *= np.cumprod(_split_into(a, out))
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One level of the halving: a = QR for each matrix of a (..., n, n) stack.
 
-
-def _split_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One level of the halving: factors a = QR and writes Q's leading minors into out.
-
-    Returns R's diagonal, whose cumulative products the caller multiplies
-    in.
+    Returns Q's leading minors, from the halvings of its two diagonal
+    blocks, and R's diagonal, whose cumulative products the caller
+    multiplies in.  The factors come from the two gufuncs that
+    np.linalg.qr is built from: qr_r_raw (dgeqrf, in place, returning the
+    reflections' tau, which np.linalg.qr does not return with Q) and
+    qr_reduced (dorgqr).  A LAPACK failure sets the invalid flag, which
+    raises.
     """
-    n = len(a)
-    # LAPACK works in column-major order: the C-ordered copy of a's transpose
-    # is a in that layout, and the factors come back in it, so qr.T holds R
-    # on and above its diagonal after dgeqrf, and Q after dorgqr.  The
-    # workspace is for the blocked code (the default of 3n is unblocked)
-    qr = a.T.copy()
-    tau = np.empty(n)
-    lwork = 32 * n
-    work = np.empty(lwork)
-    info = lapack_lite.dgeqrf(n, n, qr, n, tau, work, lwork, 0)["info"]
-    diagonal = np.diagonal(qr).copy()
-    orth_info = lapack_lite.dorgqr(n, n, n, qr, n, tau, work, lwork, 0)["info"]
-    if info or orth_info:
-        raise RuntimeError(f"LAPACK QR failed: geqrf info {info}, orgqr info {orth_info}")
-    q = qr.T
+    n = a.shape[-1]
     h = n // 2
-    # det Q[r:, r:] for r = h+1 ... n-1 is minor n-r of the reversed
-    # trailing block, so its minors land on out[n-2] down to out[h]; its
-    # last, the whole block's det, lands on out[h-1], which the leading
-    # block then overwrites.  The empty det of r = n is 1
-    _halve_into(q[h:, h:][::-1, ::-1], out[n - 2::-1][:n - h])
-    _halve_into(q[:h, :h], out[:h])
-    out[-1] = 1.0
-    if np.count_nonzero(tau) % 2:  # det Q = -1
-        out[h:] *= -1.0
-    return diagonal
+    factors = np.array(a, dtype=float)  # qr_r_raw overwrites it with the factors
+    with np.errstate(invalid="raise"):
+        tau = _umath_linalg.qr_r_raw(factors)
+        q = _umath_linalg.qr_reduced(factors, tau)
+    lead, trail = q[..., :h, :h], q[..., h:, h:][..., ::-1, ::-1]
+    if n == 2 * h:
+        lead, trail = _halving_minors(np.stack((lead, trail)))
+    else:
+        lead, trail = _halving_minors(lead), _halving_minors(trail)
+    # minor r > h of Q is det Q times det Q[r:, r:], minor n-r of the
+    # reversed trailing block, or the empty det 1 at r = n; that block's
+    # last minor, its whole det, would give minor h again
+    minors = np.concatenate((lead, trail[..., -2::-1], np.ones(lead.shape[:-1] + (1,))),
+                            axis=-1)
+    minors[..., h:] *= (1.0 - 2.0 * (np.count_nonzero(tau, axis=-1) % 2))[..., None]
+    return minors, np.diagonal(factors, axis1=-2, axis2=-1)
 
 
 @functools.lru_cache(maxsize=_LEAF)
@@ -364,17 +362,20 @@ def _outside_leading_blocks(n: int) -> np.ndarray:
 
 
 def _leaf_minors(a: np.ndarray) -> np.ndarray:
-    """Every leading minor of a small block, from one stacked QR.
+    """Every leading minor of each small block of a (..., n, n) stack, from one stacked QR.
 
-    Matrix j of the stack is the identity with its leading (j+1) x (j+1)
-    block replaced by a's, so its det is minor j + 1 of a.  One LAPACK
-    dgeqrf of the stack (np.linalg.qr, mode "raw") factors every matrix,
-    and det = prod R_ii times -1 to the number of reflections that are not
-    the identity, the sign rule of the recursion: on the identity's columns
-    there is nothing below the diagonal to reflect, so tau = 0 and R_ii = 1.
+    Matrix j of a block's stack is the identity with its leading (j+1) x
+    (j+1) block replaced by the block's, so its det is minor j + 1.  One
+    call of LAPACK dgeqrf through numpy's stacked gufunc (qr_r_raw, as in
+    _split) factors every matrix of every block, and det = prod R_ii
+    times -1 to the number of reflections that are not the identity, the
+    sign rule of the recursion: on the identity's columns there is nothing
+    below the diagonal to reflect, so tau = 0 and R_ii = 1.
     """
-    stack = np.where(_outside_leading_blocks(len(a)), np.eye(len(a)), a)
-    factors, tau = np.linalg.qr(stack, mode="raw")
+    n = a.shape[-1]
+    factors = np.where(_outside_leading_blocks(n), np.eye(n), a[..., None, :, :])
+    with np.errstate(invalid="raise"):
+        tau = _umath_linalg.qr_r_raw(factors)
     signs = 1.0 - 2.0 * (np.count_nonzero(tau, axis=-1) % 2)
     return signs * np.prod(np.diagonal(factors, axis1=-2, axis2=-1), axis=-1)
 
@@ -409,7 +410,7 @@ def _inverse_minors(kern: CorrelationKernel, shift: int, m: int) -> np.ndarray |
     det C = prod t_k, and C^-1 is the kernel sum with theta -> -theta and
     t -> 1/t, C^-1[a, b] = (1/N) sum_k cos(k (a-b-shift) - 2 theta_k) / t_k,
     the kernel's own mode transform (_contractions).  Its leading block of
-    order m is factored once (_split_into), and det C times the cumulative
+    order m is factored once (_split), and det C times the cumulative
     products of R's diagonal are carried in mantissas and exponents
     (_binary_cumprod): det C is 1e-1002 for the XX chain at h/J = 0, N =
     1000 and temperature 5.  None where some 1/t_k or entry is not finite.
@@ -422,8 +423,7 @@ def _inverse_minors(kern: CorrelationKernel, shift: int, m: int) -> np.ndarray |
         values = _contractions(kern.ensemble, 1.0 / t, rows, angle_sign=-1.0)
     if not np.isfinite(values).all():
         return None
-    minors = np.empty(m)
-    diagonal = _split_into(_toeplitz(values, m - 1, m), minors)
+    minors, diagonal = _split(_toeplitz(values, m - 1, m))
     mantissas, exponents = _binary_cumprod(np.concatenate((t, diagonal)))
     return np.ldexp(mantissas[n:] * minors, exponents[n:])
 
@@ -737,10 +737,13 @@ def _fallback_sum(kern: CorrelationKernel) -> float:
     bounds (_hadamard_products) are summed: O(N^4) flops.  If 24 times that
     sum, times _ROUNDING_MARGIN, is at most eps * (N + 3N(N-1)), the
     classes move <J_x^4> by less than one ulp of its two leading terms and
-    the sum is 0 (a NaN bound certifies nothing).  Otherwise
-    _halving_minors gives every leading minor of each contraction matrix
-    from orthogonal factors, with no pivot to break down, and the class
-    weights sum them: O(m^3) flops per matrix.  Each matrix is a principal
+    the sum is 0 (a NaN bound certifies nothing).  Otherwise each stack
+    goes to _halving_minors in one call, which gives every leading minor of
+    each contraction matrix from orthogonal factors, with no pivot to break
+    down, and the class weights sum them: O(m^3) flops per matrix.  At the
+    window breakdown point (-0.9654, 0.2609, 0.05), N = 50, its 576
+    matrices make <J_x^4> take a median of 97 ref units, against 155 with
+    one call per matrix (BENCH_23.json).  Each matrix is a principal
     block of the pair matrix, whose singular values are at most 1, so
     every minor is accurate to near roundoff of 1 in absolute terms, as the
     pair correlators are.
@@ -761,8 +764,8 @@ def _fallback_sum(kern: CorrelationKernel) -> float:
         return 0.0
     total = 0.0
     for t1, t2, order, weights in stacks:
-        mats = kern.g[_quad_index(kern, t1, t2, order)]
-        total += float(np.sum(weights * np.array([_halving_minors(mat) for mat in mats])))
+        minors = _halving_minors(kern.g[_quad_index(kern, t1, t2, order)])
+        total += float(np.sum(weights * minors))
     return total
 
 

@@ -80,11 +80,13 @@ class FaradaySetup:
             raise ValueError(f"unknown modulation {self.modulation!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ReadoutPoint:
     """Moments, output statistics, slopes (T d/dT) and SNRs of one point.
 
-    Each member is computed at most once, on first read.  The J_x members
+    A read-only record: neither its ensemble and setup nor any member can
+    be assigned, so no member read from one ensemble outlives it.  Each
+    member is computed at most once, on first read.  The J_x members
     share one kernel, and <J_x^4> is summed once; the J_z members, the
     output quadrature and the ceiling read the ensemble alone, so a point
     that reads only those, snr_crb and snr_meanjz builds no kernel.

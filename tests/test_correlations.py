@@ -426,6 +426,29 @@ def _record_stacks(monkeypatch):
     return windows, pairs
 
 
+def _record_halvings(monkeypatch):
+    # the shape of every stack handed to the orthogonal-minor engine from
+    # outside it.  The halving recurses through the module attribute, and
+    # each level's split calls back into it, so a depth counter shared by
+    # both leaves out every call made inside the engine
+    shapes, depth = [], [0]
+
+    def entry(fn, record):
+        def wrapped(a):
+            if record and not depth[0]:
+                shapes.append(a.shape)
+            depth[0] += 1
+            try:
+                return fn(a)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    monkeypatch.setattr(correlations, "_halving_minors", entry(correlations._halving_minors, True))
+    monkeypatch.setattr(correlations, "_split", entry(correlations._split, False))
+    return shapes
+
+
 def _singular_at(kern, steps):
     # a kernel of the same ensemble whose pair matrix T has pivots of 1 for
     # the given number of elimination steps and then an exact 0: T is the
@@ -464,7 +487,8 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
     # pair matrix forced at its first pivot, at the same point, the whole
     # sum goes to the fallback, whose Hadamard bounds run in chunks of one
     # t2 under the cap; the bound is O(1) and certifies nothing, so every
-    # class takes the orthogonal minors of its own contraction matrix
+    # class takes the orthogonal minors of its own contraction matrix, the
+    # matrices handed to the engine in those same stacks
     n, cap = 14, 200
     gamma, field, T = NESTED_GRID[0]
     kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
@@ -475,15 +499,13 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
         if breaks:
             _break_pair_matrix_after(monkeypatch, kern, 0)
         monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", cap)
-        leading, hadamard, halving = (correlations._leading_minors,
-                                      correlations._hadamard_products, correlations._halving_minors)
-        shapes, bounded, halved = [], [], []
+        leading, hadamard = correlations._leading_minors, correlations._hadamard_products
+        shapes, bounded = [], []
         monkeypatch.setattr(correlations, "_leading_minors", lambda mats, offsets:
                             shapes.append(mats.shape) or leading(mats, offsets))
         monkeypatch.setattr(correlations, "_hadamard_products", lambda kern, t1, t2, order:
                             bounded.append((len(t1), t2)) or hadamard(kern, t1, t2, order))
-        monkeypatch.setattr(correlations, "_halving_minors", lambda a:
-                            halved.append(a.shape) or halving(a))
+        halved = _record_halvings(monkeypatch)
         windows, pairs = _record_stacks(monkeypatch)
         calls = _count_dets(monkeypatch)
         split = correlations._nested_quad_sum(kern)
@@ -493,7 +515,8 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
         monkeypatch.undo()
         assert all(b == 1 or b * m * m <= cap for b, m, _ in shapes), breaks
         assert all(b == 1 or b * (n - 1 - t2) ** 2 <= cap for b, t2 in bounded), breaks
-        assert sum(b for b, _ in bounded) == len(pairs) == len(halved), breaks
+        assert all(b == 1 or b * m * m <= cap for b, m, _ in halved), breaks
+        assert sum(b for b, _ in bounded) == len(pairs) == sum(b for b, _, _ in halved), breaks
         assert sorted(sum(windows, [])) == _windows(n, () if breaks else range(1, n - 2))
         assert len(shapes) == len(windows)
         assert _pair_classes(n, pairs) == (_classes(n, 0) if breaks else [])
@@ -534,10 +557,7 @@ def test_breakdown_points_keep_the_certified_route(gamma, field, T, monkeypatch)
     for n in (30, 50):
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
         correlations.var_jx(kern)  # the pair correlators take orthogonal minors of their own
-        halving = correlations._halving_minors
-        halved = []
-        monkeypatch.setattr(correlations, "_halving_minors", lambda a:
-                            halved.append(a.shape) or halving(a))
+        halved = _record_halvings(monkeypatch)
         windows, pairs = _record_stacks(monkeypatch)
         correlations.fourth_moment_from_kernel(kern)
         monkeypatch.undo()
@@ -715,10 +735,24 @@ def _halving_cases(n, rng):
     }
 
 
+def _assert_stacks_are_their_rows(cases):
+    # the cases as one (B, n, n) stack, and the same stack with one more
+    # leading axis: each row is bit-identical to its matrix's own 2-D call
+    alone = {name: correlations._halving_minors(a) for name, a in cases.items()}
+    stack = np.stack(list(cases.values()))
+    for got in (correlations._halving_minors(stack),
+                correlations._halving_minors(stack.reshape(1, *stack.shape))[0]):
+        assert got.shape == stack.shape[:-1]
+        for name, row in zip(cases, got):
+            assert np.array_equal(row, alone[name]), name
+
+
 @pytest.mark.parametrize("n", (*range(1, 10), 33, 64))
 def test_halving_minors_match_one_det_per_order(n):
     rng = np.random.default_rng(n)
-    for name, a in _halving_cases(n, rng).items():
+    cases = _halving_cases(n, rng)
+    _assert_stacks_are_their_rows(cases)
+    for name, a in cases.items():
         got = correlations._halving_minors(a.copy())
         want = np.array([np.linalg.det(a[:r, :r]) for r in range(1, n + 1)])
         assert got.shape == (n,), name
@@ -733,8 +767,9 @@ def test_halving_minors_match_one_det_per_order(n):
 
 def _scipy_halving_minors(a):
     # the halving recursion, with scipy.linalg.lapack's QR, one matrix at a
-    # time at the leaves: the reference for the package's calls through
-    # numpy.linalg.lapack_lite and np.linalg.qr
+    # time at every level and at the leaves: the reference for the
+    # package's stacked calls of numpy's LAPACK QR gufuncs, which factor
+    # the stack of a whole level at once
     from scipy.linalg import lapack
 
     def halve_into(a, out):
@@ -784,8 +819,10 @@ def _assert_halving_equals_scipy_recursion(sites):
 @pytest.mark.parametrize("n", (*range(1, 10), 33, 64))
 def test_halving_minors_equal_the_scipy_lapack_recursion_bitwise(n):
     rng = np.random.default_rng(n)
-    for name, a in _halving_cases(n, rng).items():
+    cases = _halving_cases(n, rng)
+    for name, a in cases.items():
         assert np.array_equal(correlations._halving_minors(a), _scipy_halving_minors(a)), name
+    _assert_stacks_are_their_rows(cases)
 
 
 @pytest.mark.parametrize("sites", (4, 50))
@@ -919,14 +956,13 @@ def test_split_stays_in_range_where_det_c_underflows(sites, log10_det, monkeypat
     ens = _ens(gamma=0.0, field_ratio=0.0, sites=sites, T=5.0)
     assert np.log10(ens.polarizations).sum() == pytest.approx(log10_det, abs=0.05)
     kern = correlations.kernel(ens)
-    halving, orders = correlations._halving_minors, []
-    monkeypatch.setattr(correlations, "_halving_minors", lambda a: orders.append(len(a)) or
-                        halving(a))
+    h = (sites - 1) // 2
     for shift in (-1, +1):
+        halved = _record_halvings(monkeypatch)
         got = correlations._pair_correlations(kern, shift)
-        assert orders == [(sites - 1) // 2], shift
+        monkeypatch.undo()
+        assert halved == [(h, h)], shift
         want = _whole_matrix_correlators(kern, shift)
-        orders.clear()
         assert np.isfinite(got).all() and np.max(np.abs(got - want)) <= 2e-15, shift
 
 

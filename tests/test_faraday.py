@@ -1,8 +1,10 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from xythermo import correlations, faraday, oracle, thermometry
 from xythermo.faraday import FaradaySetup, NoiseUnderflowError, ReadoutPoint
@@ -51,15 +53,16 @@ def test_output_statistics_match_dense_reference():
 
 
 def test_quadrature_maps_are_affine():
-    # round-trip randomized atomic moments through the point's linear maps:
-    # a member assigned before its first read is the one the outputs read
+    # round-trip the atomic moments of randomized points through the
+    # point's linear maps
     rng = np.random.default_rng(5)
     for _ in range(20):
         kappa = float(rng.uniform(0.5, 10.0))
         n = int(rng.choice([8, 50, 200]))
-        point = ReadoutPoint(_ens(sites=n), FaradaySetup(kappa=kappa))
-        mz, vz = float(rng.uniform(-n, n)), float(rng.uniform(0.0, 4 * n))
-        point.mean_jz, point.var_jz = mz, vz
+        ens = _ens(gamma=float(rng.uniform(-1.0, 1.0)), field_ratio=float(rng.uniform(0.0, 2.0)),
+                   sites=n, T=float(10.0 ** rng.uniform(-1.3, 0.7)))
+        point = ReadoutPoint(ens, FaradaySetup(kappa=kappa))
+        mz, vz = point.mean_jz, point.var_jz
         x = point.output_mean
         assert mz == pytest.approx(-x * math.sqrt(n) / kappa, rel=1e-12)
         v = point.output_variance
@@ -88,6 +91,24 @@ def test_point_reading_every_member_builds_one_kernel_and_one_quad_sum(monkeypat
     first = [getattr(point, name) for name in members]
     assert [getattr(point, name) for name in members] == first
     assert calls == {"kernel": 1, "_nested_quad_sum": 1}
+
+
+def test_point_is_read_only_and_computes_each_member_once(monkeypatch):
+    # a reassigned ensemble would leave the members read from the old one
+    # in place: at (1, 0.5), N = 8, snr_crb read at T = 0.3 is 0.8101 and
+    # the T = 3 ensemble's own is 0.9323
+    calls = _counting(monkeypatch, correlations.kernel, correlations.mean_jz,
+                      correlations.var_jz, thermometry.snr_crb)
+    point = ReadoutPoint(_ens(T=0.3), FaradaySetup())
+    ceiling = point.snr_crb
+    for name, value in (("ensemble", _ens(T=3.0)), ("setup", FaradaySetup(kappa=3.0)),
+                        ("snr_crb", 1.0), ("mean_jz", 0.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(point, name, value)
+    assert point.snr_crb == ceiling == thermometry.snr_crb(_ens(T=0.3))
+    for _ in range(2):
+        point.snr_meanjz, point.output_mean, point.output_variance, point.var_jx
+    assert calls == {"kernel": 1, "mean_jz": 1, "var_jz": 1, "snr_crb": 1}
 
 
 def test_point_reading_only_jz_members_builds_no_kernel(monkeypatch):
@@ -149,6 +170,32 @@ def test_snr_below_cramer_rao_ceiling():
             ceiling = thermometry.snr_crb(ens)
             for snr in _readout_snrs(ens, setup):
                 assert snr <= ceiling * (1.0 + 1e-3)
+
+
+SETUPS = tuple(FaradaySetup(modulation=modulation, include_shot_noise=noisy)
+               for modulation in ("uniform", "half") for noisy in (False, True))
+
+
+@seed(2029)
+@settings(max_examples=200, deadline=None, database=None)
+@given(half_sites=st.integers(2, 15), gamma=st.floats(-1.0, 1.0),
+       field=st.floats(-2.0, 2.0), log10_T=st.floats(math.log10(0.05), math.log10(5.0)))
+def test_variances_are_non_negative_and_snrs_below_the_ceiling(half_sites, gamma, field,
+                                                               log10_T):
+    # at any point and either probe, with or without shot noise: each SNR is
+    # refused or lies in [0, snr_crb (1 + 1e-3)], the slack of validate and
+    # of criterion 7
+    ens = _ens(gamma=gamma, field_ratio=field, sites=2 * half_sites, T=10.0 ** log10_T)
+    for setup in SETUPS:
+        point = ReadoutPoint(ens, setup)
+        assert point.var_jx >= 0.0 and point.var_jz >= 0.0, setup
+        ceiling = point.snr_crb * (1.0 + 1e-3)
+        for name in ("snr_varjx", "snr_meanjz"):
+            try:
+                snr = getattr(point, name)
+            except NoiseUnderflowError:
+                continue
+            assert 0.0 <= snr <= ceiling, (name, setup)
 
 
 def test_shot_noise_never_helps_and_vanishes_at_large_coupling():

@@ -42,13 +42,18 @@ angles, reduced energies, fluctuation weights, 1 - 2 n_k and its slope),
 that is all of them, and the J_z rows of a fresh ensemble then time the
 mode sums alone; in trees that build some of those arrays on first read,
 the J_z rows include that build.  Next to each time the file records how many
-calls of ``correlations._halving_minors`` the timed call made through the module
-attribute (a tree whose recursion goes through it counts every level),
-and the value the call returned (sum of g_j^2 for a kernel, of n_k for an
-ensemble).  With the pair correlators filled, a fourth-moment call that
-makes any has met a breakdown and taken orthogonal minors for every gap
-class; it makes none where no elimination broke down, or where Hadamard's
-bound left every class out.  Each
+matrices the timed call handed to the orthogonal-minor engine
+(``correlations._halving_minors``) from outside it: each call counts the
+product of its stack's leading dimensions, 1 for a single matrix, and a
+depth counter shared with the engine's split (``correlations._split``,
+where the tree has one) leaves out the calls that the engine makes of
+itself, so a tree that halves one matrix per call and a tree that halves
+stacks record the same count.  It also records the value the call
+returned (sum of g_j^2 for a kernel, of n_k for an ensemble).  With the
+pair correlators filled, a fourth-moment call that hands in any matrices
+has met a breakdown and taken orthogonal minors for every gap class; it
+hands in none where no elimination broke down, or where Hadamard's bound
+left every class out.  Each
 tree's values must repeat exactly over its calls and repetitions; the file
 gives every value's relative difference from the first tree, and the run
 prints the largest, so a speed change that moves the numbers shows next to
@@ -123,17 +128,28 @@ def _key(layer, n, gamma, field, temp, kind):
 
 def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], dict[str, float]]:
     # per grid entry, the median of CALLS timings after one warm-up call, in
-    # seconds and in speed-probe units, the _halving_minors calls one call
-    # made and the value it returned, with the tree on sys.path
+    # seconds and in speed-probe units, the matrices one call handed to the
+    # orthogonal-minor engine and the value it returned, with the tree on
+    # sys.path
     from sweepbench.worker import speed_probe
     from xythermo import correlations, thermometry
     from xythermo.spectrum import ChainSpec
 
-    halving, count = correlations._halving_minors, [0]
+    engine = {name: getattr(correlations, name) for name in ("_halving_minors", "_split")
+              if hasattr(correlations, name)}
+    count, depth = [0], [0]
 
-    def counting_halving(a):
-        count[0] += 1
-        return halving(a)
+    def entry(name, fn):
+        # counts the matrices of a call from outside the engine only
+        def wrapped(a):
+            if name == "_halving_minors" and not depth[0]:
+                count[0] += math.prod(a.shape[:-2])
+            depth[0] += 1
+            try:
+                return fn(a)
+            finally:
+                depth[0] -= 1
+        return wrapped
 
     def prepare(layer, n, gamma, field, temp, kind):
         # the call, with its argument built fresh and outside the timed region
@@ -165,7 +181,8 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
         return float(value)
 
     times, refs, halvings, values = {}, {}, {}, {}
-    correlations._halving_minors = counting_halving
+    for name, fn in engine.items():
+        setattr(correlations, name, entry(name, fn))
     try:
         for row in GRID:
             key = _key(*row)
@@ -185,7 +202,8 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
             times[key], refs[key] = statistics.median(elapsed), statistics.median(ref)
             halvings[key], values[key] = seen.pop()
     finally:
-        correlations._halving_minors = halving
+        for name, fn in engine.items():
+            setattr(correlations, name, fn)
     return times, refs, halvings, values
 
 
@@ -263,7 +281,7 @@ def main(argv=None) -> int:
                   for label, reps in refs.items()}
            for stat, fn in (("median_ref", statistics.median), ("min_ref", min),
                             ("max_ref", max))},
-        "halving_calls": halvings,
+        "halving_matrices": halvings,
         "values": values,
         "relative_difference_from_first_tree": differences,
     }
@@ -273,7 +291,7 @@ def main(argv=None) -> int:
     for label, medians in result["median_s"].items():
         for k, v in medians.items():
             print(f"{label:>8}  {v * 1e3:10.4f} ms  {result['median_ref'][label][k]:9.4g} ref  "
-                  f"{halvings[label][k]:6d} halvings  {k}")
+                  f"{halvings[label][k]:6d} matrices  {k}")
     for label, diffs in list(differences.items())[1:]:
         worst = max(diffs, key=diffs.get)
         print(f"{label:>8}  largest relative difference of a value from tree "

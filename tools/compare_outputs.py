@@ -9,8 +9,11 @@ compared by its message, and its exit code: round 0 of each
 ``dispersion``, ``tscan`` (100 sites) and phase diagram, ``dispersion``
 and ``tscan`` as JSON, a phase diagram with every probe option, the same
 sweep from a ``--config`` file (alone, and as CSV with ``--sites``
-overriding the file), the plateau sweep, which exits 3 partway, and
-``validate``.
+overriding the file), the plateau sweep, which exits 3 partway, two
+sweeps whose <J_x^4> takes orthogonal minors for every gap class (a
+point at N = 50 where one stack of Schur windows breaks down, 576
+contraction matrices, and the gamma = -1, h/J = 0 line at N = 14, 36
+matrices at each of its three coldest temperatures), and ``validate``.
 Each mismatch with the first tree is printed, and the exit code is 1 if
 there is any.  Where both outputs are tables (CSV, or JSON with columns
 and rows) of the same shape, each numeric column that moved is printed
@@ -52,6 +55,10 @@ EXTRA = {
                             "--sites 50 --obs crb,meanjz",
     "plateau sweep": "tscan --gamma -1:1:5 --field 0:2:5 --temp 0.05:5:4:log --sites 30 "
                      "--obs crb,varjx,meanjz",
+    "window breakdown": "tscan --gamma -0.9653537597782795 --field 0.2609446655556303 "
+                        "--temp 0.05 --sites 50 --obs crb,varjx,meanjz",
+    "fallback minors": "tscan --gamma -1 --field 0 --temp 0.05:5:6:log --sites 14 "
+                       "--obs crb,varjx,meanjz",
     "validate": "validate",
 }
 # the probe-options sweep as a file: every axis form, an obs list, a switch and two choices
