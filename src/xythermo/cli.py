@@ -18,6 +18,7 @@ thread count.  Wall-clock time and progress go to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -449,6 +450,7 @@ def cmd_validate() -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xythermo",

@@ -35,14 +35,17 @@ gufuncs np.linalg.qr is built from), and blocks of order _LEAF or less
 take every minor from one more, so that no code path of the package
 imports scipy.  Every matrix of a stack gets the LAPACK calls it would
 get alone, so its minors are the same bits.  Var(J_x) takes medians of
-0.65 ref units (calls of the benchmark's speed probe, about 1 ms) at N =
-50, 6.1 at N = 300 and 61 at N = 1000 (BENCH_23.json).  T is the
+0.56 ref units (calls of the benchmark's speed probe, about 1 ms) at N =
+50, 4.6 at N = 300 and 59 at N = 1000 (BENCH_24.json).  T is the
 leading block of the skew-circulant C of order N, whose det is prod t_k
 and whose inverse is the kernel with theta -> -theta and t -> 1/t; by
 Jacobi's complementary-minor identity the correlators past
-(N-1)//2 are det C times leading minors of C^-1, so two halvings of half
-order give them all, a quarter of the flops of one halving of T (see
-_pair_correlations).  Where C is singular to working precision (at
+(N-1)//2 are det C times leading minors of C^-1, so the leading blocks of
+T and C^-1 of order m = N - (N-1)//2 give them all, a quarter of the
+flops of one halving of T.  They go down the halving as one (2, m, m)
+stack, and each level splits a block into two of equal order ceil(n/2),
+so the whole route takes one stacked call of each LAPACK routine per
+level (see _pair_correlations).  Where C is singular to working precision (at
 infinite temperature, and at the XX chain's zero mode at h/J = 0, N = 2
 mod 4) the two halves disagree on the separation they share, and T takes
 one halving whole.
@@ -222,7 +225,7 @@ def _contractions(ens: ThermalEnsemble, t: np.ndarray, rows: slice = slice(None)
 
     The one mode transform of the module: the kernel's g reads t from the
     ensemble's polarizations t_k = 1 - 2 n_k, var_jx_slope's vector their
-    slopes T dt_k/dT, and _inverse_minors the entries of C^-1 with theta
+    slopes T dt_k/dT, and _inverse_block the entries of C^-1 with theta
     -> -theta (angle_sign -1) and t -> 1/t, on the rows it needs.  By the
     angle-sum formula the sum is (cos(kj) @ a - sin(kj) @ b) / N with the
     O(N) products a = cos(2 theta) t and b = angle_sign sin(2 theta) t,
@@ -255,8 +258,9 @@ def xx_correlation(kern: CorrelationKernel, r: int) -> float:
     """<sx_l sx_{l+r}> as the r x r Toeplitz determinant with entries g_{a-b-1}.
 
     r = 0 returns 1 (same site); valid for 0 <= r <= N-1.  Reads the
-    kernel's correlator array, which two recursive QR halvings of half
-    order fill for all r at once (see _pair_correlations).  The error is
+    kernel's correlator array, which one recursive QR halving of two
+    blocks of about half order, stacked, fills for all r at once (see
+    _pair_correlations).  The error is
     absolute, near roundoff of 1 whatever the size of the correlator,
     because the minors come from orthogonal factors, whose minors are at
     most 1 in magnitude: a correlator of 1e-10 keeps only about six correct
@@ -301,17 +305,19 @@ def _halving_minors(a: np.ndarray) -> np.ndarray:
     the product of the first r diagonal entries of R, and det Q = -1 to the
     number of Householder reflections that are not the identity.
     Since Q is orthogonal, Jacobi's complementary-minor identity gives
-    det Q[:r, :r] = det Q * det Q[r:, r:].  So the minors of order up to
-    h = n // 2 are the leading minors of Q[:h, :h], those of higher order
-    the trailing minors of Q[h:, h:], i.e. the leading minors of that
-    block reversed in rows and columns, and both blocks recurse down to
-    order _LEAF, where one stacked QR gives every minor of a block (see
+    det Q[:r, :r] = det Q * det Q[r:, r:].  So with h = ceil(n/2) the
+    minors of order up to h are the leading minors of Q[:h, :h], those of
+    higher order the trailing minors of Q[n-h:, n-h:], i.e. the leading
+    minors of that block reversed in rows and columns; for odd n the two
+    blocks overlap by one row and column, and both give minor h.  The two
+    blocks are of one order, so they go down as one stack, to order
+    _LEAF, where one stacked QR gives every minor of a block (see
     _leaf_minors): O(n^3) flops, with no division and no pivot.  Each
     level factors its whole stack in one call of numpy's stacked LAPACK QR
-    (see _split), and where n is even the two halves go down as one stack,
-    so a stack costs as many calls as one matrix.  Every matrix gets the
-    LAPACK calls it would get alone, on the same bytes, so its minors do
-    not depend on the stack it comes in.
+    (see _split), so a stack costs as many calls as one matrix, one per
+    level whatever the parity of its order.  Every matrix gets the LAPACK
+    calls it would get alone, on the same bytes, so its minors do not
+    depend on the stack it comes in.
     Every block that recurses is part of an orthogonal matrix, so its
     minors are at most 1 in magnitude and come out with an absolute error
     of a few ulps of 1; minor r of a carries that error times prod |R_ii|.
@@ -325,8 +331,9 @@ def _halving_minors(a: np.ndarray) -> np.ndarray:
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One level of the halving: a = QR for each matrix of a (..., n, n) stack.
 
-    Returns Q's leading minors, from the halvings of its two diagonal
-    blocks, and R's diagonal, whose cumulative products the caller
+    Returns Q's leading minors, from the halving of its leading and
+    trailing diagonal blocks of order ceil(n/2) as one (2, ..., h, h)
+    stack, and R's diagonal, whose cumulative products the caller
     multiplies in.  The factors come from the two gufuncs that
     np.linalg.qr is built from: qr_r_raw (dgeqrf, in place, returning the
     reflections' tau, which np.linalg.qr does not return with Q) and
@@ -334,21 +341,18 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raises.
     """
     n = a.shape[-1]
-    h = n // 2
+    h = (n + 1) // 2
     factors = np.array(a, dtype=float)  # qr_r_raw overwrites it with the factors
     with np.errstate(invalid="raise"):
         tau = _umath_linalg.qr_r_raw(factors)
         q = _umath_linalg.qr_reduced(factors, tau)
-    lead, trail = q[..., :h, :h], q[..., h:, h:][..., ::-1, ::-1]
-    if n == 2 * h:
-        lead, trail = _halving_minors(np.stack((lead, trail)))
-    else:
-        lead, trail = _halving_minors(lead), _halving_minors(trail)
+    lead, trail = _halving_minors(np.stack((q[..., :h, :h],
+                                            q[..., n - h:, n - h:][..., ::-1, ::-1])))
     # minor r > h of Q is det Q times det Q[r:, r:], minor n-r of the
     # reversed trailing block, or the empty det 1 at r = n; that block's
-    # last minor, its whole det, would give minor h again
-    minors = np.concatenate((lead, trail[..., -2::-1], np.ones(lead.shape[:-1] + (1,))),
-                            axis=-1)
+    # minors of order n-h and up would give minors h and below again
+    minors = np.concatenate((lead, np.flip(trail[..., :n - h - 1], -1),
+                             np.ones(lead.shape[:-1] + (1,))), axis=-1)
     minors[..., h:] *= (1.0 - 2.0 * (np.count_nonzero(tau, axis=-1) % 2))[..., None]
     return minors, np.diagonal(factors, axis1=-2, axis2=-1)
 
@@ -401,31 +405,23 @@ def _binary_cumprod(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mantissas, exponents
 
 
-def _inverse_minors(kern: CorrelationKernel, shift: int, m: int) -> np.ndarray | None:
-    """det C times each leading minor of order 1 ... m of C^-1, or None.
+def _inverse_block(kern: CorrelationKernel, shift: int, m: int) -> np.ndarray | None:
+    """The leading block of order m of C^-1, or None where some 1/t_k or entry is not finite.
 
     C[a, b] = g_{shift+a-b}, a, b = 0 ... N-1, with g_{j+N} = -g_j, is
     skew-circulant: the antiperiodic modes diagonalize it, with eigenvalues
     e^{i(k shift + 2 theta_k)} t_k whose phases cancel in pairs k, -k, so
     det C = prod t_k, and C^-1 is the kernel sum with theta -> -theta and
     t -> 1/t, C^-1[a, b] = (1/N) sum_k cos(k (a-b-shift) - 2 theta_k) / t_k,
-    the kernel's own mode transform (_contractions).  Its leading block of
-    order m is factored once (_split), and det C times the cumulative
-    products of R's diagonal are carried in mantissas and exponents
-    (_binary_cumprod): det C is 1e-1002 for the XX chain at h/J = 0, N =
-    1000 and temperature 5.  None where some 1/t_k or entry is not finite.
+    the kernel's own mode transform (_contractions).
     """
     n = kern.ensemble.spec.sites
-    t = kern.ensemble.polarizations
     # C^-1[a, b] reads j = a - b - shift in [-(m-1) - shift, m-1 - shift]
     rows = slice(n - m - shift, n + m - 1 - shift)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = _contractions(kern.ensemble, 1.0 / t, rows, angle_sign=-1.0)
-    if not np.isfinite(values).all():
-        return None
-    minors, diagonal = _split(_toeplitz(values, m - 1, m))
-    mantissas, exponents = _binary_cumprod(np.concatenate((t, diagonal)))
-    return np.ldexp(mantissas[n:] * minors, exponents[n:])
+        values = _contractions(kern.ensemble, 1.0 / kern.ensemble.polarizations, rows,
+                               angle_sign=-1.0)
+    return _toeplitz(values, m - 1, m) if np.isfinite(values).all() else None
 
 
 def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
@@ -434,13 +430,18 @@ def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     Correlator r is the leading r x r minor of the (N-1) x (N-1) Toeplitz
     matrix M[a, b] = g_{shift+a-b}, and _halving_minors gives them from
     orthogonal factors, with no pivot to break down.  M is the leading
-    block of the skew-circulant C of order N (see _inverse_minors), so by
+    block of the skew-circulant C of order N (see _inverse_block), so by
     Jacobi's complementary-minor identity c(r) = det C * det C^-1[r:, r:],
     and C^-1 is Toeplitz too: its trailing block of order N-r is its
-    leading one.  So the halving of M's leading block of order h = (N-1)//2
-    gives c(1) ... c(h), and that of C^-1's leading block of order N-h
-    gives c(h) ... c(N-1): two halvings of half order, about a quarter of
-    the flops of one of order N-1.
+    leading one.  So with h = (N-1)//2 and m = N-h, M's leading block of
+    order m gives c(1) ... c(h), and C^-1's leading block of order m gives
+    c(h) ... c(N-1): both blocks go down the halving as one (2, m, m)
+    stack, from one _split, each level in one stacked call of each LAPACK
+    routine, about a quarter of the flops of one halving of order N-1.  M's minors take
+    the cumulative products of its R diagonal, C^-1's det C = prod t_k
+    times those of its own, carried in mantissas and exponents
+    (_binary_cumprod): det C is 1e-1002 for the XX chain at h/J = 0, N =
+    1000 and temperature 5.
     Both give c(h), and the split is taken only where they agree to
     _SPLIT_AGREEMENT.  Elsewhere C is singular to working precision (at
     infinite temperature, where g = 0 and every t_k = 0, or at the zero
@@ -463,9 +464,14 @@ def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     n = kern.ensemble.spec.sites
     g = np.asarray_chkfinite(kern.g)
     h = (n - 1) // 2
-    tail = _inverse_minors(kern, shift, n - h)
-    if tail is not None:
-        lead = _halving_minors(_toeplitz(g, n - 1 + shift, h))
+    m = n - h
+    inverse = _inverse_block(kern, shift, m)
+    if inverse is not None:
+        minors, diagonal = _split(np.stack((_toeplitz(g, n - 1 + shift, m), inverse)))
+        lead = minors[0, :h] * np.cumprod(diagonal[0, :h])
+        mantissas, exponents = _binary_cumprod(np.concatenate((kern.ensemble.polarizations,
+                                                               diagonal[1])))
+        tail = np.ldexp(mantissas[n:] * minors[1], exponents[n:])
         if abs(tail[-1] - lead[-1]) <= _SPLIT_AGREEMENT:
             return np.concatenate(([1.0], lead, tail[-2::-1]))
     return np.concatenate(([1.0], _halving_minors(_toeplitz(g, n - 1 + shift, n - 1))))
@@ -742,11 +748,11 @@ def _fallback_sum(kern: CorrelationKernel) -> float:
     each contraction matrix from orthogonal factors, with no pivot to break
     down, and the class weights sum them: O(m^3) flops per matrix.  At the
     window breakdown point (-0.9654, 0.2609, 0.05), N = 50, its 576
-    matrices make <J_x^4> take a median of 97 ref units, against 155 with
-    one call per matrix (BENCH_23.json).  Each matrix is a principal
-    block of the pair matrix, whose singular values are at most 1, so
-    every minor is accurate to near roundoff of 1 in absolute terms, as the
-    pair correlators are.
+    matrices make <J_x^4> take a median of 93 ref units (BENCH_24.json),
+    against 155 with one call per matrix (BENCH_23.json).  Each matrix is
+    a principal block of the pair matrix, whose singular values are at
+    most 1, so every minor is accurate to near roundoff of 1 in absolute
+    terms, as the pair correlators are.
     """
     n = kern.ensemble.spec.sites
     stacks = []

@@ -368,3 +368,23 @@ def test_validate_builds_one_kernel_per_ensemble(monkeypatch, capsys):
     assert cli.main(["validate"]) == 0
     assert "all checks passed" in capsys.readouterr().out
     assert len(built) >= 8 and set(built.values()) == {1}
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    # the parser is built once per process and kept; a flag of one call
+    # leaves nothing behind for the next, so each call writes the bytes it
+    # writes in a process of its own
+    assert cli._build_parser() is cli._build_parser()
+    calls = (("tscan", "--gamma", "1", "--field", "0.5", "--temp", "0.1:1:3", "--sites", "8",
+              "--shot-noise", "--modulation", "half", "--format", "json"),
+             ("tscan", "--gamma", "1", "--field", "0.5", "--temp", "0.1:1:3", "--sites", "8"),
+             ("dispersion", "--gamma", "-1:1:3", "--field", "-0.5", "--sites", "6"))
+    together = []
+    for args in calls:
+        assert cli.main(args) == 0
+        together.append(capsys.readouterr().out)
+    for args, out in zip(calls, together):
+        alone = run_cli(*args)
+        assert alone.returncode == 0, alone.stderr
+        assert out == alone.stdout, args
+    assert together[0] != together[1]

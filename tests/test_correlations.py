@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import mpmath
 import numpy as np
@@ -428,9 +429,11 @@ def _record_stacks(monkeypatch):
 
 def _record_halvings(monkeypatch):
     # the shape of every stack handed to the orthogonal-minor engine from
-    # outside it.  The halving recurses through the module attribute, and
-    # each level's split calls back into it, so a depth counter shared by
-    # both leaves out every call made inside the engine
+    # outside it, whether to the halving or to one level of it (the pair
+    # correlators split their two blocks directly).  The halving recurses
+    # through the module attribute, and each level's split calls back into
+    # it, so a depth counter shared by both leaves out every call made
+    # inside the engine
     shapes, depth = [], [0]
 
     def entry(fn, record):
@@ -445,7 +448,7 @@ def _record_halvings(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(correlations, "_halving_minors", entry(correlations._halving_minors, True))
-    monkeypatch.setattr(correlations, "_split", entry(correlations._split, False))
+    monkeypatch.setattr(correlations, "_split", entry(correlations._split, True))
     return shapes
 
 
@@ -747,7 +750,7 @@ def _assert_stacks_are_their_rows(cases):
             assert np.array_equal(row, alone[name]), name
 
 
-@pytest.mark.parametrize("n", (*range(1, 10), 33, 64))
+@pytest.mark.parametrize("n", (*range(1, 10), 17, 31, 33, 64, 151))
 def test_halving_minors_match_one_det_per_order(n):
     rng = np.random.default_rng(n)
     cases = _halving_cases(n, rng)
@@ -789,8 +792,10 @@ def _scipy_halving_minors(a):
         products = np.cumprod(np.diagonal(qr))
         q, _, orth_info = lapack.dorgqr(qr, tau, lwork=32 * n, overwrite_a=True)
         assert info == orth_info == 0
-        h = n // 2
-        halve_into(q[h:, h:][::-1, ::-1], out[n - 2::-1][:n - h])
+        # two blocks of order ceil(n/2); for odd n they share minor h, and
+        # the leading block's, written last, is the one kept
+        h = (n + 1) // 2
+        halve_into(q[n - h:, n - h:][::-1, ::-1], out[n - 2::-1][:h])
         halve_into(q[:h, :h], out[:h])
         out[-1] = 1.0
         if np.count_nonzero(tau) % 2:
@@ -941,7 +946,9 @@ def test_zero_mode_points_take_the_whole_matrix_halving(T):
     kern = correlations.kernel(_ens(gamma=0.0, field_ratio=0.0, sites=n, T=T))
     for shift in (-1, +1):
         lead = correlations._halving_minors(correlations._toeplitz(kern.g, n - 1 + shift, h))
-        tail = correlations._inverse_minors(kern, shift, n - h)
+        inverse = correlations._inverse_block(kern, shift, n - h)
+        tail = None if inverse is None else (np.prod(kern.ensemble.polarizations)
+                                             * correlations._halving_minors(inverse))
         assert tail is None or not abs(tail[-1] - lead[-1]) <= correlations._SPLIT_AGREEMENT
         assert np.array_equal(correlations._pair_correlations(kern, shift),
                               _whole_matrix_correlators(kern, shift)), (T, shift)
@@ -951,17 +958,19 @@ def test_zero_mode_points_take_the_whole_matrix_halving(T):
 def test_split_stays_in_range_where_det_c_underflows(sites, log10_det, monkeypatch):
     # the gapless XX chain at T = 5: det C = prod t_k is 1e-300 (N = 300) and
     # 1e-1002 (N = 1000, below the float range), and 1/t_min reaches 480
-    # and 1600; the split is taken, no halving above order h, and every
-    # correlator is finite and within 2e-15 of the whole matrix's halving
+    # and 1600; the split is taken: the pair matrix's and C^-1's leading
+    # blocks of order N - (N-1)//2 go to the engine as one stack, and
+    # nothing of order N-1 does.  Every correlator is finite and within
+    # 2e-15 of the whole matrix's halving
     ens = _ens(gamma=0.0, field_ratio=0.0, sites=sites, T=5.0)
     assert np.log10(ens.polarizations).sum() == pytest.approx(log10_det, abs=0.05)
     kern = correlations.kernel(ens)
-    h = (sites - 1) // 2
+    m = sites - (sites - 1) // 2
     for shift in (-1, +1):
         halved = _record_halvings(monkeypatch)
         got = correlations._pair_correlations(kern, shift)
         monkeypatch.undo()
-        assert halved == [(h, h)], shift
+        assert halved == [(2, m, m)], shift
         want = _whole_matrix_correlators(kern, shift)
         assert np.isfinite(got).all() and np.max(np.abs(got - want)) <= 2e-15, shift
 
@@ -1104,6 +1113,29 @@ def test_yy_pairs_make_no_det_calls_on_a_real_kernel(monkeypatch):
     assert correlations.yy_correlation(kern, 299) == kern.yy[299]
     assert correlations.var_jy(kern) == var_y
     assert calls == []
+
+
+@pytest.mark.parametrize("sites, factorizations, orthogonalizations", ((50, 2, 1), (300, 5, 4)))
+def test_pair_correlators_make_one_lapack_call_per_level(sites, factorizations,
+                                                         orthogonalizations, monkeypatch):
+    # the pair matrix's block and C^-1's, both of order m = N - (N-1)//2,
+    # go down the halving as one stack whatever the parity of each level's
+    # order: m = 26 splits once into blocks of order 13, leaves; m = 151
+    # splits into 76, 38, 19 and leaves of order 10.  Each split makes one
+    # dgeqrf and one dorgqr call, the leaves one dgeqrf
+    kern = correlations.kernel(_ens(sites=sites))
+    engine, calls = correlations._umath_linalg, collections.Counter()
+
+    def counted(name):
+        fn = getattr(engine, name)
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    monkeypatch.setattr(correlations, "_umath_linalg", types.SimpleNamespace(
+        qr_r_raw=counted("qr_r_raw"), qr_reduced=counted("qr_reduced")))
+    got = correlations._pair_correlations(kern, -1)
+    monkeypatch.undo()
+    assert calls == {"qr_r_raw": factorizations, "qr_reduced": orthogonalizations}
+    assert np.array_equal(got, correlations._pair_correlations(kern, -1))
 
 
 def test_var_jx_slope_keeps_the_per_separation_path():

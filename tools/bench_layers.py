@@ -42,13 +42,14 @@ angles, reduced energies, fluctuation weights, 1 - 2 n_k and its slope),
 that is all of them, and the J_z rows of a fresh ensemble then time the
 mode sums alone; in trees that build some of those arrays on first read,
 the J_z rows include that build.  Next to each time the file records how many
-matrices the timed call handed to the orthogonal-minor engine
-(``correlations._halving_minors``) from outside it: each call counts the
-product of its stack's leading dimensions, 1 for a single matrix, and a
-depth counter shared with the engine's split (``correlations._split``,
-where the tree has one) leaves out the calls that the engine makes of
-itself, so a tree that halves one matrix per call and a tree that halves
-stacks record the same count.  It also records the value the call
+matrices the timed call handed to the orthogonal-minor engine from
+outside it, to the halving (``correlations._halving_minors``) or to one
+level of it (``correlations._split``, where the tree has one, which the
+pair correlators call directly): each call counts the product of its
+stack's leading dimensions, 1 for a single matrix, and a depth counter
+shared by the two leaves out the calls that the engine makes of itself,
+so a tree that halves one matrix per call and a tree that halves stacks
+record the same count.  It also records the value the call
 returned (sum of g_j^2 for a kernel, of n_k for an ensemble).  With the
 pair correlators filled, a fourth-moment call that hands in any matrices
 has met a breakdown and taken orthogonal minors for every gap class; it
@@ -139,10 +140,10 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
               if hasattr(correlations, name)}
     count, depth = [0], [0]
 
-    def entry(name, fn):
+    def entry(fn):
         # counts the matrices of a call from outside the engine only
         def wrapped(a):
-            if name == "_halving_minors" and not depth[0]:
+            if not depth[0]:
                 count[0] += math.prod(a.shape[:-2])
             depth[0] += 1
             try:
@@ -182,7 +183,7 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
 
     times, refs, halvings, values = {}, {}, {}, {}
     for name, fn in engine.items():
-        setattr(correlations, name, entry(name, fn))
+        setattr(correlations, name, entry(fn))
     try:
         for row in GRID:
             key = _key(*row)
