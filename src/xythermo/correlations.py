@@ -75,7 +75,12 @@ one det per class, and by a (2/3) k^3 flop count 7.1 (N = 50) to 7.4 (N =
 whose windows must be eliminated whole.  The windows are eliminated in
 stacks, each at a panel-aligned offset in an identity matrix, so that no
 flop goes to the identity before a window and a window's pivots do not
-depend on its stack.  Where any elimination, of T or of a window stack,
+depend on its stack.  Which windows there are, how they are stacked, where
+each row of a stack is gathered from and how each minor is weighted
+depend on N alone: they are planned once per ring size (see _window_plan),
+and a point takes the elimination of T, checked for breakdown once per
+panel of steps, then one gather and one elimination per stack.  Where any
+elimination, of T or of a window stack,
 breaks down on a pivot that is zero to working precision (see
 fourth_moment_from_kernel), the whole sum goes to one fallback instead: it
 is left out if Hadamard's inequality certifies it below one ulp of
@@ -129,9 +134,10 @@ __all__ = [
 MODULATIONS = ("uniform", "half")
 
 # cap on matrix entries in one stack of the quadruple sum (2.4 MB of
-# float64), whether it holds Schur windows or, at a point where an
-# elimination broke down, the contraction matrices of one t2 that
-# _fallback_sum bounds and, failing that, minors; chosen by timing
+# float64), whether it holds Schur windows (the plan of a ring size,
+# _window_plan, is keyed on it, so a new cap takes a new plan) or, at a
+# point where an elimination broke down, the contraction matrices of one
+# t2 that _fallback_sum bounds and, failing that, minors; chosen by timing
 # the windows of order min(t3, N-1-t3-t2), medians at (1, 0.5, 0.3) and
 # (-0.977, 0.386, 0.3155): 100k-400k entries time alike at N = 50 (600k is
 # 10 % slower), 200k-400k at N = 100 (100k is 10 % and 600k 25 % slower),
@@ -141,7 +147,8 @@ MODULATIONS = ("uniform", "half")
 _DET_BATCH_ELEMENTS = 300_000
 # width of the diagonal panels inside which _leading_minors takes scalar steps,
 # and where a panel's multipliers sit in its diagonal block; every window of
-# a stack starts at a multiple of it
+# a stack starts at a multiple of it, and _schur_snapshots checks its
+# multipliers once per run of this many steps after the first
 _PANEL = 8
 _STRICTLY_LOWER = np.tri(_PANEL, k=-1, dtype=bool)
 _EPS = np.finfo(float).eps
@@ -498,14 +505,16 @@ def var_jx_slope(kern: CorrelationKernel) -> float:
     where pair matrices are singular (gamma = -1, h/J = 0).  The complex
     (N-1) x (N-1) pair matrix is gathered once, and, as Householder
     reflections are not complex-analytic, each of its leading r x r blocks
-    takes one LAPACK det: O(N^4) flops.
+    takes one LAPACK det, from the gufunc np.linalg.det is built from,
+    called directly (the same bits, without the wrapper's checks): O(N^4)
+    flops.
     """
     ens = kern.ensemble
     n = ens.spec.sites
     step = 2.0**-64  # a power of two, so scaling by it is exact
     stepped = kern.g + 1j * step * _contractions(ens, ens.polarization_slopes)
     pairs = _toeplitz(stepped, n - 2, n - 1)
-    corr = np.array([np.linalg.det(pairs[:r, :r]) for r in range(n)])
+    corr = np.array([_umath_linalg.det(pairs[:r, :r], signature="D->D") for r in range(n)])
     return (n + _pair_sum(corr)).imag / step
 
 
@@ -656,52 +665,130 @@ def _schur_snapshots(kern: CorrelationKernel) -> tuple[np.ndarray, np.ndarray] |
     an m x m identity, and their first zeros take what a window row of the
     last snapshot runs on into.  Returns None at a breakdown: a pivot that
     is zero to working precision or a value that is not finite.
+    A step is three numpy calls: the multipliers go to a (N-3, N-2) array,
+    and their product with the pivot row is subtracted into the store.
+    The multipliers are checked against _MULTIPLIER_LIMIT after the first
+    step, where the common breakdowns stop (T = inf, the gamma = -1, h/J =
+    0 line, the cold polarized XX chain), and then at the end of each run
+    of _PANEL steps; after the last step every multiplier and the whole
+    store are: None exactly where a check after every step gives it, and
+    the same store bits where it does not.
     """
     n = kern.ensemble.spec.sites
-    orders = np.arange(n - 2, 1, -1)
-    ends = np.cumsum(orders * orders)
+    orders, ends = _snapshot_layout(n)
     store = np.zeros(ends[-1] + 2 * (n - 2))
     store[-(n - 2)] = 1.0
+    multipliers = np.zeros((len(orders), n - 2))
     block = _toeplitz(kern.g, n - 2, n - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for order, end in zip(orders.tolist(), ends.tolist()):
-            col = block[1:, 0] / block[0, 0]
-            if not np.max(np.abs(col), initial=0.0) <= _MULTIPLIER_LIMIT:
-                return None
+        for step, (order, end) in enumerate(zip(orders.tolist(), ends.tolist())):
+            col = np.divide(block[1:, 0], block[0, 0], out=multipliers[step, :order])
             snapshot = store[end - order * order:end].reshape(order, order)
             np.multiply(col[:, None], block[0, None, 1:], out=snapshot)
             np.subtract(block[1:, 1:], snapshot, out=snapshot)
-            if not np.isfinite(snapshot).all():
-                return None
             block = snapshot
+            if step % _PANEL == 0 and not (np.max(np.abs(
+                    multipliers[max(0, step + 1 - _PANEL):step + 1])) <= _MULTIPLIER_LIMIT):
+                return None
+    if not (np.max(np.abs(multipliers)) <= _MULTIPLIER_LIMIT and np.isfinite(store).all()):
+        return None
     return store, ends - orders * orders
 
 
-def _window_stack(store: np.ndarray, starts: np.ndarray, n: int, t3: np.ndarray,
-                  t2: np.ndarray, order: np.ndarray, offsets: np.ndarray, m: int) -> np.ndarray:
-    """The windows Sigma_t3[t2:t2+k, t2:t2+k], k = order, of a store of _schur_snapshots.
+def _snapshot_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the orders N-2 ... 2 of Sigma_t, t = 1 ... N-3, and where each ends in
+    # the store of _schur_snapshots, before its 2(N-2) spare entries
+    orders = np.arange(n - 2, 1, -1)
+    return orders, np.cumsum(orders * orders)
+
+
+@dataclass(frozen=True, eq=False)
+class _WindowStack:
+    """One stack of Schur windows Sigma_t3[t2:t2+k, t2:t2+k] of _nested_quad_sum, k = order.
 
     Window i sits in an m x m identity on rows and columns from offsets[i],
     so that its leading minor of order j is the stack's of order offsets[i]
-    + j.  Each row of the stack is one run of m entries of the store, and
-    all B m rows come in one gather: a window row runs on along its row of
-    Sigma_t3 (into the next row, or the next snapshot), and those columns are
-    zeroed, once for every run of windows of one order; every other row is
-    a row of the identity at the end of the store.  The columns before a
-    window's offset keep what its rows ran over: no step of _leading_minors
-    reads them.
+    + j.  rows[i, q] is where row q of matrix i starts in the store of
+    _schur_snapshots: a window row runs on along its row of Sigma_t3 (into
+    the next row, or the next snapshot), every other row is a row of the
+    identity at the end of the store.  runs holds (lo, hi, offset, end),
+    one per run of windows of one order, whose columns [end, m) of rows
+    [offset, end) a window row ran over.  weights[i, q - 1] weights stack
+    minor q as class (q - offsets[i], t2, t3), and 0 before the offset.
+    Everything in it depends on N alone, and its arrays are read-only.
     """
+
+    t3: np.ndarray
+    t2: np.ndarray
+    offsets: np.ndarray
+    m: int
+    rows: np.ndarray
+    runs: tuple[tuple[int, int, int, int], ...]
+    weights: np.ndarray
+
+
+def _plan_stack(n: int, t3: np.ndarray, t2: np.ndarray, order: np.ndarray,
+                offsets: np.ndarray, m: int) -> _WindowStack:
+    # the stack of the windows (t3, t2) of the given orders at the given
+    # offsets, windows of one order next to each other
+    _, ends = _snapshot_layout(n)
     local = np.arange(m) - offsets[:, None]
     size = n - 1 - t3
     rows = np.where((local >= 0) & (local < order[:, None]),
-                    (starts[t3 - 1] + t2 * size + t2 - offsets)[:, None] + local * size[:, None],
-                    len(store) - (n - 2) - np.arange(m))
-    stack = sliding_window_view(store, m)[rows]
-    runs = np.flatnonzero(np.diff(order, prepend=-1)).tolist()
-    for lo, hi in zip(runs, runs[1:] + [len(order)]):
-        o, end = offsets[lo], offsets[lo] + order[lo]
-        stack[lo:hi, o:end, end:] = 0.0
-    return stack
+                    (ends[t3 - 1] - size * size + t2 * size + t2 - offsets)[:, None]
+                    + local * size[:, None],
+                    ends[-1] + (n - 2) - np.arange(m))
+    firsts = np.flatnonzero(np.diff(order, prepend=-1)).tolist()
+    runs = tuple((lo, hi, int(offsets[lo]), int(offsets[lo] + order[lo]))
+                 for lo, hi in zip(firsts, firsts[1:] + [len(order)]))
+    j = np.arange(1, m + 1) - offsets[:, None]
+    weights = _class_weights(n, j, t2[:, None], t3[:, None]) * (j > 0)
+    return _WindowStack(*_read_only(t3, t2, offsets), m, _read_only(rows)[0], runs,
+                        _read_only(weights)[0])
+
+
+@functools.lru_cache(maxsize=1)
+def _window_plan(n: int, cap: int, panel: int) -> tuple[_WindowStack, ...]:
+    """The stacks of Schur windows of _nested_quad_sum at N = n, built once per ring size.
+
+    The windows (t3, t2) of every outer gap t3, of order min(t3,
+    N-1-t3-t2), go largest first, in stacks of at most cap entries sized
+    by the first, largest window; each window sits in the identity at the
+    largest multiple of panel that leaves it room.  None of it reads a
+    kernel, so a sweep at fixed N builds the plan for its first point only
+    (0.30 MB at N = 50, 1.6 at N = 100, 11 at N = 200, below the store of
+    snapshots); the cap and the panel are passed in, _DET_BATCH_ELEMENTS
+    and _PANEL, so that the plan follows them.
+    """
+    t3, t2 = np.nonzero(np.add.outer(np.arange(n - 3), np.arange(n - 3)) <= n - 4)
+    t3, t2 = t3 + 1, t2 + 1
+    order = np.minimum(t3, n - 1 - t3 - t2)
+    rank = np.argsort(-order, kind="stable")
+    t3, t2, order = t3[rank], t2[rank], order[rank]
+    stacks, start = [], 0
+    while start < len(t3):
+        m = int(order[start])
+        stop = start + max(1, cap // (m * m))
+        k = order[start:stop]
+        stacks.append(_plan_stack(n, t3[start:stop], t2[start:stop], k,
+                                  (m - k) // panel * panel, m))
+        start = stop
+    return tuple(stacks)
+
+
+def _window_stack(store: np.ndarray, stack: _WindowStack) -> np.ndarray:
+    """The windows of a planned stack, gathered from a store of _schur_snapshots.
+
+    Each row of the (B, m, m) stack is one run of m entries of the store,
+    at the plan's rows, and all B m rows come in one gather; the columns a
+    window row ran over past its window are then zeroed, once for every
+    run of windows of one order.  The columns before a window's offset
+    keep what its rows ran over: no step of _leading_minors reads them.
+    """
+    windows = sliding_window_view(store, stack.m)[stack.rows]
+    for lo, hi, offset, end in stack.runs:
+        windows[lo:hi, offset:end, end:] = 0.0
+    return windows
 
 
 def _quad_index(kern: CorrelationKernel, t1: np.ndarray, t2: int,
@@ -800,10 +887,16 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     leaves it room, so it starts on a panel boundary, as it would alone,
     and the panels before its offset skip it: at most _PANEL - 1 rows of
     identity after it are eliminated with it, and its minor of order t1 is
-    the stack's of order offset + t1.  Reading each class from its
-    smaller outer gap t1 instead, as c(t1) times a minor of order t3 of
-    Sigma_t1[t2:, t2:], eliminates every window whole: 576 windows at N
-    = 50, but 7.1 times the flops, and at the four gamma < 0 points of
+    the stack's of order offset + t1.  None of that reads the kernel: the
+    stacks, their offsets, the store rows of their gathers, the columns to
+    zero and the class weights of every stack minor come from the plan of
+    the ring size (_window_plan), built at the first point of a sweep and
+    kept, so a point takes the snapshots, the pivot products c(t3), and
+    per stack a gather, an elimination and one weighted sum.  Reading
+    each class from its smaller outer gap t1 instead, as c(t1) times a
+    minor of order t3 of Sigma_t1[t2:, t2:], eliminates every window
+    whole: 576 windows at N = 50, but 7.1 times the flops, and at the
+    four gamma < 0 points of
     test_nested_minors_near_the_negative_gamma_critical_line, N = 50, it
     was 1.2e-10 to 8.9e-10 of <J_x^4> off, where this order is 8.7e-14 to
     3.2e-11 off (see fourth_moment_from_kernel).
@@ -840,30 +933,12 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     # c(t) for t = 0 ... N-3: products of the pivots T[0, 0] = g_{-1} and
     # Sigma_t[0, 0], t = 1 ... N-4
     pairs = np.cumprod(np.concatenate(([1.0, kern.g[n - 2]], store[starts[:-1]])))
-    # the windows (t3, t2) of every outer gap t3, of order min(t3,
-    # N-1-t3-t2), largest first
-    t3, t2 = np.nonzero(np.add.outer(np.arange(n - 3), np.arange(n - 3)) <= n - 4)
-    t3, t2 = t3 + 1, t2 + 1
-    order = np.minimum(t3, n - 1 - t3 - t2)
-    rank = np.argsort(-order, kind="stable")
-    t3, t2, order = t3[rank], t2[rank], order[rank]
     total = 0.0
-    start = 0
-    while start < len(t3):
-        m = order[start]
-        stop = start + max(1, _DET_BATCH_ELEMENTS // (m * m))
-        a, b, k = t3[start:stop], t2[start:stop], order[start:stop]
-        # each window starts on the last panel boundary that leaves it room
-        offsets = (m - k) // _PANEL * _PANEL
-        minors = _leading_minors(_window_stack(store, starts, n, a, b, k, offsets, m), offsets)
+    for stack in _window_plan(n, _DET_BATCH_ELEMENTS, _PANEL):
+        minors = _leading_minors(_window_stack(store, stack), stack.offsets)
         if minors is None:
             return None
-        # stack minor q is the window's of order j = q - offset, class (j,
-        # t2, t3); the minors before the offset (j < 1) weigh nothing
-        j = np.arange(1, m + 1) - offsets[:, None]
-        weights = _class_weights(n, j, b[:, None], a[:, None]) * (j > 0)
-        total += float(np.sum(pairs[a, None] * weights * minors))
-        start = stop
+        total += float(np.sum(pairs[stack.t3, None] * stack.weights * minors))
     return total
 
 
@@ -873,9 +948,10 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     The all-distinct quadruple sum comes from one elimination of the pair
     matrix, whose Schur-complement snapshots times the pair correlators
     give every gap class, and one blocked elimination per stack of Schur
-    windows (see _nested_quad_sum): O(N^5) flops, medians of 6.2 ref units
-    (calls of the benchmark's speed probe, about 1 ms) at N = 50, 71 at N =
-    100 and 715 at N = 200 (BENCH_20.json).  A breakdown is a pivot that
+    windows (see _nested_quad_sum), whose stacks are planned once per ring
+    size: O(N^5) flops, medians of 4.6 ref units (calls of the
+    benchmark's speed probe, about 1 ms) at N = 50, 65 at N = 100 and
+    701 at N = 200 (BENCH_25.json).  A breakdown is a pivot that
     is zero to working precision, as at T = inf (g = 0), on the gamma =
     -1, h/J = 0 line (every pair matrix singular) and in the cold XX chain
     polarized by h/J > 1.  Where any elimination breaks down, the pair

@@ -414,9 +414,9 @@ def _record_stacks(monkeypatch):
     windows, pairs = [], []
     window_stack, hadamard = correlations._window_stack, correlations._hadamard_products
 
-    def gather(store, starts, n, s, t2, order, offsets, m):
-        windows.append(list(zip(s.tolist(), t2.tolist())))
-        return window_stack(store, starts, n, s, t2, order, offsets, m)
+    def gather(store, stack):
+        windows.append(list(zip(stack.t3.tolist(), stack.t2.tolist())))
+        return window_stack(store, stack)
 
     def bound(kern, t1, t2, order):
         pairs.extend((a, t2) for a in t1.ravel().tolist())
@@ -473,14 +473,42 @@ def _break_pair_matrix_after(monkeypatch, kern, steps):
     monkeypatch.setattr(correlations, "_schur_snapshots", lambda kern: snapshots(singular))
 
 
+def _plain_elimination(kern):
+    # the largest multiplier of the N-3 elimination steps of the pair matrix
+    # and the first step whose snapshot is not finite (None if none is)
+    n = kern.ensemble.spec.sites
+    block, largest, first = correlations._toeplitz(kern.g, n - 2, n - 1), 0.0, None
+    with np.errstate(all="ignore"):
+        for step in range(n - 3):
+            col = block[1:, 0] / block[0, 0]
+            largest = max(largest, float(np.max(np.abs(col))))
+            block = block[1:, 1:] - col[:, None] * block[0, None, 1:]
+            if first is None and not np.isfinite(block).all():
+                first = step
+    return largest, first
+
+
 def test_pair_matrix_elimination_breaks_down_at_the_forced_step():
-    # steps 0 ... N-4 are checked; the pivot of step N-3 is never taken
+    # steps 0 ... N-4 are checked; the pivot of step N-3 is never taken.
+    # The multipliers are checked after the first step, once per run of
+    # _PANEL steps and after the last, so every forced step is caught.  A
+    # snapshot that overflows while every multiplier stays finite and at
+    # most 1 breaks the elimination down too: entries of 1e308 two and
+    # three places above the diagonal and -1 two and three below add up to
+    # inf in the second snapshot, Sigma_2
     n = 30
     kern = correlations.kernel(_ens(sites=n))
     assert correlations._schur_snapshots(kern) is not None
     for steps in (0, 1, 5, 20, n - 4):
         assert correlations._schur_snapshots(_singular_at(kern, steps)) is None, steps
     assert correlations._schur_snapshots(_singular_at(kern, n - 3)) is not None
+    g = np.zeros(2 * n - 1)
+    g[n - 2] = 1.0
+    g[[n, n + 1]] = -1.0
+    g[[n - 4, n - 5]] = 1e308
+    overflowing = correlations.CorrelationKernel(kern.ensemble, g)
+    assert _plain_elimination(overflowing) == (1.0, 1)
+    assert correlations._schur_snapshots(overflowing) is None
 
 
 def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
@@ -619,7 +647,8 @@ def test_window_minors_do_not_depend_on_their_stack():
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
         store, starts = correlations._schur_snapshots(kern)
         assert len(starts) == n - 3
-        stack = correlations._window_stack(store, starts, n, s, t2, orders, offsets, m)
+        stack = correlations._window_stack(
+            store, correlations._plan_stack(n, s, t2, orders, offsets, m))
         filled = np.zeros_like(stack)
         filled[:, np.arange(m), np.arange(m)] = 1.0
         for mat, a, b, k, o in zip(filled, s.tolist(), t2.tolist(), orders.tolist(),
@@ -633,7 +662,8 @@ def test_window_minors_do_not_depend_on_their_stack():
         assert np.array_equal(minors, correlations._leading_minors(filled, offsets))
         for i, (k, o) in enumerate(zip(orders.tolist(), offsets.tolist())):
             alone = correlations._leading_minors(correlations._window_stack(
-                store, starts, n, s[i:i + 1], t2[i:i + 1], orders[i:i + 1], origin, k), origin)
+                store, correlations._plan_stack(n, s[i:i + 1], t2[i:i + 1], orders[i:i + 1],
+                                                origin, k)), origin)
             assert np.array_equal(minors[i, o:o + k], alone[0]), (gamma, k)
             assert np.all(minors[i, :o] == 1.0) and np.all(minors[i, o + k:] == alone[0, -1])
         for pivot in (0.0, 1e-18):
@@ -672,6 +702,53 @@ def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):
     monkeypatch.setattr(correlations, "_leading_minors", lambda mats, offsets:
                         None if next(count) == 3 else leading(mats, offsets))
     assert len(_check_whole_point_in_fallback(monkeypatch, kern, "window")) == 4
+
+
+def test_window_plan_is_built_once_per_ring_size(monkeypatch):
+    # the windows' stacks depend on N alone: a sweep at fixed N plans them
+    # for its first point only, a change of ring size rebuilds the same
+    # plan, and every array of it refuses writes
+    correlations._window_plan.cache_clear()
+    setup = faraday.FaradaySetup()
+    for T in np.geomspace(0.1, 2.0, 6):
+        assert faraday.ReadoutPoint(_ens(sites=50, T=T), setup).snr_varjx > 0.0
+    assert correlations._window_plan.cache_info().misses == 1
+
+    def plan(n):
+        return correlations._window_plan(n, correlations._DET_BATCH_ELEMENTS, correlations._PANEL)
+
+    first = {n: plan(n) for n in (14, 50)}
+    for i, n in enumerate((14, 50, 14, 50)):
+        misses = correlations._window_plan.cache_info().misses
+        stacks = plan(n)
+        assert correlations._window_plan.cache_info().misses == misses + 1, i
+        assert correlations._window_plan.cache_info().currsize == 1
+        assert len(stacks) == len(first[n]) and [a.m for a in stacks] == [b.m for b in first[n]]
+        for a, b in zip(stacks, first[n]):
+            assert a.runs == b.runs
+            for name in ("t3", "t2", "offsets", "rows", "weights"):
+                x = getattr(a, name)
+                assert np.array_equal(x, getattr(b, name)), (n, name)
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[0] = 0
+    # a different cap is a different plan
+    monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 200)
+    assert len(plan(14)) > len(first[14])
+
+
+# float.hex of the quadruple sum on NESTED_GRID at N = 50, then at (1, 0.5,
+# 0.3), N = 100, as the per-point construction of the windows gave them
+NESTED_BITS = ("0x1.300c0689bd67ep+17", "0x1.e1459fc531b88p+13", "0x1.a8c8ffef8fe51p+7",
+               "0x1.6c98090eee686p+11", "0x1.f7eb2ed57fa61p+4", "0x1.0898a504b149ap+3",
+               "0x1.012307594c183p+21")
+
+
+def test_nested_quad_sum_keeps_its_bits():
+    points = [(50, p) for p in NESTED_GRID] + [(100, NESTED_GRID[0])]
+    for (n, (gamma, field, T)), bits in zip(points, NESTED_BITS, strict=True):
+        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
+        assert correlations._nested_quad_sum(kern).hex() == bits, (n, gamma, field, T)
 
 
 def test_pair_matrix_breakdown_sends_later_t1_to_dets(monkeypatch):

@@ -8,11 +8,16 @@ where one window stack breaks down at N = 50, one regular point at N =
 ``var_jx_slope`` and ``kernel`` (N = 50 to 1000), and at N = 50 the
 per-point layers of a
 ``phase-diagram`` sweep: ``thermometry.ensemble``, ``var_jz`` (uniform and
-half probe) and ``mean_jz_slope``, for one or more source trees, and writes
-the medians to a JSON file together with the core count and the BLAS in use.
+half probe) and ``mean_jz_slope``, and one VAR_JX readout point at N = 50
+(a fresh ``faraday.ReadoutPoint``'s ``snr_varjx``: its kernel, Var(J_x),
+the slope and <J_x^4>, as one ``tscan-quartic`` row computes them), for
+one or more source trees, and writes the medians to a JSON file together
+with the core count and the BLAS in use.
 Each grid row makes one untimed warm-up call and then CALLS timed calls in
 the same process, and takes their median, so that a row does not read the
-allocator and cache state that the rows before it left.
+allocator and cache state that the rows before it left.  The warm-up call
+also builds what a tree memoizes per ring size (the cos/sin tables, the
+plan of Schur windows of <J_x^4>), as the first point of a sweep does.
 The CPU speed a process gets on a shared machine swings by tens of percent
 between runs, so each call is also divided by the mean duration of the
 benchmark's fixed speed probe (``sweepbench.worker.speed_probe``, about 1
@@ -58,7 +63,10 @@ left every class out.  Each
 tree's values must repeat exactly over its calls and repetitions; the file
 gives every value's relative difference from the first tree, and the run
 prints the largest, so a speed change that moves the numbers shows next to
-its timings.
+its timings.  For N = 50, 100 and 200 the file also records the bytes of
+the store of Schur-complement snapshots that <J_x^4> keeps per point and,
+in trees that plan the Schur windows once per ring size
+(``correlations._window_plan``), the bytes of that plan.
 """
 from __future__ import annotations
 
@@ -116,7 +124,12 @@ GRID = (
     ("var_jz", 50, 1.0, 0.5, 0.3, "uniform"),
     ("var_jz", 50, 1.0, 0.5, 0.3, "half"),
     ("mean_jz_slope", 50, 1.0, 0.5, 0.3, "uniform"),
+    ("VAR_JX point", 50, 1.0, 0.5, 0.3, "snr_varjx"),
 )
+
+# ring sizes at which the bytes of the window plan and of the snapshot
+# store are recorded
+PLAN_SIZES = (50, 100, 200)
 
 
 # timed calls per grid row and repetition, after one warm-up call
@@ -133,7 +146,7 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
     # orthogonal-minor engine and the value it returned, with the tree on
     # sys.path
     from sweepbench.worker import speed_probe
-    from xythermo import correlations, thermometry
+    from xythermo import correlations, faraday, thermometry
     from xythermo.spectrum import ChainSpec
 
     engine = {name: getattr(correlations, name) for name in ("_halving_minors", "_split")
@@ -158,6 +171,8 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
         if layer == "ensemble":
             return lambda: thermometry.ensemble(spec, temp)
         ens = thermometry.ensemble(spec, temp)
+        if layer == "VAR_JX point":
+            return lambda: faraday.ReadoutPoint(ens, faraday.FaradaySetup()).snr_varjx
         if layer in ("var_jz", "mean_jz_slope"):
             return lambda: getattr(correlations, layer)(ens, kind)
         if layer == "kernel":
@@ -208,6 +223,25 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
     return times, refs, halvings, values
 
 
+def _plan_bytes() -> dict[str, dict[str, int | None]]:
+    # per ring size, the bytes of the snapshot store (its length is fixed by
+    # N: sum of k^2, k = 2 ... N-2, plus 2(N-2) spare entries) and of the
+    # arrays of the window plan, None in a tree without one
+    from xythermo import correlations
+
+    out = {}
+    for n in PLAN_SIZES:
+        store = 8 * (sum(k * k for k in range(2, n - 1)) + 2 * (n - 2))
+        plan = None
+        if hasattr(correlations, "_window_plan"):
+            stacks = correlations._window_plan(n, correlations._DET_BATCH_ELEMENTS,
+                                               correlations._PANEL)
+            plan = sum(getattr(stack, name).nbytes for stack in stacks
+                       for name in ("t3", "t2", "offsets", "rows", "weights"))
+        out[f"N={n}"] = {"snapshot_store": store, "window_plan": plan}
+    return out
+
+
 def _relative_difference(value: float, base: float) -> float:
     if value == base:
         return 0.0
@@ -241,7 +275,7 @@ def main(argv=None) -> int:
         sys.path[:0] = [args.worker, ROOT]
         times, refs, halvings, values = _time_grid()
         print(json.dumps({"times": times, "refs": refs, "halvings": halvings, "values": values,
-                          "env": _blas()}))
+                          "plan_bytes": _plan_bytes(), "env": _blas()}))
         return 0
     if not args.tree or not args.out or args.reps < 1:
         parser.error("need at least one --tree, an --out file and --reps >= 1")
@@ -283,6 +317,7 @@ def main(argv=None) -> int:
            for stat, fn in (("median_ref", statistics.median), ("min_ref", min),
                             ("max_ref", max))},
         "halving_matrices": halvings,
+        "plan_bytes": {label: reps[0]["plan_bytes"] for label, reps in runs.items()},
         "values": values,
         "relative_difference_from_first_tree": differences,
     }
