@@ -26,37 +26,23 @@ determinants of contraction submatrices.
 
 The pair correlator at separation r is the leading r x r minor of one
 (N-1) x (N-1) Toeplitz matrix T, so every separation comes from the
-leading minors of a single matrix.  They come from orthogonal factors
-alone, by recursive halving (see _halving_minors): O(N^3) flops for all
-N - 1 minors, instead of O(N^4) for one det per separation.  The halving
-takes a stack of matrices of one order: each step of its recursion
-factors the whole stack in one call of numpy's stacked LAPACK QR (the
-gufuncs np.linalg.qr is built from), and blocks of order _LEAF or less
-take every minor from one more, so that no code path of the package
-imports scipy.  Every matrix of a stack gets the LAPACK calls it would
-get alone, so its minors are the same bits.  Var(J_x) takes medians of
-0.56 ref units (calls of the benchmark's speed probe, about 1 ms) at N =
-50, 4.6 at N = 300 and 59 at N = 1000 (BENCH_24.json).  T is the
-leading block of the skew-circulant C of order N, whose det is prod t_k
-and whose inverse is the kernel with theta -> -theta and t -> 1/t; by
-Jacobi's complementary-minor identity the correlators past
-(N-1)//2 are det C times leading minors of C^-1, so the leading blocks of
-T and C^-1 of order m = N - (N-1)//2 give them all, a quarter of the
-flops of one halving of T.  They go down the halving as one (2, m, m)
-stack, and each level splits a block into two of equal order ceil(n/2),
-so the whole route takes one stacked call of each LAPACK routine per
-level (see _pair_correlations).  Where C is singular to working precision (at
-infinite temperature, and at the XX chain's zero mode at h/J = 0, N = 2
-mod 4) the two halves disagree on the separation they share, and T takes
-one halving whole.
-Elimination without row exchanges would be cheaper still, but it is
-unstable here: the pair correlator falls to ~1e-19 halfway round the
-ring and grows again toward r = N - 1, and the pivot ratios blow up with
-it.  Orthogonal factors keep every correlator accurate to near roundoff
-of 1, in absolute terms, on both halves: the singular values of C^-1
-reach coth(eps_min / 2T), but |det C| times the volume of any columns of
-C^-1 is the volume of the complementary rows of C, at most 1.  A
-correlator far below 1 has correspondingly fewer correct digits.
+leading minors of a single matrix.  T is the leading block of the
+skew-circulant C of order N, whose det is prod t_k and whose inverse is
+the kernel with theta -> -theta and t -> 1/t; by Jacobi's
+complementary-minor identity the correlators past (N-1)//2 are det C
+times leading minors of C^-1, so the leading blocks of T and C^-1 of
+order m = N - (N-1)//2 give them all (see _pair_correlations).  Where C
+is singular to working precision (at infinite temperature, and at the XX
+chain's zero mode at h/J = 0, N = 2 mod 4) the two blocks disagree on
+the separation they share, and T takes its minors whole.  The minors
+come from orthogonal factors (see the minors module), which keep every
+correlator accurate to near roundoff of 1, in absolute terms, on both
+blocks: the singular values of C^-1 reach coth(eps_min / 2T), but |det
+C| times the volume of any columns of C^-1 is the volume of the
+complementary rows of C, at most 1.  A correlator far below 1 has
+correspondingly fewer correct digits.  Var(J_x) takes medians of 0.56 ref
+units (calls of the benchmark's speed probe, about 1 ms) at N = 50, 4.6
+at N = 300 and 59 at N = 1000 (BENCH_24.json).
 
 The <J_x^4> sum needs one such determinant per gap class (t1, t2, t3) of
 the four sites, about N^3/12 of them.  Each is a principal minor of the
@@ -70,24 +56,16 @@ elimination of T therefore serves every class, and for fixed (t3, t2)
 every t1 is a leading minor of the window's leading block of order
 min(t3, N-1-t3-t2), which one elimination without row exchanges gives as
 products of its pivots: O(N^5) flops for the sum instead of the O(N^6) of
-one det per class, and by a (2/3) k^3 flop count 7.1 (N = 50) to 7.4 (N =
-200) times fewer than reading each class from its smaller outer gap t1,
-whose windows must be eliminated whole.  The windows are eliminated in
-stacks, each at a panel-aligned offset in an identity matrix, so that no
-flop goes to the identity before a window and a window's pivots do not
-depend on its stack.  Which windows there are, how they are stacked, where
-each row of a stack is gathered from and how each minor is weighted
-depend on N alone: they are planned once per ring size (see _window_plan),
-and a point takes the elimination of T, checked for breakdown once per
-panel of steps, then one gather and one elimination per stack.  Where any
-elimination, of T or of a window stack,
-breaks down on a pivot that is zero to working precision (see
-fourth_moment_from_kernel), the whole sum goes to one fallback instead: it
-is left out if Hadamard's inequality certifies it below one ulp of
-<J_x^4>, and otherwise every class takes the leading minors of its own
-contraction matrix from orthogonal factors, as the pair correlators do.
-The quadruple sum takes no LAPACK det; the one-det-per-class sum lives in
-the tests, as the reference.
+one det per class.  The minors module eliminates T and the windows, in
+stacks planned once per ring size with the weights of their gap classes
+(_class_weights; see _nested_quad_sum).  Where any elimination, of T or
+of a window stack, breaks down on a pivot that is zero to working
+precision (see fourth_moment_from_kernel), the whole sum goes to one
+fallback instead: it is left out if Hadamard's inequality certifies it
+below one ulp of <J_x^4>, and otherwise every class takes the leading
+minors of its own contraction matrix from orthogonal factors, as the
+pair correlators do.  The quadruple sum takes no LAPACK det; the
+one-det-per-class sum lives in the tests, as the reference.
 
 A subtlety worth stating once: these formulas describe the Hamiltonian
 variant whose fermions are exactly antiperiodic (the boundary bond carries
@@ -111,9 +89,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from numpy.linalg import _umath_linalg
 
+from . import minors
 from .spectrum import _read_only, momentum_grid
 from .thermometry import ThermalEnsemble
 
@@ -133,37 +110,6 @@ __all__ = [
 
 MODULATIONS = ("uniform", "half")
 
-# cap on matrix entries in one stack of the quadruple sum (2.4 MB of
-# float64), whether it holds Schur windows (the plan of a ring size,
-# _window_plan, is keyed on it, so a new cap takes a new plan) or, at a
-# point where an elimination broke down, the contraction matrices of one
-# t2 that _fallback_sum bounds and, failing that, minors; chosen by timing
-# the windows of order min(t3, N-1-t3-t2), medians at (1, 0.5, 0.3) and
-# (-0.977, 0.386, 0.3155): 100k-400k entries time alike at N = 50 (600k is
-# 10 % slower), 200k-400k at N = 100 (100k is 10 % and 600k 25 % slower),
-# and 300k-600k at N = 200 (200k is 10 % and 100k 30 % slower).  The
-# fallback's stacks keep the value they were timed with (200k-300k fastest
-# at N = 100, breakdown points)
-_DET_BATCH_ELEMENTS = 300_000
-# width of the diagonal panels inside which _leading_minors takes scalar steps,
-# and where a panel's multipliers sit in its diagonal block; every window of
-# a stack starts at a multiple of it, and _schur_snapshots checks its
-# multipliers once per run of this many steps after the first
-_PANEL = 8
-_STRICTLY_LOWER = np.tri(_PANEL, k=-1, dtype=bool)
-_EPS = np.finfo(float).eps
-# a multiplier above 1/eps means its pivot is below roundoff of the entries
-# it eliminates, i.e. zero to working precision
-_MULTIPLIER_LIMIT = 1.0 / _EPS
-# order at and below which a block of the halving recursion takes all its
-# leading minors from one stacked QR (_leaf_minors) instead of recursing;
-# chosen by timing var_jx at N = 50, 300 and 1000 and the fallback sum of
-# a window breakdown point at N = 50, best of four: 16 and 20 time alike
-# (within 9 %); 12 is 18 % and 8 31 % slower at N = 50, and 24 and 32
-# are 40-55 % slower on the fallback sum
-_LEAF = 16
-# mantissas in [1/2, 1) whose product stays a normal float: (1/2)^1000 > 2^-1022
-_MANTISSA_RUN = 1000
 # largest difference of the two values of c((N-1)//2) at which the pair
 # correlators take the skew-circulant split (see _pair_correlations).
 # Measured: at most 2.6e-15 at N = 50 and 60, 5.9e-14 at N = 300 and 9.5e-14
@@ -305,112 +251,6 @@ def _toeplitz(values: np.ndarray, diagonal: int, m: int) -> np.ndarray:
     return values[diagonal + a[:, None] - a[None, :]]
 
 
-def _halving_minors(a: np.ndarray) -> np.ndarray:
-    """Leading principal minors det a[..., :r, :r], r = 1 ... n, of a real (..., n, n) stack.
-
-    With a = QR (LAPACK dgeqrf/dorgqr), minor r of a is minor r of Q times
-    the product of the first r diagonal entries of R, and det Q = -1 to the
-    number of Householder reflections that are not the identity.
-    Since Q is orthogonal, Jacobi's complementary-minor identity gives
-    det Q[:r, :r] = det Q * det Q[r:, r:].  So with h = ceil(n/2) the
-    minors of order up to h are the leading minors of Q[:h, :h], those of
-    higher order the trailing minors of Q[n-h:, n-h:], i.e. the leading
-    minors of that block reversed in rows and columns; for odd n the two
-    blocks overlap by one row and column, and both give minor h.  The two
-    blocks are of one order, so they go down as one stack, to order
-    _LEAF, where one stacked QR gives every minor of a block (see
-    _leaf_minors): O(n^3) flops, with no division and no pivot.  Each
-    level factors its whole stack in one call of numpy's stacked LAPACK QR
-    (see _split), so a stack costs as many calls as one matrix, one per
-    level whatever the parity of its order.  Every matrix gets the LAPACK
-    calls it would get alone, on the same bytes, so its minors do not
-    depend on the stack it comes in.
-    Every block that recurses is part of an orthogonal matrix, so its
-    minors are at most 1 in magnitude and come out with an absolute error
-    of a few ulps of 1; minor r of a carries that error times prod |R_ii|.
-    """
-    if a.shape[-1] <= _LEAF:
-        return _leaf_minors(a)
-    minors, diagonal = _split(a)
-    return minors * np.cumprod(diagonal, axis=-1)
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One level of the halving: a = QR for each matrix of a (..., n, n) stack.
-
-    Returns Q's leading minors, from the halving of its leading and
-    trailing diagonal blocks of order ceil(n/2) as one (2, ..., h, h)
-    stack, and R's diagonal, whose cumulative products the caller
-    multiplies in.  The factors come from the two gufuncs that
-    np.linalg.qr is built from: qr_r_raw (dgeqrf, in place, returning the
-    reflections' tau, which np.linalg.qr does not return with Q) and
-    qr_reduced (dorgqr).  A LAPACK failure sets the invalid flag, which
-    raises.
-    """
-    n = a.shape[-1]
-    h = (n + 1) // 2
-    factors = np.array(a, dtype=float)  # qr_r_raw overwrites it with the factors
-    with np.errstate(invalid="raise"):
-        tau = _umath_linalg.qr_r_raw(factors)
-        q = _umath_linalg.qr_reduced(factors, tau)
-    lead, trail = _halving_minors(np.stack((q[..., :h, :h],
-                                            q[..., n - h:, n - h:][..., ::-1, ::-1])))
-    # minor r > h of Q is det Q times det Q[r:, r:], minor n-r of the
-    # reversed trailing block, or the empty det 1 at r = n; that block's
-    # minors of order n-h and up would give minors h and below again
-    minors = np.concatenate((lead, np.flip(trail[..., :n - h - 1], -1),
-                             np.ones(lead.shape[:-1] + (1,))), axis=-1)
-    minors[..., h:] *= (1.0 - 2.0 * (np.count_nonzero(tau, axis=-1) % 2))[..., None]
-    return minors, np.diagonal(factors, axis1=-2, axis2=-1)
-
-
-@functools.lru_cache(maxsize=_LEAF)
-def _outside_leading_blocks(n: int) -> np.ndarray:
-    # (n, n, n) mask, read-only: entry [j, a, b] is outside the leading
-    # (j+1) x (j+1) block
-    order = np.arange(n)
-    return _read_only(np.maximum.outer(order, order) > order[:, None, None])[0]
-
-
-def _leaf_minors(a: np.ndarray) -> np.ndarray:
-    """Every leading minor of each small block of a (..., n, n) stack, from one stacked QR.
-
-    Matrix j of a block's stack is the identity with its leading (j+1) x
-    (j+1) block replaced by the block's, so its det is minor j + 1.  One
-    call of LAPACK dgeqrf through numpy's stacked gufunc (qr_r_raw, as in
-    _split) factors every matrix of every block, and det = prod R_ii
-    times -1 to the number of reflections that are not the identity, the
-    sign rule of the recursion: on the identity's columns there is nothing
-    below the diagonal to reflect, so tau = 0 and R_ii = 1.
-    """
-    n = a.shape[-1]
-    factors = np.where(_outside_leading_blocks(n), np.eye(n), a[..., None, :, :])
-    with np.errstate(invalid="raise"):
-        tau = _umath_linalg.qr_r_raw(factors)
-    signs = 1.0 - 2.0 * (np.count_nonzero(tau, axis=-1) % 2)
-    return signs * np.prod(np.diagonal(factors, axis1=-2, axis2=-1), axis=-1)
-
-
-def _binary_cumprod(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative products of x as mantissas m and integer exponents e, m 2^e.
-
-    No product leaves the float range, however many factors there are: the
-    mantissas of x (np.frexp, in [1/2, 1)) multiply in runs of
-    _MANTISSA_RUN, short enough to stay normal floats, each run scaled by
-    the last mantissa of the run before it, renormalized.
-    """
-    mantissas, exponents = np.frexp(x)
-    exponents = np.cumsum(exponents)
-    carry, shift = 1.0, 0
-    for lo in range(0, len(x), _MANTISSA_RUN):
-        run = mantissas[lo:lo + _MANTISSA_RUN]
-        np.cumprod(run, out=run)
-        run *= carry
-        exponents[lo:lo + _MANTISSA_RUN] += shift
-        carry, step = np.frexp(run[-1])
-        shift += int(step)
-    return mantissas, exponents
-
 
 def _inverse_block(kern: CorrelationKernel, shift: int, m: int) -> np.ndarray | None:
     """The leading block of order m of C^-1, or None where some 1/t_k or entry is not finite.
@@ -435,7 +275,7 @@ def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     """Pair correlators of every separation r = 0 ... N-1 (x: shift -1, y: +1).
 
     Correlator r is the leading r x r minor of the (N-1) x (N-1) Toeplitz
-    matrix M[a, b] = g_{shift+a-b}, and _halving_minors gives them from
+    matrix M[a, b] = g_{shift+a-b}, and minors._halving_minors gives them from
     orthogonal factors, with no pivot to break down.  M is the leading
     block of the skew-circulant C of order N (see _inverse_block), so by
     Jacobi's complementary-minor identity c(r) = det C * det C^-1[r:, r:],
@@ -443,11 +283,11 @@ def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     leading one.  So with h = (N-1)//2 and m = N-h, M's leading block of
     order m gives c(1) ... c(h), and C^-1's leading block of order m gives
     c(h) ... c(N-1): both blocks go down the halving as one (2, m, m)
-    stack, from one _split, each level in one stacked call of each LAPACK
+    stack, from one minors._split, each level in one stacked call of each LAPACK
     routine, about a quarter of the flops of one halving of order N-1.  M's minors take
     the cumulative products of its R diagonal, C^-1's det C = prod t_k
     times those of its own, carried in mantissas and exponents
-    (_binary_cumprod): det C is 1e-1002 for the XX chain at h/J = 0, N =
+    (minors._binary_cumprod): det C is 1e-1002 for the XX chain at h/J = 0, N =
     1000 and temperature 5.
     Both give c(h), and the split is taken only where they agree to
     _SPLIT_AGREEMENT.  Elsewhere C is singular to working precision (at
@@ -474,14 +314,14 @@ def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     m = n - h
     inverse = _inverse_block(kern, shift, m)
     if inverse is not None:
-        minors, diagonal = _split(np.stack((_toeplitz(g, n - 1 + shift, m), inverse)))
-        lead = minors[0, :h] * np.cumprod(diagonal[0, :h])
-        mantissas, exponents = _binary_cumprod(np.concatenate((kern.ensemble.polarizations,
-                                                               diagonal[1])))
-        tail = np.ldexp(mantissas[n:] * minors[1], exponents[n:])
+        halved, diagonal = minors._split(np.stack((_toeplitz(g, n - 1 + shift, m), inverse)))
+        lead = halved[0, :h] * np.cumprod(diagonal[0, :h])
+        mantissas, exponents = minors._binary_cumprod(
+            np.concatenate((kern.ensemble.polarizations, diagonal[1])))
+        tail = np.ldexp(mantissas[n:] * halved[1], exponents[n:])
         if abs(tail[-1] - lead[-1]) <= _SPLIT_AGREEMENT:
             return np.concatenate(([1.0], lead, tail[-2::-1]))
-    return np.concatenate(([1.0], _halving_minors(_toeplitz(g, n - 1 + shift, n - 1))))
+    return np.concatenate(([1.0], minors._halving_minors(_toeplitz(g, n - 1 + shift, n - 1))))
 
 
 def _pair_sum(corr: np.ndarray) -> float:
@@ -505,16 +345,13 @@ def var_jx_slope(kern: CorrelationKernel) -> float:
     where pair matrices are singular (gamma = -1, h/J = 0).  The complex
     (N-1) x (N-1) pair matrix is gathered once, and, as Householder
     reflections are not complex-analytic, each of its leading r x r blocks
-    takes one LAPACK det, from the gufunc np.linalg.det is built from,
-    called directly (the same bits, without the wrapper's checks): O(N^4)
-    flops.
+    takes one LAPACK det (minors._det_minors): O(N^4) flops.
     """
     ens = kern.ensemble
     n = ens.spec.sites
     step = 2.0**-64  # a power of two, so scaling by it is exact
     stepped = kern.g + 1j * step * _contractions(ens, ens.polarization_slopes)
-    pairs = _toeplitz(stepped, n - 2, n - 1)
-    corr = np.array([_umath_linalg.det(pairs[:r, :r], signature="D->D") for r in range(n)])
+    corr = minors._det_minors(_toeplitz(stepped, n - 2, n - 1))
     return (n + _pair_sum(corr)).imag / step
 
 
@@ -597,48 +434,6 @@ def var_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     return 0.25 * (s0 + s_pi)
 
 
-def _leading_minors(mats: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
-    """Every leading principal minor of each matrix in a (B, m, m) stack.
-
-    Gaussian elimination without row exchanges, in place: the minor of
-    order k is the product of the first k pivots (Golub & Van Loan, Matrix
-    Computations, sec. 3.2).  Matrix i counts as the identity on its first
-    offsets[i] rows and columns, a multiple of _PANEL that ascends down the
-    stack, so the diagonal panel [k0, k1) is factored only for the prefix
-    of matrices with an offset below k1; the others keep pivots of 1, and
-    no entry of a matrix before its offset is read.
-    Scalar steps run only inside a panel, on contiguous copies of its
-    columns and of its rows of the upper factor with the batch axis
-    innermost, and keep nothing but its pivots; the trailing Schur
-    complement then takes one batched matmul of contiguous multipliers and
-    upper rows.  A matrix's pivots are thus the same floating-point
-    operations, whatever its offset and whatever else shares its stack.
-    Returns None on breakdown: a pivot that is zero to working precision
-    (some multiplier above _MULTIPLIER_LIMIT), or any value that is not
-    finite.
-    """
-    m = mats.shape[-1]
-    pivots = np.ones(mats.shape[:2])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k0 in range(0, m, _PANEL):
-            k1 = min(k0 + _PANEL, m)
-            w, active = k1 - k0, np.searchsorted(offsets, k1)
-            cols = mats[:active, k0:, k0:k1].transpose(1, 2, 0).copy()  # (m - k0, w, B)
-            rows = mats[:active, k0:k1, k1:].transpose(1, 2, 0).copy()  # (w, m - k1, B)
-            for j in range(w):
-                cols[j + 1:, j] /= cols[j, j]
-                cols[j + 1:, j + 1:] -= cols[j + 1:, j, None] * cols[j, None, j + 1:]
-                rows[j + 1:] -= cols[j + 1:w, j, None] * rows[j, None]
-            below = np.max(np.abs(cols[w:]), initial=0.0)
-            inside = np.max(np.abs(cols[:w][_STRICTLY_LOWER[:w, :w]]), initial=0.0)
-            if not max(below, inside) <= _MULTIPLIER_LIMIT:
-                return None
-            pivots[:active, k0:k1] = np.diagonal(cols[:w])
-            mats[:active, k1:, k1:] -= (np.ascontiguousarray(cols[w:].transpose(2, 0, 1))
-                                        @ np.ascontiguousarray(rows.transpose(2, 0, 1)))
-        minors = np.cumprod(pivots, axis=1)
-    return minors if np.isfinite(minors).all() else None
-
 
 def _class_weights(n: int, t1, t2, t3) -> np.ndarray:
     # how often the gap class (t1, t2, t3) enters the ordered-quadruple sum:
@@ -647,148 +442,6 @@ def _class_weights(n: int, t1, t2, t3) -> np.ndarray:
     copies = np.where(t3 > t1, 2, t3 == t1)
     return copies * np.maximum(n - t1 - t2 - t3, 0)
 
-
-def _schur_snapshots(kern: CorrelationKernel) -> tuple[np.ndarray, np.ndarray] | None:
-    """Trailing blocks of the pair matrix after t = 1 ... N-3 elimination steps.
-
-    T[a, b] = g_{a-b-1} on bond sites 0 ... N-2 is the matrix whose leading
-    minors are the pair correlators.  After t steps of Gaussian elimination
-    without row exchanges its trailing block is the Schur complement
-
-        Sigma_t = T[G, G] - T[G, F] T[F, F]^-1 T[F, G],   F = [0, t), G = [t, N-1),
-
-    of order N-1-t (local index 0 is site t).  Returns (store, starts):
-    every Sigma_t is kept row-major in one flat store, from store[starts[t -
-    1]], so that windows of many snapshots gather in one indexing operation
-    (see _window_stack).  The store ends in 2(N-2) spare entries, zero but
-    for a 1 at store[-(N-2)]: their runs of m <= N-2 entries are the rows of
-    an m x m identity, and their first zeros take what a window row of the
-    last snapshot runs on into.  Returns None at a breakdown: a pivot that
-    is zero to working precision or a value that is not finite.
-    A step is three numpy calls: the multipliers go to a (N-3, N-2) array,
-    and their product with the pivot row is subtracted into the store.
-    The multipliers are checked against _MULTIPLIER_LIMIT after the first
-    step, where the common breakdowns stop (T = inf, the gamma = -1, h/J =
-    0 line, the cold polarized XX chain), and then at the end of each run
-    of _PANEL steps; after the last step every multiplier and the whole
-    store are: None exactly where a check after every step gives it, and
-    the same store bits where it does not.
-    """
-    n = kern.ensemble.spec.sites
-    orders, ends = _snapshot_layout(n)
-    store = np.zeros(ends[-1] + 2 * (n - 2))
-    store[-(n - 2)] = 1.0
-    multipliers = np.zeros((len(orders), n - 2))
-    block = _toeplitz(kern.g, n - 2, n - 1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for step, (order, end) in enumerate(zip(orders.tolist(), ends.tolist())):
-            col = np.divide(block[1:, 0], block[0, 0], out=multipliers[step, :order])
-            snapshot = store[end - order * order:end].reshape(order, order)
-            np.multiply(col[:, None], block[0, None, 1:], out=snapshot)
-            np.subtract(block[1:, 1:], snapshot, out=snapshot)
-            block = snapshot
-            if step % _PANEL == 0 and not (np.max(np.abs(
-                    multipliers[max(0, step + 1 - _PANEL):step + 1])) <= _MULTIPLIER_LIMIT):
-                return None
-    if not (np.max(np.abs(multipliers)) <= _MULTIPLIER_LIMIT and np.isfinite(store).all()):
-        return None
-    return store, ends - orders * orders
-
-
-def _snapshot_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # the orders N-2 ... 2 of Sigma_t, t = 1 ... N-3, and where each ends in
-    # the store of _schur_snapshots, before its 2(N-2) spare entries
-    orders = np.arange(n - 2, 1, -1)
-    return orders, np.cumsum(orders * orders)
-
-
-@dataclass(frozen=True, eq=False)
-class _WindowStack:
-    """One stack of Schur windows Sigma_t3[t2:t2+k, t2:t2+k] of _nested_quad_sum, k = order.
-
-    Window i sits in an m x m identity on rows and columns from offsets[i],
-    so that its leading minor of order j is the stack's of order offsets[i]
-    + j.  rows[i, q] is where row q of matrix i starts in the store of
-    _schur_snapshots: a window row runs on along its row of Sigma_t3 (into
-    the next row, or the next snapshot), every other row is a row of the
-    identity at the end of the store.  runs holds (lo, hi, offset, end),
-    one per run of windows of one order, whose columns [end, m) of rows
-    [offset, end) a window row ran over.  weights[i, q - 1] weights stack
-    minor q as class (q - offsets[i], t2, t3), and 0 before the offset.
-    Everything in it depends on N alone, and its arrays are read-only.
-    """
-
-    t3: np.ndarray
-    t2: np.ndarray
-    offsets: np.ndarray
-    m: int
-    rows: np.ndarray
-    runs: tuple[tuple[int, int, int, int], ...]
-    weights: np.ndarray
-
-
-def _plan_stack(n: int, t3: np.ndarray, t2: np.ndarray, order: np.ndarray,
-                offsets: np.ndarray, m: int) -> _WindowStack:
-    # the stack of the windows (t3, t2) of the given orders at the given
-    # offsets, windows of one order next to each other
-    _, ends = _snapshot_layout(n)
-    local = np.arange(m) - offsets[:, None]
-    size = n - 1 - t3
-    rows = np.where((local >= 0) & (local < order[:, None]),
-                    (ends[t3 - 1] - size * size + t2 * size + t2 - offsets)[:, None]
-                    + local * size[:, None],
-                    ends[-1] + (n - 2) - np.arange(m))
-    firsts = np.flatnonzero(np.diff(order, prepend=-1)).tolist()
-    runs = tuple((lo, hi, int(offsets[lo]), int(offsets[lo] + order[lo]))
-                 for lo, hi in zip(firsts, firsts[1:] + [len(order)]))
-    j = np.arange(1, m + 1) - offsets[:, None]
-    weights = _class_weights(n, j, t2[:, None], t3[:, None]) * (j > 0)
-    return _WindowStack(*_read_only(t3, t2, offsets), m, _read_only(rows)[0], runs,
-                        _read_only(weights)[0])
-
-
-@functools.lru_cache(maxsize=1)
-def _window_plan(n: int, cap: int, panel: int) -> tuple[_WindowStack, ...]:
-    """The stacks of Schur windows of _nested_quad_sum at N = n, built once per ring size.
-
-    The windows (t3, t2) of every outer gap t3, of order min(t3,
-    N-1-t3-t2), go largest first, in stacks of at most cap entries sized
-    by the first, largest window; each window sits in the identity at the
-    largest multiple of panel that leaves it room.  None of it reads a
-    kernel, so a sweep at fixed N builds the plan for its first point only
-    (0.30 MB at N = 50, 1.6 at N = 100, 11 at N = 200, below the store of
-    snapshots); the cap and the panel are passed in, _DET_BATCH_ELEMENTS
-    and _PANEL, so that the plan follows them.
-    """
-    t3, t2 = np.nonzero(np.add.outer(np.arange(n - 3), np.arange(n - 3)) <= n - 4)
-    t3, t2 = t3 + 1, t2 + 1
-    order = np.minimum(t3, n - 1 - t3 - t2)
-    rank = np.argsort(-order, kind="stable")
-    t3, t2, order = t3[rank], t2[rank], order[rank]
-    stacks, start = [], 0
-    while start < len(t3):
-        m = int(order[start])
-        stop = start + max(1, cap // (m * m))
-        k = order[start:stop]
-        stacks.append(_plan_stack(n, t3[start:stop], t2[start:stop], k,
-                                  (m - k) // panel * panel, m))
-        start = stop
-    return tuple(stacks)
-
-
-def _window_stack(store: np.ndarray, stack: _WindowStack) -> np.ndarray:
-    """The windows of a planned stack, gathered from a store of _schur_snapshots.
-
-    Each row of the (B, m, m) stack is one run of m entries of the store,
-    at the plan's rows, and all B m rows come in one gather; the columns a
-    window row ran over past its window are then zeroed, once for every
-    run of windows of one order.  The columns before a window's offset
-    keep what its rows ran over: no step of _leading_minors reads them.
-    """
-    windows = sliding_window_view(store, stack.m)[stack.rows]
-    for lo, hi, offset, end in stack.runs:
-        windows[lo:hi, offset:end, end:] = 0.0
-    return windows
 
 
 def _quad_index(kern: CorrelationKernel, t1: np.ndarray, t2: int,
@@ -826,12 +479,12 @@ def _fallback_sum(kern: CorrelationKernel) -> float:
     (see _quad_index), t1 = 1 ... m // 2; _class_weights weights each minor
     as its class and gives those of order below 2 t1 none.  The matrices go
     in stacks of one t2, t2 ascending, by ascending t1, under the cap of
-    _DET_BATCH_ELEMENTS entries.  First the classes' weighted Hadamard
+    minors._DET_BATCH_ELEMENTS entries.  First the classes' weighted Hadamard
     bounds (_hadamard_products) are summed: O(N^4) flops.  If 24 times that
     sum, times _ROUNDING_MARGIN, is at most eps * (N + 3N(N-1)), the
     classes move <J_x^4> by less than one ulp of its two leading terms and
     the sum is 0 (a NaN bound certifies nothing).  Otherwise each stack
-    goes to _halving_minors in one call, which gives every leading minor of
+    goes to minors._halving_minors in one call, which gives every leading minor of
     each contraction matrix from orthogonal factors, with no pivot to break
     down, and the class weights sum them: O(m^3) flops per matrix.  At the
     window breakdown point (-0.9654, 0.2609, 0.05), N = 50, its 576
@@ -846,19 +499,19 @@ def _fallback_sum(kern: CorrelationKernel) -> float:
     for t2 in range(1, n - 2):
         m = n - 1 - t2
         order = np.arange(1, m + 1)
-        chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
+        chunk = max(1, minors._DET_BATCH_ELEMENTS // (m * m))
         for lo in range(1, m // 2 + 1, chunk):
             t1 = np.arange(lo, min(lo + chunk, m // 2 + 1))[:, None]
             stacks.append((t1, t2, order, _class_weights(n, t1, t2, order - t1)))
     bound = sum(float(np.sum(weights * _hadamard_products(kern, t1, t2, order),
                              where=weights != 0))
                 for t1, t2, order, weights in stacks)
-    if 24.0 * _ROUNDING_MARGIN * bound <= _EPS * (n + 3.0 * n * (n - 1)):
+    if 24.0 * _ROUNDING_MARGIN * bound <= minors._EPS * (n + 3.0 * n * (n - 1)):
         return 0.0
     total = 0.0
     for t1, t2, order, weights in stacks:
-        minors = _halving_minors(kern.g[_quad_index(kern, t1, t2, order)])
-        total += float(np.sum(weights * minors))
+        halved = minors._halving_minors(kern.g[_quad_index(kern, t1, t2, order)])
+        total += float(np.sum(weights * halved))
     return total
 
 
@@ -866,7 +519,7 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, by Schur windows.
 
     The contraction matrix of gap class (t1, t2, t3) is T[S, S] for the
-    pair matrix T of _schur_snapshots and S = [0, t1) u [t1+t2,
+    pair matrix T of minors._schur_snapshots and S = [0, t1) u [t1+t2,
     t1+t2+t3).  Reversing the order of the sites transposes it and
     reverses its rows and columns, so the reversed class (t3, t2, t1) has
     the same det, and only t1 <= t3 is summed, each class read from its
@@ -880,17 +533,18 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     makes the window's own elimination continue that of T.  So one
     elimination of T, kept for N-3 steps, gives every Sigma_t3 (and c(t3),
     see below), and the windows, 1128 at N = 50, go through
-    _leading_minors largest first, in stacks of at most
-    _DET_BATCH_ELEMENTS entries sized by the first, largest window, each
-    stack gathered by _window_stack in one indexing operation.  Each
-    window sits in the identity at the largest multiple of _PANEL that
-    leaves it room, so it starts on a panel boundary, as it would alone,
-    and the panels before its offset skip it: at most _PANEL - 1 rows of
+    minors._leading_minors largest first, in stacks of at most
+    minors._DET_BATCH_ELEMENTS entries sized by the first, largest window,
+    each stack gathered by minors._window_stack in one indexing operation.
+    Each window sits in the identity at the largest multiple of
+    minors._PANEL that leaves it room, so it starts on a panel boundary, as
+    it would alone, and the panels before its offset skip it: at most
+    minors._PANEL - 1 rows of
     identity after it are eliminated with it, and its minor of order t1 is
     the stack's of order offset + t1.  None of that reads the kernel: the
     stacks, their offsets, the store rows of their gathers, the columns to
     zero and the class weights of every stack minor come from the plan of
-    the ring size (_window_plan), built at the first point of a sweep and
+    the ring size (minors._window_plan), built at the first point of a sweep and
     kept, so a point takes the snapshots, the pivot products c(t3), and
     per stack a gather, an elimination and one weighted sum.  Reading
     each class from its smaller outer gap t1 instead, as c(t1) times a
@@ -926,7 +580,7 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     are not negligible, where the bound is O(1).
     """
     n = kern.ensemble.spec.sites
-    snapshots = _schur_snapshots(kern)
+    snapshots = minors._schur_snapshots(_toeplitz(kern.g, n - 2, n - 1))
     if snapshots is None:
         return None
     store, starts = snapshots
@@ -934,11 +588,12 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     # Sigma_t[0, 0], t = 1 ... N-4
     pairs = np.cumprod(np.concatenate(([1.0, kern.g[n - 2]], store[starts[:-1]])))
     total = 0.0
-    for stack in _window_plan(n, _DET_BATCH_ELEMENTS, _PANEL):
-        minors = _leading_minors(_window_stack(store, stack), stack.offsets)
-        if minors is None:
+    for stack in minors._window_plan(n, minors._DET_BATCH_ELEMENTS, minors._PANEL,
+                                     _class_weights):
+        eliminated = minors._leading_minors(minors._window_stack(store, stack), stack.offsets)
+        if eliminated is None:
             return None
-        total += float(np.sum(pairs[stack.t3, None] * stack.weights * minors))
+        total += float(np.sum(pairs[stack.t3, None] * stack.weights * eliminated))
     return total
 
 
@@ -959,7 +614,7 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     comes from _fallback_sum instead: it is 0 if Hadamard's inequality
     certifies that the classes move the result by less than one ulp of N
     + 3N(N-1), and otherwise every contraction matrix takes its leading
-    minors from orthogonal factors (_halving_minors).  No LAPACK det runs.
+    minors from orthogonal factors (minors._halving_minors).  No LAPACK det runs.
     On those lines the x spins are uncorrelated, and at N = 50 the
     certified points give 3N^2 - 2N to roundoff in 8.7-9.1 ref units.  The
     fallback takes the whole point, never the classes of the broken stack

@@ -20,8 +20,15 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from xythermo import cli, correlations, faraday, oracle, thermometry
+from xythermo import cli, correlations, faraday, minors, oracle, thermometry
 from xythermo.spectrum import ChainSpec
+
+# the engine's kernel-free tests live in test_minors; importing them here
+# also keeps them collected under the test_correlations ids that earlier
+# test records name
+from test_minors import (_scipy_halving_minors,  # noqa: F401
+                         test_halving_minors_equal_the_scipy_lapack_recursion_bitwise,
+                         test_halving_minors_match_one_det_per_order)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -412,7 +419,7 @@ def _record_stacks(monkeypatch):
     # the (s, t2) of every window gathered, stack by stack, and the pairs
     # (t1, t2) whose contraction matrices the fallback bounds
     windows, pairs = [], []
-    window_stack, hadamard = correlations._window_stack, correlations._hadamard_products
+    window_stack, hadamard = minors._window_stack, correlations._hadamard_products
 
     def gather(store, stack):
         windows.append(list(zip(stack.t3.tolist(), stack.t2.tolist())))
@@ -422,7 +429,7 @@ def _record_stacks(monkeypatch):
         pairs.extend((a, t2) for a in t1.ravel().tolist())
         return hadamard(kern, t1, t2, order)
 
-    monkeypatch.setattr(correlations, "_window_stack", gather)
+    monkeypatch.setattr(minors, "_window_stack", gather)
     monkeypatch.setattr(correlations, "_hadamard_products", bound)
     return windows, pairs
 
@@ -447,8 +454,8 @@ def _record_halvings(monkeypatch):
                 depth[0] -= 1
         return wrapped
 
-    monkeypatch.setattr(correlations, "_halving_minors", entry(correlations._halving_minors, True))
-    monkeypatch.setattr(correlations, "_split", entry(correlations._split, True))
+    monkeypatch.setattr(minors, "_halving_minors", entry(minors._halving_minors, True))
+    monkeypatch.setattr(minors, "_split", entry(minors._split, True))
     return shapes
 
 
@@ -468,16 +475,22 @@ def _singular_at(kern, steps):
 def _break_pair_matrix_after(monkeypatch, kern, steps):
     # a breakdown of the pair matrix forced after the given number of steps:
     # the snapshots come from the elimination of _singular_at's matrix
-    snapshots = correlations._schur_snapshots
-    singular = _singular_at(kern, steps)
-    monkeypatch.setattr(correlations, "_schur_snapshots", lambda kern: snapshots(singular))
+    snapshots = minors._schur_snapshots
+    singular = _pair_matrix(_singular_at(kern, steps))
+    monkeypatch.setattr(minors, "_schur_snapshots", lambda block: snapshots(singular))
+
+
+def _pair_matrix(kern):
+    # T[a, b] = g_{a-b-1} on the N-1 bond sites, as the quadruple sum builds it
+    n = kern.ensemble.spec.sites
+    return correlations._toeplitz(kern.g, n - 2, n - 1)
 
 
 def _plain_elimination(kern):
     # the largest multiplier of the N-3 elimination steps of the pair matrix
     # and the first step whose snapshot is not finite (None if none is)
     n = kern.ensemble.spec.sites
-    block, largest, first = correlations._toeplitz(kern.g, n - 2, n - 1), 0.0, None
+    block, largest, first = _pair_matrix(kern), 0.0, None
     with np.errstate(all="ignore"):
         for step in range(n - 3):
             col = block[1:, 0] / block[0, 0]
@@ -498,17 +511,17 @@ def test_pair_matrix_elimination_breaks_down_at_the_forced_step():
     # inf in the second snapshot, Sigma_2
     n = 30
     kern = correlations.kernel(_ens(sites=n))
-    assert correlations._schur_snapshots(kern) is not None
+    assert minors._schur_snapshots(_pair_matrix(kern)) is not None
     for steps in (0, 1, 5, 20, n - 4):
-        assert correlations._schur_snapshots(_singular_at(kern, steps)) is None, steps
-    assert correlations._schur_snapshots(_singular_at(kern, n - 3)) is not None
+        assert minors._schur_snapshots(_pair_matrix(_singular_at(kern, steps))) is None, steps
+    assert minors._schur_snapshots(_pair_matrix(_singular_at(kern, n - 3))) is not None
     g = np.zeros(2 * n - 1)
     g[n - 2] = 1.0
     g[[n, n + 1]] = -1.0
     g[[n - 4, n - 5]] = 1e308
     overflowing = correlations.CorrelationKernel(kern.ensemble, g)
     assert _plain_elimination(overflowing) == (1.0, 1)
-    assert correlations._schur_snapshots(overflowing) is None
+    assert minors._schur_snapshots(_pair_matrix(overflowing)) is None
 
 
 def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
@@ -529,10 +542,10 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
         whole = route(kern)
         if breaks:
             _break_pair_matrix_after(monkeypatch, kern, 0)
-        monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", cap)
-        leading, hadamard = correlations._leading_minors, correlations._hadamard_products
+        monkeypatch.setattr(minors, "_DET_BATCH_ELEMENTS", cap)
+        leading, hadamard = minors._leading_minors, correlations._hadamard_products
         shapes, bounded = [], []
-        monkeypatch.setattr(correlations, "_leading_minors", lambda mats, offsets:
+        monkeypatch.setattr(minors, "_leading_minors", lambda mats, offsets:
                             shapes.append(mats.shape) or leading(mats, offsets))
         monkeypatch.setattr(correlations, "_hadamard_products", lambda kern, t1, t2, order:
                             bounded.append((len(t1), t2)) or hadamard(kern, t1, t2, order))
@@ -635,7 +648,7 @@ def test_window_minors_do_not_depend_on_their_stack():
     # identity around it must leave pivots of 1.  A first pivot of the
     # order-7 window, which the first two panels skip, that is zero or below
     # roundoff of its column must still break the stack down
-    n, panel = 50, correlations._PANEL
+    n, panel = 50, minors._PANEL
     s, t2 = np.array([24, 20, 30, 10, 40, 3, 47]), np.array([1, 3, 4, 5, 2, 40, 1])
     orders = np.minimum(s, n - 1 - s - t2)
     m = orders[0]
@@ -645,10 +658,10 @@ def test_window_minors_do_not_depend_on_their_stack():
     origin = np.zeros(1, dtype=int)
     for gamma, field, T in (NESTED_GRID[0], (-0.892, 0.767, 0.792)):
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
-        store, starts = correlations._schur_snapshots(kern)
+        store, starts = minors._schur_snapshots(_pair_matrix(kern))
         assert len(starts) == n - 3
-        stack = correlations._window_stack(
-            store, correlations._plan_stack(n, s, t2, orders, offsets, m))
+        stack = minors._window_stack(
+            store, minors._plan_stack(n, s, t2, orders, offsets, m, correlations._class_weights))
         filled = np.zeros_like(stack)
         filled[:, np.arange(m), np.arange(m)] = 1.0
         for mat, a, b, k, o in zip(filled, s.tolist(), t2.tolist(), orders.tolist(),
@@ -658,17 +671,17 @@ def test_window_minors_do_not_depend_on_their_stack():
             mat[o:o + k, o:o + k] = snapshot[b:b + k, b:b + k]
         for mat, want, o in zip(stack, filled, offsets.tolist()):
             assert np.array_equal(mat[o:, o:], want[o:, o:]) and np.array_equal(mat[:o], want[:o])
-        minors = correlations._leading_minors(stack.copy(), offsets)
-        assert np.array_equal(minors, correlations._leading_minors(filled, offsets))
+        stacked = minors._leading_minors(stack.copy(), offsets)
+        assert np.array_equal(stacked, minors._leading_minors(filled, offsets))
         for i, (k, o) in enumerate(zip(orders.tolist(), offsets.tolist())):
-            alone = correlations._leading_minors(correlations._window_stack(
-                store, correlations._plan_stack(n, s[i:i + 1], t2[i:i + 1], orders[i:i + 1],
-                                                origin, k)), origin)
-            assert np.array_equal(minors[i, o:o + k], alone[0]), (gamma, k)
-            assert np.all(minors[i, :o] == 1.0) and np.all(minors[i, o + k:] == alone[0, -1])
+            alone = minors._leading_minors(minors._window_stack(
+                store, minors._plan_stack(n, s[i:i + 1], t2[i:i + 1], orders[i:i + 1],
+                                          origin, k, correlations._class_weights)), origin)
+            assert np.array_equal(stacked[i, o:o + k], alone[0]), (gamma, k)
+            assert np.all(stacked[i, :o] == 1.0) and np.all(stacked[i, o + k:] == alone[0, -1])
         for pivot in (0.0, 1e-18):
             stack[4, offsets[4], offsets[4]] = pivot
-            assert correlations._leading_minors(stack.copy(), offsets) is None, (gamma, pivot)
+            assert minors._leading_minors(stack.copy(), offsets) is None, (gamma, pivot)
 
 
 def _check_whole_point_in_fallback(monkeypatch, kern, label):
@@ -697,9 +710,9 @@ def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):
     # now the stacks after it are not gathered and the whole point goes to
     # the fallback, which takes no det
     kern = correlations.kernel(_ens(sites=30))
-    monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 5000)
-    leading, count = correlations._leading_minors, itertools.count()
-    monkeypatch.setattr(correlations, "_leading_minors", lambda mats, offsets:
+    monkeypatch.setattr(minors, "_DET_BATCH_ELEMENTS", 5000)
+    leading, count = minors._leading_minors, itertools.count()
+    monkeypatch.setattr(minors, "_leading_minors", lambda mats, offsets:
                         None if next(count) == 3 else leading(mats, offsets))
     assert len(_check_whole_point_in_fallback(monkeypatch, kern, "window")) == 4
 
@@ -708,21 +721,22 @@ def test_window_plan_is_built_once_per_ring_size(monkeypatch):
     # the windows' stacks depend on N alone: a sweep at fixed N plans them
     # for its first point only, a change of ring size rebuilds the same
     # plan, and every array of it refuses writes
-    correlations._window_plan.cache_clear()
+    minors._window_plan.cache_clear()
     setup = faraday.FaradaySetup()
     for T in np.geomspace(0.1, 2.0, 6):
         assert faraday.ReadoutPoint(_ens(sites=50, T=T), setup).snr_varjx > 0.0
-    assert correlations._window_plan.cache_info().misses == 1
+    assert minors._window_plan.cache_info().misses == 1
 
     def plan(n):
-        return correlations._window_plan(n, correlations._DET_BATCH_ELEMENTS, correlations._PANEL)
+        return minors._window_plan(n, minors._DET_BATCH_ELEMENTS, minors._PANEL,
+                                   correlations._class_weights)
 
     first = {n: plan(n) for n in (14, 50)}
     for i, n in enumerate((14, 50, 14, 50)):
-        misses = correlations._window_plan.cache_info().misses
+        misses = minors._window_plan.cache_info().misses
         stacks = plan(n)
-        assert correlations._window_plan.cache_info().misses == misses + 1, i
-        assert correlations._window_plan.cache_info().currsize == 1
+        assert minors._window_plan.cache_info().misses == misses + 1, i
+        assert minors._window_plan.cache_info().currsize == 1
         assert len(stacks) == len(first[n]) and [a.m for a in stacks] == [b.m for b in first[n]]
         for a, b in zip(stacks, first[n]):
             assert a.runs == b.runs
@@ -733,7 +747,7 @@ def test_window_plan_is_built_once_per_ring_size(monkeypatch):
                 with pytest.raises(ValueError):
                     x[0] = 0
     # a different cap is a different plan
-    monkeypatch.setattr(correlations, "_DET_BATCH_ELEMENTS", 200)
+    monkeypatch.setattr(minors, "_DET_BATCH_ELEMENTS", 200)
     assert len(plan(14)) > len(first[14])
 
 
@@ -792,98 +806,6 @@ def test_fourth_moment_makes_no_det_calls(monkeypatch):
 
 # ---- pair correlators from recursive QR halving ------------------------------------
 
-def _halving_cases(n, rng):
-    # contractions (|minor| <= 1), as the pair matrices are, so that one
-    # absolute bound fits every order
-    general = rng.standard_normal((n, n))
-    general /= np.linalg.norm(general, 2)
-    zero_row, zero_column = general.copy(), general.copy()
-    zero_row[n // 2] = 0.0
-    zero_column[:, n // 2] = 0.0
-    # L diag(d) U with every d_i < 0: the minors prod d_i alternate in sign
-    lower = np.tril(0.3 * rng.uniform(-1.0, 1.0, (n, n)) / n, -1) + np.eye(n)
-    upper = np.triu(0.3 * rng.uniform(-1.0, 1.0, (n, n)) / n, 1) + np.eye(n)
-    negative = lower @ np.diag(-rng.uniform(0.6, 1.0, n)) @ upper
-    return {
-        "general": general,
-        "orthogonal": np.linalg.qr(rng.standard_normal((n, n)))[0],
-        "signed permutation": np.eye(n)[rng.permutation(n)] * rng.choice((-1.0, 1.0), n),
-        "zero row": zero_row,
-        "zero column": zero_column,
-        "zero": np.zeros((n, n)),
-        "negative minors": negative / np.linalg.norm(negative, 2),
-    }
-
-
-def _assert_stacks_are_their_rows(cases):
-    # the cases as one (B, n, n) stack, and the same stack with one more
-    # leading axis: each row is bit-identical to its matrix's own 2-D call
-    alone = {name: correlations._halving_minors(a) for name, a in cases.items()}
-    stack = np.stack(list(cases.values()))
-    for got in (correlations._halving_minors(stack),
-                correlations._halving_minors(stack.reshape(1, *stack.shape))[0]):
-        assert got.shape == stack.shape[:-1]
-        for name, row in zip(cases, got):
-            assert np.array_equal(row, alone[name]), name
-
-
-@pytest.mark.parametrize("n", (*range(1, 10), 17, 31, 33, 64, 151))
-def test_halving_minors_match_one_det_per_order(n):
-    rng = np.random.default_rng(n)
-    cases = _halving_cases(n, rng)
-    _assert_stacks_are_their_rows(cases)
-    for name, a in cases.items():
-        got = correlations._halving_minors(a.copy())
-        want = np.array([np.linalg.det(a[:r, :r]) for r in range(1, n + 1)])
-        assert got.shape == (n,), name
-        assert np.max(np.abs(got - want)) <= 1e-13, name
-        clear = np.abs(want) > 1e-13
-        assert np.array_equal(np.sign(got[clear]), np.sign(want[clear])), name
-        if name in ("zero column", "zero"):  # a zero column of R: exact zeros
-            assert np.all(got[n // 2 if name == "zero column" else 0:] == 0.0), name
-        if name == "negative minors":
-            assert np.array_equal(np.sign(got), (-1.0) ** np.arange(1, n + 1)), name
-
-
-def _scipy_halving_minors(a):
-    # the halving recursion, with scipy.linalg.lapack's QR, one matrix at a
-    # time at every level and at the leaves: the reference for the
-    # package's stacked calls of numpy's LAPACK QR gufuncs, which factor
-    # the stack of a whole level at once
-    from scipy.linalg import lapack
-
-    def halve_into(a, out):
-        n = len(a)
-        if n <= correlations._LEAF:
-            # matrix j: the identity around a's leading (j+1) x (j+1) block
-            stack = np.broadcast_to(np.eye(n), (n, n, n)).copy()
-            for j in range(n):
-                stack[j, :j + 1, :j + 1] = a[:j + 1, :j + 1]
-            factors = [lapack.dgeqrf(m) for m in stack]
-            assert all(info == 0 for *_, info in factors)
-            diagonals = np.array([np.diagonal(qr) for qr, *_ in factors])
-            signs = 1.0 - 2.0 * np.array([np.count_nonzero(tau) % 2 for _, tau, *_ in factors])
-            out[:] = signs * np.prod(diagonals, axis=-1)
-            return
-        qr, tau, _, info = lapack.dgeqrf(a, lwork=32 * n)
-        products = np.cumprod(np.diagonal(qr))
-        q, _, orth_info = lapack.dorgqr(qr, tau, lwork=32 * n, overwrite_a=True)
-        assert info == orth_info == 0
-        # two blocks of order ceil(n/2); for odd n they share minor h, and
-        # the leading block's, written last, is the one kept
-        h = (n + 1) // 2
-        halve_into(q[n - h:, n - h:][::-1, ::-1], out[n - 2::-1][:h])
-        halve_into(q[:h, :h], out[:h])
-        out[-1] = 1.0
-        if np.count_nonzero(tau) % 2:
-            out[h:] *= -1.0
-        out *= products
-
-    minors = np.empty(len(a))
-    halve_into(a, minors)
-    return minors
-
-
 def _pair_matrices(sites):
     # both pair matrices (x: shift -1, y: +1) of every PAIR_GRID point
     a = np.arange(sites - 1)
@@ -895,16 +817,7 @@ def _pair_matrices(sites):
 
 def _assert_halving_equals_scipy_recursion(sites):
     for label, mat in _pair_matrices(sites):
-        assert np.array_equal(correlations._halving_minors(mat), _scipy_halving_minors(mat)), label
-
-
-@pytest.mark.parametrize("n", (*range(1, 10), 33, 64))
-def test_halving_minors_equal_the_scipy_lapack_recursion_bitwise(n):
-    rng = np.random.default_rng(n)
-    cases = _halving_cases(n, rng)
-    for name, a in cases.items():
-        assert np.array_equal(correlations._halving_minors(a), _scipy_halving_minors(a)), name
-    _assert_stacks_are_their_rows(cases)
+        assert np.array_equal(minors._halving_minors(mat), _scipy_halving_minors(mat)), label
 
 
 @pytest.mark.parametrize("sites", (4, 50))
@@ -1010,7 +923,7 @@ def _whole_matrix_correlators(kern, shift):
     # every correlator from one halving of the (N-1) x (N-1) pair matrix
     n = kern.ensemble.spec.sites
     pairs = correlations._toeplitz(kern.g, n - 1 + shift, n - 1)
-    return np.concatenate(([1.0], correlations._halving_minors(pairs)))
+    return np.concatenate(([1.0], minors._halving_minors(pairs)))
 
 
 @pytest.mark.parametrize("T", cli.parse_axis("0.05:5:6:log"))
@@ -1022,10 +935,10 @@ def test_zero_mode_points_take_the_whole_matrix_halving(T):
     n, h = 50, 24
     kern = correlations.kernel(_ens(gamma=0.0, field_ratio=0.0, sites=n, T=T))
     for shift in (-1, +1):
-        lead = correlations._halving_minors(correlations._toeplitz(kern.g, n - 1 + shift, h))
+        lead = minors._halving_minors(correlations._toeplitz(kern.g, n - 1 + shift, h))
         inverse = correlations._inverse_block(kern, shift, n - h)
         tail = None if inverse is None else (np.prod(kern.ensemble.polarizations)
-                                             * correlations._halving_minors(inverse))
+                                             * minors._halving_minors(inverse))
         assert tail is None or not abs(tail[-1] - lead[-1]) <= correlations._SPLIT_AGREEMENT
         assert np.array_equal(correlations._pair_correlations(kern, shift),
                               _whole_matrix_correlators(kern, shift)), (T, shift)
@@ -1201,13 +1114,13 @@ def test_pair_correlators_make_one_lapack_call_per_level(sites, factorizations,
     # splits into 76, 38, 19 and leaves of order 10.  Each split makes one
     # dgeqrf and one dorgqr call, the leaves one dgeqrf
     kern = correlations.kernel(_ens(sites=sites))
-    engine, calls = correlations._umath_linalg, collections.Counter()
+    engine, calls = minors._umath_linalg, collections.Counter()
 
     def counted(name):
         fn = getattr(engine, name)
         return lambda *args: calls.update([name]) or fn(*args)
 
-    monkeypatch.setattr(correlations, "_umath_linalg", types.SimpleNamespace(
+    monkeypatch.setattr(minors, "_umath_linalg", types.SimpleNamespace(
         qr_r_raw=counted("qr_r_raw"), qr_reduced=counted("qr_reduced")))
     got = correlations._pair_correlations(kern, -1)
     monkeypatch.undo()
