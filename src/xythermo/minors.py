@@ -165,14 +165,6 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return minors, np.diagonal(factors, axis1=-2, axis2=-1)
 
 
-@functools.lru_cache(maxsize=_LEAF)
-def _outside_leading_blocks(n: int) -> np.ndarray:
-    # (n, n, n) mask, read-only: entry [j, a, b] is outside the leading
-    # (j+1) x (j+1) block
-    order = np.arange(n)
-    return _read_only(np.maximum.outer(order, order) > order[:, None, None])[0]
-
-
 def _leaf_minors(a: np.ndarray) -> np.ndarray:
     """Every leading minor of each small block of a (..., n, n) stack, from one stacked QR.
 
@@ -185,7 +177,9 @@ def _leaf_minors(a: np.ndarray) -> np.ndarray:
     below the diagonal to reflect, so tau = 0 and R_ii = 1.
     """
     n = a.shape[-1]
-    factors = np.where(_outside_leading_blocks(n), np.eye(n), a[..., None, :, :])
+    # entry [j, a, b] is outside the leading (j+1) x (j+1) block: max(a, b) > j
+    outside = np.indices((n, n)).max(axis=0) > np.arange(n)[:, None, None]
+    factors = np.where(outside, np.eye(n), a[..., None, :, :])
     with np.errstate(invalid="raise"):
         tau = _umath_linalg.qr_r_raw(factors)
     signs = 1.0 - 2.0 * (np.count_nonzero(tau, axis=-1) % 2)
