@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -514,6 +515,12 @@ def main(argv=None) -> int:
     except faraday.NoiseUnderflowError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader of stdout closed it: stop at the first failed write,
+        # and point stdout at os.devnull, so that the interpreter's flush at
+        # exit does not fail on what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     print(f"wall time: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 

@@ -150,6 +150,23 @@ def test_cold_xx_line_is_delivered_below_the_ceiling():
         assert 0.0 < meanjz <= crb * (1 + 1e-3)
 
 
+def test_closed_output_pipe_exits_1_without_a_traceback():
+    # the reader takes the header and closes the pipe: the sweep stops at
+    # the first row it cannot write, quietly, with exit code 1
+    proc = subprocess.Popen(CMD + ["tscan", "--gamma", "1", "--field", "0.5",
+                                   "--temp", "0.05:5:200:log", "--sites", "50",
+                                   "--obs", "crb,varjx,meanjz"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=subprocess_env())
+    assert proc.stdout.readline().startswith("gamma,field_ratio,temperature,")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+    assert "tscan: 200/200" not in stderr
+
+
 def test_progress_and_wall_time_on_stderr_only(tmp_path):
     path = tmp_path / "pd.csv"
     proc = run_cli("phase-diagram", "--gamma", "1", "--field", "0:1:2",
