@@ -40,9 +40,9 @@ correlator accurate to near roundoff of 1, in absolute terms, on both
 blocks: the singular values of C^-1 reach coth(eps_min / 2T), but |det
 C| times the volume of any columns of C^-1 is the volume of the
 complementary rows of C, at most 1.  A correlator far below 1 has
-correspondingly fewer correct digits.  Var(J_x) takes medians of 0.56 ref
-units (calls of the benchmark's speed probe, about 1 ms) at N = 50, 4.6
-at N = 300 and 59 at N = 1000 (BENCH_24.json).
+correspondingly fewer correct digits.  Var(J_x) takes medians of 0.57 ref
+units (calls of the benchmark's speed probe, about 1 ms) at N = 50, 5.0
+at N = 300 and 57 at N = 1000 (BENCH_26.json).
 
 The <J_x^4> sum needs one such determinant per gap class (t1, t2, t3) of
 the four sites, about N^3/12 of them.  Each is a principal minor of the
@@ -488,7 +488,7 @@ def _fallback_sum(kern: CorrelationKernel) -> float:
     each contraction matrix from orthogonal factors, with no pivot to break
     down, and the class weights sum them: O(m^3) flops per matrix.  At the
     window breakdown point (-0.9654, 0.2609, 0.05), N = 50, its 576
-    matrices make <J_x^4> take a median of 93 ref units (BENCH_24.json),
+    matrices make <J_x^4> take a median of 97 ref units (BENCH_26.json),
     against 155 with one call per matrix (BENCH_23.json).  Each matrix is
     a principal block of the pair matrix, whose singular values are at
     most 1, so every minor is accurate to near roundoff of 1 in absolute
@@ -604,9 +604,9 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     matrix, whose Schur-complement snapshots times the pair correlators
     give every gap class, and one blocked elimination per stack of Schur
     windows (see _nested_quad_sum), whose stacks are planned once per ring
-    size: O(N^5) flops, medians of 4.6 ref units (calls of the
-    benchmark's speed probe, about 1 ms) at N = 50, 65 at N = 100 and
-    701 at N = 200 (BENCH_25.json).  A breakdown is a pivot that
+    size: O(N^5) flops, medians of 4.5 ref units (calls of the
+    benchmark's speed probe, about 1 ms) at N = 50, 57 at N = 100 and
+    788 at N = 200 (BENCH_26.json).  A breakdown is a pivot that
     is zero to working precision, as at T = inf (g = 0), on the gamma =
     -1, h/J = 0 line (every pair matrix singular) and in the cold XX chain
     polarized by h/J > 1.  Where any elimination breaks down, the pair
@@ -616,7 +616,7 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     + 3N(N-1), and otherwise every contraction matrix takes its leading
     minors from orthogonal factors (minors._halving_minors).  No LAPACK det runs.
     On those lines the x spins are uncorrelated, and at N = 50 the
-    certified points give 3N^2 - 2N to roundoff in 8.7-9.1 ref units.  The
+    certified points give 3N^2 - 2N to roundoff in 8.8-9.8 ref units.  The
     fallback takes the whole point, never the classes of the broken stack
     alone: at (-0.9653537597782795, 0.2609446655556303, 0.05), N = 50,
     where one window stack breaks down, that split left the quadruple sum

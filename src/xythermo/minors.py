@@ -22,9 +22,9 @@ minors are the same bits.  Each level splits a block into two of equal
 order ceil(n/2), so a stack takes one stacked call of each LAPACK
 routine per level, and the pair correlators' two blocks of order m = N -
 (N-1)//2 go down as one (2, m, m) stack (see
-correlations._pair_correlations).  Var(J_x) takes medians of 0.56 ref
-units (calls of the benchmark's speed probe, about 1 ms) at N = 50, 4.6
-at N = 300 and 59 at N = 1000 (BENCH_24.json).  _binary_cumprod carries
+correlations._pair_correlations): Var(J_x) takes medians of 0.57 ref
+units (calls of the benchmark's speed probe, about 1 ms) at N = 50, 5.0
+at N = 300 and 57 at N = 1000 (BENCH_26.json).  _binary_cumprod carries
 products of many factors, such as det C = prod t_k, in mantissas and
 exponents, so that none leaves the float range.
 Elimination without row exchanges would be cheaper still, but it is
@@ -45,7 +45,9 @@ to 7.4 (N = 200) times fewer than reading each class from its smaller
 outer gap, whose windows must be eliminated whole.  The windows are
 eliminated in stacks, each at a panel-aligned offset in an identity
 matrix, so that no flop goes to the identity before a window and a
-window's pivots do not depend on its stack.
+window's pivots do not depend on its stack.  With them <J_x^4> takes
+medians of 4.5 ref units at N = 50, 57 at N = 100 and 788 at N = 200
+(BENCH_26.json).
 
 The window route (_schur_snapshots, _window_plan, _window_stack) keeps
 the N-3 snapshots of one elimination of T, checked for breakdown once

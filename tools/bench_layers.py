@@ -48,14 +48,19 @@ that is all of them, and the J_z rows of a fresh ensemble then time the
 mode sums alone; in trees that build some of those arrays on first read,
 the J_z rows include that build.  Next to each time the file records how many
 matrices the timed call handed to the orthogonal-minor engine from
-outside it, to the halving (``correlations._halving_minors``) or to one
-level of it (``correlations._split``, where the tree has one, which the
-pair correlators call directly): each call counts the product of its
-stack's leading dimensions, 1 for a single matrix, and a depth counter
+outside it, to the halving (``_halving_minors``) or to one level of it
+(``_split``, where the tree has one, which the pair correlators call
+directly), both found in ``xythermo.minors``, or in ``correlations`` in
+trees from before the engine had its own module: each call counts the
+product of its stack's leading dimensions, 1 for a single matrix, and a depth counter
 shared by the two leaves out the calls that the engine makes of itself,
 so a tree that halves one matrix per call and a tree that halves stacks
 record the same count.  It also records the value the call
-returned (sum of g_j^2 for a kernel, of n_k for an ensemble).  With the
+returned (sum of g_j^2 for a kernel, of n_k for an ensemble), and the
+minor page faults of the timed call (the median over its calls of the
+change in ``resource.getrusage(RUSAGE_SELF).ru_minflt``, None where the
+``resource`` module is missing): a call that takes fresh pages from the
+operating system shows there.  With the
 pair correlators filled, a fourth-moment call that hands in any matrices
 has met a breakdown and taken orthogonal minors for every gap class; it
 hands in none where no elimination broke down, or where Hadamard's bound
@@ -66,7 +71,7 @@ prints the largest, so a speed change that moves the numbers shows next to
 its timings.  For N = 50, 100 and 200 the file also records the bytes of
 the store of Schur-complement snapshots that <J_x^4> keeps per point and,
 in trees that plan the Schur windows once per ring size
-(``correlations._window_plan``), the bytes of that plan.
+(``_window_plan``, found as the engine is), the bytes of that plan.
 """
 from __future__ import annotations
 
@@ -78,6 +83,11 @@ import statistics
 import subprocess
 import sys
 from time import perf_counter
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -140,17 +150,33 @@ def _key(layer, n, gamma, field, temp, kind):
     return f"{layer} N={n} ({gamma:g}, {field:g}, {temp:g}) {kind}"
 
 
-def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], dict[str, float]]:
+def _engine():
+    # the module that holds the minor engine, with the tree on sys.path:
+    # xythermo.minors, or correlations in trees from before it
+    try:
+        from xythermo import minors
+    except ImportError:
+        from xythermo import correlations as minors
+    return minors
+
+
+def _minor_faults() -> int | None:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
+
+
+def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], dict[str, float],
+                          dict[str, float | None]]:
     # per grid entry, the median of CALLS timings after one warm-up call, in
     # seconds and in speed-probe units, the matrices one call handed to the
-    # orthogonal-minor engine and the value it returned, with the tree on
-    # sys.path
+    # orthogonal-minor engine, the value it returned and the median of its
+    # minor page faults, with the tree on sys.path
     from sweepbench.worker import speed_probe
     from xythermo import correlations, faraday, thermometry
     from xythermo.spectrum import ChainSpec
 
-    engine = {name: getattr(correlations, name) for name in ("_halving_minors", "_split")
-              if hasattr(correlations, name)}
+    home = _engine()
+    engine = {name: getattr(home, name) for name in ("_halving_minors", "_split")
+              if hasattr(home, name)}
     count, depth = [0], [0]
 
     def entry(fn):
@@ -178,7 +204,7 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
         if layer == "kernel":
             # another ensemble's kernel builds the tables of N, if memoized
             correlations.kernel(thermometry.ensemble(spec, temp))
-            if kind == "cold" and hasattr(correlations, "_trig_tables"):
+            if kind == "cold":
                 correlations._trig_tables.cache_clear()
             return lambda: correlations.kernel(ens)
         kern = correlations.kernel(ens)
@@ -189,38 +215,40 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
 
     def scalar(layer, value):
         if layer == "kernel":
-            # g is a public member of the kernel record, _g in older trees
-            g = value.g if hasattr(value, "g") else value._g
-            return float(g @ g)
+            return float(value.g @ value.g)
         if layer == "ensemble":
             return float(value.occupations.sum())
         return float(value)
 
-    times, refs, halvings, values = {}, {}, {}, {}
+    times, refs, halvings, values, faults = {}, {}, {}, {}, {}
     for name, fn in engine.items():
-        setattr(correlations, name, entry(fn))
+        setattr(home, name, entry(fn))
     try:
         for row in GRID:
             key = _key(*row)
             prepare(*row)()  # warm-up
-            elapsed, ref, seen = [], [], set()
+            elapsed, ref, seen, fresh = [], [], set(), []
             for _ in range(CALLS):
                 call = prepare(*row)
                 count[0] = 0
                 before = speed_probe()
+                paged = _minor_faults()
                 start = perf_counter()
                 value = call()
                 elapsed.append(perf_counter() - start)
+                if paged is not None:
+                    fresh.append(_minor_faults() - paged)
                 ref.append(2.0 * elapsed[-1] / (before + speed_probe()))
                 seen.add((count[0], scalar(row[0], value)))
             if len(seen) != 1:
                 raise SystemExit(f"{key}: calls disagree: {sorted(seen)}")
             times[key], refs[key] = statistics.median(elapsed), statistics.median(ref)
             halvings[key], values[key] = seen.pop()
+            faults[key] = statistics.median(fresh) if fresh else None
     finally:
         for name, fn in engine.items():
-            setattr(correlations, name, fn)
-    return times, refs, halvings, values
+            setattr(home, name, fn)
+    return times, refs, halvings, values, faults
 
 
 def _plan_bytes() -> dict[str, dict[str, int | None]]:
@@ -229,17 +257,24 @@ def _plan_bytes() -> dict[str, dict[str, int | None]]:
     # arrays of the window plan, None in a tree without one
     from xythermo import correlations
 
+    home = _engine()
+    # the plan takes the class weights of correlations where it has a module of its own
+    weights = () if home is correlations else (correlations._class_weights,)
     out = {}
     for n in PLAN_SIZES:
         store = 8 * (sum(k * k for k in range(2, n - 1)) + 2 * (n - 2))
         plan = None
-        if hasattr(correlations, "_window_plan"):
-            stacks = correlations._window_plan(n, correlations._DET_BATCH_ELEMENTS,
-                                               correlations._PANEL)
+        if hasattr(home, "_window_plan"):
+            stacks = home._window_plan(n, home._DET_BATCH_ELEMENTS, home._PANEL, *weights)
             plan = sum(getattr(stack, name).nbytes for stack in stacks
                        for name in ("t3", "t2", "offsets", "rows", "weights"))
         out[f"N={n}"] = {"snapshot_store": store, "window_plan": plan}
     return out
+
+
+def _median_or_none(values: list) -> float | None:
+    # None where the repetitions could not count page faults
+    return None if None in values else statistics.median(values)
 
 
 def _relative_difference(value: float, base: float) -> float:
@@ -273,9 +308,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.worker:  # one repetition of one tree, in a fresh process
         sys.path[:0] = [args.worker, ROOT]
-        times, refs, halvings, values = _time_grid()
+        times, refs, halvings, values, faults = _time_grid()
         print(json.dumps({"times": times, "refs": refs, "halvings": halvings, "values": values,
-                          "plan_bytes": _plan_bytes(), "env": _blas()}))
+                          "faults": faults, "plan_bytes": _plan_bytes(), "env": _blas()}))
         return 0
     if not args.tree or not args.out or args.reps < 1:
         parser.error("need at least one --tree, an --out file and --reps >= 1")
@@ -316,6 +351,9 @@ def main(argv=None) -> int:
                   for label, reps in refs.items()}
            for stat, fn in (("median_ref", statistics.median), ("min_ref", min),
                             ("max_ref", max))},
+        "median_minor_faults": {label: {k: _median_or_none([r["faults"][k] for r in reps])
+                                        for k in reps[0]["faults"]}
+                                for label, reps in runs.items()},
         "halving_matrices": halvings,
         "plan_bytes": {label: reps[0]["plan_bytes"] for label, reps in runs.items()},
         "values": values,
@@ -326,8 +364,10 @@ def main(argv=None) -> int:
         fh.write("\n")
     for label, medians in result["median_s"].items():
         for k, v in medians.items():
+            faults = result["median_minor_faults"][label][k]
             print(f"{label:>8}  {v * 1e3:10.4f} ms  {result['median_ref'][label][k]:9.4g} ref  "
-                  f"{halvings[label][k]:6d} matrices  {k}")
+                  f"{halvings[label][k]:6d} matrices  {faults if faults is not None else '-':>7} "
+                  f"faults  {k}")
     for label, diffs in list(differences.items())[1:]:
         worst = max(diffs, key=diffs.get)
         print(f"{label:>8}  largest relative difference of a value from tree "
