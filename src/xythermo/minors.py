@@ -179,7 +179,7 @@ def _leaf_minors(a: np.ndarray) -> np.ndarray:
     below the diagonal to reflect, so tau = 0 and R_ii = 1.
     """
     n = a.shape[-1]
-    # entry [j, a, b] is outside the leading (j+1) x (j+1) block: max(a, b) > j
+    # entry [j, r, c] is outside the leading (j+1) x (j+1) block: max(r, c) > j
     outside = np.indices((n, n)).max(axis=0) > np.arange(n)[:, None, None]
     factors = np.where(outside, np.eye(n), a[..., None, :, :])
     with np.errstate(invalid="raise"):

@@ -39,7 +39,7 @@ are filled by ``var_jx``, as a readout point does; ``var_jx`` itself is
 timed on a fresh kernel.  The "warm" ``kernel`` rows time the kernel of an
 ensemble after another ensemble's kernel, so the cos/sin tables of its ring
 size are built already, as at every point of a sweep but the first; the
-"cold" rows clear that memo first, where the tree has one.  The
+"cold" rows clear that memo first.  The
 ``ensemble`` row builds the mode table and the thermal record of a ring
 size seen before, as at every point of a sweep but the first: in trees
 where the records build every per-mode array up front (rotations, double
@@ -49,13 +49,11 @@ mode sums alone; in trees that build some of those arrays on first read,
 the J_z rows include that build.  Next to each time the file records how many
 matrices the timed call handed to the orthogonal-minor engine from
 outside it, to the halving (``_halving_minors``) or to one level of it
-(``_split``, where the tree has one, which the pair correlators call
-directly), both found in ``xythermo.minors``, or in ``correlations`` in
-trees from before the engine had its own module: each call counts the
-product of its stack's leading dimensions, 1 for a single matrix, and a depth counter
-shared by the two leaves out the calls that the engine makes of itself,
-so a tree that halves one matrix per call and a tree that halves stacks
-record the same count.  It also records the value the call
+(``_split``, which the pair correlators call directly), both found in
+``xythermo.minors``, or in ``correlations`` in trees from before the
+engine had its own module: each call counts the product of its stack's
+leading dimensions, 1 for a single matrix, and a depth counter shared by
+the two leaves out the calls that the engine makes of itself.  It also records the value the call
 returned (sum of g_j^2 for a kernel, of n_k for an ensemble), and the
 minor page faults of the timed call (the median over its calls of the
 change in ``resource.getrusage(RUSAGE_SELF).ru_minflt``, None where the
@@ -69,9 +67,9 @@ tree's values must repeat exactly over its calls and repetitions; the file
 gives every value's relative difference from the first tree, and the run
 prints the largest, so a speed change that moves the numbers shows next to
 its timings.  For N = 50, 100 and 200 the file also records the bytes of
-the store of Schur-complement snapshots that <J_x^4> keeps per point and,
-in trees that plan the Schur windows once per ring size
-(``_window_plan``, found as the engine is), the bytes of that plan.
+the store of Schur-complement snapshots that <J_x^4> keeps per point and
+the bytes of the plan of Schur windows it builds once per ring size
+(``_window_plan``, found as the engine is).
 """
 from __future__ import annotations
 
@@ -175,8 +173,7 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
     from xythermo.spectrum import ChainSpec
 
     home = _engine()
-    engine = {name: getattr(home, name) for name in ("_halving_minors", "_split")
-              if hasattr(home, name)}
+    engine = {name: getattr(home, name) for name in ("_halving_minors", "_split")}
     count, depth = [0], [0]
 
     def entry(fn):
@@ -251,10 +248,10 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
     return times, refs, halvings, values, faults
 
 
-def _plan_bytes() -> dict[str, dict[str, int | None]]:
+def _plan_bytes() -> dict[str, dict[str, int]]:
     # per ring size, the bytes of the snapshot store (its length is fixed by
     # N: sum of k^2, k = 2 ... N-2, plus 2(N-2) spare entries) and of the
-    # arrays of the window plan, None in a tree without one
+    # arrays of the window plan
     from xythermo import correlations
 
     home = _engine()
@@ -263,11 +260,9 @@ def _plan_bytes() -> dict[str, dict[str, int | None]]:
     out = {}
     for n in PLAN_SIZES:
         store = 8 * (sum(k * k for k in range(2, n - 1)) + 2 * (n - 2))
-        plan = None
-        if hasattr(home, "_window_plan"):
-            stacks = home._window_plan(n, home._DET_BATCH_ELEMENTS, home._PANEL, *weights)
-            plan = sum(getattr(stack, name).nbytes for stack in stacks
-                       for name in ("t3", "t2", "offsets", "rows", "weights"))
+        stacks = home._window_plan(n, home._DET_BATCH_ELEMENTS, home._PANEL, *weights)
+        plan = sum(getattr(stack, name).nbytes for stack in stacks
+                   for name in ("t3", "t2", "offsets", "rows", "weights"))
         out[f"N={n}"] = {"snapshot_store": store, "window_plan": plan}
     return out
 
