@@ -231,8 +231,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     for f in cfg.field:
         ChainSpec(gamma=0.0, field_ratio=f, sites=cfg.sites)
     if cfg.command in _SWEEPS:
-        if any(not t > 0 for t in cfg.temp):
-            raise ConfigError("temperatures must be > 0")
+        if any(not 0 < t < math.inf for t in cfg.temp):
+            raise ConfigError("temperatures must be finite and > 0")
         faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
                              include_shot_noise=cfg.shot_noise)
     return cfg

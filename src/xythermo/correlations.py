@@ -56,8 +56,8 @@ elimination of T therefore serves every class, and for fixed (t3, t2)
 every t1 is a leading minor of the window's leading block of order
 min(t3, N-1-t3-t2), which one elimination without row exchanges gives as
 products of its pivots: O(N^5) flops for the sum instead of the O(N^6) of
-one det per class.  The minors module eliminates T and the windows, in
-stacks planned once per ring size with the weights of their gap classes
+one det per class.  That sum is one call of the minors module
+(minors._window_sum), which takes T and the weights of the gap classes
 (_class_weights; see _nested_quad_sum).  Where any elimination, of T or
 of a window stack, breaks down on a pivot that is zero to working
 precision (see fourth_moment_from_kernel), the whole sum goes to one
@@ -283,12 +283,10 @@ def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     leading one.  So with h = (N-1)//2 and m = N-h, M's leading block of
     order m gives c(1) ... c(h), and C^-1's leading block of order m gives
     c(h) ... c(N-1): both blocks go down the halving as one (2, m, m)
-    stack, from one minors._split, each level in one stacked call of each LAPACK
-    routine, about a quarter of the flops of one halving of order N-1.  M's minors take
-    the cumulative products of its R diagonal, C^-1's det C = prod t_k
-    times those of its own, carried in mantissas and exponents
-    (minors._binary_cumprod): det C is 1e-1002 for the XX chain at h/J = 0, N =
-    1000 and temperature 5.
+    stack in one call, minors._complementary_minors, about a quarter of
+    the flops of one halving of order N-1, which scales C^-1's minors by
+    det C = prod t_k without leaving the float range (det C is 1e-1002 for
+    the XX chain at h/J = 0, N = 1000 and temperature 5).
     Both give c(h), and the split is taken only where they agree to
     _SPLIT_AGREEMENT.  Elsewhere C is singular to working precision (at
     infinite temperature, where g = 0 and every t_k = 0, or at the zero
@@ -314,13 +312,10 @@ def _pair_correlations(kern: CorrelationKernel, shift: int) -> np.ndarray:
     m = n - h
     inverse = _inverse_block(kern, shift, m)
     if inverse is not None:
-        halved, diagonal = minors._split(np.stack((_toeplitz(g, n - 1 + shift, m), inverse)))
-        lead = halved[0, :h] * np.cumprod(diagonal[0, :h])
-        mantissas, exponents = minors._binary_cumprod(
-            np.concatenate((kern.ensemble.polarizations, diagonal[1])))
-        tail = np.ldexp(mantissas[n:] * halved[1], exponents[n:])
-        if abs(tail[-1] - lead[-1]) <= _SPLIT_AGREEMENT:
-            return np.concatenate(([1.0], lead, tail[-2::-1]))
+        lead, tail = minors._complementary_minors(
+            np.stack((_toeplitz(g, n - 1 + shift, m), inverse)), kern.ensemble.polarizations)
+        if abs(tail[-1] - lead[h - 1]) <= _SPLIT_AGREEMENT:
+            return np.concatenate(([1.0], lead[:h], tail[-2::-1]))
     return np.concatenate(([1.0], minors._halving_minors(_toeplitz(g, n - 1 + shift, n - 1))))
 
 
@@ -519,9 +514,9 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, by Schur windows.
 
     The contraction matrix of gap class (t1, t2, t3) is T[S, S] for the
-    pair matrix T of minors._schur_snapshots and S = [0, t1) u [t1+t2,
-    t1+t2+t3).  Reversing the order of the sites transposes it and
-    reverses its rows and columns, so the reversed class (t3, t2, t1) has
+    pair matrix T[a, b] = g_{a-b-1} on bond sites 0 ... N-2 and S = [0,
+    t1) u [t1+t2, t1+t2+t3).  Reversing the order of the sites transposes
+    it and reverses its rows and columns, so the reversed class (t3, t2, t1) has
     the same det, and only t1 <= t3 is summed, each class read from its
     reverse: S' = F u W, F = [0, t3), W = [t3+t2, t3+t2+t1).  By Schur's
     determinant formula that det is c(t3) * det Sigma_t3[W, W], with c(t3)
@@ -532,21 +527,10 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     quotient property of Schur complements (Crabtree & Haynsworth, 1969)
     makes the window's own elimination continue that of T.  So one
     elimination of T, kept for N-3 steps, gives every Sigma_t3 (and c(t3),
-    see below), and the windows, 1128 at N = 50, go through
-    minors._leading_minors largest first, in stacks of at most
-    minors._DET_BATCH_ELEMENTS entries sized by the first, largest window,
-    each stack gathered by minors._window_stack in one indexing operation.
-    Each window sits in the identity at the largest multiple of
-    minors._PANEL that leaves it room, so it starts on a panel boundary, as
-    it would alone, and the panels before its offset skip it: at most
-    minors._PANEL - 1 rows of
-    identity after it are eliminated with it, and its minor of order t1 is
-    the stack's of order offset + t1.  None of that reads the kernel: the
-    stacks, their offsets, the store rows of their gathers, the columns to
-    zero and the class weights of every stack minor come from the plan of
-    the ring size (minors._window_plan), built at the first point of a sweep and
-    kept, so a point takes the snapshots, the pivot products c(t3), and
-    per stack a gather, an elimination and one weighted sum.  Reading
+    see below), and one call, minors._window_sum, takes T and
+    _class_weights and returns the weighted sum over the windows, 1128 at
+    N = 50, or None at a breakdown; the minors module holds how the
+    windows are stacked, planned once per ring size and gathered.  Reading
     each class from its smaller outer gap t1 instead, as c(t1) times a
     minor of order t3 of Sigma_t1[t2:, t2:], eliminates every window
     whole: 576 windows at N = 50, but 7.1 times the flops, and at the
@@ -580,21 +564,7 @@ def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
     are not negligible, where the bound is O(1).
     """
     n = kern.ensemble.spec.sites
-    snapshots = minors._schur_snapshots(_toeplitz(kern.g, n - 2, n - 1))
-    if snapshots is None:
-        return None
-    store, starts = snapshots
-    # c(t) for t = 0 ... N-3: products of the pivots T[0, 0] = g_{-1} and
-    # Sigma_t[0, 0], t = 1 ... N-4
-    pairs = np.cumprod(np.concatenate(([1.0, kern.g[n - 2]], store[starts[:-1]])))
-    total = 0.0
-    for stack in minors._window_plan(n, minors._DET_BATCH_ELEMENTS, minors._PANEL,
-                                     _class_weights):
-        eliminated = minors._leading_minors(minors._window_stack(store, stack), stack.offsets)
-        if eliminated is None:
-            return None
-        total += float(np.sum(pairs[stack.t3, None] * stack.weights * eliminated))
-    return total
+    return minors._window_sum(_toeplitz(kern.g, n - 2, n - 1), _class_weights)
 
 
 def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
@@ -602,9 +572,9 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
 
     The all-distinct quadruple sum comes from one elimination of the pair
     matrix, whose Schur-complement snapshots times the pair correlators
-    give every gap class, and one blocked elimination per stack of Schur
-    windows (see _nested_quad_sum), whose stacks are planned once per ring
-    size: O(N^5) flops, medians of 4.5 ref units (calls of the
+    give every gap class, and the eliminations of the windows of those
+    snapshots, one call of the minors module (see _nested_quad_sum):
+    O(N^5) flops, medians of 4.5 ref units (calls of the
     benchmark's speed probe, about 1 ms) at N = 50, 57 at N = 100 and
     788 at N = 200 (BENCH_26.json).  A breakdown is a pivot that
     is zero to working precision, as at T = inf (g = 0), on the gamma =

@@ -4,11 +4,12 @@ Every x-basis moment of the correlations module is a sum of leading
 principal minors, of one Toeplitz pair matrix T, of the blocks of its
 Schur complements, or of contraction matrices of four sites.  This
 module takes those minors and knows no physics: its functions take
-arrays (and, for the window plan, the ring size and the class weights),
-never a kernel or an ensemble.  It is the one module of the package that
+arrays (and, for the window sum, the weights of the gap classes), never
+a kernel or an ensemble.  It is the one module of the package that
 calls LAPACK through numpy's private _umath_linalg (the gufuncs
 np.linalg.qr and np.linalg.det are built from) and the one that gathers
-with sliding_window_view.  There are four routes.
+with sliding_window_view.  There are four routes, each one call:
+_halving_minors, _complementary_minors, _window_sum and _det_minors.
 
 Orthogonal minors (_halving_minors) come from orthogonal factors alone,
 by recursive halving: O(n^3) flops for all n leading minors of an n x n
@@ -20,13 +21,13 @@ _leaf_minors), so that no code path of the package imports scipy.
 Every matrix of a stack gets the LAPACK calls it would get alone, so its
 minors are the same bits.  Each level splits a block into two of equal
 order ceil(n/2), so a stack takes one stacked call of each LAPACK
-routine per level, and the pair correlators' two blocks of order m = N -
-(N-1)//2 go down as one (2, m, m) stack (see
-correlations._pair_correlations): Var(J_x) takes medians of 0.57 ref
-units (calls of the benchmark's speed probe, about 1 ms) at N = 50, 5.0
-at N = 300 and 57 at N = 1000 (BENCH_26.json).  _binary_cumprod carries
-products of many factors, such as det C = prod t_k, in mantissas and
-exponents, so that none leaves the float range.
+routine per level.  The pair correlators take the leading minors of two
+blocks of order m = N - (N-1)//2, one of them scaled by det C = prod t_k,
+as one (2, m, m) stack (_complementary_minors): Var(J_x) takes medians
+of 0.57 ref units (calls of the benchmark's speed probe, about 1 ms) at
+N = 50, 5.0 at N = 300 and 57 at N = 1000 (BENCH_26.json).
+_binary_cumprod carries products of many factors, such as det C, in
+mantissas and exponents, so that none leaves the float range.
 Elimination without row exchanges would be cheaper still, but it is
 unstable for the pair matrix: the pair correlator falls to ~1e-19
 halfway round the ring and grows again toward r = N - 1, and the pivot
@@ -49,16 +50,17 @@ window's pivots do not depend on its stack.  With them <J_x^4> takes
 medians of 4.5 ref units at N = 50, 57 at N = 100 and 788 at N = 200
 (BENCH_26.json).
 
-The window route (_schur_snapshots, _window_plan, _window_stack) keeps
-the N-3 snapshots of one elimination of T, checked for breakdown once
-per panel of steps, and gathers the windows from them.  Which windows
-there are, how they are stacked, where each row of a stack is gathered
-from and how each minor is weighted depend on N alone: they are planned
-once per ring size (see _window_plan), and a point takes the elimination
-of T, then one gather and one elimination per stack.  Where any
-elimination, of T or of a window stack, breaks down on a pivot that is
-zero to working precision, it returns None, and the caller takes the
-sum another way (see correlations._fallback_sum).
+The window sum (_window_sum) takes T and the class weights and returns
+the weighted sum of every window minor.  It keeps the N-3 snapshots of
+one elimination of T (_schur_snapshots), checked for breakdown once per
+panel of steps, and gathers the windows from them.  Which windows there
+are, how they are stacked, where each row of a stack is gathered from
+and how each minor is weighted depend on N alone: they are planned once
+per ring size (_window_plan), and a point takes the elimination of T,
+then one gather (_window_stack) and one elimination per stack.  Where
+any elimination, of T or of a window stack, breaks down on a pivot that
+is zero to working precision, the sum is None, and the caller takes it
+another way (see correlations._fallback_sum).
 
 Complex minors (_det_minors) take one LAPACK det per order, for the
 complex-step slope of Var(J_x), whose kernel is complex: Householder
@@ -209,6 +211,25 @@ def _binary_cumprod(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mantissas, exponents
 
 
+def _complementary_minors(a: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading minors of a[0], and prod(factors) times those of a[1], for a (2, m, m) stack.
+
+    Both matrices go down the halving as one stack, from one _split, each
+    level in one stacked call of each LAPACK routine.  The minors of a[0]
+    are its Q-minors times the cumulative products of its R diagonal.  For
+    a[1] the factors and its R diagonal are carried in mantissas and
+    exponents (_binary_cumprod), so that no product leaves the float range
+    however small prod(factors) is (det C = prod t_k is 1e-1002 for the XX
+    chain at h/J = 0, N = 1000 and temperature 5); only the scaled minors
+    are rounded to floats.
+    """
+    k = len(factors)
+    halved, diagonal = _split(a)
+    mantissas, exponents = _binary_cumprod(np.concatenate((factors, diagonal[1])))
+    return (halved[0] * np.cumprod(diagonal[0]),
+            np.ldexp(mantissas[k:] * halved[1], exponents[k:]))
+
+
 def _det_minors(a: np.ndarray) -> np.ndarray:
     """Leading principal minors det a[:r, :r], r = 0 ... n, of a complex n x n matrix.
 
@@ -287,7 +308,12 @@ def _schur_snapshots(block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     0 line, the cold polarized XX chain), and then at the end of each run
     of _PANEL steps; after the last step every multiplier and the whole
     store are: None exactly where a check after every step gives it, and
-    the same store bits where it does not.
+    the same store bits where it does not.  The check per panel stays
+    because it pays at breakdown points: with only the final check, the
+    snapshots of (-1, 0, 0.3) and (0, 2, 0.05) took 0.44-0.54 ms instead
+    of 0.04 ms at N = 50, and 1.5-1.7 ms instead of 0.16-0.19 ms at N =
+    100 (best of 7 runs of 20 calls, 2 cores, one BLAS thread), while at
+    (1, 0.5, 0.3) the two differed by less than their run-to-run spread.
     """
     n = len(block) + 1
     orders, ends = _snapshot_layout(n)
@@ -324,11 +350,19 @@ class _WindowStack:
     so that its leading minor of order j is the stack's of order offsets[i]
     + j.  rows[i, q] is where row q of matrix i starts in the store of
     _schur_snapshots: a window row runs on along its row of Sigma_t3 (into
-    the next row, or the next snapshot), every other row is a row of the
-    identity at the end of the store.  runs holds (lo, hi, offset, end),
-    one per run of windows of one order, whose columns [end, m) of rows
-    [offset, end) a window row ran over.  weights[i, q - 1] weights stack
-    minor q as class (q - offsets[i], t2, t3), and 0 before the offset.
+    the next row, or the next snapshot) past column offsets[i] + k, every
+    other row is a row of the identity at the end of the store.
+    weights[i, q - 1] weights stack minor q as class (q - offsets[i], t2,
+    t3), and 0 outside offsets[i] < q <= offsets[i] + k.  The columns a
+    window row runs on into are gathered as they are, and that is safe:
+    they feed only stack minors past the window's own order, which have
+    class weight 0, and the identity rows below a window carry multipliers
+    that are exactly 0, so their pivots stay exactly 1 while those columns
+    stay finite.  The store they come from is finite wherever
+    _schur_snapshots returns it; should the elimination carry one of them
+    past the float range, 0 times it makes the pivot of the identity row
+    of its column NaN, and the stack breaks down rather than give a wrong
+    minor.
     Everything in it depends on N alone, and its arrays are read-only.
     """
 
@@ -337,15 +371,13 @@ class _WindowStack:
     offsets: np.ndarray
     m: int
     rows: np.ndarray
-    runs: tuple[tuple[int, int, int, int], ...]
     weights: np.ndarray
 
 
 def _plan_stack(n: int, t3: np.ndarray, t2: np.ndarray, order: np.ndarray,
                 offsets: np.ndarray, m: int, class_weights) -> _WindowStack:
     # the stack of the windows (t3, t2) of the given orders at the given
-    # offsets, windows of one order next to each other; class_weights(n,
-    # t1, t2, t3) weights gap class (t1, t2, t3)
+    # offsets; class_weights(n, t1, t2, t3) weights gap class (t1, t2, t3)
     _, ends = _snapshot_layout(n)
     local = np.arange(m) - offsets[:, None]
     size = n - 1 - t3
@@ -353,29 +385,25 @@ def _plan_stack(n: int, t3: np.ndarray, t2: np.ndarray, order: np.ndarray,
                     (ends[t3 - 1] - size * size + t2 * size + t2 - offsets)[:, None]
                     + local * size[:, None],
                     ends[-1] + (n - 2) - np.arange(m))
-    firsts = np.flatnonzero(np.diff(order, prepend=-1)).tolist()
-    runs = tuple((lo, hi, int(offsets[lo]), int(offsets[lo] + order[lo]))
-                 for lo, hi in zip(firsts, firsts[1:] + [len(order)]))
     j = np.arange(1, m + 1) - offsets[:, None]
     weights = class_weights(n, j, t2[:, None], t3[:, None]) * (j > 0)
-    return _WindowStack(*_read_only(t3, t2, offsets), m, _read_only(rows)[0], runs,
+    return _WindowStack(*_read_only(t3, t2, offsets), m, _read_only(rows)[0],
                         _read_only(weights)[0])
 
 
 @functools.lru_cache(maxsize=1)
-def _window_plan(n: int, cap: int, panel: int, class_weights) -> tuple[_WindowStack, ...]:
+def _window_plan(n: int, cap: int, class_weights) -> tuple[_WindowStack, ...]:
     """The stacks of Schur windows of the quadruple sum at N = n, built once per ring size.
 
     The windows (t3, t2) of every outer gap t3, of order min(t3,
     N-1-t3-t2), go largest first, in stacks of at most cap entries sized
     by the first, largest window; each window sits in the identity at the
-    largest multiple of panel that leaves it room.  None of it reads a
+    largest multiple of _PANEL that leaves it room.  None of it reads a
     kernel, so a sweep at fixed N builds the plan for its first point only
     (0.30 MB at N = 50, 1.6 at N = 100, 11 at N = 200, below the store of
-    snapshots); the cap and the panel are passed in, _DET_BATCH_ELEMENTS
-    and _PANEL, so that the plan follows them, and so are the weights of
-    the gap classes, correlations._class_weights, which the plan applies
-    to every minor of every stack once.
+    snapshots); the cap is passed in, _DET_BATCH_ELEMENTS, so that the plan
+    follows it, and so are the weights of the gap classes, which the plan
+    applies to every minor of every stack once.
     """
     t3, t2 = np.nonzero(np.add.outer(np.arange(n - 3), np.arange(n - 3)) <= n - 4)
     t3, t2 = t3 + 1, t2 + 1
@@ -388,7 +416,7 @@ def _window_plan(n: int, cap: int, panel: int, class_weights) -> tuple[_WindowSt
         stop = start + max(1, cap // (m * m))
         k = order[start:stop]
         stacks.append(_plan_stack(n, t3[start:stop], t2[start:stop], k,
-                                  (m - k) // panel * panel, m, class_weights))
+                                  (m - k) // _PANEL * _PANEL, m, class_weights))
         start = stop
     return tuple(stacks)
 
@@ -397,12 +425,42 @@ def _window_stack(store: np.ndarray, stack: _WindowStack) -> np.ndarray:
     """The windows of a planned stack, gathered from a store of _schur_snapshots.
 
     Each row of the (B, m, m) stack is one run of m entries of the store,
-    at the plan's rows, and all B m rows come in one gather; the columns a
-    window row ran over past its window are then zeroed, once for every
-    run of windows of one order.  The columns before a window's offset
-    keep what its rows ran over: no step of _leading_minors reads them.
+    at the plan's rows, and all B m rows come in one gather.  The columns
+    before a window's offset keep what its rows ran over, as no step of
+    _leading_minors reads them, and so do the columns after it (see
+    _WindowStack).
     """
-    windows = sliding_window_view(store, stack.m)[stack.rows]
-    for lo, hi, offset, end in stack.runs:
-        windows[lo:hi, offset:end, end:] = 0.0
-    return windows
+    return sliding_window_view(store, stack.m)[stack.rows]
+
+
+def _window_sum(block: np.ndarray, class_weights) -> float | None:
+    """The weighted sum of every window minor of the pair matrix, or None at a breakdown.
+
+    block is the pair matrix T of order N-1 (see _schur_snapshots), and
+    class_weights(n, t1, t2, t3) the weight of gap class (t1, t2, t3).
+    Class (t1, t2, t3), t1 <= t3, is c(t3) times the leading minor of
+    order t1 of the window Sigma_t3[t2:, t2:], and the sum is over every
+    class of the plan (_window_plan) with its weight.  c(t3) is the
+    product of the first t3 pivots of the elimination of T, T[0, 0] and
+    the first entries Sigma_t[0, 0] of the snapshots: Schur's formula in
+    the elimination's own arithmetic.  A point takes the snapshots, then
+    per stack one gather (_window_stack), one elimination (_leading_minors)
+    and one weighted sum.  None if any elimination breaks down, that of T
+    at any step or that of any window stack; no stack after a broken one
+    is gathered.
+    """
+    n = len(block) + 1
+    snapshots = _schur_snapshots(block)
+    if snapshots is None:
+        return None
+    store, starts = snapshots
+    # c(t) for t = 0 ... N-3: products of the pivots T[0, 0] and Sigma_t[0,
+    # 0], t = 1 ... N-4
+    pairs = np.cumprod(np.concatenate(([1.0, block[0, 0]], store[starts[:-1]])))
+    total = 0.0
+    for stack in _window_plan(n, _DET_BATCH_ELEMENTS, class_weights):
+        eliminated = _leading_minors(_window_stack(store, stack), stack.offsets)
+        if eliminated is None:
+            return None
+        total += float(np.sum(pairs[stack.t3, None] * stack.weights * eliminated))
+    return total

@@ -246,6 +246,19 @@ def test_config_errors_exit_two(args):
     assert run_cli(*args).returncode == 2
 
 
+def test_infinite_temperature_is_refused_before_any_output(tmp_path):
+    # the library takes T = inf, but the temperature column cannot hold it:
+    # a sweep over it is a config error, not a numerical failure after the
+    # header, whether the value comes from the flag or from a config file
+    cfg = tmp_path / "hot.json"
+    cfg.write_text(json.dumps({"temp": [0.3, math.inf]}))
+    for args in (("tscan", "--temp", "inf"), ("phase-diagram", "--config", str(cfg))):
+        proc = run_cli(*args, "--sites", "4", "--gamma", "1", "--field", "0")
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+        assert proc.stderr == "error: temperatures must be finite and > 0\n", args
+
+
 def test_unreadable_config_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all")

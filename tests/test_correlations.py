@@ -435,12 +435,12 @@ def _record_stacks(monkeypatch):
 
 
 def _record_halvings(monkeypatch):
-    # the shape of every stack handed to the orthogonal-minor engine from
-    # outside it, whether to the halving or to one level of it (the pair
-    # correlators split their two blocks directly).  The halving recurses
-    # through the module attribute, and each level's split calls back into
-    # it, so a depth counter shared by both leaves out every call made
-    # inside the engine
+    # the shape of every stack handed to the orthogonal halving from outside
+    # it, whether to the halving or to one level of it (the pair
+    # correlators' two blocks enter one level through
+    # _complementary_minors).  The halving recurses through the module
+    # attribute, and each level's split calls back into it, so a depth
+    # counter shared by both leaves out every call the halving makes of itself
     shapes, depth = [], [0]
 
     def entry(fn, record):
@@ -642,12 +642,13 @@ def test_window_minors_do_not_depend_on_their_stack():
     # Sigma_s[t2:, t2:] whose rows run on in the store past the window,
     # orders 15, 7 and 1 are its whole trailing blocks, and order 1 is
     # that of the last snapshot, whose rows run into the store's spare
-    # entries.  Each window must be gathered into the identity exactly as
-    # a zero-filled stack holds it, on every row and column from its
-    # offset, its minors must be bitwise those it gets alone, and the
-    # identity around it must leave pivots of 1.  A first pivot of the
-    # order-7 window, which the first two panels skip, that is zero or below
-    # roundoff of its column must still break the stack down
+    # entries.  Each window block and the identity rows around it must be
+    # gathered exactly as a zero-filled stack holds them, whatever the
+    # columns a window row runs on into hold; the stack's minors must be
+    # bitwise those of the zero-filled stack, each window's bitwise those
+    # it gets alone, and the identity must leave pivots of 1.  A first
+    # pivot of the order-7 window, which the first two panels skip, that is
+    # zero or below roundoff of its column must still break the stack down
     n, panel = 50, minors._PANEL
     s, t2 = np.array([24, 20, 30, 10, 40, 3, 47]), np.array([1, 3, 4, 5, 2, 40, 1])
     orders = np.minimum(s, n - 1 - s - t2)
@@ -669,8 +670,9 @@ def test_window_minors_do_not_depend_on_their_stack():
             size = n - 1 - a
             snapshot = store[starts[a - 1]:starts[a - 1] + size * size].reshape(size, size)
             mat[o:o + k, o:o + k] = snapshot[b:b + k, b:b + k]
-        for mat, want, o in zip(stack, filled, offsets.tolist()):
-            assert np.array_equal(mat[o:, o:], want[o:, o:]) and np.array_equal(mat[:o], want[:o])
+        for mat, want, k, o in zip(stack, filled, orders.tolist(), offsets.tolist()):
+            assert np.array_equal(mat[o:o + k, o:o + k], want[o:o + k, o:o + k])
+            assert np.array_equal(mat[:o], want[:o]) and np.array_equal(mat[o + k:], want[o + k:])
         stacked = minors._leading_minors(stack.copy(), offsets)
         assert np.array_equal(stacked, minors._leading_minors(filled, offsets))
         for i, (k, o) in enumerate(zip(orders.tolist(), offsets.tolist())):
@@ -728,8 +730,7 @@ def test_window_plan_is_built_once_per_ring_size(monkeypatch):
     assert minors._window_plan.cache_info().misses == 1
 
     def plan(n):
-        return minors._window_plan(n, minors._DET_BATCH_ELEMENTS, minors._PANEL,
-                                   correlations._class_weights)
+        return minors._window_plan(n, minors._DET_BATCH_ELEMENTS, correlations._class_weights)
 
     first = {n: plan(n) for n in (14, 50)}
     for i, n in enumerate((14, 50, 14, 50)):
@@ -739,7 +740,6 @@ def test_window_plan_is_built_once_per_ring_size(monkeypatch):
         assert minors._window_plan.cache_info().currsize == 1
         assert len(stacks) == len(first[n]) and [a.m for a in stacks] == [b.m for b in first[n]]
         for a, b in zip(stacks, first[n]):
-            assert a.runs == b.runs
             for name in ("t3", "t2", "offsets", "rows", "weights"):
                 x = getattr(a, name)
                 assert np.array_equal(x, getattr(b, name)), (n, name)
@@ -749,6 +749,19 @@ def test_window_plan_is_built_once_per_ring_size(monkeypatch):
     # a different cap is a different plan
     monkeypatch.setattr(minors, "_DET_BATCH_ELEMENTS", 200)
     assert len(plan(14)) > len(first[14])
+
+
+def test_window_plan_weights_no_minor_past_a_window():
+    # the columns a window row runs on into are gathered as they are: they
+    # feed only stack minors past the window's own order, so every such
+    # minor, and every one before the offset, must have class weight 0.
+    # A cap of 200 entries stacks windows of several orders together
+    for n in (6, 14, 50, 100):
+        for cap in (minors._DET_BATCH_ELEMENTS, 200):
+            for stack in minors._window_plan(n, cap, correlations._class_weights):
+                order = np.minimum(stack.t3, n - 1 - stack.t3 - stack.t2)[:, None]
+                q = np.arange(1, stack.m + 1) - stack.offsets[:, None]
+                assert np.all(stack.weights[(q <= 0) | (q > order)] == 0), (n, cap)
 
 
 # float.hex of the quadruple sum on NESTED_GRID at N = 50, then at (1, 0.5,

@@ -153,3 +153,16 @@ def test_the_engine_imports_no_physics():
     # which imports them all)
     ours = {name for name in _used_names("minors") if name.split(".")[0] == "xythermo"}
     assert ours <= {"xythermo.spectrum._read_only"}
+
+
+def test_the_physics_reaches_the_engine_by_one_call_per_route():
+    # correlations hands the engine matrices and gets minors or a sum back:
+    # of the engine it reads the four routes, the stack cap its fallback
+    # chunks by, and the unit roundoff, never the snapshots, the window
+    # plan, one level of the halving or a mantissa/exponent product
+    with open(os.path.join(PACKAGE, "correlations.py")) as fh:
+        tree = ast.parse(fh.read())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "minors"}
+    assert read == {"_halving_minors", "_complementary_minors", "_window_sum", "_det_minors",
+                    "_DET_BATCH_ELEMENTS", "_EPS"}

@@ -41,19 +41,18 @@ ensemble after another ensemble's kernel, so the cos/sin tables of its ring
 size are built already, as at every point of a sweep but the first; the
 "cold" rows clear that memo first.  The
 ``ensemble`` row builds the mode table and the thermal record of a ring
-size seen before, as at every point of a sweep but the first: in trees
-where the records build every per-mode array up front (rotations, double
-angles, reduced energies, fluctuation weights, 1 - 2 n_k and its slope),
-that is all of them, and the J_z rows of a fresh ensemble then time the
-mode sums alone; in trees that build some of those arrays on first read,
-the J_z rows include that build.  Next to each time the file records how many
-matrices the timed call handed to the orthogonal-minor engine from
-outside it, to the halving (``_halving_minors``) or to one level of it
-(``_split``, which the pair correlators call directly), both found in
-``xythermo.minors``, or in ``correlations`` in trees from before the
-engine had its own module: each call counts the product of its stack's
-leading dimensions, 1 for a single matrix, and a depth counter shared by
-the two leaves out the calls that the engine makes of itself.  It also records the value the call
+size seen before, as at every point of a sweep but the first: the
+records build every per-mode array up front (rotations, double angles,
+reduced energies, fluctuation weights, 1 - 2 n_k and its slope), so the
+J_z rows of a fresh ensemble time the mode sums alone.  Next to each time
+the file records how many matrices the timed call handed to the
+orthogonal-minor engine, ``xythermo.minors``, to the halving
+(``_halving_minors``) or to one level of it (``_split``, which the pair
+correlators enter through ``_complementary_minors``, as they entered it
+directly before that call existed, so the counts are the same in both
+trees): each call counts the product of its stack's leading dimensions,
+1 for a single matrix, and a depth counter shared by the two leaves out
+the calls that the halving makes of itself.  It also records the value the call
 returned (sum of g_j^2 for a kernel, of n_k for an ensemble), and the
 minor page faults of the timed call (the median over its calls of the
 change in ``resource.getrusage(RUSAGE_SELF).ru_minflt``, None where the
@@ -68,8 +67,9 @@ gives every value's relative difference from the first tree, and the run
 prints the largest, so a speed change that moves the numbers shows next to
 its timings.  For N = 50, 100 and 200 the file also records the bytes of
 the store of Schur-complement snapshots that <J_x^4> keeps per point and
-the bytes of the plan of Schur windows it builds once per ring size
-(``_window_plan``, found as the engine is).
+the bytes of the plan of Schur windows it builds once per ring size,
+recorded as the quadruple sum of a regular point asks ``_window_plan``
+for it, so that every tree is measured through its own call.
 """
 from __future__ import annotations
 
@@ -148,16 +148,6 @@ def _key(layer, n, gamma, field, temp, kind):
     return f"{layer} N={n} ({gamma:g}, {field:g}, {temp:g}) {kind}"
 
 
-def _engine():
-    # the module that holds the minor engine, with the tree on sys.path:
-    # xythermo.minors, or correlations in trees from before it
-    try:
-        from xythermo import minors
-    except ImportError:
-        from xythermo import correlations as minors
-    return minors
-
-
 def _minor_faults() -> int | None:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
 
@@ -169,11 +159,10 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
     # orthogonal-minor engine, the value it returned and the median of its
     # minor page faults, with the tree on sys.path
     from sweepbench.worker import speed_probe
-    from xythermo import correlations, faraday, thermometry
+    from xythermo import correlations, faraday, minors, thermometry
     from xythermo.spectrum import ChainSpec
 
-    home = _engine()
-    engine = {name: getattr(home, name) for name in ("_halving_minors", "_split")}
+    engine = {name: getattr(minors, name) for name in ("_halving_minors", "_split")}
     count, depth = [0], [0]
 
     def entry(fn):
@@ -219,7 +208,7 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
 
     times, refs, halvings, values, faults = {}, {}, {}, {}, {}
     for name, fn in engine.items():
-        setattr(home, name, entry(fn))
+        setattr(minors, name, entry(fn))
     try:
         for row in GRID:
             key = _key(*row)
@@ -244,26 +233,38 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
             faults[key] = statistics.median(fresh) if fresh else None
     finally:
         for name, fn in engine.items():
-            setattr(home, name, fn)
+            setattr(minors, name, fn)
     return times, refs, halvings, values, faults
 
 
 def _plan_bytes() -> dict[str, dict[str, int]]:
     # per ring size, the bytes of the snapshot store (its length is fixed by
     # N: sum of k^2, k = 2 ... N-2, plus 2(N-2) spare entries) and of the
-    # arrays of the window plan
-    from xythermo import correlations
+    # arrays of the window plan that the quadruple sum of a regular point
+    # asks the engine for
+    from xythermo import correlations, minors, thermometry
+    from xythermo.spectrum import ChainSpec
 
-    home = _engine()
-    # the plan takes the class weights of correlations where it has a module of its own
-    weights = () if home is correlations else (correlations._class_weights,)
+    window_plan, planned = minors._window_plan, []
+
+    def record(*args):
+        planned.append(window_plan(*args))
+        return planned[-1]
+
     out = {}
-    for n in PLAN_SIZES:
-        store = 8 * (sum(k * k for k in range(2, n - 1)) + 2 * (n - 2))
-        stacks = home._window_plan(n, home._DET_BATCH_ELEMENTS, home._PANEL, *weights)
-        plan = sum(getattr(stack, name).nbytes for stack in stacks
-                   for name in ("t3", "t2", "offsets", "rows", "weights"))
-        out[f"N={n}"] = {"snapshot_store": store, "window_plan": plan}
+    minors._window_plan = record
+    try:
+        for n in PLAN_SIZES:
+            spec = ChainSpec(gamma=1.0, field_ratio=0.5, sites=n)
+            planned.clear()
+            correlations._nested_quad_sum(correlations.kernel(thermometry.ensemble(spec, 0.3)))
+            (stacks,) = planned  # the sum asks for the plan once
+            store = 8 * (sum(k * k for k in range(2, n - 1)) + 2 * (n - 2))
+            plan = sum(getattr(stack, name).nbytes for stack in stacks
+                       for name in ("t3", "t2", "offsets", "rows", "weights"))
+            out[f"N={n}"] = {"snapshot_store": store, "window_plan": plan}
+    finally:
+        minors._window_plan = window_plan
     return out
 
 
