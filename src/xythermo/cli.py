@@ -335,20 +335,27 @@ def _sweep(cfg: argparse.Namespace, columns: list[str],
     # one row per grid point, its coordinates then row(point): one probe setup
     # per sweep, one ReadoutPoint per point; --resume reuses a partial CSV
     points = [(g, f, t) for g in cfg.gamma for f in cfg.field for t in cfg.temp]
-    total = len(points)
     setup = faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
                                  include_shot_noise=cfg.shot_noise)
+
+    def compute(g: float, f: float, t: float) -> list[float]:
+        spec = ChainSpec(gamma=g, field_ratio=f, sites=cfg.sites)
+        return [g, f, t] + row(faraday.ReadoutPoint(thermometry.ensemble(spec, t), setup))
+
     cached = _read_partial_csv(cfg.out, columns) if getattr(cfg, "resume", False) else {}
+    # the header does not record the sites or the probe options, so the first
+    # reused row is recomputed before the file is truncated
+    try:
+        stale = next((compute(*p) != cached[p] for p in points if p in cached), False)
+    except faraday.NoiseUnderflowError:
+        stale = True
+    if stale:
+        raise ConfigError(f"--resume: {cfg.out} holds rows computed with other options")
     emitter = _Emitter(cfg, columns)
     try:
         for done, (g, f, t) in enumerate(points, start=1):
-            values = cached.get((g, f, t))
-            if values is None:
-                spec = ChainSpec(gamma=g, field_ratio=f, sites=cfg.sites)
-                values = [g, f, t] + row(faraday.ReadoutPoint(thermometry.ensemble(spec, t),
-                                                              setup))
-            emitter.row(values)
-            print(f"{cfg.command}: {done}/{total}", file=sys.stderr, flush=True)
+            emitter.row(cached.get((g, f, t)) or compute(g, f, t))
+            print(f"{cfg.command}: {done}/{len(points)}", file=sys.stderr, flush=True)
     finally:
         emitter.close()
     return EXIT_OK

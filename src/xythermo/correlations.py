@@ -56,16 +56,16 @@ elimination of T therefore serves every class, and for fixed (t3, t2)
 every t1 is a leading minor of the window's leading block of order
 min(t3, N-1-t3-t2), which one elimination without row exchanges gives as
 products of its pivots: O(N^5) flops for the sum instead of the O(N^6) of
-one det per class.  That sum is one call of the minors module
-(minors._window_sum), which takes T and the weights of the gap classes
-(_class_weights; see _nested_quad_sum).  Where any elimination, of T or
-of a window stack, breaks down on a pivot that is zero to working
-precision (see fourth_moment_from_kernel), the whole sum goes to one
-fallback instead: it is left out if Hadamard's inequality certifies it
-below one ulp of <J_x^4>, and otherwise every class takes the leading
-minors of its own contraction matrix from orthogonal factors, as the
-pair correlators do.  The quadruple sum takes no LAPACK det; the
-one-det-per-class sum lives in the tests, as the reference.
+one det per class.  The whole sum is one call of the minors module
+(minors._gap_class_sum), which takes T and the tolerance below which the
+sum may be left out, one ulp of <J_x^4>'s leading terms over 24 (see
+fourth_moment_from_kernel).  Where any elimination, of T or of a window
+stack, breaks down on a pivot that is zero to working precision, the
+engine takes the whole sum another way: it is left out if Hadamard's
+inequality certifies it below that tolerance, and otherwise every class
+takes the leading minors of its own contraction matrix from orthogonal
+factors, as the pair correlators do.  The quadruple sum takes no LAPACK
+det; the one-det-per-class sum lives in the tests, as the reference.
 
 A subtlety worth stating once: these formulas describe the Hamiltonian
 variant whose fermions are exactly antiperiodic (the boundary bond carries
@@ -118,11 +118,6 @@ MODULATIONS = ("uniform", "half")
 # to within it (N = 302, T = 0.3; N = 1002, T >= 0.126), the split is within
 # 5.7e-16 of the whole matrix's halving
 _SPLIT_AGREEMENT = 1e-12
-# factor on Hadamard's bound of the classes of a breakdown point; it
-# covers the rounding of the computed bound, a sum of at most N^3/12
-# non-negative terms, each a product of at most N square roots of prefix sums
-# of squares, whose relative error is below (N^2 + N^3/12) eps, far below 1
-_ROUNDING_MARGIN = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,173 +424,70 @@ def var_jz(ens: ThermalEnsemble, modulation: str = "uniform") -> float:
     return 0.25 * (s0 + s_pi)
 
 
-
-def _class_weights(n: int, t1, t2, t3) -> np.ndarray:
-    # how often the gap class (t1, t2, t3) enters the ordered-quadruple sum:
-    # N - t1 - t2 - t3 origins, twice for t1 < t3 by the reversal symmetry,
-    # and 0 for t1 > t3 (counted as its reverse) or past the end of the ring
-    copies = np.where(t3 > t1, 2, t3 == t1)
-    return copies * np.maximum(n - t1 - t2 - t3, 0)
-
-
-
-def _quad_index(kern: CorrelationKernel, t1: np.ndarray, t2: int,
-                order: np.ndarray) -> np.ndarray:
-    # kernel position of every entry of the m x m contraction matrix of each
-    # t1 in the column t1, with B sites [0, t1) u [t1+t2, N-1); the leading
-    # minor of order t1 + t3 of that matrix is gap class (t1, t2, t3)
-    b_sites = order - 1 + np.where(order > t1, t2, 0)
-    return kern.ensemble.spec.sites - 2 + b_sites[:, :, None] - b_sites[:, None, :]
-
-
-def _hadamard_products(kern: CorrelationKernel, t1: np.ndarray, t2: int,
-                       order: np.ndarray) -> np.ndarray:
-    """Hadamard's bound on every leading minor of a column of contraction matrices.
-
-    |det M| <= prod_i ||M[i, :]||_2 (Hadamard's inequality; Horn & Johnson,
-    Matrix Analysis).  Entry [b, k-1] bounds the minor of order k of the
-    matrix of t1[b] (see _quad_index), gap class (t1, t2, k - t1): its rows
-    are restricted to that class's own sites, so each row norm is a prefix
-    sum of squares along a row of the m x m matrix, never a difference of
-    two sums.  O(m^2) flops per matrix.
-    """
-    norms = np.sqrt(np.cumsum(np.square(kern.g)[_quad_index(kern, t1, t2, order)], axis=2))
-    # norms[b, i, k-1] is the norm of row i of the leading k x k block, and
-    # the bound of order k is the product over its rows i < k
-    norms[:, order[:, None] > order] = 1.0
-    return np.prod(norms, axis=1)
-
-
-def _fallback_sum(kern: CorrelationKernel) -> float:
-    """The quadruple sum of _nested_quad_sum where one of its eliminations broke down.
-
-    Every summed class (t1, t2, t3), t1 <= t3, is the leading minor of
-    order t1 + t3 of the m x m contraction matrix of (t1, t2), m = N-1-t2
-    (see _quad_index), t1 = 1 ... m // 2; _class_weights weights each minor
-    as its class and gives those of order below 2 t1 none.  The matrices go
-    in stacks of one t2, t2 ascending, by ascending t1, under the cap of
-    minors._DET_BATCH_ELEMENTS entries.  First the classes' weighted Hadamard
-    bounds (_hadamard_products) are summed: O(N^4) flops.  If 24 times that
-    sum, times _ROUNDING_MARGIN, is at most eps * (N + 3N(N-1)), the
-    classes move <J_x^4> by less than one ulp of its two leading terms and
-    the sum is 0 (a NaN bound certifies nothing).  Otherwise each stack
-    goes to minors._halving_minors in one call, which gives every leading minor of
-    each contraction matrix from orthogonal factors, with no pivot to break
-    down, and the class weights sum them: O(m^3) flops per matrix.  At the
-    window breakdown point (-0.9654, 0.2609, 0.05), N = 50, its 576
-    matrices make <J_x^4> take a median of 97 ref units (BENCH_26.json),
-    against 155 with one call per matrix (BENCH_23.json).  Each matrix is
-    a principal block of the pair matrix, whose singular values are at
-    most 1, so every minor is accurate to near roundoff of 1 in absolute
-    terms, as the pair correlators are.
-    """
-    n = kern.ensemble.spec.sites
-    stacks = []
-    for t2 in range(1, n - 2):
-        m = n - 1 - t2
-        order = np.arange(1, m + 1)
-        chunk = max(1, minors._DET_BATCH_ELEMENTS // (m * m))
-        for lo in range(1, m // 2 + 1, chunk):
-            t1 = np.arange(lo, min(lo + chunk, m // 2 + 1))[:, None]
-            stacks.append((t1, t2, order, _class_weights(n, t1, t2, order - t1)))
-    bound = sum(float(np.sum(weights * _hadamard_products(kern, t1, t2, order),
-                             where=weights != 0))
-                for t1, t2, order, weights in stacks)
-    if 24.0 * _ROUNDING_MARGIN * bound <= minors._EPS * (n + 3.0 * n * (n - 1)):
-        return 0.0
-    total = 0.0
-    for t1, t2, order, weights in stacks:
-        halved = minors._halving_minors(kern.g[_quad_index(kern, t1, t2, order)])
-        total += float(np.sum(weights * halved))
-    return total
-
-
-def _nested_quad_sum(kern: CorrelationKernel) -> float | None:
-    """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, by Schur windows.
-
-    The contraction matrix of gap class (t1, t2, t3) is T[S, S] for the
-    pair matrix T[a, b] = g_{a-b-1} on bond sites 0 ... N-2 and S = [0,
-    t1) u [t1+t2, t1+t2+t3).  Reversing the order of the sites transposes
-    it and reverses its rows and columns, so the reversed class (t3, t2, t1) has
-    the same det, and only t1 <= t3 is summed, each class read from its
-    reverse: S' = F u W, F = [0, t3), W = [t3+t2, t3+t2+t1).  By Schur's
-    determinant formula that det is c(t3) * det Sigma_t3[W, W], with c(t3)
-    = det T[F, F] the pair correlator, and W is the leading t1 x t1 block
-    of the window Sigma_t3[t2:, t2:].  As t1 <= min(t3, N-1-t3-t2), the
-    window is needed only to that order, and one elimination of its
-    leading block of that order gives every t1 of its (t3, t2): the
-    quotient property of Schur complements (Crabtree & Haynsworth, 1969)
-    makes the window's own elimination continue that of T.  So one
-    elimination of T, kept for N-3 steps, gives every Sigma_t3 (and c(t3),
-    see below), and one call, minors._window_sum, takes T and
-    _class_weights and returns the weighted sum over the windows, 1128 at
-    N = 50, or None at a breakdown; the minors module holds how the
-    windows are stacked, planned once per ring size and gathered.  Reading
-    each class from its smaller outer gap t1 instead, as c(t1) times a
-    minor of order t3 of Sigma_t1[t2:, t2:], eliminates every window
-    whole: 576 windows at N = 50, but 7.1 times the flops, and at the
-    four gamma < 0 points of
-    test_nested_minors_near_the_negative_gamma_critical_line, N = 50, it
-    was 1.2e-10 to 8.9e-10 of <J_x^4> off, where this order is 8.7e-14 to
-    3.2e-11 off (see fourth_moment_from_kernel).
-
-    c(t3) is the product of the first t3 pivots of that elimination of T:
-    Schur's formula in the elimination's own arithmetic.  The kernel's
-    memo of pair correlators is accurate in absolute terms only; at (1, 2,
-    0.05), N = 60, its c(29) = 2.6e-10 is 5.5e-7 off in relative terms,
-    and with c(t3) read from the memo the sum would be 1.2e-9 of <J_x^4>
-    off there (8.5e-9 at (-0.7, 0.3, 0.05), N = 60), against 4e-17 and
-    3e-18 from the pivots.
-
-    If any elimination breaks down, that of T at any step or that of any
-    window stack, the sum stops there and returns None, and its caller
-    takes the whole sum from _fallback_sum instead, which reads every class
-    from the contraction matrices of the pairs (t1, t2), t1 <= (N-2)/2,
-    with no elimination.  A point is never split between the two: the
-    windows that do not break down at a point where one stack does can be
-    far less accurate than the fallback (see fourth_moment_from_kernel).
-    Measured at N = 30, 40, 50, 60, 80 and 100, the fallback's Hadamard
-    bound certifies the zero-correlation lines: gamma = -1, h/J = 0 at T =
-    0.05, 0.3 and 5, the cold XX chain at h/J = 2, T = 0.05, and T = inf,
-    where it is exactly 0.  Below 30 sites the gamma = -1 line at T <= 0.3
-    sits at the bound's edge (24 * margin * bound / (eps * lead) = 0.5 ...
-    2), and the rings of 6 to 16 sites, and of 24 at T = 0.3, take the
-    orthogonal minors; so does a breakdown at a point whose correlations
-    are not negligible, where the bound is O(1).
-    """
-    n = kern.ensemble.spec.sites
-    return minors._window_sum(_toeplitz(kern.g, n - 2, n - 1), _class_weights)
-
-
 def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     """<J_x^4> given an existing kernel (shared with var_jx computations).
 
-    The all-distinct quadruple sum comes from one elimination of the pair
-    matrix, whose Schur-complement snapshots times the pair correlators
-    give every gap class, and the eliminations of the windows of those
-    snapshots, one call of the minors module (see _nested_quad_sum):
-    O(N^5) flops, medians of 4.5 ref units (calls of the
-    benchmark's speed probe, about 1 ms) at N = 50, 57 at N = 100 and
-    788 at N = 200 (BENCH_26.json).  A breakdown is a pivot that
-    is zero to working precision, as at T = inf (g = 0), on the gamma =
-    -1, h/J = 0 line (every pair matrix singular) and in the cold XX chain
-    polarized by h/J > 1.  Where any elimination breaks down, the pair
-    matrix's at any step or a window stack's, the whole quadruple sum
-    comes from _fallback_sum instead: it is 0 if Hadamard's inequality
-    certifies that the classes move the result by less than one ulp of N
-    + 3N(N-1), and otherwise every contraction matrix takes its leading
-    minors from orthogonal factors (minors._halving_minors).  No LAPACK det runs.
-    On those lines the x spins are uncorrelated, and at N = 50 the
-    certified points give 3N^2 - 2N to roundoff in 8.8-9.8 ref units.  The
+    The all-distinct part sums <sx sx sx sx> over quadruples l1 < l2 < l3
+    < l4, one term per gap class (t1, t2, t3) of the four sites, weighted
+    by its N - t1 - t2 - t3 origins.  The contraction matrix of class (t1,
+    t2, t3) is T[S, S] for the pair matrix T[a, b] = g_{a-b-1} on bond
+    sites 0 ... N-2 and S = [0, t1) u [t1+t2, t1+t2+t3).  Reversing the
+    order of the sites transposes it and reverses its rows and columns, so
+    the reversed class (t3, t2, t1) has the same det, and only t1 <= t3 is
+    summed, each class read from its reverse: S' = F u W, F = [0, t3), W =
+    [t3+t2, t3+t2+t1).  By Schur's determinant formula that det is c(t3) *
+    det Sigma_t3[W, W], with c(t3) = det T[F, F] the pair correlator, and
+    W is the leading t1 x t1 block of the window Sigma_t3[t2:, t2:].  As
+    t1 <= min(t3, N-1-t3-t2), the window is needed only to that order, and
+    one elimination of its leading block of that order gives every t1 of
+    its (t3, t2): the quotient property of Schur complements (Crabtree &
+    Haynsworth, 1969) makes the window's own elimination continue that of
+    T.  So one elimination of T, kept for N-3 steps, gives every Sigma_t3,
+    1128 windows at N = 50, and the whole sum is one call of the minors
+    engine, minors._gap_class_sum, which takes T and a tolerance: O(N^5)
+    flops, medians of 4.5 ref units (calls of the benchmark's speed probe,
+    about 1 ms) at N = 50, 57 at N = 100 and 788 at N = 200
+    (BENCH_26.json).  Reading each class from its smaller outer gap t1
+    instead, as c(t1) times a minor of order t3 of Sigma_t1[t2:, t2:],
+    eliminates every window whole: 576 windows at N = 50, but 7.1 times
+    the flops, and at the four gamma < 0 points of
+    test_nested_minors_near_the_negative_gamma_critical_line, N = 50, it
+    was 1.2e-10 to 8.9e-10 of <J_x^4> off, where this order is 8.7e-14 to
+    3.2e-11 off.
+
+    c(t3) is the product of the first t3 pivots of that elimination of T:
+    Schur's formula in the elimination's own arithmetic.  The kernel's
+    memo of pair correlators, which the pair sum reads, is accurate in
+    absolute terms only; at (1, 2, 0.05), N = 60, its c(29) = 2.6e-10 is
+    5.5e-7 off in relative terms, and with c(t3) read from the memo the
+    sum would be 1.2e-9 of <J_x^4> off there (8.5e-9 at (-0.7, 0.3,
+    0.05), N = 60), against 4e-17 and 3e-18 from the pivots.
+
+    A breakdown is a pivot that is zero to working precision, as at T =
+    inf (g = 0), on the gamma = -1, h/J = 0 line (every pair matrix
+    singular) and in the cold XX chain polarized by h/J > 1.  Where any
+    elimination breaks down, the pair matrix's at any step or a window
+    stack's, the engine takes the whole quadruple sum another way: it is
+    0 if Hadamard's inequality certifies that the classes move <J_x^4> by
+    less than one ulp of its two leading terms N + 3N(N-1), so the
+    tolerance is eps (N + 3N(N-1)) / 24, as the sum enters times 24, and
+    otherwise every class takes the leading minors of its own contraction
+    matrix from orthogonal factors.  No LAPACK det runs.  On those lines
+    the x spins are uncorrelated, and at N = 50 the certified points give
+    3N^2 - 2N to roundoff in 8.8-9.8 ref units.  Measured at N = 30, 40,
+    50, 60, 80 and 100, the bound certifies gamma = -1, h/J = 0 at T =
+    0.05, 0.3 and 5, the cold XX chain at h/J = 2, T = 0.05, and T = inf,
+    where the sum is exactly 0.  Below 30 sites the gamma = -1 line at T
+    <= 0.3 sits at the bound's edge (24 * margin * bound / (eps * lead) =
+    0.5 ... 2), and the rings of 6 to 16 sites, and of 24 at T = 0.3, take
+    the orthogonal minors; so does a breakdown at a point whose
+    correlations are not negligible, where the bound is O(1).  The
     fallback takes the whole point, never the classes of the broken stack
     alone: at (-0.9653537597782795, 0.2609446655556303, 0.05), N = 50,
     where one window stack breaks down, that split left the quadruple sum
     1.8e-8 of <J_x^4> off the by-class reference, as the windows that did
     not break down lose about 8 digits there; the whole-point fallback is
     2.8e-17 off.
-
-    The pair sum reads the kernel's memo of pair correlators; the
-    quadruple sum does not (see _nested_quad_sum).
 
     Accuracy, measured against the pivoted one-det-per-gap-class sum at
     N = 50: over the 186 distinct points of round 0 of tscan-quartic at
@@ -612,21 +504,15 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     """
     n = kern.ensemble.spec.sites
     pair_sum = _pair_sum(kern.xx)
-    quad = _nested_quad_sum(kern)
-    if quad is None:
-        quad = _fallback_sum(kern)
+    lead = n + 3.0 * n * (n - 1)
+    quad = minors._gap_class_sum(_toeplitz(kern.g, n - 2, n - 1), minors._EPS * lead / 24.0)
     # quadruple sum split by coincidence pattern of the four site indices:
     #   all equal            -> N
     #   two distinct pairs   -> 3 N (N-1)
     #   three equal + one    -> 4 * pair_sum
     #   one pair + two others-> 6 (N-2) * pair_sum
     #   all distinct         -> 24 * ordered-quadruple sum
-    return (
-        n
-        + 3.0 * n * (n - 1)
-        + (6.0 * n - 8.0) * pair_sum
-        + 24.0 * quad
-    )
+    return lead + (6.0 * n - 8.0) * pair_sum + 24.0 * quad
 
 
 def fourth_moment_jx(ens: ThermalEnsemble) -> float:

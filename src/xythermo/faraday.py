@@ -63,7 +63,8 @@ class FaradaySetup:
     """Probe configuration.
 
     kappa is the dimensionless light-matter coupling (sane experimental
-    range is roughly 1-10, but any positive value is accepted).
+    range is roughly 1-10, but any positive value whose square is a
+    finite, non-zero float is accepted).
     include_shot_noise adds the light-noise floor to the MeanJz readout;
     the default models the strong-coupling optimum where atomic noise
     dominates.
@@ -74,8 +75,9 @@ class FaradaySetup:
     include_shot_noise: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        # kappa^2 enters the output variance and the shot-noise floor
+        if not (self.kappa > 0 and 0 < self.kappa * self.kappa < math.inf):
+            raise ValueError(f"kappa must be > 0 with a finite, non-zero square, got {self.kappa}")
         if self.modulation not in MODULATIONS:
             raise ValueError(f"unknown modulation {self.modulation!r}")
 

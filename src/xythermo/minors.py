@@ -2,14 +2,14 @@
 
 Every x-basis moment of the correlations module is a sum of leading
 principal minors, of one Toeplitz pair matrix T, of the blocks of its
-Schur complements, or of contraction matrices of four sites.  This
-module takes those minors and knows no physics: its functions take
-arrays (and, for the window sum, the weights of the gap classes), never
-a kernel or an ensemble.  It is the one module of the package that
-calls LAPACK through numpy's private _umath_linalg (the gufuncs
-np.linalg.qr and np.linalg.det are built from) and the one that gathers
-with sliding_window_view.  There are four routes, each one call:
-_halving_minors, _complementary_minors, _window_sum and _det_minors.
+Schur complements, or of principal submatrices of T on four-site index
+sets.  This module takes those minors and sums them, and knows no
+physics: its functions take arrays and a tolerance, never a kernel, an
+ensemble or a callable.  It is the one module of the package that calls
+LAPACK through numpy's private _umath_linalg (the gufuncs np.linalg.qr
+and np.linalg.det are built from) and the one that gathers with
+sliding_window_view.  There are four routes, each one call:
+_halving_minors, _complementary_minors, _gap_class_sum and _det_minors.
 
 Orthogonal minors (_halving_minors) come from orthogonal factors alone,
 by recursive halving: O(n^3) flops for all n leading minors of an n x n
@@ -35,32 +35,41 @@ ratios blow up with it.  Orthogonal factors keep every minor of a
 contraction accurate to near roundoff of 1, in absolute terms; a minor
 far below 1 has correspondingly fewer correct digits.
 
-Eliminated minors (_leading_minors) serve the quadruple sum of <J_x^4>,
-whose gap classes are, by Schur's determinant formula, pair correlators
-times leading minors of windows Sigma_t3[t2:, t2:] of the Schur
-complements of T (see correlations._nested_quad_sum).  One elimination
-without row exchanges of a window's leading block gives every minor of
-it as products of its pivots: O(N^5) flops for the sum instead of the
-O(N^6) of one det per class, and by a (2/3) k^3 flop count 7.1 (N = 50)
-to 7.4 (N = 200) times fewer than reading each class from its smaller
-outer gap, whose windows must be eliminated whole.  The windows are
-eliminated in stacks, each at a panel-aligned offset in an identity
-matrix, so that no flop goes to the identity before a window and a
-window's pivots do not depend on its stack.  With them <J_x^4> takes
-medians of 4.5 ref units at N = 50, 57 at N = 100 and 788 at N = 200
-(BENCH_26.json).
+The gap-class sum (_gap_class_sum) takes T and a tolerance and returns
+the sum over gap classes (t1, t2, t3) of the principal minors of T on
+[0, t1) u [t1+t2, t1+t2+t3), each weighted by how many index sets
+l1 < l2 < l3 < l4 of [0, N) have those gaps (_class_weights); the
+correlations module reads <J_x^4> from it.  It has three ways, and takes
+one for the whole sum.
 
-The window sum (_window_sum) takes T and the class weights and returns
-the weighted sum of every window minor.  It keeps the N-3 snapshots of
-one elimination of T (_schur_snapshots), checked for breakdown once per
-panel of steps, and gathers the windows from them.  Which windows there
-are, how they are stacked, where each row of a stack is gathered from
-and how each minor is weighted depend on N alone: they are planned once
-per ring size (_window_plan), and a point takes the elimination of T,
-then one gather (_window_stack) and one elimination per stack.  Where
-any elimination, of T or of a window stack, breaks down on a pivot that
-is zero to working precision, the sum is None, and the caller takes it
-another way (see correlations._fallback_sum).
+The windows (_window_sum) come first.  By Schur's determinant formula
+class (t1, t2, t3), read from its reverse, is c(t3) = det T[:t3, :t3]
+times a leading minor of the window Sigma_t3[t2:, t2:] of the Schur
+complement that t3 steps of elimination of T leave behind.  One
+elimination of T, kept as its N-3 snapshots (_schur_snapshots) and
+checked for breakdown once per panel of steps, gives every window and
+every c(t3); one elimination without row exchanges of a window's leading
+block (_leading_minors) gives every minor of it as products of its
+pivots: O(N^5) flops for the sum instead of the O(N^6) of one det per
+class, and by a (2/3) k^3 flop count 7.1 (N = 50) to 7.4 (N = 200) times
+fewer than reading each class from its smaller outer gap, whose windows
+must be eliminated whole.  The windows are eliminated in stacks, each at
+a panel-aligned offset in an identity matrix, so that no flop goes to
+the identity before a window and a window's pivots do not depend on its
+stack.  Which windows there are, how they are stacked, where each row of
+a stack is gathered from and how each minor is weighted depend on N
+alone: they are planned once per ring size (_window_plan), and a point
+takes the elimination of T, then one gather (_window_stack) and one
+elimination per stack.  With them <J_x^4> takes medians of 4.5 ref units
+at N = 50, 57 at N = 100 and 788 at N = 200 (BENCH_26.json).
+
+Where any elimination, of T or of a window stack, breaks down on a pivot
+that is zero to working precision, the whole sum goes to _fallback_sum.
+It first sums Hadamard's bound on every weighted class (the certificate,
+_hadamard_products) and returns 0 if that sum times _ROUNDING_MARGIN is
+at most the tolerance; otherwise every class takes the leading minors of
+its own principal submatrix from orthogonal factors, in stacks handed to
+_halving_minors.
 
 Complex minors (_det_minors) take one LAPACK det per order, for the
 complex-step slope of Var(J_x), whose kernel is complex: Householder
@@ -78,8 +87,8 @@ from .spectrum import _read_only
 # cap on matrix entries in one stack of the quadruple sum (2.4 MB of
 # float64), whether it holds Schur windows (the plan of a ring size,
 # _window_plan, is keyed on it, so a new cap takes a new plan) or, at a
-# point where an elimination broke down, the contraction matrices of one
-# t2 that correlations._fallback_sum bounds and, failing that, minors.
+# point where an elimination broke down, the principal submatrices of one
+# t2 that _fallback_sum bounds and, failing that, minors.
 # The cap has this one owner, so that the plan and the fallback's chunks
 # follow one value.  Chosen by timing the windows of order min(t3,
 # N-1-t3-t2), medians at (1, 0.5, 0.3) and (-0.977, 0.386, 0.3155):
@@ -108,6 +117,11 @@ _MULTIPLIER_LIMIT = 1.0 / _EPS
 _LEAF = 16
 # mantissas in [1/2, 1) whose product stays a normal float: (1/2)^1000 > 2^-1022
 _MANTISSA_RUN = 1000
+# factor on Hadamard's bound of the gap classes in _fallback_sum; it covers
+# the rounding of the computed bound, a sum of at most N^3/12 non-negative
+# terms, each a product of at most N square roots of prefix sums of squares,
+# whose relative error is below (N^2 + N^3/12) eps, far below 1
+_ROUNDING_MARGIN = 2.0
 
 
 def _halving_minors(a: np.ndarray) -> np.ndarray:
@@ -374,10 +388,18 @@ class _WindowStack:
     weights: np.ndarray
 
 
+def _class_weights(n: int, t1, t2, t3) -> np.ndarray:
+    # how many index sets l1 < l2 < l3 < l4 of [0, N) have the gaps (t1, t2,
+    # t3): N - t1 - t2 - t3 origins, twice for t1 < t3, as the reversed gaps
+    # are counted with them, and 0 for t1 > t3 or past the end of [0, N)
+    copies = np.where(t3 > t1, 2, t3 == t1)
+    return copies * np.maximum(n - t1 - t2 - t3, 0)
+
+
 def _plan_stack(n: int, t3: np.ndarray, t2: np.ndarray, order: np.ndarray,
-                offsets: np.ndarray, m: int, class_weights) -> _WindowStack:
+                offsets: np.ndarray, m: int) -> _WindowStack:
     # the stack of the windows (t3, t2) of the given orders at the given
-    # offsets; class_weights(n, t1, t2, t3) weights gap class (t1, t2, t3)
+    # offsets, each minor weighted as its gap class (_class_weights)
     _, ends = _snapshot_layout(n)
     local = np.arange(m) - offsets[:, None]
     size = n - 1 - t3
@@ -386,13 +408,13 @@ def _plan_stack(n: int, t3: np.ndarray, t2: np.ndarray, order: np.ndarray,
                     + local * size[:, None],
                     ends[-1] + (n - 2) - np.arange(m))
     j = np.arange(1, m + 1) - offsets[:, None]
-    weights = class_weights(n, j, t2[:, None], t3[:, None]) * (j > 0)
+    weights = _class_weights(n, j, t2[:, None], t3[:, None]) * (j > 0)
     return _WindowStack(*_read_only(t3, t2, offsets), m, _read_only(rows)[0],
                         _read_only(weights)[0])
 
 
 @functools.lru_cache(maxsize=1)
-def _window_plan(n: int, cap: int, class_weights) -> tuple[_WindowStack, ...]:
+def _window_plan(n: int, cap: int) -> tuple[_WindowStack, ...]:
     """The stacks of Schur windows of the quadruple sum at N = n, built once per ring size.
 
     The windows (t3, t2) of every outer gap t3, of order min(t3,
@@ -402,8 +424,8 @@ def _window_plan(n: int, cap: int, class_weights) -> tuple[_WindowStack, ...]:
     kernel, so a sweep at fixed N builds the plan for its first point only
     (0.30 MB at N = 50, 1.6 at N = 100, 11 at N = 200, below the store of
     snapshots); the cap is passed in, _DET_BATCH_ELEMENTS, so that the plan
-    follows it, and so are the weights of the gap classes, which the plan
-    applies to every minor of every stack once.
+    follows it.  The plan applies the weights of the gap classes
+    (_class_weights) to every minor of every stack once.
     """
     t3, t2 = np.nonzero(np.add.outer(np.arange(n - 3), np.arange(n - 3)) <= n - 4)
     t3, t2 = t3 + 1, t2 + 1
@@ -416,7 +438,7 @@ def _window_plan(n: int, cap: int, class_weights) -> tuple[_WindowStack, ...]:
         stop = start + max(1, cap // (m * m))
         k = order[start:stop]
         stacks.append(_plan_stack(n, t3[start:stop], t2[start:stop], k,
-                                  (m - k) // _PANEL * _PANEL, m, class_weights))
+                                  (m - k) // _PANEL * _PANEL, m))
         start = stop
     return tuple(stacks)
 
@@ -433,21 +455,20 @@ def _window_stack(store: np.ndarray, stack: _WindowStack) -> np.ndarray:
     return sliding_window_view(store, stack.m)[stack.rows]
 
 
-def _window_sum(block: np.ndarray, class_weights) -> float | None:
+def _window_sum(block: np.ndarray) -> float | None:
     """The weighted sum of every window minor of the pair matrix, or None at a breakdown.
 
-    block is the pair matrix T of order N-1 (see _schur_snapshots), and
-    class_weights(n, t1, t2, t3) the weight of gap class (t1, t2, t3).
+    block is the pair matrix T of order N-1 (see _schur_snapshots).
     Class (t1, t2, t3), t1 <= t3, is c(t3) times the leading minor of
     order t1 of the window Sigma_t3[t2:, t2:], and the sum is over every
-    class of the plan (_window_plan) with its weight.  c(t3) is the
-    product of the first t3 pivots of the elimination of T, T[0, 0] and
-    the first entries Sigma_t[0, 0] of the snapshots: Schur's formula in
-    the elimination's own arithmetic.  A point takes the snapshots, then
-    per stack one gather (_window_stack), one elimination (_leading_minors)
-    and one weighted sum.  None if any elimination breaks down, that of T
-    at any step or that of any window stack; no stack after a broken one
-    is gathered.
+    class of the plan (_window_plan) with its weight (_class_weights).
+    c(t3) is the product of the first t3 pivots of the elimination of T,
+    T[0, 0] and the first entries Sigma_t[0, 0] of the snapshots: Schur's
+    formula in the elimination's own arithmetic.  A point takes the
+    snapshots, then per stack one gather (_window_stack), one elimination
+    (_leading_minors) and one weighted sum.  None if any elimination breaks
+    down, that of T at any step or that of any window stack; no stack
+    after a broken one is gathered.
     """
     n = len(block) + 1
     snapshots = _schur_snapshots(block)
@@ -458,9 +479,99 @@ def _window_sum(block: np.ndarray, class_weights) -> float | None:
     # 0], t = 1 ... N-4
     pairs = np.cumprod(np.concatenate(([1.0, block[0, 0]], store[starts[:-1]])))
     total = 0.0
-    for stack in _window_plan(n, _DET_BATCH_ELEMENTS, class_weights):
+    for stack in _window_plan(n, _DET_BATCH_ELEMENTS):
         eliminated = _leading_minors(_window_stack(store, stack), stack.offsets)
         if eliminated is None:
             return None
         total += float(np.sum(pairs[stack.t3, None] * stack.weights * eliminated))
     return total
+
+
+def _quad_index(size: int, t1: np.ndarray, t2: int, order: np.ndarray) -> np.ndarray:
+    # flat position in T (size x size, row-major) of every entry of the m x m
+    # principal submatrix of each t1 in the column t1, on the sites [0, t1) u
+    # [t1+t2, size); its leading minor of order t1 + t3 is gap class (t1,
+    # t2, t3)
+    sites = order - 1 + np.where(order > t1, t2, 0)
+    return sites[:, :, None] * size + sites[:, None, :]
+
+
+def _hadamard_products(squares: np.ndarray, t1: np.ndarray, t2: int,
+                       order: np.ndarray) -> np.ndarray:
+    """Hadamard's bound on every leading minor of a column of principal submatrices of T.
+
+    squares holds the squares of T's entries.  |det M| <= prod_i ||M[i,
+    :]||_2 (Hadamard's inequality; Horn & Johnson, Matrix Analysis).  Entry
+    [b, k-1] bounds the minor of order k of the submatrix of t1[b] (see
+    _quad_index), gap class (t1, t2, k - t1): its rows are restricted to
+    that class's own sites, so each row norm is a prefix sum of squares
+    along a row of the m x m submatrix, never a difference of two sums.
+    O(m^2) flops per submatrix.
+    """
+    norms = np.sqrt(np.cumsum(squares.ravel()[_quad_index(len(squares), t1, t2, order)], axis=2))
+    # norms[b, i, k-1] is the norm of row i of the leading k x k block, and
+    # the bound of order k is the product over its rows i < k
+    norms[:, order[:, None] > order] = 1.0
+    return np.prod(norms, axis=1)
+
+
+def _fallback_sum(block: np.ndarray, tolerance: float) -> float:
+    """The sum of _gap_class_sum without an elimination: 0 if certified below tolerance.
+
+    Every summed class (t1, t2, t3), t1 <= t3, is the leading minor of
+    order t1 + t3 of the m x m principal submatrix of T on the sites [0,
+    t1) u [t1+t2, N-1), m = N-1-t2 (see _quad_index), t1 = 1 ... m // 2;
+    _class_weights weights each minor as its class and gives those of
+    order below 2 t1 none.  The submatrices go in stacks of one t2, t2
+    ascending, by ascending t1, under the cap of _DET_BATCH_ELEMENTS
+    entries.  First the classes' weighted Hadamard bounds
+    (_hadamard_products, from the squares of T taken once) are summed:
+    O(N^4) flops.  If that sum times _ROUNDING_MARGIN is at most
+    tolerance, the sum is 0 (a NaN bound certifies nothing).  Otherwise
+    each stack goes to _halving_minors in one call, which gives every
+    leading minor of each submatrix from orthogonal factors, with no
+    pivot to break down, and the class weights sum them: O(m^3) flops per
+    submatrix.  Each is gathered through one flat index into T.  At N =
+    50 the 576 submatrices make <J_x^4> at the window breakdown point of
+    tools/bench_layers.py take a median of 97 ref units (BENCH_26.json),
+    against 155 with one call per submatrix (BENCH_23.json).  Where T's singular values are at most 1, as the
+    pair matrix's are, so are every submatrix's, and every minor is
+    accurate to near roundoff of 1 in absolute terms.
+    """
+    n = len(block) + 1
+    stacks = []
+    for t2 in range(1, n - 2):
+        m = n - 1 - t2
+        order = np.arange(1, m + 1)
+        chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
+        for lo in range(1, m // 2 + 1, chunk):
+            t1 = np.arange(lo, min(lo + chunk, m // 2 + 1))[:, None]
+            stacks.append((t1, t2, order, _class_weights(n, t1, t2, order - t1)))
+    squares = np.square(block)
+    bound = sum(float(np.sum(weights * _hadamard_products(squares, t1, t2, order),
+                             where=weights != 0))
+                for t1, t2, order, weights in stacks)
+    if _ROUNDING_MARGIN * bound <= tolerance:
+        return 0.0
+    flat, total = block.ravel(), 0.0
+    for t1, t2, order, weights in stacks:
+        total += float(np.sum(weights * _halving_minors(flat[_quad_index(n - 1, t1, t2, order)])))
+    return total
+
+
+def _gap_class_sum(block: np.ndarray, tolerance: float) -> float:
+    """Sum over gap classes (t1, t2, t3) of T's principal minors on [0, t1) u [t1+t2, t1+t2+t3).
+
+    block is the Toeplitz matrix T of order N-1, and each minor is
+    weighted by how many index sets of [0, N) have its gaps
+    (_class_weights), the class (t3, t2, t1) counted with (t1, t2, t3),
+    whose minor is the same for a Toeplitz T.  The windows take it
+    (_window_sum); wherever any of their eliminations breaks down, the
+    whole sum goes to _fallback_sum instead, which returns 0 if Hadamard's
+    bound times _ROUNDING_MARGIN is at most tolerance, and otherwise
+    takes orthogonal minors for every class.  A sum is never split between
+    the two routes: the windows that do not break down at a point where
+    one stack does can be far less accurate than the fallback.
+    """
+    total = _window_sum(block)
+    return _fallback_sum(block, tolerance) if total is None else total

@@ -89,26 +89,38 @@ def _exp_or_inf(v: float) -> float:
         return math.inf
 
 
+def _fluctuation_sum(ens: ThermalEnsemble, x: np.ndarray) -> float:
+    # sum_k x_k^2 n_k(1 - n_k), with x_k read as 0 wherever n_k(1 - n_k) is 0,
+    # where x_k^2 may overflow (inf * 0 would be nan): those terms are an
+    # exact 0, and every other term, and the order of the sum, is that of
+    # the plain product.  Zeroing x first needs no floating-point error state
+    weights = ens.fluctuation_weights
+    x = np.where(weights, x, 0.0)
+    return float((x * x * weights).sum())
+
+
 def energy_variance(ens: ThermalEnsemble) -> float:
     """<H^2> - <H>^2 = sum_k eps_k^2 n_k (1 - n_k), in squared energy units."""
-    e = ens.modes.energies
-    return float(np.sum(e * e * ens.fluctuation_weights))
+    return _fluctuation_sum(ens, ens.modes.energies)
 
 
 def qfi(ens: ThermalEnsemble) -> float:
     """Quantum Fisher information for temperature, in units of 1/J^2.
 
     Equals energy_variance / T^4 and is additive over modes.  Decays to zero
-    at both temperature extremes for gapped chains.
+    at both temperature extremes for gapped chains.  Exactly 0 where the
+    energy variance is, as below T ~ 1e-81, where T^4 underflows.
     """
-    return energy_variance(ens) / ens.temperature**4
+    variance = energy_variance(ens)
+    return variance / ens.temperature**4 if variance else 0.0
 
 
 def snr_crb(ens: ThermalEnsemble) -> float:
     """Cramer-Rao ceiling on (T/dT)^2 for a single-shot measurement.
 
     Computed as sum_k (eps_k/T)^2 n_k(1-n_k) rather than T^2 * qfi so that
-    temperature = inf yields an exact 0 instead of inf * 0.
+    temperature = inf yields an exact 0 instead of inf * 0.  A mode whose
+    n_k(1-n_k) is 0 adds an exact 0 too, also where (eps_k/T)^2 overflows
+    (T = 1e-300, or h/J = 1e300).
     """
-    x = ens.reduced_energies
-    return float((x * x * ens.fluctuation_weights).sum())
+    return _fluctuation_sum(ens, ens.reduced_energies)

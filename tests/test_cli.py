@@ -360,6 +360,54 @@ def test_resume_reproduces_full_output(tmp_path):
     assert stale.read_bytes() == want
 
 
+def test_resume_refuses_rows_of_other_options(tmp_path):
+    # the header records neither the sites nor the probe options, so rows of
+    # another ring size or probe must not be kept: the first reused row is
+    # recomputed, and a mismatch or a refusal exits 2 with the file unchanged
+    out = tmp_path / "r.csv"
+    args = ("phase-diagram", "--gamma", "0.5", "--field", "0:1:2", "--temp", "0.3",
+            "--out", str(out))
+    assert run_cli(*args, "--sites", "10").returncode == 0
+    want = out.read_bytes()
+    message = f"error: --resume: {out} holds rows computed with other options\n"
+    for other in (("--sites", "12", "--kappa", "5"), ("--sites", "10", "--shot-noise"),
+                  ("--sites", "10", "--modulation", "half")):
+        proc = run_cli(*args, *other, "--resume")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message), other
+        assert out.read_bytes() == want, other
+    # a reused row at a point the options refuse (noise variance 0)
+    out.write_text("gamma,field_ratio,temperature,snr_meanjz_per_site\n0.0,1000.0,0.01,1.0\n")
+    proc = run_cli("phase-diagram", "--gamma", "0", "--field", "1000", "--temp", "0.01",
+                   "--sites", "8", "--obs", "meanjz", "--out", str(out), "--resume")
+    assert (proc.returncode, proc.stderr) == (2, message)
+    assert out.read_text().endswith("0.0,1000.0,0.01,1.0\n")
+
+
+def test_kappa_whose_square_leaves_the_float_range_is_a_config_error(tmp_path):
+    # at 1e200 kappa^2 overflows, at 1e-200 it underflows to 0: refused
+    # before any output, from the flag or from a config file
+    for kappa in ("1e200", "1e-200"):
+        cfg = tmp_path / "kappa.json"
+        cfg.write_text(json.dumps({"kappa": float(kappa)}))
+        for where in (("--kappa", kappa), ("--config", str(cfg))):
+            proc = run_cli("tscan", *where, "--shot-noise", "--temp", "0.3", "--sites", "6")
+            assert proc.returncode == 2, where
+            assert proc.stdout == "", where
+            assert proc.stderr.startswith("error: kappa must be > 0"), where
+
+
+def test_cold_limit_ceiling_reads_zero():
+    # (eps/T)^2 overflows where n(1 - n) = 0: the ceiling is exactly 0, not
+    # inf * 0 = nan, and no floating-point warning reaches stderr
+    for field, T in (("0", "1e-300"), ("1e300", "0.3")):
+        proc = run_cli("tscan", "--gamma", "1", "--field", field, "--temp", T, "--sites", "10",
+                       "--obs", "crb")
+        assert proc.returncode == 0, proc.stderr
+        header, rows = parse_csv(proc.stdout)
+        assert rows[0][header.index("snr_crb")] == 0.0
+        assert "Warning" not in proc.stderr and "non-finite" not in proc.stderr
+
+
 def test_tscan_snr_columns_vanish_at_extremes():
     proc = run_cli("tscan", "--gamma", "1", "--field", "0", "--sites", "8",
                    "--temp", "0.01:100:7:log", "--obs", "crb")

@@ -337,7 +337,7 @@ def _gap_classes(n):
 def quad_sum_by_class(kern):
     """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, one LAPACK det per gap class.
 
-    The reference for correlations._nested_quad_sum.  The B-operator sites of
+    The reference for minors._gap_class_sum.  The B-operator sites of
     class (t1, t2, t3) are [0, t1) u [t1+t2, t1+t2+t3), the A-operator sites
     those + 1; the matrices of one size share a batched det.
     """
@@ -376,7 +376,7 @@ def test_nested_minors_match_by_class_reference(sites, monkeypatch):
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=sites, T=T))
         want = quad_sum_by_class(kern)
         calls = _count_dets(monkeypatch)
-        nested = correlations._nested_quad_sum(kern)
+        nested = minors._window_sum(_pair_matrix(kern))
         assert calls == [], (gamma, field, T)
         monkeypatch.undo()
         fourth = correlations.fourth_moment_from_kernel(kern)
@@ -394,7 +394,7 @@ def test_nested_minors_near_the_negative_gamma_critical_line(gamma, field, T):
     # and 5.3e-14 ... 7.1e-13.  That is a margin over rounding orders, not a
     # bound of the algorithm: (-1, 1, 0.7924) measures 1.2e-10
     kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=50, T=T))
-    nested = correlations._nested_quad_sum(kern)
+    nested = minors._window_sum(_pair_matrix(kern))
     fourth = correlations.fourth_moment_from_kernel(kern)
     assert 24.0 * abs(nested - quad_sum_by_class(kern)) <= 1e-10 * fourth
 
@@ -419,18 +419,18 @@ def _record_stacks(monkeypatch):
     # the (s, t2) of every window gathered, stack by stack, and the pairs
     # (t1, t2) whose contraction matrices the fallback bounds
     windows, pairs = [], []
-    window_stack, hadamard = minors._window_stack, correlations._hadamard_products
+    window_stack, hadamard = minors._window_stack, minors._hadamard_products
 
     def gather(store, stack):
         windows.append(list(zip(stack.t3.tolist(), stack.t2.tolist())))
         return window_stack(store, stack)
 
-    def bound(kern, t1, t2, order):
+    def bound(squares, t1, t2, order):
         pairs.extend((a, t2) for a in t1.ravel().tolist())
-        return hadamard(kern, t1, t2, order)
+        return hadamard(squares, t1, t2, order)
 
     monkeypatch.setattr(minors, "_window_stack", gather)
-    monkeypatch.setattr(correlations, "_hadamard_products", bound)
+    monkeypatch.setattr(minors, "_hadamard_products", bound)
     return windows, pairs
 
 
@@ -486,6 +486,13 @@ def _pair_matrix(kern):
     return correlations._toeplitz(kern.g, n - 2, n - 1)
 
 
+def _fallback(kern):
+    # the engine's fallback on the pair matrix, at the tolerance
+    # fourth_moment_from_kernel hands the engine: one ulp of N + 3N(N-1), over 24
+    n = kern.ensemble.spec.sites
+    return minors._fallback_sum(_pair_matrix(kern), minors._EPS * (n + 3.0 * n * (n - 1)) / 24.0)
+
+
 def _plain_elimination(kern):
     # the largest multiplier of the N-3 elimination steps of the pair matrix
     # and the first step whose snapshot is not finite (None if none is)
@@ -538,24 +545,23 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
     kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
     fourth = correlations.fourth_moment_from_kernel(kern)
     for breaks in (False, True):
-        route = correlations._fallback_sum if breaks else correlations._nested_quad_sum
-        whole = route(kern)
+        whole = _fallback(kern) if breaks else minors._window_sum(_pair_matrix(kern))
         if breaks:
             _break_pair_matrix_after(monkeypatch, kern, 0)
         monkeypatch.setattr(minors, "_DET_BATCH_ELEMENTS", cap)
-        leading, hadamard = minors._leading_minors, correlations._hadamard_products
+        leading, hadamard = minors._leading_minors, minors._hadamard_products
         shapes, bounded = [], []
         monkeypatch.setattr(minors, "_leading_minors", lambda mats, offsets:
                             shapes.append(mats.shape) or leading(mats, offsets))
-        monkeypatch.setattr(correlations, "_hadamard_products", lambda kern, t1, t2, order:
-                            bounded.append((len(t1), t2)) or hadamard(kern, t1, t2, order))
+        monkeypatch.setattr(minors, "_hadamard_products", lambda squares, t1, t2, order:
+                            bounded.append((len(t1), t2)) or hadamard(squares, t1, t2, order))
         halved = _record_halvings(monkeypatch)
         windows, pairs = _record_stacks(monkeypatch)
         calls = _count_dets(monkeypatch)
-        split = correlations._nested_quad_sum(kern)
+        split = minors._window_sum(_pair_matrix(kern))
         if breaks:
             assert split is None
-            split = correlations._fallback_sum(kern)
+            split = _fallback(kern)
         monkeypatch.undo()
         assert all(b == 1 or b * m * m <= cap for b, m, _ in shapes), breaks
         assert all(b == 1 or b * (n - 1 - t2) ** 2 <= cap for b, t2 in bounded), breaks
@@ -583,8 +589,8 @@ def test_breakdown_points_skip_dets_once_certified(gamma, field, T, monkeypatch)
         fourth = correlations.fourth_moment_from_kernel(kern)
         monkeypatch.undo()
         assert calls == [], f"dets taken at N={n}"
-        assert correlations._nested_quad_sum(kern) is None, n
-        assert 24.0 * abs(correlations._fallback_sum(kern) - want) <= 1e-12 * fourth, n
+        assert minors._window_sum(_pair_matrix(kern)) is None, n
+        assert 24.0 * abs(_fallback(kern) - want) <= 1e-12 * fourth, n
         assert fourth == pytest.approx(3 * n * n - 2 * n, rel=1e-12), n
         if T == math.inf:
             assert fourth == 3 * n * n - 2 * n
@@ -624,8 +630,8 @@ def test_hadamard_products_bound_every_class_det(gamma, field, T):
         m = n - 1 - t2
         order = np.arange(1, m + 1)
         t1 = np.arange(1, m // 2 + 1)[:, None]
-        products = correlations._hadamard_products(kern, t1, t2, order)
-        weights = correlations._class_weights(n, t1, t2, order - t1)
+        products = minors._hadamard_products(np.square(_pair_matrix(kern)), t1, t2, order)
+        weights = minors._class_weights(n, t1, t2, order - t1)
         for b, k in zip(*np.nonzero(weights)):
             a = b + 1
             sites = np.r_[0:a, a + t2:t2 + k + 1]
@@ -662,7 +668,7 @@ def test_window_minors_do_not_depend_on_their_stack():
         store, starts = minors._schur_snapshots(_pair_matrix(kern))
         assert len(starts) == n - 3
         stack = minors._window_stack(
-            store, minors._plan_stack(n, s, t2, orders, offsets, m, correlations._class_weights))
+            store, minors._plan_stack(n, s, t2, orders, offsets, m))
         filled = np.zeros_like(stack)
         filled[:, np.arange(m), np.arange(m)] = 1.0
         for mat, a, b, k, o in zip(filled, s.tolist(), t2.tolist(), orders.tolist(),
@@ -678,7 +684,7 @@ def test_window_minors_do_not_depend_on_their_stack():
         for i, (k, o) in enumerate(zip(orders.tolist(), offsets.tolist())):
             alone = minors._leading_minors(minors._window_stack(
                 store, minors._plan_stack(n, s[i:i + 1], t2[i:i + 1], orders[i:i + 1],
-                                          origin, k, correlations._class_weights)), origin)
+                                          origin, k)), origin)
             assert np.array_equal(stacked[i, o:o + k], alone[0]), (gamma, k)
             assert np.all(stacked[i, :o] == 1.0) and np.all(stacked[i, o + k:] == alone[0, -1])
         for pivot in (0.0, 1e-18):
@@ -692,9 +698,9 @@ def _check_whole_point_in_fallback(monkeypatch, kern, label):
     # once, through one contraction matrix per pair (t1, t2); no det runs.
     # Returns the windows gathered, stack by stack
     n = kern.ensemble.spec.sites
-    fallback, taken = correlations._fallback_sum, []
-    monkeypatch.setattr(correlations, "_fallback_sum", lambda kern:
-                        taken.append(fallback(kern)) or taken[-1])
+    fallback, taken = minors._fallback_sum, []
+    monkeypatch.setattr(minors, "_fallback_sum", lambda block, tolerance:
+                        taken.append(fallback(block, tolerance)) or taken[-1])
     windows, pairs = _record_stacks(monkeypatch)
     calls = _count_dets(monkeypatch)
     fourth = correlations.fourth_moment_from_kernel(kern)
@@ -730,7 +736,7 @@ def test_window_plan_is_built_once_per_ring_size(monkeypatch):
     assert minors._window_plan.cache_info().misses == 1
 
     def plan(n):
-        return minors._window_plan(n, minors._DET_BATCH_ELEMENTS, correlations._class_weights)
+        return minors._window_plan(n, minors._DET_BATCH_ELEMENTS)
 
     first = {n: plan(n) for n in (14, 50)}
     for i, n in enumerate((14, 50, 14, 50)):
@@ -758,7 +764,7 @@ def test_window_plan_weights_no_minor_past_a_window():
     # A cap of 200 entries stacks windows of several orders together
     for n in (6, 14, 50, 100):
         for cap in (minors._DET_BATCH_ELEMENTS, 200):
-            for stack in minors._window_plan(n, cap, correlations._class_weights):
+            for stack in minors._window_plan(n, cap):
                 order = np.minimum(stack.t3, n - 1 - stack.t3 - stack.t2)[:, None]
                 q = np.arange(1, stack.m + 1) - stack.offsets[:, None]
                 assert np.all(stack.weights[(q <= 0) | (q > order)] == 0), (n, cap)
@@ -775,7 +781,7 @@ def test_nested_quad_sum_keeps_its_bits():
     points = [(50, p) for p in NESTED_GRID] + [(100, NESTED_GRID[0])]
     for (n, (gamma, field, T)), bits in zip(points, NESTED_BITS, strict=True):
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
-        assert correlations._nested_quad_sum(kern).hex() == bits, (n, gamma, field, T)
+        assert minors._window_sum(_pair_matrix(kern)).hex() == bits, (n, gamma, field, T)
 
 
 def test_pair_matrix_breakdown_sends_later_t1_to_dets(monkeypatch):
@@ -796,8 +802,8 @@ def test_window_breakdown_point_of_the_quartic_sweep(monkeypatch):
     # 1.8e-8 of <J_x^4> off, the whole point in the fallback 2.8e-17
     kern = correlations.kernel(_ens(gamma=-0.9653537597782795, field_ratio=0.2609446655556303,
                                     sites=50, T=0.05))
-    fallback, taken = correlations._fallback_sum, []
-    monkeypatch.setattr(correlations, "_fallback_sum", lambda *args:
+    fallback, taken = minors._fallback_sum, []
+    monkeypatch.setattr(minors, "_fallback_sum", lambda *args:
                         taken.append(fallback(*args)) or taken[-1])
     calls = _count_dets(monkeypatch)
     fourth = correlations.fourth_moment_from_kernel(kern)
@@ -1048,10 +1054,10 @@ def test_window_and_fallback_quad_sums_agree_at_any_point(half_sites, gamma, fie
     # elimination without row exchanges is correct to a rounding order only
     kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=2 * half_sites,
                                     T=10.0 ** log10_T))
-    nested = correlations._nested_quad_sum(kern)
+    nested = minors._window_sum(_pair_matrix(kern))
     if nested is not None:
         fourth = correlations.fourth_moment_from_kernel(kern)
-        assert 24.0 * abs(nested - correlations._fallback_sum(kern)) <= 1e-13 * fourth
+        assert 24.0 * abs(nested - _fallback(kern)) <= 1e-13 * fourth
 
 
 def test_quad_sum_takes_pair_correlators_from_its_pivots():
@@ -1060,10 +1066,10 @@ def test_quad_sum_takes_pair_correlators_from_its_pivots():
     # terms only: a poisoned memo leaves the sum as it was
     n = 60
     kern = correlations.kernel(_ens(gamma=1.0, field_ratio=2.0, sites=n, T=0.05))
-    want = correlations._nested_quad_sum(kern)
+    want = minors._window_sum(_pair_matrix(kern))
     kern.__dict__["xx"] = np.full(n, np.nan)
     assert np.isnan(kern.xx).all()
-    assert correlations._nested_quad_sum(kern) == want
+    assert minors._window_sum(_pair_matrix(kern)) == want
 
 
 # NESTED_GRID plus a singular line point, a cold polarized XX point and T = inf

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from xythermo import correlations, faraday, oracle, thermometry
+from xythermo import correlations, faraday, minors, oracle, thermometry
 from xythermo.faraday import FaradaySetup, NoiseUnderflowError, ReadoutPoint
 from xythermo.spectrum import ChainSpec
 
@@ -22,6 +22,12 @@ def test_setup_validation():
         FaradaySetup(kappa=-2.0)
     with pytest.raises(ValueError):
         FaradaySetup(kappa=math.inf)
+    # kappa^2 enters the output variance and the shot-noise floor: it must
+    # neither overflow nor underflow
+    for kappa in (1e200, 1.5e154, 1e-200, math.nan):
+        with pytest.raises(ValueError):
+            FaradaySetup(kappa=kappa)
+    assert ReadoutPoint(_ens(), FaradaySetup(kappa=1e154)).output_variance > 0.0
     with pytest.raises(ValueError):
         FaradaySetup(modulation="quarter")
     # the coherent input's shot noise is a constant, not a setting
@@ -76,7 +82,7 @@ def _counting(monkeypatch, *fns):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
-        for module in (correlations, faraday):
+        for module in (correlations, faraday, minors):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
@@ -84,13 +90,13 @@ def _counting(monkeypatch, *fns):
 
 
 def test_point_reading_every_member_builds_one_kernel_and_one_quad_sum(monkeypatch):
-    calls = _counting(monkeypatch, correlations.kernel, correlations._nested_quad_sum)
+    calls = _counting(monkeypatch, correlations.kernel, minors._gap_class_sum)
     point = ReadoutPoint(_ens(gamma=0.6, field_ratio=0.9, sites=10, T=0.4), FaradaySetup())
     members = ("snr_crb", "snr_varjx", "snr_meanjz", "var_jx_slope", "mean_jz_slope",
                "output_mean", "output_variance", "var_jx_squared")
     first = [getattr(point, name) for name in members]
     assert [getattr(point, name) for name in members] == first
-    assert calls == {"kernel": 1, "_nested_quad_sum": 1}
+    assert calls == {"kernel": 1, "_gap_class_sum": 1}
 
 
 def test_point_is_read_only_and_computes_each_member_once(monkeypatch):

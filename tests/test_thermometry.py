@@ -71,6 +71,21 @@ def test_occupations_reach_exactly_zero_once_exp_overflows():
     assert thermometry.snr_crb(ens) == 0.0
 
 
+def test_cold_limit_ceiling_is_exactly_zero():
+    # at T = 1e-300, or h/J = 1e300, (eps/T)^2 overflows where n(1-n) = 0, and
+    # below T ~ 1e-81 T^4 underflows: both ceilings are exactly 0, with no
+    # floating-point warning, and the terms of a live mode keep their bits
+    for spec, T in ((_flat(), 1e-300), (ChainSpec(gamma=1.0, field_ratio=1e300, sites=8), 0.3),
+                    (_flat(), 1e-100)):
+        ens = thermometry.ensemble(spec, T)
+        with np.errstate(all="raise"):
+            assert thermometry.snr_crb(ens) == 0.0, (spec, T)
+            assert thermometry.qfi(ens) == 0.0, (spec, T)
+    ens = thermometry.ensemble(ChainSpec(gamma=0.5, field_ratio=0.5, sites=8), 0.3)
+    x = ens.reduced_energies
+    assert thermometry.snr_crb(ens) == float((x * x * ens.fluctuation_weights).sum())
+
+
 def test_flat_band_occupation_closed_form():
     ens = thermometry.ensemble(_flat(), 2.0)  # every mode at energy 2J, T = 2J
     assert np.allclose(ens.occupations, 1.0 / (1.0 + math.e), atol=1e-14)

@@ -68,8 +68,9 @@ prints the largest, so a speed change that moves the numbers shows next to
 its timings.  For N = 50, 100 and 200 the file also records the bytes of
 the store of Schur-complement snapshots that <J_x^4> keeps per point and
 the bytes of the plan of Schur windows it builds once per ring size,
-recorded as the quadruple sum of a regular point asks ``_window_plan``
-for it, so that every tree is measured through its own call.
+recorded as ``correlations.fourth_moment_from_kernel`` at a regular
+point asks ``_window_plan`` for it, so that every tree is measured
+through its own call.
 """
 from __future__ import annotations
 
@@ -240,8 +241,8 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
 def _plan_bytes() -> dict[str, dict[str, int]]:
     # per ring size, the bytes of the snapshot store (its length is fixed by
     # N: sum of k^2, k = 2 ... N-2, plus 2(N-2) spare entries) and of the
-    # arrays of the window plan that the quadruple sum of a regular point
-    # asks the engine for
+    # arrays of the window plan that the fourth moment of a regular point
+    # asks the engine for, through a call every tree has
     from xythermo import correlations, minors, thermometry
     from xythermo.spectrum import ChainSpec
 
@@ -257,7 +258,8 @@ def _plan_bytes() -> dict[str, dict[str, int]]:
         for n in PLAN_SIZES:
             spec = ChainSpec(gamma=1.0, field_ratio=0.5, sites=n)
             planned.clear()
-            correlations._nested_quad_sum(correlations.kernel(thermometry.ensemble(spec, 0.3)))
+            correlations.fourth_moment_from_kernel(
+                correlations.kernel(thermometry.ensemble(spec, 0.3)))
             (stacks,) = planned  # the sum asks for the plan once
             store = 8 * (sum(k * k for k in range(2, n - 1)) + 2 * (n - 2))
             plan = sum(getattr(stack, name).nbytes for stack in stacks
