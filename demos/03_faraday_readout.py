@@ -15,7 +15,7 @@ itself; this script shows how close each gets, and where each one wins.
 
 import numpy as np
 
-from xythermo import correlations, faraday, thermometry
+from xythermo import faraday, thermometry
 from xythermo.spectrum import ChainSpec
 
 setup = faraday.FaradaySetup(kappa=2.0)
@@ -71,7 +71,7 @@ for kappa in (0.5, 1.0, 2.0, 5.0, 20.0):
 # -- 5. spatially modulated probe -------------------------------------------
 # Addressing the ring with a half-wavelength intensity profile weights
 # each site by cos^2, trading signal for access to a different moment mix.
+ens = thermometry.ensemble(ChainSpec(gamma=0.5, field_ratio=1.2, sites=50), 0.4)
 for modulation in ("uniform", "half"):
-    ens = thermometry.ensemble(ChainSpec(gamma=0.5, field_ratio=1.2, sites=50), 0.4)
-    mz = correlations.mean_jz(ens, modulation=modulation)
+    mz = faraday.ReadoutPoint(ens, faraday.FaradaySetup(modulation=modulation)).mean_jz
     print(f"modulation = {modulation:<8} <J_z> = {mz:.4f}")

@@ -312,20 +312,19 @@ def _read_partial_csv(path: str, columns: list[str]) -> dict[tuple, list[float]]
     done: dict[tuple, list[float]] = {}
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
+            # a last line without its newline is a row an interrupted run left
+            # unfinished, even where its cells parse: it is dropped
+            lines = fh.read().split("\n")[:-1]
     except OSError:
         return done
     if not lines or lines[0] != ",".join(columns):
         return done  # header mismatch: stale schema, recompute everything
     for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            continue  # truncated final row from an interrupted run
         try:
-            values = [float(c) for c in cells]
+            values = [float(c) for c in line.split(",")]
         except ValueError:
             continue
-        if all(math.isfinite(v) for v in values):
+        if len(values) == len(columns) and all(math.isfinite(v) for v in values):
             done[tuple(values[:3])] = values
     return done
 

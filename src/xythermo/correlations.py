@@ -473,8 +473,9 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     tolerance is eps (N + 3N(N-1)) / 24, as the sum enters times 24, and
     otherwise every class takes the leading minors of its own contraction
     matrix from orthogonal factors.  No LAPACK det runs.  On those lines
-    the x spins are uncorrelated, and at N = 50 the certified points give
-    3N^2 - 2N to roundoff in 8.8-9.8 ref units.  Measured at N = 30, 40,
+    the x spins are uncorrelated, and the certified points give 3N^2 - 2N
+    to roundoff in 10.9-11.2 ref units at N = 50 and 133 at N = 100
+    (BENCH_30.json).  Measured at N = 30, 40,
     50, 60, 80 and 100, the bound certifies gamma = -1, h/J = 0 at T =
     0.05, 0.3 and 5, the cold XX chain at h/J = 2, T = 0.05, and T = inf,
     where the sum is exactly 0.  Below 30 sites the gamma = -1 line at T

@@ -21,6 +21,7 @@ kernel, one per point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,7 +65,7 @@ class FaradaySetup:
 
     kappa is the dimensionless light-matter coupling (sane experimental
     range is roughly 1-10, but any positive value whose square is a
-    finite, non-zero float is accepted).
+    finite, normal float is accepted).
     include_shot_noise adds the light-noise floor to the MeanJz readout;
     the default models the strong-coupling optimum where atomic noise
     dominates.
@@ -75,9 +76,10 @@ class FaradaySetup:
     include_shot_noise: bool = False
 
     def __post_init__(self) -> None:
-        # kappa^2 enters the output variance and the shot-noise floor
-        if not (self.kappa > 0 and 0 < self.kappa * self.kappa < math.inf):
-            raise ValueError(f"kappa must be > 0 with a finite, non-zero square, got {self.kappa}")
+        # kappa^2 enters the output variance and the shot-noise floor, which
+        # divides by it: a subnormal square (kappa = 1e-160) is refused too
+        if not (self.kappa > 0 and sys.float_info.min <= self.kappa * self.kappa < math.inf):
+            raise ValueError(f"kappa must be > 0 with a finite, normal square, got {self.kappa}")
         if self.modulation not in MODULATIONS:
             raise ValueError(f"unknown modulation {self.modulation!r}")
 

@@ -46,11 +46,10 @@ The windows (_window_sum) come first.  By Schur's determinant formula
 class (t1, t2, t3), read from its reverse, is c(t3) = det T[:t3, :t3]
 times a leading minor of the window Sigma_t3[t2:, t2:] of the Schur
 complement that t3 steps of elimination of T leave behind.  One
-elimination of T, kept as its N-3 snapshots (_schur_snapshots) and
-checked for breakdown once per panel of steps, gives every window and
-every c(t3); one elimination without row exchanges of a window's leading
-block (_leading_minors) gives every minor of it as products of its
-pivots: O(N^5) flops for the sum instead of the O(N^6) of one det per
+elimination of T, kept as its N-3 snapshots (_schur_snapshots), gives
+every window and every c(t3); one elimination without row exchanges of a
+window's leading block (_leading_minors) gives every minor of it as
+products of its pivots: O(N^5) flops for the sum instead of the O(N^6) of one det per
 class, and by a (2/3) k^3 flop count 7.1 (N = 50) to 7.4 (N = 200) times
 fewer than reading each class from its smaller outer gap, whose windows
 must be eliminated whole.  The windows are eliminated in stacks, each at
@@ -100,8 +99,7 @@ from .spectrum import _read_only
 _DET_BATCH_ELEMENTS = 300_000
 # width of the diagonal panels inside which _leading_minors takes scalar steps,
 # and where a panel's multipliers sit in its diagonal block; every window of
-# a stack starts at a multiple of it, and _schur_snapshots checks its
-# multipliers once per run of this many steps after the first
+# a stack starts at a multiple of it
 _PANEL = 8
 _STRICTLY_LOWER = np.tri(_PANEL, k=-1, dtype=bool)
 _EPS = np.finfo(float).eps
@@ -317,17 +315,18 @@ def _schur_snapshots(block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     is zero to working precision or a value that is not finite.
     A step is three numpy calls: the multipliers go to a (N-3, N-2) array,
     and their product with the pivot row is subtracted into the store.
-    The multipliers are checked against _MULTIPLIER_LIMIT after the first
-    step, where the common breakdowns stop (T = inf, the gamma = -1, h/J =
-    0 line, the cold polarized XX chain), and then at the end of each run
-    of _PANEL steps; after the last step every multiplier and the whole
-    store are: None exactly where a check after every step gives it, and
-    the same store bits where it does not.  The check per panel stays
-    because it pays at breakdown points: with only the final check, the
-    snapshots of (-1, 0, 0.3) and (0, 2, 0.05) took 0.44-0.54 ms instead
-    of 0.04 ms at N = 50, and 1.5-1.7 ms instead of 0.16-0.19 ms at N =
-    100 (best of 7 runs of 20 calls, 2 cores, one BLAS thread), while at
-    (1, 0.5, 0.3) the two differed by less than their run-to-run spread.
+    Breakdown is decided once, after the last step, from every multiplier
+    and the whole store: a check after every step would give None at the
+    same points and leave the same store bits elsewhere.  Checks during the
+    elimination would stop the breakdown points early, but cost every
+    regular point: timed alone (medians of 10 calls, one BLAS thread, five
+    alternations), the snapshots of (1, 0.5, 0.3) at N = 50 take 0.47-0.51
+    ref units, against 0.55-0.59 with a check after every eighth step,
+    and those of the breakdown points (-1, 0, 0.3), (0, 2, 0.05) and (1,
+    0.5, inf) take 0.45-0.50 against 0.05-0.10 (1.6-1.9 against 0.24-0.33
+    at N = 100, (-1, 0, 0.3)).  Breakdown points are 21 of the 360 of
+    round 0 of tscan-quartic at seeds 777, 4 and 11, and that workload
+    runs no slower without the checks.
     """
     n = len(block) + 1
     orders, ends = _snapshot_layout(n)
@@ -341,9 +340,6 @@ def _schur_snapshots(block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
             np.multiply(col[:, None], block[0, None, 1:], out=snapshot)
             np.subtract(block[1:, 1:], snapshot, out=snapshot)
             block = snapshot
-            if step % _PANEL == 0 and not (np.max(np.abs(
-                    multipliers[max(0, step + 1 - _PANEL):step + 1])) <= _MULTIPLIER_LIMIT):
-                return None
     if not (np.max(np.abs(multipliers)) <= _MULTIPLIER_LIMIT and np.isfinite(store).all()):
         return None
     return store, ends - orders * orders

@@ -109,10 +109,16 @@ def qfi(ens: ThermalEnsemble) -> float:
 
     Equals energy_variance / T^4 and is additive over modes.  Decays to zero
     at both temperature extremes for gapped chains.  Exactly 0 where the
-    energy variance is, as below T ~ 1e-81, where T^4 underflows.
+    energy variance is, as below T ~ 1e-81, where T^4 underflows.  Above T
+    ~ 1.2e77, where T^4 overflows, it is snr_crb / T / T, whose factors stay
+    in the float range: 0 at (1, 0.5) and T = 1e100, but 3.4e-200 at h/J
+    = T = 1e100, where the energy variance is 3.4e200.
     """
     variance = energy_variance(ens)
-    return variance / ens.temperature**4 if variance else 0.0
+    try:
+        return variance / ens.temperature**4 if variance else 0.0
+    except OverflowError:
+        return snr_crb(ens) / ens.temperature / ens.temperature
 
 
 def snr_crb(ens: ThermalEnsemble) -> float:

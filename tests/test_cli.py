@@ -360,6 +360,21 @@ def test_resume_reproduces_full_output(tmp_path):
     assert stale.read_bytes() == want
 
 
+def test_resume_drops_a_row_cut_inside_its_last_cell(tmp_path):
+    # a last row cut inside its last cell has every cell and parses, but has
+    # no newline: it is unfinished, and resuming recomputes it
+    args = ("phase-diagram", "--gamma", "0.5", "--field", "0:1:3", "--temp", "0.3",
+            "--sites", "10", "--obs", "crb")
+    full = tmp_path / "full.csv"
+    assert run_cli(*args, "--out", str(full)).returncode == 0
+    want = full.read_bytes()
+    cut = tmp_path / "cut.csv"
+    cut.write_bytes(want[:-6])
+    assert len(cut.read_text().splitlines()[-1].split(",")) == 4
+    assert run_cli(*args, "--out", str(cut), "--resume").returncode == 0
+    assert cut.read_bytes() == want
+
+
 def test_resume_refuses_rows_of_other_options(tmp_path):
     # the header records neither the sites nor the probe options, so rows of
     # another ring size or probe must not be kept: the first reused row is
@@ -384,9 +399,10 @@ def test_resume_refuses_rows_of_other_options(tmp_path):
 
 
 def test_kappa_whose_square_leaves_the_float_range_is_a_config_error(tmp_path):
-    # at 1e200 kappa^2 overflows, at 1e-200 it underflows to 0: refused
-    # before any output, from the flag or from a config file
-    for kappa in ("1e200", "1e-200"):
+    # at 1e200 kappa^2 overflows, at 1e-200 it underflows to 0 and at 1e-160
+    # to a subnormal float: refused before any output, from the flag or from
+    # a config file
+    for kappa in ("1e200", "1e-200", "1e-160"):
         cfg = tmp_path / "kappa.json"
         cfg.write_text(json.dumps({"kappa": float(kappa)}))
         for where in (("--kappa", kappa), ("--config", str(cfg))):

@@ -23,8 +23,8 @@ def test_setup_validation():
     with pytest.raises(ValueError):
         FaradaySetup(kappa=math.inf)
     # kappa^2 enters the output variance and the shot-noise floor: it must
-    # neither overflow nor underflow
-    for kappa in (1e200, 1.5e154, 1e-200, math.nan):
+    # neither overflow nor underflow, to 0 or to a subnormal float (1e-320)
+    for kappa in (1e200, 1.5e154, 1e-200, 1e-160, math.nan):
         with pytest.raises(ValueError):
             FaradaySetup(kappa=kappa)
     assert ReadoutPoint(_ens(), FaradaySetup(kappa=1e154)).output_variance > 0.0

@@ -86,6 +86,21 @@ def test_cold_limit_ceiling_is_exactly_zero():
     assert thermometry.snr_crb(ens) == float((x * x * ens.fluctuation_weights).sum())
 
 
+def test_qfi_above_the_overflow_of_t4():
+    # T^4 overflows above T ~ 1.2e77: the qfi is snr_crb / T / T there, 0 at
+    # T = 1e100 and at T = inf, and 3.4e-200 where h/J = T = 1e100; where
+    # T^4 is finite it keeps its bits
+    spec = ChainSpec(gamma=1.0, field_ratio=0.5, sites=8)
+    for T in (1e100, math.inf):
+        assert thermometry.qfi(thermometry.ensemble(spec, T)) == 0.0, T
+    ens = thermometry.ensemble(spec, 1e77)
+    assert thermometry.qfi(ens) == thermometry.energy_variance(ens) / 1e77**4 > 0.0
+    ens = thermometry.ensemble(ChainSpec(gamma=1.0, field_ratio=1e100, sites=8), 1e100)
+    want = thermometry.energy_variance(ens) / 1e200 / 1e200
+    assert thermometry.qfi(ens) == pytest.approx(want, rel=1e-14)
+    assert 1e-201 < want < 1e-199
+
+
 def test_flat_band_occupation_closed_form():
     ens = thermometry.ensemble(_flat(), 2.0)  # every mode at energy 2J, T = 2J
     assert np.allclose(ens.occupations, 1.0 / (1.0 + math.e), atol=1e-14)
