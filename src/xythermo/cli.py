@@ -173,7 +173,8 @@ _OPTIONS = {
     "temp": _Option(_axis, {"phase-diagram": "0.05", "tscan": "0.05:5:40:log"},
                     "temperature axis T/J"),
     "sites": _Option(_integer, dict.fromkeys(_TABLES, 50), "ring length N, even and >= 4"),
-    "kappa": _Option(_number, dict.fromkeys(_SWEEPS, 2.0), "light-matter coupling"),
+    "kappa": _Option(_number, dict.fromkeys(_SWEEPS, 2.0),
+                     "light-matter coupling; without --shot-noise it changes no table column"),
     "modulation": _Option(_choice(*correlations.MODULATIONS), dict.fromkeys(_SWEEPS, "uniform"),
                           "probe modulation"),
     "shot_noise": _Option(_switch, dict.fromkeys(_SWEEPS, False),
@@ -233,8 +234,11 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     if cfg.command in _SWEEPS:
         if any(not 0 < t < math.inf for t in cfg.temp):
             raise ConfigError("temperatures must be finite and > 0")
-        faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
-                             include_shot_noise=cfg.shot_noise)
+        setup = faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
+                                     include_shot_noise=cfg.shot_noise)
+        if cfg.shot_noise and not math.isfinite(setup.shot_noise_floor(cfg.sites)):
+            raise ConfigError(f"kappa {cfg.kappa} puts the shot-noise floor N/(2 kappa^2) "
+                              f"past the float range at {cfg.sites} sites")
     return cfg
 
 

@@ -40,9 +40,8 @@ correlator accurate to near roundoff of 1, in absolute terms, on both
 blocks: the singular values of C^-1 reach coth(eps_min / 2T), but |det
 C| times the volume of any columns of C^-1 is the volume of the
 complementary rows of C, at most 1.  A correlator far below 1 has
-correspondingly fewer correct digits.  Var(J_x) takes medians of 0.57 ref
-units (calls of the benchmark's speed probe, about 1 ms) at N = 50, 5.0
-at N = 300 and 57 at N = 1000 (BENCH_26.json).
+correspondingly fewer correct digits.  What this and every other layer
+costs per call is in the README's layer-timings table.
 
 The <J_x^4> sum needs one such determinant per gap class (t1, t2, t3) of
 the four sites, about N^3/12 of them.  Each is a principal minor of the
@@ -445,9 +444,8 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     T.  So one elimination of T, kept for N-3 steps, gives every Sigma_t3,
     1128 windows at N = 50, and the whole sum is one call of the minors
     engine, minors._gap_class_sum, which takes T and a tolerance: O(N^5)
-    flops, medians of 4.5 ref units (calls of the benchmark's speed probe,
-    about 1 ms) at N = 50, 57 at N = 100 and 788 at N = 200
-    (BENCH_26.json).  Reading each class from its smaller outer gap t1
+    flops (timed in the README's layer-timings table).  Reading each class
+    from its smaller outer gap t1
     instead, as c(t1) times a minor of order t3 of Sigma_t1[t2:, t2:],
     eliminates every window whole: 576 windows at N = 50, but 7.1 times
     the flops, and at the four gamma < 0 points of
@@ -474,8 +472,8 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     otherwise every class takes the leading minors of its own contraction
     matrix from orthogonal factors.  No LAPACK det runs.  On those lines
     the x spins are uncorrelated, and the certified points give 3N^2 - 2N
-    to roundoff in 10.9-11.2 ref units at N = 50 and 133 at N = 100
-    (BENCH_30.json).  Measured at N = 30, 40,
+    to roundoff (timed in the breakdown rows of the README's layer-timings
+    table).  Measured at N = 30, 40,
     50, 60, 80 and 100, the bound certifies gamma = -1, h/J = 0 at T =
     0.05, 0.3 and 5, the cold XX chain at h/J = 2, T = 0.05, and T = inf,
     where the sum is exactly 0.  Below 30 sites the gamma = -1 line at T

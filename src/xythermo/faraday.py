@@ -83,6 +83,15 @@ class FaradaySetup:
         if self.modulation not in MODULATIONS:
             raise ValueError(f"unknown modulation {self.modulation!r}")
 
+    def shot_noise_floor(self, sites: int) -> float:
+        """N/(2 kappa^2): the light noise of the MeanJz readout, in J_z units, at N = sites.
+
+        Inverts the quadrature map: a measured X_out variance 1/2 + (kappa^2/N)
+        V corresponds to inferring J_z with extra variance N/(2 kappa^2).  It
+        overflows where kappa^2 < N/(2 DBL_MAX), which the CLI refuses.
+        """
+        return sites / (2.0 * self.kappa**2)
+
 
 @dataclass(frozen=True, eq=False)
 class ReadoutPoint:
@@ -159,9 +168,7 @@ class ReadoutPoint:
     def snr_meanjz(self) -> float:
         noise = self.var_jz
         if self.setup.include_shot_noise:
-            # invert the quadrature map: measured X_out variance 1/2 + (k^2/N)V
-            # corresponds to inferring J_z with extra variance N/(2 kappa^2)
-            noise += self.ensemble.spec.sites / (2.0 * self.setup.kappa**2)
+            noise += self.setup.shot_noise_floor(self.ensemble.spec.sites)
         return self._snr("meanjz", self.mean_jz_slope, noise)
 
     def _snr(self, readout: str, slope: float, noise: float) -> float:

@@ -23,9 +23,8 @@ minors are the same bits.  Each level splits a block into two of equal
 order ceil(n/2), so a stack takes one stacked call of each LAPACK
 routine per level.  The pair correlators take the leading minors of two
 blocks of order m = N - (N-1)//2, one of them scaled by det C = prod t_k,
-as one (2, m, m) stack (_complementary_minors): Var(J_x) takes medians
-of 0.57 ref units (calls of the benchmark's speed probe, about 1 ms) at
-N = 50, 5.0 at N = 300 and 57 at N = 1000 (BENCH_26.json).
+as one (2, m, m) stack (_complementary_minors); the README's
+layer-timings table gives what Var(J_x) costs that way.
 _binary_cumprod carries products of many factors, such as det C, in
 mantissas and exponents, so that none leaves the float range.
 Elimination without row exchanges would be cheaper still, but it is
@@ -59,8 +58,8 @@ stack.  Which windows there are, how they are stacked, where each row of
 a stack is gathered from and how each minor is weighted depend on N
 alone: they are planned once per ring size (_window_plan), and a point
 takes the elimination of T, then one gather (_window_stack) and one
-elimination per stack.  With them <J_x^4> takes medians of 4.5 ref units
-at N = 50, 57 at N = 100 and 788 at N = 200 (BENCH_26.json).
+elimination per stack; the README's layer-timings table gives what
+<J_x^4> costs that way.
 
 Where any elimination, of T or of a window stack, breaks down on a pivot
 that is zero to working precision, the whole sum goes to _fallback_sum.
@@ -145,6 +144,8 @@ def _halving_minors(a: np.ndarray) -> np.ndarray:
     Every block that recurses is part of an orthogonal matrix, so its
     minors are at most 1 in magnitude and come out with an absolute error
     of a few ulps of 1; minor r of a carries that error times prod |R_ii|.
+    a must be a float64 array the caller does not read again: a stack of
+    order above _LEAF is overwritten with its QR factors (see _split).
     """
     if a.shape[-1] <= _LEAF:
         return _leaf_minors(a)
@@ -162,14 +163,15 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.linalg.qr is built from: qr_r_raw (dgeqrf, in place, returning the
     reflections' tau, which np.linalg.qr does not return with Q) and
     qr_reduced (dorgqr).  A LAPACK failure sets the invalid flag, which
-    raises.
+    raises.  qr_r_raw overwrites a, a float64 stack, with the factors:
+    every caller hands in a stack it built for the call and does not read
+    again, so no copy is made.
     """
     n = a.shape[-1]
     h = (n + 1) // 2
-    factors = np.array(a, dtype=float)  # qr_r_raw overwrites it with the factors
     with np.errstate(invalid="raise"):
-        tau = _umath_linalg.qr_r_raw(factors)
-        q = _umath_linalg.qr_reduced(factors, tau)
+        tau = _umath_linalg.qr_r_raw(a)
+        q = _umath_linalg.qr_reduced(a, tau)
     lead, trail = _halving_minors(np.stack((q[..., :h, :h],
                                             q[..., n - h:, n - h:][..., ::-1, ::-1])))
     # minor r > h of Q is det Q times det Q[r:, r:], minor n-r of the
@@ -178,7 +180,7 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     minors = np.concatenate((lead, np.flip(trail[..., :n - h - 1], -1),
                              np.ones(lead.shape[:-1] + (1,))), axis=-1)
     minors[..., h:] *= (1.0 - 2.0 * (np.count_nonzero(tau, axis=-1) % 2))[..., None]
-    return minors, np.diagonal(factors, axis1=-2, axis2=-1)
+    return minors, np.diagonal(a, axis1=-2, axis2=-1)
 
 
 def _leaf_minors(a: np.ndarray) -> np.ndarray:
@@ -233,7 +235,8 @@ def _complementary_minors(a: np.ndarray, factors: np.ndarray) -> tuple[np.ndarra
     exponents (_binary_cumprod), so that no product leaves the float range
     however small prod(factors) is (det C = prod t_k is 1e-1002 for the XX
     chain at h/J = 0, N = 1000 and temperature 5); only the scaled minors
-    are rounded to floats.
+    are rounded to floats.  a is overwritten with its QR factors (see
+    _split).
     """
     k = len(factors)
     halved, diagonal = _split(a)
@@ -527,11 +530,11 @@ def _fallback_sum(block: np.ndarray, tolerance: float) -> float:
     each stack goes to _halving_minors in one call, which gives every
     leading minor of each submatrix from orthogonal factors, with no
     pivot to break down, and the class weights sum them: O(m^3) flops per
-    submatrix.  Each is gathered through one flat index into T.  At N =
-    50 the 576 submatrices make <J_x^4> at the window breakdown point of
-    tools/bench_layers.py take a median of 97 ref units (BENCH_26.json),
-    against 155 with one call per submatrix (BENCH_23.json).  Where T's singular values are at most 1, as the
-    pair matrix's are, so are every submatrix's, and every minor is
+    submatrix.  Each is gathered through one flat index into T.  The
+    window breakdown point of tools/bench_layers.py sends all 576 of its
+    N = 50 submatrices here, and its row of the README's layer-timings
+    table times this route.  Where T's singular values are at most 1, as
+    the pair matrix's are, so are every submatrix's, and every minor is
     accurate to near roundoff of 1 in absolute terms.
     """
     n = len(block) + 1

@@ -410,6 +410,18 @@ def test_kappa_whose_square_leaves_the_float_range_is_a_config_error(tmp_path):
             assert proc.returncode == 2, where
             assert proc.stdout == "", where
             assert proc.stderr.startswith("error: kappa must be > 0"), where
+    # at 2e-154 kappa^2 is a normal float, but the shot-noise floor N/(2
+    # kappa^2) overflows at 16 sites: refused before any output too
+    cfg = tmp_path / "floor.json"
+    cfg.write_text(json.dumps({"kappa": 2e-154}))
+    for where in (("--kappa", "2e-154"), ("--config", str(cfg))):
+        proc = run_cli("tscan", *where, "--shot-noise", "--temp", "0.3", "--sites", "16",
+                       "--obs", "meanjz")
+        assert proc.returncode == 2, where
+        assert proc.stdout == "", where
+        assert proc.stderr.startswith(
+            "error: kappa 2e-154 puts the shot-noise floor N/(2 kappa^2) past the float range "
+            "at 16 sites"), where
 
 
 def test_cold_limit_ceiling_reads_zero():

@@ -334,31 +334,55 @@ def _gap_classes(n):
     return classes
 
 
-def quad_sum_by_class(kern):
-    """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, one LAPACK det per gap class.
-
-    The reference for minors._gap_class_sum.  The B-operator sites of
-    class (t1, t2, t3) are [0, t1) u [t1+t2, t1+t2+t3), the A-operator sites
-    those + 1; the matrices of one size share a batched det.
-    """
+def _class_dets(kern, classes):
+    # det T[S, S] of each gap class (t1, t2, t3), one LAPACK det per class.
+    # The B-operator sites of a class are S = [0, t1) u [t1+t2, t1+t2+t3),
+    # the A-operator sites those + 1; the classes of one order t1 + t3 share
+    # a batched det.  Yields each order's classes and their dets
     g, off = kern.g, kern.ensemble.spec.sites - 1
-    classes = _gap_classes(kern.ensemble.spec.sites)
     by_size = collections.defaultdict(list)
     for key in classes:
         by_size[key[0] + key[2]].append(key)
-    total = 0.0
     for keys in by_size.values():
         b_sites = np.array([np.r_[0:t1, t1 + t2:t1 + t2 + t3] for t1, t2, t3 in keys])
-        dets = np.linalg.det(g[off + b_sites[:, :, None] - b_sites[:, None, :] - 1])
+        yield keys, np.linalg.det(g[off + b_sites[:, :, None] - b_sites[:, None, :] - 1])
+
+
+def quad_sum_by_class(kern):
+    """sum over quadruples l1<l2<l3<l4 of <sx sx sx sx>, one LAPACK det per gap class.
+
+    The reference for minors._gap_class_sum.
+    """
+    classes = _gap_classes(kern.ensemble.spec.sites)
+    total = 0.0
+    for keys, dets in _class_dets(kern, classes):
         total += sum(classes[key] * float(d) for key, d in zip(keys, dets))
     return total
 
 
 def _count_dets(monkeypatch):
-    det = np.linalg.det
-    calls = []
-    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(np.shape(a)) or det(a))
+    # the shape of every LAPACK det taken until monkeypatch.undo(): through
+    # np.linalg.det, and through the gufunc it is built from, which
+    # minors._det_minors calls directly
+    calls, engine = [], minors._umath_linalg
+
+    def counted(det):
+        return lambda a, *args, **kwargs: calls.append(np.shape(a)) or det(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "det", counted(np.linalg.det))
+    monkeypatch.setattr(minors, "_umath_linalg", types.SimpleNamespace(
+        qr_r_raw=engine.qr_r_raw, qr_reduced=engine.qr_reduced, det=counted(engine.det)))
     return calls
+
+
+def test_det_counter_sees_the_engine_dets(monkeypatch):
+    # the positive control of every "no det" assertion: the slope's complex
+    # pair minors take one det per order, 0 ... N-1, through the engine
+    kern = correlations.kernel(_ens(sites=20))
+    calls = _count_dets(monkeypatch)
+    correlations.var_jx_slope(kern)
+    monkeypatch.undo()
+    assert calls == [(r, r) for r in range(20)]
 
 
 # ordered, critical, cold paramagnetic, XX and gamma < 0 points
@@ -575,7 +599,7 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("gamma, field, T", BREAKDOWN_GRID)
-def test_breakdown_points_skip_dets_once_certified(gamma, field, T, monkeypatch):
+def test_breakdown_points_take_the_fallback_without_dets(gamma, field, T, monkeypatch):
     # the pair matrix breaks down at its first pivot, and Hadamard's bound
     # certifies every class at N = 30 and 50.  Below that the gamma = -1,
     # h/J = 0 point sits at the certificate's edge, and the rings of 6 to 16
@@ -638,6 +662,35 @@ def test_hadamard_products_bound_every_class_det(gamma, field, T):
             assert abs(det) <= products[b, k] * (1.0 + 1e-13), (a, t2, k + 1 - a)
             checked += 1
     assert checked == len(_gap_classes(n))
+
+
+def _orbit_gaps(kern, *orbits):
+    # per orbit, max |det T[S, S] of (t1, t2, t3) - that of orbit(t1, t2,
+    # t3, d)| over every gap class, d = N - t1 - t2 - t3 >= 1, over the
+    # largest |det|
+    n = kern.ensemble.spec.sites
+    classes = [(t1, t2, t3) for t1 in range(1, n) for t2 in range(1, n - t1)
+               for t3 in range(1, n - t1 - t2)]
+    dets = {key: float(d) for keys, ds in _class_dets(kern, classes) for key, d in zip(keys, ds)}
+    scale = max(abs(d) for d in dets.values())
+    return [max(abs(dets[key] - dets[orbit(*key, n - sum(key))]) for key in classes) / scale
+            for orbit in orbits]
+
+
+@pytest.mark.parametrize("sites", (14, 30))
+def test_class_minors_are_invariant_under_the_ring_rotation(sites):
+    # the four gaps (t1, t2, t3, d) close the ring, and rotating the four
+    # sites by one maps class (t1, t2, t3) to (t3, d, t1): same det.  The
+    # dets, one per class, measure within 5.9e-15 of the largest at gamma >=
+    # 0 and 9.7e-14 at gamma < 0; the bounds allow 8x and 10x that.  Swapping
+    # the first two gaps is no symmetry, and moves some det by 0.1 of the
+    # largest or more, so the bound catches a wrong orbit
+    for gamma, field, T in NESTED_GRID:
+        kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=sites, T=T))
+        rotation, swap = _orbit_gaps(kern, lambda t1, t2, t3, d: (t3, d, t1),
+                                     lambda t1, t2, t3, d: (t2, t1, t3))
+        bound = 5e-14 if gamma >= 0 else 1e-12
+        assert rotation <= bound < swap, (gamma, field, T)
 
 
 def test_window_minors_do_not_depend_on_their_stack():
@@ -711,11 +764,10 @@ def _check_whole_point_in_fallback(monkeypatch, kern, label):
     return windows
 
 
-def test_partial_breakdown_takes_dets_for_that_stack_alone(monkeypatch):
+def test_window_stack_breakdown_sends_the_whole_point_to_the_fallback(monkeypatch):
     # a breakdown forced on the fourth window stack at a point where none
-    # breaks down.  The name is kept from when that stack alone took dets;
-    # now the stacks after it are not gathered and the whole point goes to
-    # the fallback, which takes no det
+    # breaks down: the stacks after it are not gathered and the whole point
+    # goes to the fallback, which takes no det
     kern = correlations.kernel(_ens(sites=30))
     monkeypatch.setattr(minors, "_DET_BATCH_ELEMENTS", 5000)
     leading, count = minors._leading_minors, itertools.count()
@@ -783,11 +835,10 @@ def test_nested_quad_sum_keeps_its_bits():
         assert minors._window_sum(_pair_matrix(kern)).hex() == bits, (n, gamma, field, T)
 
 
-def test_pair_matrix_breakdown_sends_later_t1_to_dets(monkeypatch):
+def test_pair_matrix_breakdown_sends_the_whole_point_to_the_fallback(monkeypatch):
     # a breakdown of the pair matrix forced after p = 0, 5 and 20 steps, at
-    # a point where none breaks down.  The name is kept from when the
-    # classes with t3 > p alone went to dets; now no window is gathered and
-    # the whole point goes to the fallback, which takes no det
+    # a point where none breaks down: no window is gathered and the whole
+    # point goes to the fallback, which takes no det
     kern = correlations.kernel(_ens(sites=30))
     for p in (0, 5, 20):
         _break_pair_matrix_after(monkeypatch, kern, p)
@@ -814,9 +865,7 @@ def test_window_breakdown_point_of_the_quartic_sweep(monkeypatch):
 def test_fourth_moment_makes_no_det_calls(monkeypatch):
     kern = correlations.kernel(_ens(sites=50))
     correlations.var_jx(kern)  # fills the pair memo, as a ReadoutPoint does
-    det = np.linalg.det
-    calls = []
-    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(np.shape(a)) or det(a))
+    calls = _count_dets(monkeypatch)
     assert correlations.fourth_moment_from_kernel(kern) == pytest.approx(
         4286944.630758701, rel=1e-10)
     assert calls == []
@@ -835,7 +884,8 @@ def _pair_matrices(sites):
 
 def _assert_halving_equals_scipy_recursion(sites):
     for label, mat in _pair_matrices(sites):
-        assert np.array_equal(minors._halving_minors(mat), _scipy_halving_minors(mat)), label
+        assert np.array_equal(minors._halving_minors(mat.copy()),
+                              _scipy_halving_minors(mat)), label
 
 
 @pytest.mark.parametrize("sites", (4, 50))
@@ -1132,9 +1182,7 @@ def test_qr_pair_sums_exact_at_infinite_temperature():
 
 def test_var_jx_makes_no_det_calls_on_a_real_kernel(monkeypatch):
     kern = correlations.kernel(_ens(sites=300))
-    det = np.linalg.det
-    calls = []
-    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(np.shape(a)) or det(a))
+    calls = _count_dets(monkeypatch)
     assert correlations.var_jx(kern) == pytest.approx(32907.35782295236, rel=1e-13)
     assert correlations.xx_correlation(kern, 299) == kern.xx[299]
     assert calls == []
@@ -1142,9 +1190,7 @@ def test_var_jx_makes_no_det_calls_on_a_real_kernel(monkeypatch):
 
 def test_yy_pairs_make_no_det_calls_on_a_real_kernel(monkeypatch):
     kern = correlations.kernel(_ens(sites=300))
-    det = np.linalg.det
-    calls = []
-    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(np.shape(a)) or det(a))
+    calls = _count_dets(monkeypatch)
     var_y = correlations.var_jy(kern)
     assert var_y == kern.ensemble.spec.sites + correlations._pair_sum(kern.yy)
     assert correlations.yy_correlation(kern, 299) == kern.yy[299]

@@ -1,4 +1,7 @@
-"""The demos and the README's library example run against the package as it is."""
+"""The demos and the README's library example run against the package as it is,
+and the README's layer timings are those of the newest BENCH file."""
+import importlib.util
+import json
 import os
 import pathlib
 import re
@@ -30,3 +33,22 @@ def test_readme_library_block_executes():
     blocks = re.findall(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md (Library)", "exec"), {})
+
+
+def test_readme_layer_timings_are_the_newest_bench_file():
+    # one home for layer timings: the README's block between its markers is
+    # tools/bench_layers.py's table of the newest BENCH_<n>.json, and no
+    # module of the package quotes a BENCH file
+    spec = importlib.util.spec_from_file_location("bench_layers",
+                                                  ROOT / "tools" / "bench_layers.py")
+    bench_layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_layers)
+    newest = max(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("<!-- layer-timings -->\n")
+    assert len(blocks) == 3
+    assert blocks[1] == bench_layers.readme_table(
+        json.loads(newest.read_text(encoding="utf-8")), newest.name)
+    quoting = [path.name for path in (ROOT / "src" / "xythermo").glob("*.py")
+               if "BENCH_" in path.read_text(encoding="utf-8")]
+    assert quoting == []

@@ -253,7 +253,7 @@ def test_snr_against_independent_derivative_of_dense_moments():
     assert point.snr_varjx == pytest.approx(slope**2 * T**2 / noise, rel=1e-9)
 
 
-def test_sensitivity_report_bundles_and_normalizes():
+def test_readout_point_snrs_match_the_standalone_functions():
     # one point bundles the ceiling and both readouts, each the slope^2 over
     # noise that the standalone functions give
     spec = ChainSpec(gamma=1.0, field_ratio=0.2, sites=8)
@@ -269,7 +269,7 @@ def test_sensitivity_report_bundles_and_normalizes():
         correlations.mean_jz_slope(ens) ** 2 / correlations.var_jz(ens), rel=1e-12)
 
 
-def test_report_snrs_vanish_toward_zero_temperature():
+def test_readout_point_snrs_vanish_toward_zero_temperature():
     spec = ChainSpec(gamma=1.0, field_ratio=0.3, sites=8)
     point = ReadoutPoint(thermometry.ensemble(spec, 0.02), FaradaySetup())
     assert point.snr_crb < 1e-15

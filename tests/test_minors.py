@@ -41,11 +41,12 @@ def _halving_cases(n, rng):
 
 def _assert_stacks_are_their_rows(cases):
     # the cases as one (B, n, n) stack, and the same stack with one more
-    # leading axis: each row is bit-identical to its matrix's own 2-D call
-    alone = {name: minors._halving_minors(a) for name, a in cases.items()}
+    # leading axis: each row is bit-identical to its matrix's own 2-D call.
+    # The halving overwrites its input, so each call gets a copy
+    alone = {name: minors._halving_minors(a.copy()) for name, a in cases.items()}
     stack = np.stack(list(cases.values()))
-    for got in (minors._halving_minors(stack),
-                minors._halving_minors(stack.reshape(1, *stack.shape))[0]):
+    for got in (minors._halving_minors(stack.copy()),
+                minors._halving_minors(stack.reshape(1, *stack.shape).copy())[0]):
         assert got.shape == stack.shape[:-1]
         for name, row in zip(cases, got):
             assert np.array_equal(row, alone[name]), name
@@ -113,7 +114,7 @@ def test_halving_minors_equal_the_scipy_lapack_recursion_bitwise(n):
     rng = np.random.default_rng(n)
     cases = _halving_cases(n, rng)
     for name, a in cases.items():
-        assert np.array_equal(minors._halving_minors(a), _scipy_halving_minors(a)), name
+        assert np.array_equal(minors._halving_minors(a.copy()), _scipy_halving_minors(a)), name
     _assert_stacks_are_their_rows(cases)
 
 

@@ -70,7 +70,10 @@ the store of Schur-complement snapshots that <J_x^4> keeps per point and
 the bytes of the plan of Schur windows it builds once per ring size,
 recorded as ``correlations.fourth_moment_from_kernel`` at a regular
 point asks ``_window_plan`` for it, so that every tree is measured
-through its own call.
+through its own call.  The run ends by printing the last tree's rows as
+the README's layer-timings block (``readme_table``), which goes between
+the README's ``<!-- layer-timings -->`` markers when the file is
+committed.
 """
 from __future__ import annotations
 
@@ -296,6 +299,31 @@ def _blas() -> dict:
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
+def readme_table(bench: dict, name: str) -> str:
+    """The README's layer-timings block: one Markdown row per grid key of bench's last tree.
+
+    bench is the JSON that main writes, name the file it was read from;
+    each row gives the median and the min-max range of the per-call ref
+    times over the repetitions, and the median minor page faults.
+    """
+    tree = list(bench["median_ref"])[-1]
+    medians, lows, highs = (bench[stat][tree] for stat in ("median_ref", "min_ref", "max_ref"))
+    faults = bench["median_minor_faults"][tree]
+    lines = [f"Per-call times in ref units (one call of the benchmark's fixed speed probe, "
+             f"about 1 ms) from `{name}`, tree `{tree}`: the median and range over "
+             f"{bench['reps']} repetitions, each the median of {bench['calls']} calls; "
+             f"{bench['nproc']} cores ({bench['machine']}), {bench['blas']} "
+             f"{bench['blas_version']} with OPENBLAS_NUM_THREADS={bench['blas_threads']}, "
+             f"numpy {bench['numpy']}, Python {bench['python']}.",
+             "",
+             "| layer, N (gamma, h/J, T) and point | median ref | min–max ref | minor faults |",
+             "|---|---|---|---|"]
+    for key, median in medians.items():
+        fault = "–" if faults[key] is None else f"{faults[key]:g}"
+        lines.append(f"| {key} | {median:.3g} | {lows[key]:.3g}–{highs[key]:.3g} | {fault} |")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
@@ -370,6 +398,7 @@ def main(argv=None) -> int:
         worst = max(diffs, key=diffs.get)
         print(f"{label:>8}  largest relative difference of a value from tree "
               f"{next(iter(trees))}: {diffs[worst]:.3g} ({worst})")
+    print(readme_table(result, os.path.basename(args.out)), end="")
     return 0
 
 
