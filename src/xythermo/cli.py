@@ -18,13 +18,14 @@ thread count.  Wall-clock time and progress go to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,76 +235,68 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     if cfg.command in _SWEEPS:
         if any(not 0 < t < math.inf for t in cfg.temp):
             raise ConfigError("temperatures must be finite and > 0")
-        setup = faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
-                                     include_shot_noise=cfg.shot_noise)
-        if cfg.shot_noise and not math.isfinite(setup.shot_noise_floor(cfg.sites)):
+        # the one probe setup of the sweep, which _sweep reads
+        cfg.setup = faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
+                                         include_shot_noise=cfg.shot_noise)
+        if cfg.shot_noise and not math.isfinite(cfg.setup.shot_noise_floor(cfg.sites)):
             raise ConfigError(f"kappa {cfg.kappa} puts the shot-noise floor N/(2 kappa^2) "
                               f"past the float range at {cfg.sites} sites")
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _note(text: str) -> None:
+    # stderr is best-effort: a line that cannot be written there changes
+    # neither the table nor the exit code.  With fd 2 closed at start-up
+    # sys.stderr is None, and print would send the line to stdout
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(text, file=sys.stderr, flush=True)
 
 
-class _Emitter:
-    """Streams one table to a file or stdout; CSV row-by-row, JSON at close."""
+def _write_table(cfg: argparse.Namespace, columns: list[str],
+                 rows: Iterable[list[float]]) -> None:
+    """Write one table to --out or stdout: CSV row by row, JSON as one document.
 
-    def __init__(self, cfg: argparse.Namespace, columns: list[str]):
-        self.cfg = cfg
-        self.columns = columns
-        self.rows: list[list[float]] = []
-        try:
-            self.fh = sys.stdout if cfg.out == "-" else open(cfg.out, "w")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {cfg.out}: {exc}") from None
+    A row with a non-finite value is refused.  When rows raises, the JSON
+    document is still written, with the rows before the failure.
+    """
+    try:
+        fh = sys.stdout if cfg.out == "-" else open(cfg.out, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.out}: {exc}") from None
+    json_rows: list[list[float]] = []
+    try:
         if cfg.format == "csv":
-            self.fh.write(",".join(columns) + "\n")
-            self.fh.flush()
-
-    def row(self, values: list[float]) -> None:
-        for v in values:
-            if not math.isfinite(v):
+            fh.write(",".join(columns) + "\n")
+            fh.flush()
+        for values in rows:
+            if not all(map(math.isfinite, values)):
                 raise faraday.NoiseUnderflowError(f"non-finite value in output row {values}")
-        if self.cfg.format == "csv":
-            self.fh.write(",".join(_fmt(v) for v in values) + "\n")
-            self.fh.flush()
-        else:
-            self.rows.append([float(v) for v in values])
-
-    def close(self) -> None:
-        if self.cfg.format == "json":
-            doc = {
-                "metadata": {
-                    "version": __version__,
-                    "command": self.cfg.command,
-                    "config": {name: getattr(self.cfg, name)
-                               for name, opt in _options(self.cfg.command).items() if opt.echo},
-                },
-                "columns": self.columns,
-                "rows": self.rows,
-            }
-            json.dump(doc, self.fh, indent=2)
-            self.fh.write("\n")
-        if self.fh is not sys.stdout:
-            self.fh.close()
-        else:
-            self.fh.flush()
+            if cfg.format == "csv":
+                fh.write(",".join(repr(float(v)) for v in values) + "\n")
+                fh.flush()
+            else:
+                json_rows.append([float(v) for v in values])
+    finally:
+        if cfg.format == "json":
+            config = {name: getattr(cfg, name)
+                      for name, opt in _options(cfg.command).items() if opt.echo}
+            metadata = {"version": __version__, "command": cfg.command, "config": config}
+            fh.write(json.dumps({"metadata": metadata, "columns": columns, "rows": json_rows},
+                                indent=2) + "\n")
+        fh.flush() if fh is sys.stdout else fh.close()
 
 
 def cmd_dispersion(cfg: argparse.Namespace) -> int:
-    columns = ["gamma", "field_ratio", "momentum", "energy", "gap"]
-    emitter = _Emitter(cfg, columns)
-    try:
+    def rows():
         for g in cfg.gamma:
             for f in cfg.field:
                 spec = ChainSpec(gamma=g, field_ratio=f, sites=cfg.sites)
-                mt = mode_table(spec)
-                gap = energy_gap(spec)
+                mt, gap = mode_table(spec), energy_gap(spec)
                 for k, e in zip(mt.momenta, mt.energies):
-                    emitter.row([g, f, float(k), float(e), gap])
-    finally:
-        emitter.close()
+                    yield [g, f, float(k), float(e), gap]
+
+    _write_table(cfg, ["gamma", "field_ratio", "momentum", "energy", "gap"], rows())
     return EXIT_OK
 
 
@@ -335,15 +328,13 @@ def _read_partial_csv(path: str, columns: list[str]) -> dict[tuple, list[float]]
 
 def _sweep(cfg: argparse.Namespace, columns: list[str],
            row: Callable[[faraday.ReadoutPoint], list[float]]) -> int:
-    # one row per grid point, its coordinates then row(point): one probe setup
-    # per sweep, one ReadoutPoint per point; --resume reuses a partial CSV
+    # one row per grid point, its coordinates then row(point): one ReadoutPoint
+    # per point, on the probe setup _resolve built; --resume reuses a partial CSV
     points = [(g, f, t) for g in cfg.gamma for f in cfg.field for t in cfg.temp]
-    setup = faraday.FaradaySetup(kappa=cfg.kappa, modulation=cfg.modulation,
-                                 include_shot_noise=cfg.shot_noise)
 
     def compute(g: float, f: float, t: float) -> list[float]:
         spec = ChainSpec(gamma=g, field_ratio=f, sites=cfg.sites)
-        return [g, f, t] + row(faraday.ReadoutPoint(thermometry.ensemble(spec, t), setup))
+        return [g, f, t] + row(faraday.ReadoutPoint(thermometry.ensemble(spec, t), cfg.setup))
 
     cached = _read_partial_csv(cfg.out, columns) if getattr(cfg, "resume", False) else {}
     # the header does not record the sites or the probe options, so the first
@@ -354,13 +345,13 @@ def _sweep(cfg: argparse.Namespace, columns: list[str],
         stale = True
     if stale:
         raise ConfigError(f"--resume: {cfg.out} holds rows computed with other options")
-    emitter = _Emitter(cfg, columns)
-    try:
-        for done, (g, f, t) in enumerate(points, start=1):
-            emitter.row(cached.get((g, f, t)) or compute(g, f, t))
-            print(f"{cfg.command}: {done}/{len(points)}", file=sys.stderr, flush=True)
-    finally:
-        emitter.close()
+
+    def rows():
+        for done, p in enumerate(points, start=1):
+            yield cached.get(p) or compute(*p)
+            _note(f"{cfg.command}: {done}/{len(points)}")
+
+    _write_table(cfg, columns, rows())
     return EXIT_OK
 
 
@@ -516,22 +507,26 @@ def main(argv=None) -> int:
         if args.command == "validate":
             code = cmd_validate()
         else:
-            handler = {"dispersion": cmd_dispersion, "phase-diagram": cmd_phase_diagram,
-                       "tscan": cmd_tscan}[args.command]
-            code = handler(_resolve(args))
+            args = _resolve(args)  # its --out is what the OSError branch names
+            code = {"dispersion": cmd_dispersion, "phase-diagram": cmd_phase_diagram,
+                    "tscan": cmd_tscan}[args.command](args)
     except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_CONFIG
     except faraday.NoiseUnderflowError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _note(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
-    except BrokenPipeError:
-        # the reader of stdout closed it: stop at the first failed write,
-        # and point stdout at os.devnull, so that the interpreter's flush at
-        # exit does not fail on what is still buffered
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # a write of the table failed: stop there, quietly if the reader of
+        # stdout closed it.  A failed stdout is pointed at os.devnull, so that
+        # the interpreter's flush at exit does not fail on what is still buffered
+        out = getattr(args, "out", "-")
+        if not isinstance(exc, BrokenPipeError):
+            _note(f"error: cannot write {'stdout' if out == '-' else out}: {exc}")
+        if out == "-":
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    print(f"wall time: {time.perf_counter() - start:.3f}s", file=sys.stderr)
+    _note(f"wall time: {time.perf_counter() - start:.3f}s")
     return code
 
 

@@ -167,6 +167,67 @@ def test_closed_output_pipe_exits_1_without_a_traceback():
     assert "tscan: 200/200" not in stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_table_write_exits_1_with_one_line():
+    # --out on a full device, as CSV and as a JSON document written at the
+    # end, and stdout redirected to one
+    for args, out in ((("tscan", "--temp", "0.3", "--out", "/dev/full"), "/dev/full"),
+                      (("dispersion", "--format", "json", "--out", "/dev/full"), "/dev/full"),
+                      (("tscan", "--temp", "0.3"), "stdout")):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(CMD + list(args) + ["--sites", "4"], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=subprocess_env())
+        assert proc.returncode == 1, (args, proc.stderr)
+        assert proc.stderr.splitlines() == [
+            f"error: cannot write {out}: [Errno 28] No space left on device"], args
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_out_write_leaves_the_callers_stdout_alone(capsys):
+    # in-process, a failed --out ends main with 1 and leaves sys.stdout,
+    # which it did not write, as it was (capsys's stand-in has no fileno)
+    assert cli.main(["tscan", "--temp", "0.3", "--sites", "4", "--out", "/dev/full"]) == 1
+    print("still here")
+    captured = capsys.readouterr()
+    assert captured.out == "still here\n"
+    assert captured.err.startswith("error: cannot write /dev/full: ")
+
+
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+def test_unwritable_stderr_changes_neither_table_nor_exit_code(tmp_path, stderr):
+    # fd 2 closed before the interpreter starts leaves sys.stderr None; fd 2
+    # open for reading fails every progress and wall-time write with EBADF
+    for args in (("tscan", "--temp", "0.3:0.5:2"), ("dispersion",)):
+        args += ("--sites", "4")
+        want = run_cli(*args).stdout
+        path = tmp_path / "table.csv"
+        for out in ((), ("--out", str(path))):
+            with open(os.devnull, "rb") as read_only:
+                proc = subprocess.run(
+                    CMD + list(args + out), stdout=subprocess.PIPE, text=True,
+                    env=subprocess_env(),
+                    stderr=read_only if stderr == "read-only" else None,
+                    preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None)
+            assert proc.returncode == 0, (args, out)
+            assert (path.read_text() if out else proc.stdout) == want, (args, out)
+
+
+def test_failing_sweep_keeps_the_rows_before_it():
+    # the varjx noise variance is 0 at T = 0.01: the sweep exits 3 there,
+    # and the CSV and the JSON document both hold the two rows before it
+    args = ("tscan", "--gamma", "1", "--field", "0", "--temp", "1:0.01:3:log", "--sites", "6",
+            "--obs", "varjx")
+    csv_run, json_run = run_cli(*args), run_cli(*args, "--format", "json")
+    assert csv_run.returncode == json_run.returncode == 3
+    assert "numerical failure: varjx noise variance 0.0 at T=0.01" in csv_run.stderr
+    header, rows = parse_csv(csv_run.stdout)
+    assert header[-1] == "snr_varjx"
+    assert [row[2] for row in rows] == [1.0, 0.1]
+    doc = json.loads(json_run.stdout)
+    assert doc["columns"] == header
+    assert doc["rows"] == rows
+
+
 def test_progress_and_wall_time_on_stderr_only(tmp_path):
     path = tmp_path / "pd.csv"
     proc = run_cli("phase-diagram", "--gamma", "1", "--field", "0:1:2",

@@ -4,7 +4,8 @@ For each tree, one fresh process with BLAS pinned to one thread runs a
 fixed list of command lines through ``xythermo.cli.main`` and records the
 sha256 of each run's stdout, its stderr lines but for progress
 (``<command>: i/n``) and ``wall time:``, so that a refused sweep is
-compared by its message, and its exit code: round 0 of each
+compared by its message (with the tree's path, which a warning names,
+written ``<src>``), and its exit code: round 0 of each
 ``sweepbench`` workload at seeds 411, 415 and 416, the README
 ``dispersion``, ``tscan`` (100 sites) and phase diagram, ``dispersion``
 and ``tscan`` as JSON, a phase diagram with every probe option, the same
@@ -13,7 +14,10 @@ overriding the file), the plateau sweep, which exits 3 partway, two
 sweeps whose <J_x^4> takes orthogonal minors for every gap class (a
 point at N = 50 where one stack of Schur windows breaks down, 576
 contraction matrices, and the gamma = -1, h/J = 0 line at N = 14, 36
-matrices at each of its three coldest temperatures), and ``validate``.
+matrices at each of its three coldest temperatures), a JSON sweep that
+exits 3 at its last point, whose document keeps the rows before it, a
+``dispersion`` whose rows overflow and are refused after the header, and
+``validate``.
 Each mismatch with the first tree is printed, and the exit code is 1 if
 there is any.  Where both outputs are tables (CSV, or JSON with columns
 and rows) of the same shape, each numeric column that moved is printed
@@ -59,6 +63,9 @@ EXTRA = {
                         "--temp 0.05 --sites 50 --obs crb,varjx,meanjz",
     "fallback minors": "tscan --gamma -1 --field 0 --temp 0.05:5:6:log --sites 14 "
                        "--obs crb,varjx,meanjz",
+    "failing json sweep": "tscan --gamma 1 --field 0 --temp 1:0.01:3:log --sites 6 --obs varjx "
+                          "--format json",
+    "non-finite dispersion": "dispersion --field 1e308 --sites 4",
     "validate": "validate",
 }
 # the probe-options sweep as a file: every axis form, an obs list, a switch and two choices
@@ -115,9 +122,11 @@ def _moves(table: dict[str, list[float]], base: dict[str, list[float]]) -> list[
 
 def _run_all(tmp: str) -> dict[str, tuple[str, int, dict | None, list[str]]]:
     # (sha256 of stdout, exit code, numeric columns, compared stderr lines)
-    # of every run, with the tree on sys.path
+    # of every run, with the tree on sys.path; a warning names its source
+    # file by path, so the tree's own path is written <src>
     from xythermo import cli
 
+    src = os.path.dirname(os.path.dirname(cli.__file__))
     config = os.path.join(tmp, "sweep.json")
     with open(config, "w") as fh:
         json.dump(CONFIG, fh)
@@ -130,7 +139,7 @@ def _run_all(tmp: str) -> dict[str, tuple[str, int, dict | None, list[str]]]:
             except SystemExit as exc:
                 code = exc.code
         text = out.getvalue()
-        stderr = [line for line in err.getvalue().splitlines()
+        stderr = [line.replace(src, "<src>") for line in err.getvalue().splitlines()
                   if not UNCOMPARED_STDERR.match(line)]
         results[name] = (hashlib.sha256(text.encode()).hexdigest(), code, _table(text), stderr)
     return results
