@@ -46,14 +46,16 @@ costs per call is in the README's layer-timings table.
 The <J_x^4> sum needs one such determinant per gap class (t1, t2, t3) of
 the four sites, about N^3/12 of them.  Each is a principal minor of the
 same pair matrix T, on the sites [0, t1) u [t1+t2, t1+t2+t3), and the
-reversed class (t3, t2, t1) has the same determinant, so only t1 <= t3 is
-summed.  Read from the reversed class, by Schur's determinant formula, it
+reversed class (t3, t2, t1) has the same determinant, and so has the
+class (t3, d, t1) of the four sites rotated round the ring, d = N - t1 -
+t2 - t3, so only t1 <= t3 and t2 <= d are summed, each for its whole
+orbit.  Read from the reversed class, by Schur's determinant formula, it
 is the pair correlator c(t3) times the leading t1 x t1 minor of the window
 Sigma_t3[t2:, t2:] of the Schur complement that t3 steps of elimination of
 T leave behind, and c(t3) is the product of those t3 pivots.  One O(N^3)
 elimination of T therefore serves every class, and for fixed (t3, t2)
 every t1 is a leading minor of the window's leading block of order
-min(t3, N-1-t3-t2), which one elimination without row exchanges gives as
+min(t3, N-t3-2 t2), which one elimination without row exchanges gives as
 products of its pivots: O(N^5) flops for the sum instead of the O(N^6) of
 one det per class.  The whole sum is one call of the minors module
 (minors._gap_class_sum), which takes T and the tolerance below which the
@@ -436,22 +438,25 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     summed, each class read from its reverse: S' = F u W, F = [0, t3), W =
     [t3+t2, t3+t2+t1).  By Schur's determinant formula that det is c(t3) *
     det Sigma_t3[W, W], with c(t3) = det T[F, F] the pair correlator, and
-    W is the leading t1 x t1 block of the window Sigma_t3[t2:, t2:].  As
-    t1 <= min(t3, N-1-t3-t2), the window is needed only to that order, and
-    one elimination of its leading block of that order gives every t1 of
-    its (t3, t2): the quotient property of Schur complements (Crabtree &
-    Haynsworth, 1969) makes the window's own elimination continue that of
-    T.  So one elimination of T, kept for N-3 steps, gives every Sigma_t3,
-    1128 windows at N = 50, and the whole sum is one call of the minors
-    engine, minors._gap_class_sum, which takes T and a tolerance: O(N^5)
-    flops (timed in the README's layer-timings table).  Reading each class
-    from its smaller outer gap t1
-    instead, as c(t1) times a minor of order t3 of Sigma_t1[t2:, t2:],
-    eliminates every window whole: 576 windows at N = 50, but 7.1 times
-    the flops, and at the four gamma < 0 points of
+    W is the leading t1 x t1 block of the window Sigma_t3[t2:, t2:].
+    Rotating the four sites round the ring by one maps class (t1, t2, t3)
+    to (t3, d, t1), d = N - t1 - t2 - t3, with the same det, so only t2 <=
+    d is read, and a class with t2 < d counts for its partner (t1, d, t3)
+    too.  As t1 <= min(t3, N-t3-2 t2), the window is needed only to that
+    order, and one elimination of its leading block of that order gives
+    every t1 of its (t3, t2): the quotient property of Schur complements
+    (Crabtree & Haynsworth, 1969) makes the window's own elimination
+    continue that of T.  So one elimination of T, kept for N-3 steps,
+    gives every Sigma_t3, 576 windows at N = 50 (1128 with every t2 read),
+    and the whole sum is one call of the minors engine,
+    minors._gap_class_sum, which takes T and a tolerance: O(N^5) flops
+    (timed in the README's layer-timings table).  Reading each class from
+    its smaller outer gap t1 instead, as c(t1) times a minor of order t3 of
+    Sigma_t1[t2:, t2:], eliminates every window whole: 576 windows at N =
+    50 too, but 13.5 times the flops, and at the four gamma < 0 points of
     test_nested_minors_near_the_negative_gamma_critical_line, N = 50, it
-    was 1.2e-10 to 8.9e-10 of <J_x^4> off, where this order is 8.7e-14 to
-    3.2e-11 off.
+    was 1.2e-10 to 8.9e-10 of <J_x^4> off, where this order is 1.9e-13 to
+    2.9e-11 off.
 
     c(t3) is the product of the first t3 pivots of that elimination of T:
     Schur's formula in the elimination's own arithmetic.  The kernel's
@@ -491,10 +496,10 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     Accuracy, measured against the pivoted one-det-per-gap-class sum at
     N = 50: over the 186 distinct points of round 0 of tscan-quartic at
     seeds 4 and 11 the quadruple sums differ by at most 1.9e-15 of <J_x^4>
-    at gamma >= 0 (102 points) and by up to 1.21e-10 at gamma < 0 (84
+    at gamma >= 0 (102 points) and by up to 1.20e-10 at gamma < 0 (84
     points, worst at (-1, 1, 0.7924), the only one above 1e-11).  On a 7 x
     7 grid of gamma in [-0.979, -0.973], h/J in [0.382, 0.388] at T =
-    0.3155 the median is 1.7e-13 and the largest 7.2e-13.  Neither sample
+    0.3155 the median is 1.8e-13 and the largest 6.9e-13.  Neither sample
     bounds the gamma < 0 error.  It comes from
     elimination without row exchanges, whose upper factor can grow by up
     to 1e17 near that critical line (about 1 at gamma > 0) while no

@@ -44,22 +44,29 @@ one for the whole sum.
 The windows (_window_sum) come first.  By Schur's determinant formula
 class (t1, t2, t3), read from its reverse, is c(t3) = det T[:t3, :t3]
 times a leading minor of the window Sigma_t3[t2:, t2:] of the Schur
-complement that t3 steps of elimination of T leave behind.  One
-elimination of T, kept as its N-3 snapshots (_schur_snapshots), gives
-every window and every c(t3); one elimination without row exchanges of a
-window's leading block (_leading_minors) gives every minor of it as
-products of its pivots: O(N^5) flops for the sum instead of the O(N^6) of one det per
-class, and by a (2/3) k^3 flop count 7.1 (N = 50) to 7.4 (N = 200) times
-fewer than reading each class from its smaller outer gap, whose windows
-must be eliminated whole.  The windows are eliminated in stacks, each at
-a panel-aligned offset in an identity matrix, so that no flop goes to
-the identity before a window and a window's pivots do not depend on its
-stack.  Which windows there are, how they are stacked, where each row of
-a stack is gathered from and how each minor is weighted depend on N
-alone: they are planned once per ring size (_window_plan), and a point
-takes the elimination of T, then one gather (_window_stack) and one
-elimination per stack; the README's layer-timings table gives what
-<J_x^4> costs that way.
+complement that t3 steps of elimination of T leave behind.  Every class
+of a ring-rotation orbit {(t1, t2, t3), (t3, t2, t1), (t3, d, t1), (t1,
+d, t3)}, d = N - t1 - t2 - t3 the gap that closes the ring, has the same
+minor, so only the representative t1 <= t3, t2 <= d is read, weighted
+for its whole orbit: window (t3, t2) is needed to order
+min(t3, N - t3 - 2 t2), and there are 576 windows at N = 50, 2401 at
+N = 100 and 9801 at N = 200.  One elimination of T, kept as its N-3 snapshots
+(_schur_snapshots), gives every window and every c(t3); one elimination
+without row exchanges of a window's leading block (_leading_minors)
+gives every minor of it as products of its pivots: O(N^5) flops for the
+sum instead of the O(N^6) of one det per class.  By a (2/3) k^3 flop
+count that is 1.9 (N = 50) to 2.0 (N = 200) times fewer than reading
+every t2 of each t3, and 13.5 to 14.6 times fewer than reading each
+class from its smaller outer gap, whose windows must be eliminated
+whole.  The windows are eliminated in stacks, each at a panel-aligned
+offset in an identity matrix, so that no flop goes to the identity
+before a window and a window's pivots do not depend on its stack.  Which
+windows there are, how they are stacked, where each row of a stack is
+gathered from and how each minor is weighted depend on N alone: they are
+planned once per ring size (_window_plan), and a point takes the
+elimination of T, then one gather (_window_stack) and one elimination
+per stack; the README's layer-timings table gives what <J_x^4> costs
+that way.
 
 Where any elimination, of T or of a window stack, breaks down on a pivot
 that is zero to working precision, the whole sum goes to _fallback_sum.
@@ -89,7 +96,8 @@ from .spectrum import _read_only
 # t2 that _fallback_sum bounds and, failing that, minors.
 # The cap has this one owner, so that the plan and the fallback's chunks
 # follow one value.  Chosen by timing the windows of order min(t3,
-# N-1-t3-t2), medians at (1, 0.5, 0.3) and (-0.977, 0.386, 0.3155):
+# N-1-t3-t2), every t2 of each t3 (before each ring-rotation orbit was read
+# once), medians at (1, 0.5, 0.3) and (-0.977, 0.386, 0.3155):
 # 100k-400k entries time alike at N = 50 (600k is 10 % slower), 200k-400k
 # at N = 100 (100k is 10 % and 600k 25 % slower), and 300k-600k at N =
 # 200 (200k is 10 % and 100k 30 % slower).  The fallback's stacks keep the
@@ -365,17 +373,17 @@ class _WindowStack:
     _schur_snapshots: a window row runs on along its row of Sigma_t3 (into
     the next row, or the next snapshot) past column offsets[i] + k, every
     other row is a row of the identity at the end of the store.
-    weights[i, q - 1] weights stack minor q as class (q - offsets[i], t2,
-    t3), and 0 outside offsets[i] < q <= offsets[i] + k.  The columns a
-    window row runs on into are gathered as they are, and that is safe:
-    they feed only stack minors past the window's own order, which have
-    class weight 0, and the identity rows below a window carry multipliers
-    that are exactly 0, so their pivots stay exactly 1 while those columns
-    stay finite.  The store they come from is finite wherever
-    _schur_snapshots returns it; should the elimination carry one of them
-    past the float range, 0 times it makes the pivot of the identity row
-    of its column NaN, and the stack breaks down rather than give a wrong
-    minor.
+    weights[i, q - 1] weights stack minor q as the ring-rotation orbit of
+    class (q - offsets[i], t2, t3), and 0 outside offsets[i] < q <=
+    offsets[i] + k.  The columns a window row runs on into are gathered
+    as they are, and that is safe: they feed only stack minors past the
+    window's own order, which have class weight 0, and the identity rows
+    below a window carry multipliers that are exactly 0, so their pivots
+    stay exactly 1 while those columns stay finite.  The store they come
+    from is finite wherever _schur_snapshots returns it; should the
+    elimination carry one of them past the float range, 0 times it makes
+    the pivot of the identity row of its column NaN, and the stack
+    breaks down rather than give a wrong minor.
     Everything in it depends on N alone, and its arrays are read-only.
     """
 
@@ -398,7 +406,9 @@ def _class_weights(n: int, t1, t2, t3) -> np.ndarray:
 def _plan_stack(n: int, t3: np.ndarray, t2: np.ndarray, order: np.ndarray,
                 offsets: np.ndarray, m: int) -> _WindowStack:
     # the stack of the windows (t3, t2) of the given orders at the given
-    # offsets, each minor weighted as its gap class (_class_weights)
+    # offsets, minor j weighted as its gap class (j, t2, t3) (_class_weights)
+    # and, where t2 < d = N - j - t2 - t3, as its rotated partner (j, d, t3)
+    # too; a class with d < t2 is read in the orbit of another window
     _, ends = _snapshot_layout(n)
     local = np.arange(m) - offsets[:, None]
     size = n - 1 - t3
@@ -406,8 +416,10 @@ def _plan_stack(n: int, t3: np.ndarray, t2: np.ndarray, order: np.ndarray,
                     (ends[t3 - 1] - size * size + t2 * size + t2 - offsets)[:, None]
                     + local * size[:, None],
                     ends[-1] + (n - 2) - np.arange(m))
-    j = np.arange(1, m + 1) - offsets[:, None]
-    weights = _class_weights(n, j, t2[:, None], t3[:, None]) * (j > 0)
+    j, b, c = np.arange(1, m + 1) - offsets[:, None], t2[:, None], t3[:, None]
+    d = n - j - b - c
+    weights = (_class_weights(n, j, b, c) * (b <= d)
+               + _class_weights(n, j, d, c) * (b < d)) * (j > 0)
     return _WindowStack(*_read_only(t3, t2, offsets), m, _read_only(rows)[0],
                         _read_only(weights)[0])
 
@@ -416,19 +428,24 @@ def _plan_stack(n: int, t3: np.ndarray, t2: np.ndarray, order: np.ndarray,
 def _window_plan(n: int, cap: int) -> tuple[_WindowStack, ...]:
     """The stacks of Schur windows of the quadruple sum at N = n, built once per ring size.
 
-    The windows (t3, t2) of every outer gap t3, of order min(t3,
-    N-1-t3-t2), go largest first, in stacks of at most cap entries sized
-    by the first, largest window; each window sits in the identity at the
-    largest multiple of _PANEL that leaves it room.  None of it reads a
-    kernel, so a sweep at fixed N builds the plan for its first point only
-    (0.30 MB at N = 50, 1.6 at N = 100, 11 at N = 200, below the store of
-    snapshots); the cap is passed in, _DET_BATCH_ELEMENTS, so that the plan
-    follows it.  The plan applies the weights of the gap classes
-    (_class_weights) to every minor of every stack once.
+    Each gap class is read once per ring-rotation orbit, from its
+    representative t1 <= t3, t2 <= d = N - t1 - t2 - t3, so window (t3,
+    t2) is needed to order min(t3, N - t3 - 2 t2) and windows of order
+    below 1 are left out: 576 windows at N = 50, 2401 at N = 100, 9801 at
+    N = 200, about half of those of every t2.  They go largest first, in
+    stacks of at most cap entries sized by the first, largest window; each
+    window sits in the identity at the largest multiple of _PANEL that
+    leaves it room.  None of it reads a kernel, so a sweep at fixed N
+    builds the plan for its first point only (0.22 MB at N = 50, 0.93 at
+    N = 100, 5.8 at N = 200, below the store of snapshots); the cap is
+    passed in, _DET_BATCH_ELEMENTS, so that the plan follows it.  The plan
+    applies the weights of the orbits (see _plan_stack) to every minor of
+    every stack once; over the plan they add up to C(N, 4).
     """
-    t3, t2 = np.nonzero(np.add.outer(np.arange(n - 3), np.arange(n - 3)) <= n - 4)
+    # (t3 - 1) + 2 (t2 - 1) <= N - 4: order N - t3 - 2 t2 >= 1
+    t3, t2 = np.nonzero(np.add.outer(np.arange(n - 3), 2 * np.arange(n - 3)) <= n - 4)
     t3, t2 = t3 + 1, t2 + 1
-    order = np.minimum(t3, n - 1 - t3 - t2)
+    order = np.minimum(t3, n - t3 - 2 * t2)
     rank = np.argsort(-order, kind="stable")
     t3, t2, order = t3[rank], t2[rank], order[rank]
     stacks, start = [], 0
@@ -460,7 +477,8 @@ def _window_sum(block: np.ndarray) -> float | None:
     block is the pair matrix T of order N-1 (see _schur_snapshots).
     Class (t1, t2, t3), t1 <= t3, is c(t3) times the leading minor of
     order t1 of the window Sigma_t3[t2:, t2:], and the sum is over every
-    class of the plan (_window_plan) with its weight (_class_weights).
+    class of the plan (_window_plan), t2 <= d, with the weight of its
+    ring-rotation orbit.
     c(t3) is the product of the first t3 pivots of the elimination of T,
     T[0, 0] and the first entries Sigma_t[0, 0] of the snapshots: Schur's
     formula in the elimination's own arithmetic.  A point takes the
@@ -561,16 +579,19 @@ def _fallback_sum(block: np.ndarray, tolerance: float) -> float:
 def _gap_class_sum(block: np.ndarray, tolerance: float) -> float:
     """Sum over gap classes (t1, t2, t3) of T's principal minors on [0, t1) u [t1+t2, t1+t2+t3).
 
-    block is the Toeplitz matrix T of order N-1, and each minor is
-    weighted by how many index sets of [0, N) have its gaps
-    (_class_weights), the class (t3, t2, t1) counted with (t1, t2, t3),
-    whose minor is the same for a Toeplitz T.  The windows take it
-    (_window_sum); wherever any of their eliminations breaks down, the
-    whole sum goes to _fallback_sum instead, which returns 0 if Hadamard's
-    bound times _ROUNDING_MARGIN is at most tolerance, and otherwise
-    takes orthogonal minors for every class.  A sum is never split between
-    the two routes: the windows that do not break down at a point where
-    one stack does can be far less accurate than the fallback.
+    block is the Toeplitz matrix T of order N-1, and each minor is weighted
+    by how many index sets of [0, N) have its gaps (_class_weights), the
+    class (t3, t2, t1) counted with (t1, t2, t3), whose minor is the
+    same for a Toeplitz T.  The windows take it (_window_sum), reading
+    each ring-rotation orbit once: the rotated class (t3, d, t1),
+    d = N - t1 - t2 - t3, has the same minor too, so 576 windows serve
+    N = 50 (see _window_plan).  Wherever any of their eliminations breaks down,
+    the whole sum goes to _fallback_sum instead, which returns 0 if
+    Hadamard's bound times _ROUNDING_MARGIN is at most tolerance, and
+    otherwise takes orthogonal minors for every class.  A sum is never
+    split between the two routes: the windows that do not break down at
+    a point where one stack does can be far less accurate than the
+    fallback.
     """
     total = _window_sum(block)
     return _fallback_sum(block, tolerance) if total is None else total

@@ -118,7 +118,9 @@ def dispersion(spec: ChainSpec, k):
     """
     k = np.asarray(k, dtype=float)
     lam = spec.field_ratio
-    e = 2.0 * np.hypot(np.cos(k) - lam, spec.gamma * np.sin(k))
+    # an energy past the float range is inf, and needs no warning
+    with np.errstate(over="ignore"):
+        e = 2.0 * np.hypot(np.cos(k) - lam, spec.gamma * np.sin(k))
     return float(e) if e.ndim == 0 else e
 
 

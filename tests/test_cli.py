@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -399,6 +400,19 @@ def test_numerical_failure_exits_three():
                    "--sites", "8", "--obs", "meanjz")
     assert proc.returncode == 3
     assert "numerical failure" in proc.stderr
+
+
+def test_overflowing_mode_energy_is_refused_without_a_warning(capsys):
+    # 2 sqrt((cos k - h/J)^2 + ...) leaves the float range at h/J = 1e308:
+    # the row is refused after the header, and no floating-point warning
+    # is raised on the way, so none reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["dispersion", "--field", "1e308", "--sites", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "gamma,field_ratio,momentum,energy,gap\n"
+    assert "numerical failure" in captured.err and "Warning" not in captured.err
 
 
 def test_resume_reproduces_full_output(tmp_path):

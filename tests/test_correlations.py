@@ -404,7 +404,7 @@ def test_nested_minors_match_by_class_reference(sites, monkeypatch):
         assert calls == [], (gamma, field, T)
         monkeypatch.undo()
         fourth = correlations.fourth_moment_from_kernel(kern)
-        assert 24.0 * abs(nested - want) <= 1e-10 * fourth, (gamma, field, T)
+        assert 24.0 * abs(nested - want) <= 1e-13 * fourth, (gamma, field, T)
 
 
 @pytest.mark.parametrize("gamma, field, T", ((-0.892, 0.767, 0.792), (-1.0, 1.0, 0.792),
@@ -412,20 +412,23 @@ def test_nested_minors_match_by_class_reference(sites, monkeypatch):
 def test_nested_minors_near_the_negative_gamma_critical_line(gamma, field, T):
     # elimination without row exchanges grows its upper factor by up to 1e17
     # near this line.  Each class is c(t3) times a window minor of order t1
-    # <= t3, and these points measure 8.7e-14, 3.2e-11, 2.1e-13 and 7.1e-13
-    # of <J_x^4> against the by-class reference; with _PANEL = 1, 2, 4, 8
-    # and 16 alone they stay within 1.7e-14 ... 8.7e-14, 3.2e-11, 2.1e-13
-    # and 5.3e-14 ... 7.1e-13.  That is a margin over rounding orders, not a
-    # bound of the algorithm: (-1, 1, 0.7924) measures 1.2e-10
+    # <= t3, read once per ring-rotation orbit (t2 <= d), and these points
+    # measure 1.9e-13, 2.9e-11, 2.2e-13 and 7.4e-13 of <J_x^4> against the
+    # by-class reference (8.7e-14, 3.2e-11, 2.1e-13 and 7.1e-13 with every
+    # t2 read); with _PANEL = 1, 2, 4, 8 and 16 alone they stay within
+    # 9.4e-14 ... 2.0e-13, 2.9e-11, 2.2e-13 and 2.9e-13 ... 1.9e-12.  That
+    # is a margin over rounding orders, not a bound of the algorithm: (-1,
+    # 1, 0.7924466) measures 1.2e-10
     kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=50, T=T))
     nested = minors._window_sum(_pair_matrix(kern))
     fourth = correlations.fourth_moment_from_kernel(kern)
     assert 24.0 * abs(nested - quad_sum_by_class(kern)) <= 1e-10 * fourth
 
 
-def _windows(n, outer):
-    # the (s, t2) Schur windows of the quadruple sum for the given outer gaps s
-    return sorted((s, b) for s in outer for b in range(1, n - 1 - s))
+def _windows(n):
+    # the (s, t2) Schur windows of the quadruple sum: one per ring-rotation
+    # orbit, t1 <= s and t2 <= d = N - t1 - t2 - s for some t1 >= 1
+    return sorted((s, b) for s in range(1, n) for b in range(1, n) if s + 2 * b <= n - 1)
 
 
 def _classes(n, past):
@@ -556,7 +559,7 @@ def test_pair_matrix_elimination_breaks_down_at_the_forced_step():
 
 def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
     # a cap of 200 entries leaves a few matrices a stack.  At the regular
-    # point each of the 66 Schur windows of N = 14 is eliminated in exactly
+    # point each of the 36 Schur windows of N = 14 is eliminated in exactly
     # one stack and nothing goes to the fallback.  With a breakdown of the
     # pair matrix forced at its first pivot, at the same point, the whole
     # sum goes to the fallback, whose Hadamard bounds run in chunks of one
@@ -590,7 +593,7 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
         assert all(b == 1 or b * (n - 1 - t2) ** 2 <= cap for b, t2 in bounded), breaks
         assert all(b == 1 or b * m * m <= cap for b, m, _ in halved), breaks
         assert sum(b for b, _ in bounded) == len(pairs) == sum(b for b, _, _ in halved), breaks
-        assert sorted(sum(windows, [])) == _windows(n, () if breaks else range(1, n - 2))
+        assert sorted(sum(windows, [])) == ([] if breaks else _windows(n))
         assert len(shapes) == len(windows)
         assert _pair_classes(n, pairs) == (_classes(n, 0) if breaks else [])
         assert bool(halved) == breaks and calls == [], breaks
@@ -765,15 +768,18 @@ def _check_whole_point_in_fallback(monkeypatch, kern, label):
 
 
 def test_window_stack_breakdown_sends_the_whole_point_to_the_fallback(monkeypatch):
-    # a breakdown forced on the fourth window stack at a point where none
+    # a breakdown forced on a middle window stack at a point where none
     # breaks down: the stacks after it are not gathered and the whole point
     # goes to the fallback, which takes no det
-    kern = correlations.kernel(_ens(sites=30))
-    monkeypatch.setattr(minors, "_DET_BATCH_ELEMENTS", 5000)
+    n, cap = 30, 5000
+    kern = correlations.kernel(_ens(sites=n))
+    broken = len(minors._window_plan(n, cap)) // 2
+    assert 0 < broken < len(minors._window_plan(n, cap)) - 1
+    monkeypatch.setattr(minors, "_DET_BATCH_ELEMENTS", cap)
     leading, count = minors._leading_minors, itertools.count()
     monkeypatch.setattr(minors, "_leading_minors", lambda mats, offsets:
-                        None if next(count) == 3 else leading(mats, offsets))
-    assert len(_check_whole_point_in_fallback(monkeypatch, kern, "window")) == 4
+                        None if next(count) == broken else leading(mats, offsets))
+    assert len(_check_whole_point_in_fallback(monkeypatch, kern, "window")) == broken + 1
 
 
 def test_window_plan_is_built_once_per_ring_size(monkeypatch):
@@ -816,16 +822,29 @@ def test_window_plan_weights_no_minor_past_a_window():
     for n in (6, 14, 50, 100):
         for cap in (minors._DET_BATCH_ELEMENTS, 200):
             for stack in minors._window_plan(n, cap):
-                order = np.minimum(stack.t3, n - 1 - stack.t3 - stack.t2)[:, None]
+                order = np.minimum(stack.t3, n - stack.t3 - 2 * stack.t2)[:, None]
                 q = np.arange(1, stack.m + 1) - stack.offsets[:, None]
                 assert np.all(stack.weights[(q <= 0) | (q > order)] == 0), (n, cap)
 
 
+def test_window_plan_counts_every_quadruple_once():
+    # each gap class is read once per ring-rotation orbit {(t1, t2, t3),
+    # (t3, t2, t1), (t3, d, t1), (t1, d, t3)}, so the plan's weights must
+    # count every index set l1 < l2 < l3 < l4 of [0, N) exactly once; the
+    # plan holds every orbit window, and only those
+    for n in (6, 14, 50, 100, 200):
+        for cap in (minors._DET_BATCH_ELEMENTS, 200):
+            plan = minors._window_plan(n, cap)
+            assert sum(int(stack.weights.sum()) for stack in plan) == math.comb(n, 4), (n, cap)
+            assert sorted(zip(np.concatenate([s.t3 for s in plan]).tolist(),
+                              np.concatenate([s.t2 for s in plan]).tolist())) == _windows(n)
+
+
 # float.hex of the quadruple sum on NESTED_GRID at N = 50, then at (1, 0.5,
-# 0.3), N = 100, as the per-point construction of the windows gave them
+# 0.3), N = 100, as the windows of one ring-rotation orbit each give them
 NESTED_BITS = ("0x1.300c0689bd67ep+17", "0x1.e1459fc531b88p+13", "0x1.a8c8ffef8fe51p+7",
-               "0x1.6c98090eee686p+11", "0x1.f7eb2ed57fa61p+4", "0x1.0898a504b149ap+3",
-               "0x1.012307594c183p+21")
+               "0x1.6c98090eee686p+11", "0x1.f7eb2ed57fa62p+4", "0x1.0898a504b149ap+3",
+               "0x1.012307594c182p+21")
 
 
 def test_nested_quad_sum_keeps_its_bits():
