@@ -470,22 +470,23 @@ def fourth_moment_from_kernel(kern: CorrelationKernel) -> float:
     inf (g = 0), on the gamma = -1, h/J = 0 line (every pair matrix
     singular) and in the cold XX chain polarized by h/J > 1.  Where any
     elimination breaks down, the pair matrix's at any step or a window
-    stack's, the engine takes the whole quadruple sum another way: it is
-    0 if Hadamard's inequality certifies that the classes move <J_x^4> by
-    less than one ulp of its two leading terms N + 3N(N-1), so the
-    tolerance is eps (N + 3N(N-1)) / 24, as the sum enters times 24, and
-    otherwise every class takes the leading minors of its own contraction
-    matrix from orthogonal factors.  No LAPACK det runs.  On those lines
-    the x spins are uncorrelated, and the certified points give 3N^2 - 2N
-    to roundoff (timed in the breakdown rows of the README's layer-timings
-    table).  Measured at N = 30, 40,
-    50, 60, 80 and 100, the bound certifies gamma = -1, h/J = 0 at T =
+    stack's, the engine takes the whole quadruple sum another way, over
+    the same classes, one per ring-rotation orbit, with the same weights:
+    it is 0 if Hadamard's inequality certifies that the classes move
+    <J_x^4> by less than one ulp of its two leading terms N + 3N(N-1), so
+    the tolerance is eps (N + 3N(N-1)) / 24, as the sum enters times 24,
+    and otherwise every class takes the leading minors of its own
+    contraction matrix from orthogonal factors, 300 matrices at N = 50.
+    No LAPACK det runs.  On those lines the x spins are uncorrelated, and
+    the certified points give 3N^2 - 2N to roundoff (timed in the
+    breakdown rows of the README's layer-timings table).  Measured at N =
+    30, 40, 50, 60, 80 and 100, the bound certifies gamma = -1, h/J = 0 at T =
     0.05, 0.3 and 5, the cold XX chain at h/J = 2, T = 0.05, and T = inf,
     where the sum is exactly 0.  Below 30 sites the gamma = -1 line at T
     <= 0.3 sits at the bound's edge (24 * margin * bound / (eps * lead) =
-    0.5 ... 2), and the rings of 6 to 16 sites, and of 24 at T = 0.3, take
-    the orthogonal minors; so does a breakdown at a point whose
-    correlations are not negligible, where the bound is O(1).  The
+    0.45 ... 2.1), and the rings of 6, 8, 12 and 14 sites, and of 16 at
+    T = 0.05, take the orthogonal minors; so does a breakdown at a point
+    whose correlations are not negligible, where the bound is O(1).  The
     fallback takes the whole point, never the classes of the broken stack
     alone: at (-0.9653537597782795, 0.2609446655556303, 0.05), N = 50,
     where one window stack breaks down, that split left the quadruple sum

@@ -37,24 +37,24 @@ far below 1 has correspondingly fewer correct digits.
 The gap-class sum (_gap_class_sum) takes T and a tolerance and returns
 the sum over gap classes (t1, t2, t3) of the principal minors of T on
 [0, t1) u [t1+t2, t1+t2+t3), each weighted by how many index sets
-l1 < l2 < l3 < l4 of [0, N) have those gaps (_class_weights); the
-correlations module reads <J_x^4> from it.  It has three ways, and takes
-one for the whole sum.
+l1 < l2 < l3 < l4 of [0, N) have those gaps; the correlations module
+reads <J_x^4> from it.  Every class of a ring-rotation orbit {(t1, t2,
+t3), (t3, t2, t1), (t3, d, t1), (t1, d, t3)}, d = N - t1 - t2 - t3 the
+gap that closes the ring, has the same minor, so every way reads only
+the representative t1 <= t3, t2 <= d, weighted for its whole orbit
+(_orbit_weights).  It has three ways, and takes one for the whole sum.
 
 The windows (_window_sum) come first.  By Schur's determinant formula
 class (t1, t2, t3), read from its reverse, is c(t3) = det T[:t3, :t3]
 times a leading minor of the window Sigma_t3[t2:, t2:] of the Schur
-complement that t3 steps of elimination of T leave behind.  Every class
-of a ring-rotation orbit {(t1, t2, t3), (t3, t2, t1), (t3, d, t1), (t1,
-d, t3)}, d = N - t1 - t2 - t3 the gap that closes the ring, has the same
-minor, so only the representative t1 <= t3, t2 <= d is read, weighted
-for its whole orbit: window (t3, t2) is needed to order
-min(t3, N - t3 - 2 t2), and there are 576 windows at N = 50, 2401 at
-N = 100 and 9801 at N = 200.  One elimination of T, kept as its N-3 snapshots
-(_schur_snapshots), gives every window and every c(t3); one elimination
-without row exchanges of a window's leading block (_leading_minors)
-gives every minor of it as products of its pivots: O(N^5) flops for the
-sum instead of the O(N^6) of one det per class.  By a (2/3) k^3 flop
+complement that t3 steps of elimination of T leave behind.  Window (t3,
+t2) is needed to order min(t3, N - t3 - 2 t2), and there are 576
+windows at N = 50, 2401 at N = 100 and 9801 at N = 200.  One
+elimination of T, kept as its N-3 snapshots (_schur_snapshots), gives
+every window and every c(t3); one elimination without row exchanges of
+a window's leading block (_leading_minors) gives every minor of it as
+products of its pivots: O(N^5) flops for the sum instead of the O(N^6)
+of one det per class.  By a (2/3) k^3 flop
 count that is 1.9 (N = 50) to 2.0 (N = 200) times fewer than reading
 every t2 of each t3, and 13.5 to 14.6 times fewer than reading each
 class from its smaller outer gap, whose windows must be eliminated
@@ -70,11 +70,12 @@ that way.
 
 Where any elimination, of T or of a window stack, breaks down on a pivot
 that is zero to working precision, the whole sum goes to _fallback_sum.
-It first sums Hadamard's bound on every weighted class (the certificate,
-_hadamard_products) and returns 0 if that sum times _ROUNDING_MARGIN is
-at most the tolerance; otherwise every class takes the leading minors of
-its own principal submatrix from orthogonal factors, in stacks handed to
-_halving_minors.
+It reads the classes the windows read, one principal submatrix of T
+per pair (t1, t2), 300 at N = 50.  It first sums Hadamard's bound on
+every weighted class (the certificate, _hadamard_products) and returns 0
+if that sum times _ROUNDING_MARGIN is at most the tolerance; otherwise
+every class takes the leading minors of its own principal submatrix from
+orthogonal factors, in stacks handed to _halving_minors.
 
 Complex minors (_det_minors) take one LAPACK det per order, for the
 complex-step slope of Var(J_x), whose kernel is complex: Householder
@@ -395,20 +396,22 @@ class _WindowStack:
     weights: np.ndarray
 
 
-def _class_weights(n: int, t1, t2, t3) -> np.ndarray:
-    # how many index sets l1 < l2 < l3 < l4 of [0, N) have the gaps (t1, t2,
-    # t3): N - t1 - t2 - t3 origins, twice for t1 < t3, as the reversed gaps
-    # are counted with them, and 0 for t1 > t3 or past the end of [0, N)
-    copies = np.where(t3 > t1, 2, t3 == t1)
-    return copies * np.maximum(n - t1 - t2 - t3, 0)
+def _orbit_weights(n: int, t1, t2, t3) -> np.ndarray:
+    # how many index sets l1 < l2 < l3 < l4 of [0, N) have their gaps in the
+    # ring-rotation orbit of class (t1, t2, t3), read from its representative
+    # t1 <= t3, t2 <= d = N - t1 - t2 - t3: d origins of the class and, for
+    # t2 < d, t2 of its rotated partner (t1, d, t3), twice for t1 < t3, as
+    # the reversed gaps are counted with them; 0 for any other class
+    d = n - t1 - t2 - t3
+    return np.where(t3 > t1, 2, t3 == t1) * (d * (t2 <= d) + t2 * (t2 < d))
 
 
 def _plan_stack(n: int, t3: np.ndarray, t2: np.ndarray, order: np.ndarray,
                 offsets: np.ndarray, m: int) -> _WindowStack:
     # the stack of the windows (t3, t2) of the given orders at the given
-    # offsets, minor j weighted as its gap class (j, t2, t3) (_class_weights)
-    # and, where t2 < d = N - j - t2 - t3, as its rotated partner (j, d, t3)
-    # too; a class with d < t2 is read in the orbit of another window
+    # offsets, minor j weighted as the orbit of its gap class (j, t2, t3)
+    # (_orbit_weights); a class with d < t2 is read in the orbit of another
+    # window
     _, ends = _snapshot_layout(n)
     local = np.arange(m) - offsets[:, None]
     size = n - 1 - t3
@@ -416,10 +419,8 @@ def _plan_stack(n: int, t3: np.ndarray, t2: np.ndarray, order: np.ndarray,
                     (ends[t3 - 1] - size * size + t2 * size + t2 - offsets)[:, None]
                     + local * size[:, None],
                     ends[-1] + (n - 2) - np.arange(m))
-    j, b, c = np.arange(1, m + 1) - offsets[:, None], t2[:, None], t3[:, None]
-    d = n - j - b - c
-    weights = (_class_weights(n, j, b, c) * (b <= d)
-               + _class_weights(n, j, d, c) * (b < d)) * (j > 0)
+    j = np.arange(1, m + 1) - offsets[:, None]
+    weights = _orbit_weights(n, j, t2[:, None], t3[:, None]) * (j > 0)
     return _WindowStack(*_read_only(t3, t2, offsets), m, _read_only(rows)[0],
                         _read_only(weights)[0])
 
@@ -506,9 +507,9 @@ def _window_sum(block: np.ndarray) -> float | None:
 
 def _quad_index(size: int, t1: np.ndarray, t2: int, order: np.ndarray) -> np.ndarray:
     # flat position in T (size x size, row-major) of every entry of the m x m
-    # principal submatrix of each t1 in the column t1, on the sites [0, t1) u
-    # [t1+t2, size); its leading minor of order t1 + t3 is gap class (t1,
-    # t2, t3)
+    # principal submatrix of each t1 in the column t1, m = len(order), on the
+    # sites [0, t1) u [t1+t2, t2+m); its leading minor of order t1 + t3 is
+    # gap class (t1, t2, t3)
     sites = order - 1 + np.where(order > t1, t2, 0)
     return sites[:, :, None] * size + sites[:, None, :]
 
@@ -535,21 +536,25 @@ def _hadamard_products(squares: np.ndarray, t1: np.ndarray, t2: int,
 def _fallback_sum(block: np.ndarray, tolerance: float) -> float:
     """The sum of _gap_class_sum without an elimination: 0 if certified below tolerance.
 
-    Every summed class (t1, t2, t3), t1 <= t3, is the leading minor of
-    order t1 + t3 of the m x m principal submatrix of T on the sites [0,
-    t1) u [t1+t2, N-1), m = N-1-t2 (see _quad_index), t1 = 1 ... m // 2;
-    _class_weights weights each minor as its class and gives those of
-    order below 2 t1 none.  The submatrices go in stacks of one t2, t2
-    ascending, by ascending t1, under the cap of _DET_BATCH_ELEMENTS
-    entries.  First the classes' weighted Hadamard bounds
-    (_hadamard_products, from the squares of T taken once) are summed:
-    O(N^4) flops.  If that sum times _ROUNDING_MARGIN is at most
-    tolerance, the sum is 0 (a NaN bound certifies nothing).  Otherwise
-    each stack goes to _halving_minors in one call, which gives every
-    leading minor of each submatrix from orthogonal factors, with no
-    pivot to break down, and the class weights sum them: O(m^3) flops per
-    submatrix.  Each is gathered through one flat index into T.  The
-    window breakdown point of tools/bench_layers.py sends all 576 of its
+    The summed classes are those of the window plan: the representative
+    (t1, t2, t3), t1 <= t3, t2 <= d = N - t1 - t2 - t3, of each
+    ring-rotation orbit.  Each is the leading minor of order t1 + t3 of the
+    m x m principal submatrix of T on the sites [0, t1) u [t1+t2, N-t2),
+    m = N - 2 t2 (see _quad_index), t2 = 1 ... (N-2) // 2, t1 = 1 ...
+    m // 2, as t3 <= m - t1 is d >= t2; _orbit_weights weights each minor
+    as its orbit and gives those of order below 2 t1 none.  The
+    submatrices go in stacks of one t2, t2 ascending, by ascending t1,
+    under the cap of _DET_BATCH_ELEMENTS entries.  First the classes'
+    weighted Hadamard bounds (_hadamard_products, from the squares of T
+    taken once) are summed: O(N^4) flops.  Every class of an orbit has the
+    representative's exact minor, so its bound times the orbit's weight
+    bounds the orbit's share of the sum.  If that sum times
+    _ROUNDING_MARGIN is at most tolerance, the sum is 0 (a NaN bound
+    certifies nothing).  Otherwise each stack goes to _halving_minors in
+    one call, which gives every leading minor of each submatrix from
+    orthogonal factors, with no pivot to break down, and the orbit weights
+    sum them: O(m^3) flops per submatrix.  Each is gathered through one flat index into T.  The
+    window breakdown point of tools/bench_layers.py sends all 300 of its
     N = 50 submatrices here, and its row of the README's layer-timings
     table times this route.  Where T's singular values are at most 1, as
     the pair matrix's are, so are every submatrix's, and every minor is
@@ -557,13 +562,13 @@ def _fallback_sum(block: np.ndarray, tolerance: float) -> float:
     """
     n = len(block) + 1
     stacks = []
-    for t2 in range(1, n - 2):
-        m = n - 1 - t2
+    for t2 in range(1, n // 2):
+        m = n - 2 * t2
         order = np.arange(1, m + 1)
         chunk = max(1, _DET_BATCH_ELEMENTS // (m * m))
         for lo in range(1, m // 2 + 1, chunk):
             t1 = np.arange(lo, min(lo + chunk, m // 2 + 1))[:, None]
-            stacks.append((t1, t2, order, _class_weights(n, t1, t2, order - t1)))
+            stacks.append((t1, t2, order, _orbit_weights(n, t1, t2, order - t1)))
     squares = np.square(block)
     bound = sum(float(np.sum(weights * _hadamard_products(squares, t1, t2, order),
                              where=weights != 0))
@@ -580,18 +585,18 @@ def _gap_class_sum(block: np.ndarray, tolerance: float) -> float:
     """Sum over gap classes (t1, t2, t3) of T's principal minors on [0, t1) u [t1+t2, t1+t2+t3).
 
     block is the Toeplitz matrix T of order N-1, and each minor is weighted
-    by how many index sets of [0, N) have its gaps (_class_weights), the
-    class (t3, t2, t1) counted with (t1, t2, t3), whose minor is the
-    same for a Toeplitz T.  The windows take it (_window_sum), reading
-    each ring-rotation orbit once: the rotated class (t3, d, t1),
-    d = N - t1 - t2 - t3, has the same minor too, so 576 windows serve
-    N = 50 (see _window_plan).  Wherever any of their eliminations breaks down,
-    the whole sum goes to _fallback_sum instead, which returns 0 if
-    Hadamard's bound times _ROUNDING_MARGIN is at most tolerance, and
-    otherwise takes orthogonal minors for every class.  A sum is never
-    split between the two routes: the windows that do not break down at
-    a point where one stack does can be far less accurate than the
-    fallback.
+    by how many index sets of [0, N) have its gaps.  The reversed class
+    (t3, t2, t1) and the rotated class (t3, d, t1), d = N - t1 - t2 - t3,
+    have the same minor for a Toeplitz T, so both routes read each
+    ring-rotation orbit once, from its representative t1 <= t3, t2 <= d,
+    weighted for the whole orbit (_orbit_weights).  The windows take it
+    (_window_sum), 576 of them at N = 50 (see _window_plan).  Wherever any
+    of their eliminations breaks down, the whole sum goes to _fallback_sum
+    instead, which returns 0 if Hadamard's bound times _ROUNDING_MARGIN is
+    at most tolerance, and otherwise takes orthogonal minors for every
+    class, from 300 submatrices at N = 50.  A sum is never split between
+    the two routes: the windows that do not break down at a point where
+    one stack does can be far less accurate than the fallback.
     """
     total = _window_sum(block)
     return _fallback_sum(block, tolerance) if total is None else total

@@ -56,11 +56,20 @@ def ensemble(spec: ChainSpec, temperature: float) -> ThermalEnsemble:
         raise ValueError(f"temperature must be > 0 (in units of J), got {temperature}")
     modes = mode_table(spec)
     # n_k = 1/(1 + e^x) from libm's exp (see _fermi_factors): exactly 0 once
-    # e^x overflows, and exactly 1/2 at temperature = inf, where x = eps/inf = 0
-    x = modes.energies / temperature
+    # e^x overflows, and exactly 1/2 at temperature = inf, where x = eps/inf = 0.
+    # Every eps_k is at most 2 (1 + |h/J| + |gamma|), so x is finite unless
+    # twice that over T leaves the float range, where Python's float division
+    # gives inf without numpy's overflow warning.  Only then can x be inf:
+    # it is divided one mode at a time in Python, to the same bits, and the
+    # slope reads x as 0 wherever n(1 - n) is 0, as _fluctuation_sum does,
+    # so that it is 0 there, not inf * 0.  Either step at every point cost a
+    # phase-diagram point 2-4 %
+    finite = 4.0 * (1.0 + abs(spec.field_ratio) + abs(spec.gamma)) / temperature < math.inf
+    x = (modes.energies / temperature if finite
+         else np.fromiter((e / temperature for e in modes.energies.tolist()), float))
     n = _fermi_factors(x)
     weights = n * (1.0 - n)
-    t, slopes = 1.0 - 2.0 * n, -2.0 * weights * x
+    t, slopes = 1.0 - 2.0 * n, -2.0 * weights * (x if finite else np.where(weights, x, 0.0))
     _read_only(n, x, weights, t, slopes)
     return ThermalEnsemble(spec=spec, temperature=temperature, modes=modes, occupations=n,
                            reduced_energies=x, fluctuation_weights=weights,

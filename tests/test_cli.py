@@ -415,6 +415,29 @@ def test_overflowing_mode_energy_is_refused_without_a_warning(capsys):
     assert "numerical failure" in captured.err and "Warning" not in captured.err
 
 
+@pytest.mark.parametrize("gamma, field, temp, obs, code, err", (
+    ("1", "1e10", "1e-300", "meanjz", 0, ""), ("1", "1e10", "1e-300", "varjx", 0, ""),
+    ("0", "1e10", "1e-300", "varjx", 0, ""),
+    ("0", "1e10", "1e-300", "meanjz", 3, "meanjz noise variance 0.0 at T=1e-300")))
+def test_frozen_ring_readouts_are_written_without_a_warning(gamma, field, temp, obs, code, err,
+                                                            capsys):
+    # at h/J = 1e10, T = 1e-300 every eps/T overflows: each mode is frozen
+    # and its temperature slope an exact 0.  The SNR is 0 where the noise is
+    # positive, and a meanjz noise variance of 0 is refused by name.  No
+    # floating-point warning is raised on the way, so none reaches stderr
+    argv = ["tscan", "--gamma", gamma, "--field", field, "--temp", temp, "--sites", "4",
+            "--obs", obs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()
+    assert len(rows) == (2 if code == 0 else 1)
+    if code == 0:
+        assert rows[1].split(",")[-1] == "0.0"
+    assert err in captured.err and "Warning" not in captured.err
+
+
 def test_resume_reproduces_full_output(tmp_path):
     args = ("phase-diagram", "--gamma", "0:1:3", "--field", "0:1.5:2",
             "--temp", "0.25:0.75:2", "--sites", "6")

@@ -431,15 +431,18 @@ def _windows(n):
     return sorted((s, b) for s in range(1, n) for b in range(1, n) if s + 2 * b <= n - 1)
 
 
-def _classes(n, past):
-    # every summed class (t1, t2, t3), t1 <= t3, with t3 > past
-    return sorted(key for key in _gap_classes(n) if key[2] > past)
+def _orbit_classes(n):
+    # the representative (t1, t2, t3), t1 <= t3 and t2 <= d = N - t1 - t2 -
+    # t3, of every ring-rotation orbit: the classes both routes read
+    return sorted((a, b, c) for a in range(1, n) for b in range(1, n) for c in range(a, n)
+                  if a + 2 * b + c <= n)
 
 
 def _pair_classes(n, pairs):
-    # the classes (t1, t2, t3), t1 <= t3, that the contraction matrices of
-    # the pairs (t1, t2) hold as their leading minors of order t1 + t3
-    return sorted((a, b, c) for a, b in pairs for c in range(a, n - a - b))
+    # the representatives (t1, t2, t3) that the contraction matrices of the
+    # pairs (t1, t2) hold as their leading minors of order t1 + t3, t1 <=
+    # t3 <= N - t1 - 2 t2
+    return sorted((a, b, c) for a, b in pairs for c in range(a, n - a - 2 * b + 1))
 
 
 def _record_stacks(monkeypatch):
@@ -563,9 +566,10 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
     # one stack and nothing goes to the fallback.  With a breakdown of the
     # pair matrix forced at its first pivot, at the same point, the whole
     # sum goes to the fallback, whose Hadamard bounds run in chunks of one
-    # t2 under the cap; the bound is O(1) and certifies nothing, so every
-    # class takes the orthogonal minors of its own contraction matrix, the
-    # matrices handed to the engine in those same stacks
+    # t2, of order N - 2 t2, under the cap; the bound is O(1) and certifies
+    # nothing, so every orbit representative takes the orthogonal minors of
+    # its own contraction matrix, the matrices handed to the engine in those
+    # same stacks
     n, cap = 14, 200
     gamma, field, T = NESTED_GRID[0]
     kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
@@ -590,12 +594,12 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
             split = _fallback(kern)
         monkeypatch.undo()
         assert all(b == 1 or b * m * m <= cap for b, m, _ in shapes), breaks
-        assert all(b == 1 or b * (n - 1 - t2) ** 2 <= cap for b, t2 in bounded), breaks
+        assert all(b == 1 or b * (n - 2 * t2) ** 2 <= cap for b, t2 in bounded), breaks
         assert all(b == 1 or b * m * m <= cap for b, m, _ in halved), breaks
         assert sum(b for b, _ in bounded) == len(pairs) == sum(b for b, _, _ in halved), breaks
         assert sorted(sum(windows, [])) == ([] if breaks else _windows(n))
         assert len(shapes) == len(windows)
-        assert _pair_classes(n, pairs) == (_classes(n, 0) if breaks else [])
+        assert _pair_classes(n, pairs) == (_orbit_classes(n) if breaks else [])
         assert bool(halved) == breaks and calls == [], breaks
         assert split == pytest.approx(whole, rel=1e-13), breaks
         assert 24.0 * abs(split - quad_sum_by_class(kern)) <= 1e-12 * fourth, breaks
@@ -604,10 +608,10 @@ def test_nested_minors_split_stacks_at_the_element_cap(monkeypatch):
 @pytest.mark.parametrize("gamma, field, T", BREAKDOWN_GRID)
 def test_breakdown_points_take_the_fallback_without_dets(gamma, field, T, monkeypatch):
     # the pair matrix breaks down at its first pivot, and Hadamard's bound
-    # certifies every class at N = 30 and 50.  Below that the gamma = -1,
-    # h/J = 0 point sits at the certificate's edge, and the rings of 6 to 16
-    # and of 24 sites take orthogonal minors, so there the by-class dets
-    # check an independent algorithm.  No det runs at any N
+    # certifies every class at N = 24 and up.  Below that the gamma = -1,
+    # h/J = 0 point sits at the certificate's edge, and the rings of 6, 8
+    # and 14 sites take orthogonal minors, so there the by-class dets check
+    # an independent algorithm.  No det runs at any N
     for n in (6, 8, 14, 24, 30, 50):
         kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
         want = quad_sum_by_class(kern)
@@ -624,10 +628,9 @@ def test_breakdown_points_take_the_fallback_without_dets(gamma, field, T, monkey
 
 @pytest.mark.parametrize("gamma, field, T", BREAKDOWN_GRID)
 def test_breakdown_points_keep_the_certified_route(gamma, field, T, monkeypatch):
-    # past a breakdown of the pair matrix at its first pivot every class
-    # goes to the fallback in the frame t1 <= t3, one contraction matrix per
-    # pair (t1, t2), t1 <= (N-2)/2: the very pairs, and so the very Hadamard
-    # bounds, of reading each class from its smaller outer gap.  They
+    # past a breakdown of the pair matrix at its first pivot every orbit
+    # representative goes to the fallback, one contraction matrix per pair
+    # (t1, t2), t2 <= (N-2)/2 and t1 <= (N - 2 t2)/2, whose Hadamard bounds
     # certify every class at N = 30 and 50, so no window is gathered and no
     # orthogonal minor is taken
     for n in (30, 50):
@@ -638,33 +641,34 @@ def test_breakdown_points_keep_the_certified_route(gamma, field, T, monkeypatch)
         correlations.fourth_moment_from_kernel(kern)
         monkeypatch.undo()
         assert windows == [] and halved == [], n
-        assert sorted(pairs) == sorted((a, b) for a in range(1, (n - 2) // 2 + 1)
-                                       for b in range(1, n - 2 * a)), n
-        assert _pair_classes(n, pairs) == _classes(n, 0), n
+        assert sorted(pairs) == sorted((a, b) for b in range(1, (n - 2) // 2 + 1)
+                                       for a in range(1, (n - 2 * b) // 2 + 1)), n
+        assert _pair_classes(n, pairs) == _orbit_classes(n), n
 
 
 @pytest.mark.parametrize("gamma, field, T", NESTED_GRID + BREAKDOWN_GRID)
 def test_hadamard_products_bound_every_class_det(gamma, field, T):
-    # each summed class (t1 <= t3, weight > 0) at N = 14, against the det of
-    # its contraction matrix built here from the class's own sites: a site
-    # off by one or a dropped wrap column would put the product below |det|
+    # each summed class (every orbit representative, weight > 0) at N = 14,
+    # against the det of its contraction matrix built here from the class's
+    # own sites: a site off by one or a dropped wrap column would put the
+    # product below |det|
     n = 14
     kern = correlations.kernel(_ens(gamma=gamma, field_ratio=field, sites=n, T=T))
     g, off = kern.g, n - 1
     checked = 0
-    for t2 in range(1, n - 2):
-        m = n - 1 - t2
+    for t2 in range(1, (n - 2) // 2 + 1):
+        m = n - 2 * t2
         order = np.arange(1, m + 1)
         t1 = np.arange(1, m // 2 + 1)[:, None]
         products = minors._hadamard_products(np.square(_pair_matrix(kern)), t1, t2, order)
-        weights = minors._class_weights(n, t1, t2, order - t1)
+        weights = minors._orbit_weights(n, t1, t2, order - t1)
         for b, k in zip(*np.nonzero(weights)):
             a = b + 1
             sites = np.r_[0:a, a + t2:t2 + k + 1]
             det = np.linalg.det(g[off + sites[:, None] - sites[None, :] - 1])
             assert abs(det) <= products[b, k] * (1.0 + 1e-13), (a, t2, k + 1 - a)
             checked += 1
-    assert checked == len(_gap_classes(n))
+    assert checked == len(_orbit_classes(n))
 
 
 def _orbit_gaps(kern, *orbits):
@@ -749,8 +753,9 @@ def test_window_minors_do_not_depend_on_their_stack():
 
 def _check_whole_point_in_fallback(monkeypatch, kern, label):
     # with a breakdown already forced: the nested sum stops at it, no window
-    # after it is gathered, and every class reaches the fallback exactly
-    # once, through one contraction matrix per pair (t1, t2); no det runs.
+    # after it is gathered, and every orbit representative reaches the
+    # fallback exactly once, through one contraction matrix per pair (t1,
+    # t2); no det runs.
     # Returns the windows gathered, stack by stack
     n = kern.ensemble.spec.sites
     fallback, taken = minors._fallback_sum, []
@@ -761,7 +766,7 @@ def _check_whole_point_in_fallback(monkeypatch, kern, label):
     fourth = correlations.fourth_moment_from_kernel(kern)
     monkeypatch.undo()
     assert len(set(sum(windows, []))) == len(sum(windows, [])), label
-    assert len(taken) == 1 and _pair_classes(n, pairs) == _classes(n, 0), label
+    assert len(taken) == 1 and _pair_classes(n, pairs) == _orbit_classes(n), label
     assert calls == [], label
     assert 24.0 * abs(taken[0] - quad_sum_by_class(kern)) <= 1e-12 * fourth, label
     return windows
@@ -838,6 +843,54 @@ def test_window_plan_counts_every_quadruple_once():
             assert sum(int(stack.weights.sum()) for stack in plan) == math.comb(n, 4), (n, cap)
             assert sorted(zip(np.concatenate([s.t3 for s in plan]).tolist(),
                               np.concatenate([s.t2 for s in plan]).tolist())) == _windows(n)
+
+
+def _reversal_weights(n, t1, t2, t3):
+    # the weights of counting each class with its reverse alone, N - t1 - t2
+    # - t3 origins twice for t1 < t3: the negative control of the orbit rule
+    return np.where(t3 > t1, 2, t3 == t1) * np.maximum(n - t1 - t2 - t3, 0)
+
+
+def _weights_by_route(n, monkeypatch):
+    # {(t1, t2, t3): weight} of every class the window plan of N = n weights,
+    # and of every class the fallback bounds, from minors._orbit_weights as
+    # it stands; the fallback runs on T = 0, whose bound 0 certifies it
+    plan = {}
+    for stack in minors._window_plan.__wrapped__(n, minors._DET_BATCH_ELEMENTS):
+        for i, q in zip(*np.nonzero(stack.weights)):
+            key = (int(q + 1 - stack.offsets[i]), int(stack.t2[i]), int(stack.t3[i]))
+            plan[key] = int(stack.weights[i, q])
+    fallback, weights = {}, minors._orbit_weights
+
+    def record(n, t1, t2, t3):
+        w = weights(n, t1, t2, t3)
+        for b, k in zip(*np.nonzero(w)):
+            fallback[(int(t1[b, 0]), t2, int(t3[b, k]))] = int(w[b, k])
+        return w
+
+    with monkeypatch.context() as patch:
+        patch.setattr(minors, "_orbit_weights", record)
+        assert minors._fallback_sum(np.zeros((n - 1, n - 1)), 0.0) == 0.0
+    return plan, fallback
+
+
+def test_fallback_reads_the_classes_and_weights_of_the_window_plan(monkeypatch):
+    # the window plan and the fallback hold one rule for which gap classes
+    # make up the quadruple sum and how each is weighted: the representative
+    # of each ring-rotation orbit, weighted for the whole orbit, so that
+    # every index set l1 < l2 < l3 < l4 of [0, N) counts once.  Negative
+    # control: with the reversal-only weights the fallback's weights differ
+    # from the plan's, and in both routes they do not count C(N, 4)
+    for n in (6, 14, 50):
+        plan, fallback = _weights_by_route(n, monkeypatch)
+        assert sorted(plan) == _orbit_classes(n), n
+        assert fallback == plan, n
+        assert sum(plan.values()) == math.comb(n, 4), n
+        with monkeypatch.context() as patch:
+            patch.setattr(minors, "_orbit_weights", _reversal_weights)
+            reversal_plan, reversal_fallback = _weights_by_route(n, monkeypatch)
+        assert sorted(reversal_fallback) == sorted(plan) and reversal_fallback != plan, n
+        assert sum(reversal_plan.values()) != math.comb(n, 4), n
 
 
 # float.hex of the quadruple sum on NESTED_GRID at N = 50, then at (1, 0.5,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit  # reference only; the package does not import scipy
 
-from xythermo import oracle, thermometry
+from xythermo import correlations, oracle, thermometry
 from xythermo.spectrum import ChainSpec
 
 
@@ -229,3 +229,20 @@ def test_mode_table_and_ensemble_arrays_refuse_writes(temperature):
         assert x.shape == (8,) and not x.flags.writeable, name
         with pytest.raises(ValueError):
             x[0] = 0.25
+
+
+@pytest.mark.parametrize("field, temperature", ((1e10, 1e-300), (1.0, 1e-308), (1e308, 0.3)))
+def test_polarization_slopes_are_zero_where_the_reduced_energy_overflows(field, temperature):
+    # eps/T leaves the float range at every mode (h/J = 1e10, T = 1e-300),
+    # at some (h/J = 1, T = 1e-308, where eps is 1.53 or 3.70 at N = 4), or
+    # eps itself does (h/J = 1e308): each such x is inf, and there, as at
+    # every mode so cold, n(1 - n) is 0.  Every slope T dt/dT must be an
+    # exact 0, not inf * 0 = nan, and the mean's slope with it.  An energy
+    # past the float range is the mode table's to report; an invalid
+    # operation on the way raises
+    with np.errstate(over="ignore", invalid="raise"):
+        ens = thermometry.ensemble(ChainSpec(gamma=1.0, field_ratio=field, sites=4), temperature)
+        slope = correlations.mean_jz_slope(ens)
+    assert np.any(np.isinf(ens.reduced_energies)) and np.all(ens.fluctuation_weights == 0.0)
+    assert np.all(ens.polarization_slopes == 0.0)
+    assert slope == 0.0

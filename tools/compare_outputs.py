@@ -12,9 +12,12 @@ and ``tscan`` as JSON, a phase diagram with every probe option, the same
 sweep from a ``--config`` file (alone, and as CSV with ``--sites``
 overriding the file), the plateau sweep, which exits 3 partway, two
 sweeps whose <J_x^4> takes orthogonal minors for every gap class (a
-point at N = 50 where one stack of Schur windows breaks down, 576
-contraction matrices, and the gamma = -1, h/J = 0 line at N = 14, 36
-matrices at each of its three coldest temperatures), a JSON sweep that
+point at N = 50 where one stack of Schur windows breaks down, 300
+contraction matrices, and the gamma = -1, h/J = 0 line at N = 14, 21
+matrices at each of its three coldest temperatures), the same line at
+N = 24 and T = 0.05 and 0.3, where Hadamard's bound certifies the
+quadruple sum at the edge of its reach, so that a change of which route
+a point takes shows as a mismatch, a JSON sweep that
 exits 3 at its last point, whose document keeps the rows before it, a
 ``dispersion`` whose rows overflow and are refused after the header, and
 ``validate``.
@@ -63,6 +66,8 @@ EXTRA = {
                         "--temp 0.05 --sites 50 --obs crb,varjx,meanjz",
     "fallback minors": "tscan --gamma -1 --field 0 --temp 0.05:5:6:log --sites 14 "
                        "--obs crb,varjx,meanjz",
+    "certificate edge": "tscan --gamma -1 --field 0 --temp 0.05:0.3:2 --sites 24 "
+                        "--obs crb,varjx,meanjz",
     "failing json sweep": "tscan --gamma 1 --field 0 --temp 1:0.01:3:log --sites 6 --obs varjx "
                           "--format json",
     "non-finite dispersion": "dispersion --field 1e308 --sites 4",
