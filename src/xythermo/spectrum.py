@@ -161,7 +161,12 @@ def mode_table(spec: ChainSpec) -> ModeTable:
     a = cos_k - spec.field_ratio
     b = spec.gamma * sin_k
     r = np.hypot(a, b)
-    energies = 2.0 * r
+    # every eps_k is at most 2 (1 + |h/J| + |gamma|), as thermometry.ensemble
+    # reads it: only where twice that leaves the float range can 2 r overflow,
+    # and there dispersion() gives the same bits, inf past the float range,
+    # without numpy's warning.  A per-table errstate would cost every point
+    energies = (2.0 * r if 4.0 * (1.0 + abs(spec.field_ratio) + abs(spec.gamma)) < math.inf
+                else dispersion(spec, k))
     # atan2 keeps the quadrant so that the rotated quadratic form has
     # energy +eps_k for every mode, including cos k < h/J where the naive
     # arctan branch would flip sign.

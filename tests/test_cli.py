@@ -415,6 +415,25 @@ def test_overflowing_mode_energy_is_refused_without_a_warning(capsys):
     assert "numerical failure" in captured.err and "Warning" not in captured.err
 
 
+@pytest.mark.parametrize("command, obs, code, row", (
+    ("tscan", "crb", 0, "1.0,1e+308,0.3,2.0,2.0,0.0"),
+    ("phase-diagram", "crb", 0, "1.0,1e+308,0.3,0.0"),
+    ("tscan", "crb,varjx,meanjz", 3, None), ("phase-diagram", "crb,varjx,meanjz", 3, None)))
+def test_sweeps_with_overflowing_mode_energies_raise_no_warning(command, obs, code, row, capsys):
+    # at h/J = 1e308 every mode energy is inf: the ring is frozen, its CRB
+    # row is written, and a meanjz noise variance of 0 is refused by name.
+    # The mode table raises no overflow warning, so none reaches stderr
+    argv = [command, "--field", "1e308", "--temp", "0.3", "--sites", "4", "--obs", obs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ([row] if row else [])
+    if code:
+        assert "meanjz noise variance 0.0 at T=0.3" in captured.err
+    assert "Warning" not in captured.err
+
+
 @pytest.mark.parametrize("gamma, field, temp, obs, code, err", (
     ("1", "1e10", "1e-300", "meanjz", 0, ""), ("1", "1e10", "1e-300", "varjx", 0, ""),
     ("0", "1e10", "1e-300", "varjx", 0, ""),

@@ -238,8 +238,8 @@ def test_polarization_slopes_are_zero_where_the_reduced_energy_overflows(field, 
     # eps itself does (h/J = 1e308): each such x is inf, and there, as at
     # every mode so cold, n(1 - n) is 0.  Every slope T dt/dT must be an
     # exact 0, not inf * 0 = nan, and the mean's slope with it.  An energy
-    # past the float range is the mode table's to report; an invalid
-    # operation on the way raises
+    # past the float range is inf, which the mode table gives without a
+    # warning; an invalid operation on the way raises
     with np.errstate(over="ignore", invalid="raise"):
         ens = thermometry.ensemble(ChainSpec(gamma=1.0, field_ratio=field, sites=4), temperature)
         slope = correlations.mean_jz_slope(ens)

@@ -13,11 +13,21 @@ half probe) and ``mean_jz_slope``, and one VAR_JX readout point at N = 50
 the slope and <J_x^4>, as one ``tscan-quartic`` row computes them), for
 one or more source trees, and writes the medians to a JSON file together
 with the core count and the BLAS in use.
-Each grid row makes one untimed warm-up call and then CALLS timed calls in
-the same process, and takes their median, so that a row does not read the
-allocator and cache state that the rows before it left.  The warm-up call
-also builds what a tree memoizes per ring size (the cos/sin tables, the
-plan of Schur windows of <J_x^4>), as the first point of a sweep does.
+Each grid row of each tree and repetition runs in a fresh process of its
+own, with BLAS pinned to one thread, so that no row reads the allocator
+and cache state that other rows left: the page faults and time of a call
+depend on what was allocated before it in the same process (in
+``BENCH_34.json``, timed after the other rows of their tree, the N=100
+regular fourth-moment rows took 3971 or 5079 minor faults per call; in a
+process of their own, 5502).  A count still moves by a few pages with the
+layout of the process, which the length of the tree's path and the size
+of its code change: the same files read 5499 or 5502 there.  A process
+start costs 0.2-0.3 s, and a run of two trees and five repetitions, 320
+processes, takes about 110 s on 2 cores.  In its process a row makes one
+untimed warm-up call and then CALLS timed calls, and takes their median.
+The warm-up call also builds what a tree memoizes per ring size (the
+cos/sin tables, the plan of Schur windows of <J_x^4>), as the first point
+of a sweep does.
 The CPU speed a process gets on a shared machine swings by tens of percent
 between runs, so each call is also divided by the mean duration of the
 benchmark's fixed speed probe (``sweepbench.worker.speed_probe``, about 1
@@ -25,8 +35,8 @@ ms), timed just before and just after it: the "ref" statistics are per-call
 times in probe units, as ``sweepbench`` reports them, next to the raw
 seconds.  To compare a
 change with its parent commit, export the parent next to the checkout and
-pass both trees; the trees run alternately, each repetition in a fresh
-process with BLAS pinned to one thread:
+pass both trees; for each repetition and row the trees run back to back,
+in an order that flips every repetition:
 
     git archive --prefix=parent/ HEAD~1 | tar x -C /tmp
     python tools/bench_layers.py --tree parent=/tmp/parent/src --tree change=src \\
@@ -68,16 +78,17 @@ prints the largest, so a speed change that moves the numbers shows next to
 its timings.  For N = 50, 100 and 200 the file also records the bytes of
 the store of Schur-complement snapshots that <J_x^4> keeps per point and
 the bytes of the plan of Schur windows it builds once per ring size,
-recorded as ``correlations.fourth_moment_from_kernel`` at a regular
-point asks ``_window_plan`` for it, so that every tree is measured
-through its own call.  The run ends by printing the last tree's rows as
-the README's layer-timings block (``readme_table``), which goes between
-the README's ``<!-- layer-timings -->`` markers when the file is
-committed.
+read at the regular rows of those sizes from the plan that the row's own
+calls built (``_window_plan`` of the ring size, a cache hit), so that
+every tree is measured through its own calls.  The run ends by printing
+the last tree's rows as the README's layer-timings block
+(``readme_table``), which goes between the README's
+``<!-- layer-timings -->`` markers when the file is committed.
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -156,18 +167,18 @@ def _minor_faults() -> int | None:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
 
 
-def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], dict[str, float],
-                          dict[str, float | None]]:
-    # per grid entry, the median of CALLS timings after one warm-up call, in
-    # seconds and in speed-probe units, the matrices one call handed to the
-    # orthogonal-minor engine, the value it returned and the median of its
-    # minor page faults, with the tree on sys.path
+def _time_row(layer, n, gamma, field, temp, kind) -> dict[str, dict]:
+    # one grid row, in a process of its own with the tree on sys.path: the
+    # median of CALLS timings after one warm-up call, in seconds and in
+    # speed-probe units, the matrices one call handed to the orthogonal-minor
+    # engine, the value it returned and the median of its minor page faults,
+    # each keyed by the row's key as main merges them; at a regular
+    # fourth-moment row of N in PLAN_SIZES also the plan bytes
     from sweepbench.worker import speed_probe
     from xythermo import correlations, faraday, minors, thermometry
     from xythermo.spectrum import ChainSpec
 
-    engine = {name: getattr(minors, name) for name in ("_halving_minors", "_split")}
-    count, depth = [0], [0]
+    key, count, depth = _key(layer, n, gamma, field, temp, kind), [0], [0]
 
     def entry(fn):
         # counts the matrices of a call from outside the engine only
@@ -181,7 +192,7 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
                 depth[0] -= 1
         return wrapped
 
-    def prepare(layer, n, gamma, field, temp, kind):
+    def prepare():
         # the call, with its argument built fresh and outside the timed region
         spec = ChainSpec(gamma=gamma, field_ratio=field, sites=n)
         if layer == "ensemble":
@@ -203,74 +214,45 @@ def _time_grid() -> tuple[dict[str, float], dict[str, float], dict[str, int], di
         call = getattr(correlations, layer)
         return lambda: call(kern)
 
-    def scalar(layer, value):
+    def scalar(value):
         if layer == "kernel":
             return float(value.g @ value.g)
         if layer == "ensemble":
             return float(value.occupations.sum())
         return float(value)
 
-    times, refs, halvings, values, faults = {}, {}, {}, {}, {}
-    for name, fn in engine.items():
-        setattr(minors, name, entry(fn))
-    try:
-        for row in GRID:
-            key = _key(*row)
-            prepare(*row)()  # warm-up
-            elapsed, ref, seen, fresh = [], [], set(), []
-            for _ in range(CALLS):
-                call = prepare(*row)
-                count[0] = 0
-                before = speed_probe()
-                paged = _minor_faults()
-                start = perf_counter()
-                value = call()
-                elapsed.append(perf_counter() - start)
-                if paged is not None:
-                    fresh.append(_minor_faults() - paged)
-                ref.append(2.0 * elapsed[-1] / (before + speed_probe()))
-                seen.add((count[0], scalar(row[0], value)))
-            if len(seen) != 1:
-                raise SystemExit(f"{key}: calls disagree: {sorted(seen)}")
-            times[key], refs[key] = statistics.median(elapsed), statistics.median(ref)
-            halvings[key], values[key] = seen.pop()
-            faults[key] = statistics.median(fresh) if fresh else None
-    finally:
-        for name, fn in engine.items():
-            setattr(minors, name, fn)
-    return times, refs, halvings, values, faults
-
-
-def _plan_bytes() -> dict[str, dict[str, int]]:
-    # per ring size, the bytes of the snapshot store (its length is fixed by
-    # N: sum of k^2, k = 2 ... N-2, plus 2(N-2) spare entries) and of the
-    # arrays of the window plan that the fourth moment of a regular point
-    # asks the engine for, through a call every tree has
-    from xythermo import correlations, minors, thermometry
-    from xythermo.spectrum import ChainSpec
-
-    window_plan, planned = minors._window_plan, []
-
-    def record(*args):
-        planned.append(window_plan(*args))
-        return planned[-1]
-
-    out = {}
-    minors._window_plan = record
-    try:
-        for n in PLAN_SIZES:
-            spec = ChainSpec(gamma=1.0, field_ratio=0.5, sites=n)
-            planned.clear()
-            correlations.fourth_moment_from_kernel(
-                correlations.kernel(thermometry.ensemble(spec, 0.3)))
-            (stacks,) = planned  # the sum asks for the plan once
-            store = 8 * (sum(k * k for k in range(2, n - 1)) + 2 * (n - 2))
-            plan = sum(getattr(stack, name).nbytes for stack in stacks
-                       for name in ("t3", "t2", "offsets", "rows", "weights"))
-            out[f"N={n}"] = {"snapshot_store": store, "window_plan": plan}
-    finally:
-        minors._window_plan = window_plan
-    return out
+    for name in ("_halving_minors", "_split"):
+        setattr(minors, name, entry(getattr(minors, name)))
+    prepare()()  # warm-up
+    elapsed, ref, seen, fresh = [], [], set(), []
+    for _ in range(CALLS):
+        call = prepare()
+        count[0] = 0
+        before = speed_probe()
+        paged = _minor_faults()
+        start = perf_counter()
+        value = call()
+        elapsed.append(perf_counter() - start)
+        if paged is not None:
+            fresh.append(_minor_faults() - paged)
+        ref.append(2.0 * elapsed[-1] / (before + speed_probe()))
+        seen.add((count[0], scalar(value)))
+    if len(seen) != 1:
+        raise SystemExit(f"{key}: calls disagree: {sorted(seen)}")
+    ((halvings, value),) = seen
+    plan = {}
+    if layer == "fourth_moment_from_kernel" and kind == "regular" and n in PLAN_SIZES:
+        # the plan the calls built, a cache hit, and the snapshot store, whose
+        # length is fixed by N: sum of k^2, k = 2 ... N-2, plus 2(N-2) spare
+        # entries
+        stacks = minors._window_plan(n, minors._DET_BATCH_ELEMENTS)
+        plan[f"N={n}"] = {
+            "snapshot_store": 8 * (sum(k * k for k in range(2, n - 1)) + 2 * (n - 2)),
+            "window_plan": sum(getattr(stack, name).nbytes for stack in stacks
+                               for name in ("t3", "t2", "offsets", "rows", "weights"))}
+    return {"times": {key: statistics.median(elapsed)}, "refs": {key: statistics.median(ref)},
+            "halvings": {key: halvings}, "values": {key: value},
+            "faults": {key: statistics.median(fresh) if fresh else None}, "plan_bytes": plan}
 
 
 def _median_or_none(values: list) -> float | None:
@@ -330,27 +312,30 @@ def main(argv=None) -> int:
                         help="a label and the src directory of one source tree (repeatable)")
     parser.add_argument("--reps", type=int, default=5, help="repetitions per tree (default 5)")
     parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--worker", nargs=2, metavar=("SRC", "ROW"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.worker:  # one repetition of one tree, in a fresh process
-        sys.path[:0] = [args.worker, ROOT]
-        times, refs, halvings, values, faults = _time_grid()
-        print(json.dumps({"times": times, "refs": refs, "halvings": halvings, "values": values,
-                          "faults": faults, "plan_bytes": _plan_bytes(), "env": _blas()}))
+    if args.worker:  # one grid row of one tree, in a fresh process
+        src, row = args.worker
+        sys.path[:0] = [src, ROOT]
+        print(json.dumps(_time_row(*GRID[int(row)]) | {"env": _blas()}))
         return 0
     if not args.tree or not args.out or args.reps < 1:
         parser.error("need at least one --tree, an --out file and --reps >= 1")
 
     trees = dict(t.split("=", 1) for t in args.tree)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    runs = {label: [] for label in trees}
+    # per tree and repetition, each field of the workers' output over the grid
+    runs = {label: [collections.defaultdict(dict) for _ in range(args.reps)] for label in trees}
     for rep in range(args.reps):
-        for label in list(trees) if rep % 2 == 0 else list(trees)[::-1]:
-            proc = subprocess.run(
-                [sys.executable, __file__, "--worker", os.path.abspath(trees[label])],
-                env=env, capture_output=True, text=True, check=True)
-            runs[label].append(json.loads(proc.stdout))
-            print(f"rep {rep + 1}/{args.reps} {label} done", file=sys.stderr, flush=True)
+        order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
+        for row in range(len(GRID)):
+            for label in order:
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--worker", os.path.abspath(trees[label]),
+                     str(row)], env=env, capture_output=True, text=True, check=True)
+                for name, entries in json.loads(proc.stdout).items():
+                    runs[label][rep][name].update(entries)
+        print(f"rep {rep + 1}/{args.reps} done", file=sys.stderr, flush=True)
     times = {label: [r["times"] for r in reps] for label, reps in runs.items()}
     refs = {label: [r["refs"] for r in reps] for label, reps in runs.items()}
     halvings = {label: reps[0]["halvings"] for label, reps in runs.items()}
@@ -362,8 +347,9 @@ def main(argv=None) -> int:
     differences = _relative_differences(values)
     result = {
         "what": "per-call seconds, and per-call time over the speed probe's (ref): the "
-                "median of each repetition's timed calls after a warm-up call, then "
-                "median, min and max over repetitions that alternate the trees",
+                "median of each repetition's timed calls after a warm-up call, each row "
+                "and repetition in a fresh process, then median, min and max over "
+                "repetitions that alternate the trees",
         "nproc": os.cpu_count(),
         "machine": os.uname().machine,
         "python": sys.version.split()[0],

@@ -19,8 +19,10 @@ N = 24 and T = 0.05 and 0.3, where Hadamard's bound certifies the
 quadruple sum at the edge of its reach, so that a change of which route
 a point takes shows as a mismatch, a JSON sweep that
 exits 3 at its last point, whose document keeps the rows before it, a
-``dispersion`` whose rows overflow and are refused after the header, and
-``validate``.
+``dispersion`` whose rows overflow and are refused after the header, a
+``tscan`` at the same field ratio, every mode energy inf, which refuses
+its meanjz readout (so that a floating-point warning on the way shows in
+its stderr), and ``validate``.
 Each mismatch with the first tree is printed, and the exit code is 1 if
 there is any.  Where both outputs are tables (CSV, or JSON with columns
 and rows) of the same shape, each numeric column that moved is printed
@@ -71,6 +73,7 @@ EXTRA = {
     "failing json sweep": "tscan --gamma 1 --field 0 --temp 1:0.01:3:log --sites 6 --obs varjx "
                           "--format json",
     "non-finite dispersion": "dispersion --field 1e308 --sites 4",
+    "non-finite energies": "tscan --field 1e308 --temp 0.3 --sites 4 --obs crb,varjx,meanjz",
     "validate": "validate",
 }
 # the probe-options sweep as a file: every axis form, an obs list, a switch and two choices
